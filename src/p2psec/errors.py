@@ -111,10 +111,6 @@ class NegotiationError(P2PSecError):
     """Base class for negotiation protocol failures."""
 
 
-class EmptyEvaluationError(NegotiationError):
-    """Aggregate evaluation requested over an empty property map."""
-
-
 class MissingTrustValueError(NegotiationError):
     """decide() called without a trust value for a required property."""
 

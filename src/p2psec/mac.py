@@ -377,7 +377,8 @@ def render_avc(record: AvcRecord) -> str:
 # Challenges
 # ---------------------------------------------------------------------------
 
-#: Probe permission implied by each known command stub.
+#: Probe permission implied by each known command stub.  A probe for a
+#: permission uses the first stub listed for it.
 PROBE_PERMISSIONS = {
     "vim": "read",
     "viewer": "read",
@@ -413,26 +414,33 @@ class Challenge:
 
 def make_challenge(resource_path: str, subject: SecurityContext,
                    command_stub: str, compiled: CompiledPolicy) -> Challenge:
-    """Build a challenge for a compiled resource.
-
-    The expected outcome is what the compiled ruleset itself decides for
-    the stub's probe permission, so a faithful enforcer reproduces it.
-    """
+    """Build a challenge for a compiled resource."""
     if resource_path not in compiled.resource_rules:
         raise UnknownResourceError(
             f"no compiled resource at {resource_path!r}")
+    return build_challenge(resource_path, subject, command_stub,
+                           compiled.resource_rules[resource_path],
+                           compiled.resource_contexts[resource_path])
+
+
+def build_challenge(resource_path: str, subject: SecurityContext,
+                    command_stub: str, ruleset: MacRuleSet,
+                    tcontext: SecurityContext) -> Challenge:
+    """Build a challenge against the ruleset the target should enforce.
+
+    The expected outcome is what ``ruleset`` itself decides for the
+    stub's probe permission, so a faithful enforcer reproduces it.
+    """
     if command_stub not in PROBE_PERMISSIONS:
         raise ChallengeError(f"unknown command stub {command_stub!r}")
     permission = PROBE_PERMISSIONS[command_stub]
-    expected = check_access(compiled.resource_rules[resource_path],
-                            PermissionClass.FILE, permission)
     return Challenge(
         scontext=subject,
         command=f"scontext={subject.render()} {command_stub} {resource_path}",
         target_path=resource_path,
-        expected=expected,
+        expected=check_access(ruleset, PermissionClass.FILE, permission),
         expected_permissions=frozenset({permission}),
-        expected_tcontext=compiled.resource_contexts[resource_path],
+        expected_tcontext=tcontext,
     )
 
 

@@ -15,24 +15,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import (
-    MissingTrustValueError,
-    EmptyEvaluationError,
-    PropertyConflictError,
-)
+from .errors import MissingTrustValueError
 from .policy import (
     PeerPolicy,
     Resource,
     SecurityProperty,
     conflicts,
-    property_set_conflicts,
     sort_properties,
 )
-from .trust import PeerId, TrustComputation, TrustConfig
+from .trust import PeerId, TrustConfig
 
 
 class Outcome(Enum):
-    PENDING = "pending"
     ACCEPTED = "accepted"
     REFUSED = "refused"
 
@@ -46,14 +40,6 @@ class ResourceRequest:
     requester: PeerId
     resource_name: str
     target_domain_name: str
-
-
-@dataclass(frozen=True)
-class SliceRequest:
-    """Owner asks for the policy of exactly one requester domain."""
-
-    owner: PeerId
-    domain_name: str
 
 
 @dataclass(frozen=True)
@@ -74,26 +60,6 @@ class PolicySlice:
         return frozenset(p.kind for p in self.properties)
 
 
-@dataclass(frozen=True)
-class DecisionNotice:
-    owner: PeerId
-    resource_name: str
-    outcome: Outcome
-
-
-@dataclass(frozen=True)
-class ResourceTransfer:
-    owner: PeerId
-    resource: Resource
-    target_domain_name: str
-    owner_props: frozenset[SecurityProperty] = frozenset()
-
-    def __post_init__(self):
-        if not isinstance(self.owner_props, frozenset):
-            object.__setattr__(self, "owner_props",
-                               frozenset(self.owner_props))
-
-
 # ---------------------------------------------------------------------------
 # Session state
 # ---------------------------------------------------------------------------
@@ -110,9 +76,6 @@ class NegotiationSession:
     required: tuple[SecurityProperty, ...]
     offered_slice: Optional[PolicySlice] = None
     per_property_eval: dict[SecurityProperty, int] = field(default_factory=dict)
-    per_property_trust: dict[SecurityProperty, TrustComputation] = field(
-        default_factory=dict)
-    outcome: Outcome = Outcome.PENDING
 
 
 def open_session(owner_policy: PeerPolicy, owner: PeerId,
@@ -154,13 +117,6 @@ def eval_property(required: SecurityProperty,
     return 0
 
 
-def aggregate_eval(evals: Mapping[SecurityProperty, int]) -> int:
-    """Sum of per-property scores; empty input is an error."""
-    if not evals:
-        raise EmptyEvaluationError("no per-property evaluations to aggregate")
-    return sum(evals.values())
-
-
 def decide(session: NegotiationSession,
            trust_values: Mapping[SecurityProperty, float],
            config: TrustConfig) -> Outcome:
@@ -195,14 +151,9 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
     """Install a received resource into the requester's target domain.
 
     Owner-requested resource-level properties come along unless they
-    conflict with the target domain's own properties, in which case the
-    whole transfer aborts.
+    conflict with the target domain's own properties, in which case
+    ``add_resource`` aborts the whole transfer with
+    ``PropertyConflictError``.
     """
-    dom = requester_policy.domain(target_domain_name)
-    pairs = property_set_conflicts(owner_props, dom.properties)
-    if pairs:
-        raise PropertyConflictError(
-            f"owner properties conflict with domain "
-            f"{target_domain_name!r}", pairs)
     return requester_policy.add_resource(resource.path, target_domain_name,
                                          owner_props)

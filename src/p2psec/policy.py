@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DuplicateDomainError,
@@ -249,10 +249,6 @@ class PeerPolicy:
     def has_resource(self, path: str) -> bool:
         return any(res.path == path for res in self.resources)
 
-    def resources_in(self, domain_name: str) -> tuple[Resource, ...]:
-        dom = self.domain(domain_name)
-        return tuple(r for r in self.resources if r.domain_id == dom.id)
-
     # -- domain operations --------------------------------------------
 
     def create_domain(self, name: str) -> "PeerPolicy":
@@ -449,10 +445,3 @@ def _internal_conflicts(
             continue
         found.append((a, b))
     return found
-
-
-def iter_kind_pairs() -> Iterator[tuple[PropertyKind, PropertyKind]]:
-    """All 36 ordered kind pairs, in declaration order."""
-    for a in KIND_ORDER:
-        for b in KIND_ORDER:
-            yield a, b

@@ -11,7 +11,7 @@ report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Optional, Union
 
@@ -29,11 +29,12 @@ from .mac import (
     AvcRecord,
     Challenge,
     CompiledPolicy,
-    Decision,
     DEFAULT_RULESET,
     FILE_PERMISSIONS,
+    PROBE_PERMISSIONS,
     PermissionClass,
     SecurityContext,
+    build_challenge,
     check_access,
     compile_policy,
     kind_ruleset,
@@ -41,13 +42,10 @@ from .mac import (
     verify_challenge,
 )
 from .negotiation import (
-    DecisionNotice,
     NegotiationSession,
     Outcome,
     PolicySlice,
     ResourceRequest,
-    ResourceTransfer,
-    SliceRequest,
     apply_transfer,
     decide,
     eval_property,
@@ -67,7 +65,6 @@ from .trust import (
     ChallengeKind,
     ChallengeResult,
     HistoryRecord,
-    HistoryScore,
     PeerId,
     TrustComputation,
     TrustConfig,
@@ -90,10 +87,6 @@ class BehaviorModel(Enum):
 
 #: Subject context used by delegated access challenges.
 CHALLENGE_SUBJECT = SecurityContext("user_u", "user_r", "user_t")
-
-#: Command stub that exercises each probe permission.
-STUB_BY_PERMISSION = {"read": "vim", "write": "editor-write",
-                      "create": "publisher"}
 
 
 def fmt(value: float) -> str:
@@ -259,25 +252,48 @@ def parse_scenario(text: str) -> Scenario:
     return builder.build()
 
 
+#: Statement -> (fewest arguments, most arguments or None for no limit,
+#: message when the count is wrong; ``{}`` receives the arguments).
+_ARITY: dict[str, tuple[int, Optional[int], str]] = {
+    "seed": (1, 1, "seed takes one integer"),
+    "config": (2, 2, "bad config statement {!r}"),
+    "peer": (1, None, "peer takes a uid"),
+    "knows": (3, 3, "knows takes peer, peer, trust"),
+    "domain": (2, 2, "domain takes peer and name"),
+    "resource": (3, 3, "resource takes peer, path, domain"),
+    "property": (3, None, "property takes peer, scope, kind"),
+    "ask": (4, 4, "ask takes requester, owner, resource, domain"),
+    "publish": (3, None, "publish takes peer, path, domain"),
+    "add-property": (3, None, "add-property takes peer, scope, kind"),
+    "create-domain": (2, 2, "create-domain takes peer and name"),
+    "delete-domain": (2, 2, "delete-domain takes peer and name"),
+    "show": (1, 1, "show takes a peer"),
+}
+
+
 def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
                      lineno: int) -> None:
+    if stmt not in _ARITY:
+        raise ScenarioError(f"unknown statement {stmt!r}", line=lineno)
+    fewest, most, message = _ARITY[stmt]
+    if len(args) < fewest or (most is not None and len(args) > most):
+        raise ScenarioError(message.format(args), line=lineno)
     if stmt == "seed":
-        if len(args) != 1:
-            raise ScenarioError("seed takes one integer", line=lineno)
         builder.seed = int(args[0])
     elif stmt == "config":
-        if len(args) != 2 or args[0] not in _CONFIG_FIELDS:
-            raise ScenarioError(f"bad config statement {args!r}", line=lineno)
         key, value = args
+        if key not in _CONFIG_FIELDS:
+            raise ScenarioError(message.format(args), line=lineno)
         if key == "history_window":
             builder.config_overrides[key] = int(value)
         elif key == "strict_conflicts":
+            if value.lower() not in ("true", "false"):
+                raise ScenarioError(f"strict_conflicts takes true or false, "
+                                    f"not {value!r}", line=lineno)
             builder.config_overrides[key] = value.lower() == "true"
         else:
             builder.config_overrides[key] = float(value)
     elif stmt == "peer":
-        if not args:
-            raise ScenarioError("peer takes a uid", line=lineno)
         uid = args[0]
         if uid in builder.displays:
             raise ScenarioError(f"peer {uid!r} declared twice", line=lineno)
@@ -301,32 +317,26 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
         builder.resources[uid] = {}
         builder.knows[uid] = []
     elif stmt == "knows":
-        if len(args) != 3:
-            raise ScenarioError("knows takes peer, peer, trust", line=lineno)
         holder = builder.peer(args[0], lineno)
         subject = builder.peer(args[1], lineno)
-        builder.knows[holder].append((subject, float(args[2])))
+        trust = float(args[2])
+        if not 0.0 <= trust <= 1.0:
+            raise ScenarioError(f"knows trust must lie in [0, 1], not "
+                                f"{args[2]!r}", line=lineno)
+        builder.knows[holder].append((subject, trust))
     elif stmt == "domain":
-        if len(args) != 2:
-            raise ScenarioError("domain takes peer and name", line=lineno)
         uid = builder.peer(args[0], lineno)
         if args[1] in builder.domains[uid]:
             raise ScenarioError(f"domain {args[1]!r} declared twice",
                                 line=lineno)
         builder.domains[uid][args[1]] = []
     elif stmt == "resource":
-        if len(args) != 3:
-            raise ScenarioError("resource takes peer, path, domain",
-                                line=lineno)
         uid = builder.peer(args[0], lineno)
         if args[2] not in builder.domains[uid]:
             raise ScenarioError(f"resource domain {args[2]!r} is not "
                                 f"declared", line=lineno)
         builder.resources[uid][args[1]] = (args[2], [])
     elif stmt == "property":
-        if len(args) < 3:
-            raise ScenarioError("property takes peer, scope, kind",
-                                line=lineno)
         uid = builder.peer(args[0], lineno)
         prop = _parse_property(args[2:], lineno)
         scope = args[1]
@@ -338,46 +348,27 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
             raise ScenarioError(f"scope {scope!r} is not declared",
                                 line=lineno)
     elif stmt == "ask":
-        if len(args) != 4:
-            raise ScenarioError("ask takes requester, owner, resource, "
-                                "domain", line=lineno)
         builder.actions.append(AskAction(
             requester=builder.peer(args[0], lineno),
             owner=builder.peer(args[1], lineno),
             resource_name=args[2], target_domain=args[3]))
     elif stmt == "publish":
-        if len(args) < 3:
-            raise ScenarioError("publish takes peer, path, domain",
-                                line=lineno)
         props = tuple(_parse_property([k], lineno) for k in args[3:])
         builder.actions.append(PublishAction(
             peer=builder.peer(args[0], lineno), path=args[1],
             domain_name=args[2], properties=props))
     elif stmt == "add-property":
-        if len(args) < 3:
-            raise ScenarioError("add-property takes peer, scope, kind",
-                                line=lineno)
         builder.actions.append(AddPropertyAction(
             peer=builder.peer(args[0], lineno), scope=args[1],
             prop=_parse_property(args[2:], lineno)))
     elif stmt == "create-domain":
-        if len(args) != 2:
-            raise ScenarioError("create-domain takes peer and name",
-                                line=lineno)
         builder.actions.append(CreateDomainAction(
             peer=builder.peer(args[0], lineno), name=args[1]))
     elif stmt == "delete-domain":
-        if len(args) != 2:
-            raise ScenarioError("delete-domain takes peer and name",
-                                line=lineno)
         builder.actions.append(DeleteDomainAction(
             peer=builder.peer(args[0], lineno), name=args[1]))
     elif stmt == "show":
-        if len(args) != 1:
-            raise ScenarioError("show takes a peer", line=lineno)
         builder.actions.append(ShowAction(peer=builder.peer(args[0], lineno)))
-    else:
-        raise ScenarioError(f"unknown statement {stmt!r}", line=lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +742,6 @@ class SimulationEngine:
 
         # Slice phase: the owner learns exactly one domain's policy.
         self._tick()
-        _ = SliceRequest(owner=owner.id, domain_name=target_domain)
         self._say(f"{req_name}: someone asking policy for domain "
                   f"{target_domain}")
         offered = requester.slice_for(target_domain, session.required,
@@ -781,16 +771,15 @@ class SimulationEngine:
             + [replace(r, violation=True) if not ok else r
                for r, ok in checked if r.actor == requester.id]))
 
-        trust_values: dict[SecurityProperty, float] = {}
+        computations: dict[SecurityProperty, TrustComputation] = {}
         for prop in session.required:
             computation = self._evaluate_property(
                 session, prop, owner, requester, hist_ledger)
             session.per_property_eval[prop] = computation.eval_score
-            session.per_property_trust[prop] = computation
-            trust_values[prop] = computation.tv
+            computations[prop] = computation
 
-        outcome = decide(session, trust_values, self.config)
-        session.outcome = outcome
+        outcome = decide(session, {p: c.tv for p, c in computations.items()},
+                         self.config)
         self._tick()
         if outcome is Outcome.REFUSED:
             self._say(f"{own_name}: one of the property is refused: "
@@ -802,16 +791,12 @@ class SimulationEngine:
             self._say(f"{req_name}: peer {own_name} accepted to send the "
                       f"file.")
             self._transfer(session, owner, requester)
-        _ = DecisionNotice(owner=owner.id,
-                           resource_name=action.resource_name,
-                           outcome=outcome)
 
         self.negotiations.append(NegotiationRecord(
             requester=requester.id.uid, owner=owner.id.uid,
             resource_name=action.resource_name, target_domain=target_domain,
             outcome=outcome, requester_behavior=requester.behavior,
-            per_property=tuple((p, session.per_property_trust[p])
-                               for p in session.required),
+            per_property=tuple(computations.items()),
             presented_records=len(presented), flagged_records=flagged,
             forged_records=forged))
 
@@ -929,18 +914,11 @@ class SimulationEngine:
                  if any(p.name == name and p.cls is PermissionClass.FILE
                         for p in kind_ruleset({kind}).neverallow)),
                 "read")
-            stub = STUB_BY_PERMISSION.get(probe_perm, "vim")
-            expected = check_access(kind_ruleset(claimed_kinds),
-                                    PermissionClass.FILE, probe_perm)
-            challenge = Challenge(
-                scontext=CHALLENGE_SUBJECT,
-                command=(f"scontext={CHALLENGE_SUBJECT.render()} {stub} "
-                         f"{resource_path}"),
-                target_path=resource_path,
-                expected=expected,
-                expected_permissions=frozenset({probe_perm}),
-                expected_tcontext=object_context(target_domain),
-            )
+            stub = next(s for s, perm in PROBE_PERMISSIONS.items()
+                        if perm == probe_perm)
+            challenge = build_challenge(
+                resource_path, CHALLENGE_SUBJECT, stub,
+                kind_ruleset(claimed_kinds), object_context(target_domain))
             self._tick()
             response = requester.respond_mac_challenge(
                 challenge, target_domain, probe_perm,
@@ -950,41 +928,29 @@ class SimulationEngine:
             results.append(ChallengeResult(
                 delegate=delegate, target=target, property_kind=kind,
                 kind=ChallengeKind.MAC_CHALLENGE,
-                score=1.0 if verdict.passed else 0.0,
-                evidence=(response,)))
+                score=1.0 if verdict.passed else 0.0))
             if not verdict.passed:
                 self.agents[delegate.uid].ledger.history.append(
                     HistoryRecord(
                         timestamp=self.now, actor=target,
                         property_kind=kind,
                         action="failed an access challenge",
-                        violation=True, counterparty=delegate,
-                        mac_trace=response))
-            owner_agent = self.agents[session.owner.uid]
-            owner_agent.ledger.challenge_log.extend(results)
+                        violation=True, counterparty=delegate))
             return results
 
         return harness
 
     def _transfer(self, session: NegotiationSession, owner: PeerAgent,
                   requester: PeerAgent) -> None:
-        transfer = ResourceTransfer(owner=owner.id,
-                                    resource=session.resource,
-                                    target_domain_name=session.target_domain_name)
+        target_domain = session.target_domain_name
         self._tick()
         policy = requester.policy
-        if not policy.has_domain(transfer.target_domain_name):
-            policy = policy.create_domain(transfer.target_domain_name)
-        try:
-            requester.apply_policy(apply_transfer(
-                policy, transfer.resource, transfer.target_domain_name,
-                transfer.owner_props))
-            self._say(f"{requester.id.name}: file {session.resource.path} "
-                      f"placed in domain {transfer.target_domain_name}")
-        except PropertyConflictError:
-            self._say(f"{requester.id.name}: transfer aborted: properties "
-                      f"conflict in domain {transfer.target_domain_name}")
-            return
+        if not policy.has_domain(target_domain):
+            policy = policy.create_domain(target_domain)
+        requester.apply_policy(apply_transfer(policy, session.resource,
+                                              target_domain))
+        self._say(f"{requester.id.name}: file {session.resource.path} "
+                  f"placed in domain {target_domain}")
         for prop in session.required:
             record = HistoryRecord(
                 timestamp=self.now, actor=requester.id,

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .errors import NoDelegatesError, TrustError
-from .mac import AvcRecord
 from .policy import PropertyKind
 
 
@@ -107,7 +106,6 @@ class HistoryRecord:
     action: str
     violation: bool = False
     counterparty: Optional[PeerId] = None
-    mac_trace: Optional[AvcRecord] = None
 
 
 class ChallengeKind(Enum):
@@ -122,7 +120,6 @@ class ChallengeResult:
     property_kind: PropertyKind
     kind: ChallengeKind
     score: float
-    evidence: tuple[AvcRecord, ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
@@ -137,15 +134,15 @@ class Band(Enum):
 
 @dataclass
 class TrustLedger:
-    """Per-peer trust state: reputations, history, challenge log.
+    """Per-peer trust state: reputations and operation history.
 
-    A ledger has a single writer (its owning peer); update operations
-    return fresh values and never mutate their input.
+    A ledger has a single writer (its owning peer).
+    :func:`update_reputation` returns a fresh ledger, but the simulator
+    appends history records to a ledger in place.
     """
 
     reputations: dict[PeerId, float] = field(default_factory=dict)
     history: list[HistoryRecord] = field(default_factory=list)
-    challenge_log: list[ChallengeResult] = field(default_factory=list)
 
     def reputation(self, peer: PeerId, config: TrustConfig) -> float:
         return self.reputations.get(peer, config.initial_reputation)
@@ -271,5 +268,4 @@ def update_reputation(ledger: TrustLedger, peer: PeerId, band_result: Band,
     reputations = dict(ledger.reputations)
     reputations[peer] = updated
     return TrustLedger(reputations=reputations,
-                       history=list(ledger.history),
-                       challenge_log=list(ledger.challenge_log))
+                       history=list(ledger.history))

@@ -3,7 +3,6 @@
 import pytest
 
 from p2psec import (
-    EmptyEvaluationError,
     MissingTrustValueError,
     Outcome,
     PeerId,
@@ -14,7 +13,6 @@ from p2psec import (
     TrustConfig,
     UnknownDomainError,
     UnknownResourceError,
-    aggregate_eval,
     apply_transfer,
     confidentiality,
     cooperation,
@@ -47,7 +45,6 @@ class TestOpenSession:
         assert session.source_domain == "ensib"
         assert [p.render() for p in session.required] == [
             "confidentiality", "integrity"]
-        assert session.outcome is Outcome.PENDING
 
     def test_unknown_resource(self):
         request = ResourceRequest(requester=ASKER, resource_name="nope",
@@ -89,17 +86,6 @@ class TestEvalProperty:
         # Cross-peer comparison has no scoped whitelist.
         offered = PolicySlice("d", frozenset({cooperation("partner")}))
         assert eval_property(confidentiality(), offered) == -1
-
-
-class TestAggregateEval:
-    def test_scores_are_summed(self):
-        assert aggregate_eval({confidentiality(): -1, integrity(): 1}) == 0
-        assert aggregate_eval({confidentiality(): 0, integrity(): 1}) == 1
-        assert aggregate_eval({confidentiality(): -1, integrity(): -1}) == -2
-
-    def test_empty_is_error(self):
-        with pytest.raises(EmptyEvaluationError):
-            aggregate_eval({})
 
 
 class TestDecide:

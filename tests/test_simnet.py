@@ -92,6 +92,27 @@ class TestParsing:
         assert scenario.config.history_window == 10
         assert scenario.config.strict_conflicts is True
 
+    @pytest.mark.parametrize("value", ["ture", "1", "yes"])
+    def test_strict_conflicts_must_be_boolean(self, value):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(f"seed 1\nconfig strict_conflicts {value}\n")
+        assert err.value.line == 2
+
+    def test_strict_conflicts_accepts_false(self):
+        scenario = parse_scenario("config strict_conflicts False\n")
+        assert scenario.config.strict_conflicts is False
+
+    @pytest.mark.parametrize("trust", ["7.5", "-0.1", "nan", "inf"])
+    def test_knows_trust_must_lie_in_unit_interval(self, trust):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(f"peer a\npeer b\nknows a b {trust}\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("trust", ["0", "1", "0.5"])
+    def test_knows_trust_bounds_accepted(self, trust):
+        scenario = parse_scenario(f"peer a\npeer b\nknows a b {trust}\n")
+        assert scenario.peers[0].knows == (("b", float(trust)),)
+
 
 class TestContractScenario:
     def report(self):
