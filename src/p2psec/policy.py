@@ -40,20 +40,6 @@ class PropertyKind(Enum):
     SPREAD = "spread"
 
 
-#: Kinds that forbid behaviour on the protected scope.
-PROHIBITION_KINDS = frozenset({
-    PropertyKind.CONFIDENTIALITY,
-    PropertyKind.INTEGRITY,
-    PropertyKind.NOSHARE,
-    PropertyKind.NOPUBLICATION,
-})
-
-#: Kinds that grant behaviour on the protected scope.
-PERMISSION_KINDS = frozenset({
-    PropertyKind.COOPERATION,
-    PropertyKind.SPREAD,
-})
-
 #: Kinds whose two-argument form names explicit partner domains.
 TARGETED_KINDS = frozenset({
     PropertyKind.CONFIDENTIALITY,
@@ -275,14 +261,17 @@ class PeerPolicy:
         """Attach ``prop`` at ``scope`` (a domain name, else a resource path).
 
         Raises PropertyConflictError when the new property conflicts with
-        a property already effective at that scope; re-adding an implied
+        a property already effective at that scope (for a domain, that
+        includes its files' own properties); re-adding an implied
         property is a no-op.
         """
         if self.has_domain(scope):
             dom = self.domain(scope)
             if prop in dom.properties:
                 return self
-            self._check_conflicts(prop, dom.properties, f"domain {scope!r}")
+            present = dom.properties.union(*(
+                r.properties for r in self.resources if r.domain_id == dom.id))
+            self._check_conflicts(prop, present, f"domain {scope!r}")
             updated = replace(dom, properties=dom.properties | {prop})
             return self._swap_domain(updated)
         if self.has_resource(scope):

@@ -11,16 +11,20 @@ report.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Optional, Union
 
 from .errors import (
+    DuplicateDomainError,
     PolicyError,
+    PolicyValidationError,
     PrivacyViolationError,
     PropertyConflictError,
     PublicationForbiddenError,
     ScenarioError,
+    TrustError,
     UnknownDomainError,
     UnknownResourceError,
     UnknownScopeError,
@@ -99,25 +103,13 @@ def fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DomainDecl:
-    name: str
-    properties: tuple[SecurityProperty, ...] = ()
-
-
-@dataclass(frozen=True)
-class ResourceDecl:
-    path: str
-    domain_name: str
-    properties: tuple[SecurityProperty, ...] = ()
-
-
-@dataclass(frozen=True)
 class PeerDecl:
+    """A declared peer; ``policy`` is its initial local policy."""
+
     uid: str
     display_name: str
+    policy: PeerPolicy
     behavior: BehaviorModel = BehaviorModel.HONEST
-    domains: tuple[DomainDecl, ...] = ()
-    resources: tuple[ResourceDecl, ...] = ()
     knows: tuple[tuple[str, float], ...] = ()
 
 
@@ -193,43 +185,33 @@ def _parse_property(tokens: list[str], lineno: int) -> SecurityProperty:
 
 
 class _ScenarioBuilder:
+    """Parse state.  Declarations edit the peer's policy as they are
+    read, so the policy's own checks (conflicts, nopublication on files)
+    reject a bad statement on its line."""
+
     def __init__(self):
         self.seed = 0
         self.config_overrides: dict[str, object] = {}
-        self.peer_order: list[str] = []
-        self.displays: dict[str, str] = {}
-        self.behaviors: dict[str, BehaviorModel] = {}
-        self.domains: dict[str, dict[str, list[SecurityProperty]]] = {}
-        self.resources: dict[str, dict[str, tuple[str, list[SecurityProperty]]]] = {}
-        self.knows: dict[str, list[tuple[str, float]]] = {}
+        self.config_line: Optional[int] = None
+        self.peers: dict[str, PeerDecl] = {}
         self.actions: list[Action] = []
 
-    def peer(self, uid: str, lineno: int) -> str:
-        if uid not in self.displays:
+    def peer(self, uid: str, lineno: int) -> PeerDecl:
+        if uid not in self.peers:
             raise ScenarioError(f"peer {uid!r} is not declared", line=lineno)
-        return uid
+        return self.peers[uid]
+
+    def update(self, decl: PeerDecl, **changes) -> None:
+        self.peers[decl.uid] = replace(decl, **changes)
 
     def build(self) -> Scenario:
-        peers = []
-        for uid in self.peer_order:
-            domains = tuple(DomainDecl(name, tuple(props))
-                            for name, props in self.domains[uid].items())
-            resources = tuple(
-                ResourceDecl(path, dom, tuple(props))
-                for path, (dom, props) in self.resources[uid].items())
-            peers.append(PeerDecl(
-                uid=uid,
-                display_name=self.displays[uid],
-                behavior=self.behaviors[uid],
-                domains=domains,
-                resources=resources,
-                knows=tuple(self.knows[uid]),
-            ))
+        # Cross-field rules (refuse < full trust, weights summing to 1)
+        # hold only for the final set, so they are checked once here.
         try:
             config = TrustConfig(**self.config_overrides)
-        except TypeError as exc:
-            raise ScenarioError(f"bad config: {exc}") from exc
-        return Scenario(seed=self.seed, peers=tuple(peers),
+        except TrustError as exc:
+            raise ScenarioError(str(exc), line=self.config_line) from exc
+        return Scenario(seed=self.seed, peers=tuple(self.peers.values()),
                         actions=tuple(self.actions), config=config)
 
 
@@ -284,6 +266,7 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
         key, value = args
         if key not in _CONFIG_FIELDS:
             raise ScenarioError(message.format(args), line=lineno)
+        builder.config_line = lineno
         if key == "history_window":
             builder.config_overrides[key] = int(value)
         elif key == "strict_conflicts":
@@ -295,7 +278,7 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
             builder.config_overrides[key] = float(value)
     elif stmt == "peer":
         uid = args[0]
-        if uid in builder.displays:
+        if uid in builder.peers:
             raise ScenarioError(f"peer {uid!r} declared twice", line=lineno)
         display, behavior = uid, BehaviorModel.HONEST
         for extra in args[1:]:
@@ -310,65 +293,70 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
                                         line=lineno) from None
             else:
                 raise ScenarioError(f"bad peer option {extra!r}", line=lineno)
-        builder.peer_order.append(uid)
-        builder.displays[uid] = display
-        builder.behaviors[uid] = behavior
-        builder.domains[uid] = {}
-        builder.resources[uid] = {}
-        builder.knows[uid] = []
+        builder.peers[uid] = PeerDecl(uid, display, PeerPolicy(peer_id=uid),
+                                      behavior)
     elif stmt == "knows":
         holder = builder.peer(args[0], lineno)
-        subject = builder.peer(args[1], lineno)
+        subject = builder.peer(args[1], lineno).uid
         trust = float(args[2])
         if not 0.0 <= trust <= 1.0:
             raise ScenarioError(f"knows trust must lie in [0, 1], not "
                                 f"{args[2]!r}", line=lineno)
-        builder.knows[holder].append((subject, trust))
+        builder.update(holder, knows=holder.knows + ((subject, trust),))
     elif stmt == "domain":
-        uid = builder.peer(args[0], lineno)
-        if args[1] in builder.domains[uid]:
+        decl = builder.peer(args[0], lineno)
+        try:
+            policy = decl.policy.create_domain(args[1])
+        except DuplicateDomainError:
             raise ScenarioError(f"domain {args[1]!r} declared twice",
-                                line=lineno)
-        builder.domains[uid][args[1]] = []
+                                line=lineno) from None
+        builder.update(decl, policy=policy)
     elif stmt == "resource":
-        uid = builder.peer(args[0], lineno)
-        if args[2] not in builder.domains[uid]:
+        decl = builder.peer(args[0], lineno)
+        try:
+            policy = decl.policy.add_resource(args[1], args[2])
+        except UnknownDomainError:
             raise ScenarioError(f"resource domain {args[2]!r} is not "
-                                f"declared", line=lineno)
-        builder.resources[uid][args[1]] = (args[2], [])
-    elif stmt == "property":
-        uid = builder.peer(args[0], lineno)
-        prop = _parse_property(args[2:], lineno)
-        scope = args[1]
-        if scope in builder.domains[uid]:
-            builder.domains[uid][scope].append(prop)
-        elif scope in builder.resources[uid]:
-            builder.resources[uid][scope][1].append(prop)
-        else:
-            raise ScenarioError(f"scope {scope!r} is not declared",
+                                f"declared", line=lineno) from None
+        if decl.policy.has_resource(args[1]):
+            raise ScenarioError(f"resource {args[1]!r} declared twice",
                                 line=lineno)
+        builder.update(decl, policy=policy)
+    elif stmt == "property":
+        decl = builder.peer(args[0], lineno)
+        prop = _parse_property(args[2:], lineno)
+        try:
+            policy = decl.policy.add_property(args[1], prop)
+        except UnknownScopeError:
+            raise ScenarioError(f"scope {args[1]!r} is not declared",
+                                line=lineno) from None
+        builder.update(decl, policy=policy)
     elif stmt == "ask":
         builder.actions.append(AskAction(
-            requester=builder.peer(args[0], lineno),
-            owner=builder.peer(args[1], lineno),
+            requester=builder.peer(args[0], lineno).uid,
+            owner=builder.peer(args[1], lineno).uid,
             resource_name=args[2], target_domain=args[3]))
     elif stmt == "publish":
         props = tuple(_parse_property([k], lineno) for k in args[3:])
+        if any(p.kind is PropertyKind.NOPUBLICATION for p in props):
+            raise ScenarioError("nopublication applies to domains, not "
+                                "resources", line=lineno)
         builder.actions.append(PublishAction(
-            peer=builder.peer(args[0], lineno), path=args[1],
+            peer=builder.peer(args[0], lineno).uid, path=args[1],
             domain_name=args[2], properties=props))
     elif stmt == "add-property":
         builder.actions.append(AddPropertyAction(
-            peer=builder.peer(args[0], lineno), scope=args[1],
+            peer=builder.peer(args[0], lineno).uid, scope=args[1],
             prop=_parse_property(args[2:], lineno)))
     elif stmt == "create-domain":
         builder.actions.append(CreateDomainAction(
-            peer=builder.peer(args[0], lineno), name=args[1]))
+            peer=builder.peer(args[0], lineno).uid, name=args[1]))
     elif stmt == "delete-domain":
         builder.actions.append(DeleteDomainAction(
-            peer=builder.peer(args[0], lineno), name=args[1]))
+            peer=builder.peer(args[0], lineno).uid, name=args[1]))
     elif stmt == "show":
-        builder.actions.append(ShowAction(peer=builder.peer(args[0], lineno)))
+        builder.actions.append(
+            ShowAction(peer=builder.peer(args[0], lineno).uid))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +518,6 @@ class NegotiationRecord:
     outcome: Outcome
     requester_behavior: BehaviorModel
     per_property: tuple[tuple[SecurityProperty, TrustComputation], ...] = ()
-    presented_records: int = 0
     flagged_records: int = 0
     forged_records: int = 0
 
@@ -587,18 +574,10 @@ class SimulationEngine:
             self.agents[decl.uid] = self._build_agent(decl)
 
     def _build_agent(self, decl: PeerDecl) -> PeerAgent:
-        policy = PeerPolicy(peer_id=decl.uid)
-        for dom in decl.domains:
-            policy = policy.create_domain(dom.name)
-            for prop in dom.properties:
-                policy = policy.add_property(dom.name, prop)
-        for res in decl.resources:
-            policy = policy.add_resource(res.path, res.domain_name,
-                                         res.properties)
         ledger = TrustLedger()
         for subject, trust in decl.knows:
             ledger.reputations[self.peer_ids[subject]] = trust
-        return PeerAgent(self.peer_ids[decl.uid], policy, decl.behavior,
+        return PeerAgent(self.peer_ids[decl.uid], decl.policy, decl.behavior,
                          ledger)
 
     # -- clock and serials ---------------------------------------------
@@ -668,6 +647,9 @@ class SimulationEngine:
         except PropertyConflictError:
             self._say(f"{name}: property {action.prop.render()} refused on "
                       f"{action.scope}: conflicting properties")
+        except PolicyValidationError as exc:
+            self._say(f"{name}: property {action.prop.render()} refused on "
+                      f"{action.scope}: {exc}")
         except UnknownScopeError:
             self._say(f"{name}: no domain or resource named {action.scope}")
 
@@ -797,8 +779,7 @@ class SimulationEngine:
             resource_name=action.resource_name, target_domain=target_domain,
             outcome=outcome, requester_behavior=requester.behavior,
             per_property=tuple(computations.items()),
-            presented_records=len(presented), flagged_records=flagged,
-            forged_records=forged))
+            flagged_records=flagged, forged_records=forged))
 
     def _evaluate_property(self, session: NegotiationSession,
                            prop: SecurityProperty, owner: PeerAgent,
@@ -870,8 +851,6 @@ class SimulationEngine:
         for peer, reputation in sorted(owner.ledger.reputations.items(),
                                        key=lambda item: item[0].uid):
             if peer == requester.id or peer == owner.id:
-                continue
-            if peer.uid not in self.agents:
                 continue
             if reputation >= self.config.full_trust_threshold:
                 chosen.append((peer, reputation))
@@ -1050,18 +1029,6 @@ class ExperimentReport:
                 return stats
         return BehaviorStats()
 
-    def detection_rate(self, behavior: BehaviorModel) -> float:
-        stats = self.stat(behavior)
-        if not stats.negotiations:
-            return 0.0
-        return stats.refused / stats.negotiations
-
-    def false_refusal_rate(self) -> float:
-        stats = self.stat(BehaviorModel.HONEST)
-        if not stats.negotiations:
-            return 0.0
-        return stats.refused / stats.negotiations
-
 
 #: Property mixes for generated owner domains.  Every mix carries at
 #: least one prohibition kind, so a peer that enforces nothing always
@@ -1079,25 +1046,35 @@ _REQUIRED_MIXES: tuple[tuple[SecurityProperty, ...], ...] = (
 )
 
 
+def _domain_policy(uid: str, domain: str,
+                   props: Iterable[SecurityProperty]) -> PeerPolicy:
+    policy = PeerPolicy(peer_id=uid).create_domain(domain)
+    for prop in props:
+        policy = policy.add_property(domain, prop)
+    return policy
+
+
 def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
     rng = random.Random(f"{params.seed}:{run_index}")
     required = rng.choice(_REQUIRED_MIXES)
     peers = [PeerDecl(
         uid="owner", display_name="owner",
-        domains=(DomainDecl("vault", required),),
-        resources=(ResourceDecl("asset", "vault"),),
+        policy=_domain_policy("owner", "vault", required).add_resource(
+            "asset", "vault"),
         knows=tuple((f"c{i}", 0.6 + 0.1 * (i % 4))
                     for i in range(params.delegates)),
     )]
-    peers.extend(PeerDecl(uid=f"c{i}", display_name="C")
+    peers.extend(PeerDecl(uid=f"c{i}", display_name="C",
+                          policy=PeerPolicy(peer_id=f"c{i}"))
                  for i in range(params.delegates))
     actions: list[Action] = []
 
     def requester(uid: str, behavior: BehaviorModel,
                   matching: bool) -> None:
         props = required if matching else ()
-        peers.append(PeerDecl(uid=uid, display_name=uid, behavior=behavior,
-                              domains=(DomainDecl("drop", props),)))
+        peers.append(PeerDecl(uid=uid, display_name=uid,
+                              policy=_domain_policy(uid, "drop", props),
+                              behavior=behavior))
 
     for i in range(params.honest_requesters):
         requester(f"h{i}", BehaviorModel.HONEST, matching=True)
@@ -1123,24 +1100,22 @@ def detection_experiment(params: PopulationParams,
     behaviour model."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    tallies = {model: [0, 0, 0] for model in BehaviorModel}
+    tally: Counter[tuple[BehaviorModel, Outcome]] = Counter()
     forged = 0
     flagged = 0
     for index in range(runs):
         report = run_scenario(_experiment_scenario(params, index))
         for record in report.negotiations:
-            counts = tallies[record.requester_behavior]
-            counts[0] += 1
-            if record.outcome is Outcome.ACCEPTED:
-                counts[1] += 1
-            elif record.outcome is Outcome.REFUSED:
-                counts[2] += 1
+            tally[record.requester_behavior, record.outcome] += 1
         forged += sum(n.forged_records for n in report.negotiations)
         flagged += sum(n.flagged_records for n in report.negotiations)
     stats = tuple(
-        (model, BehaviorStats(negotiations=counts[0], accepted=counts[1],
-                              refused=counts[2]))
-        for model, counts in tallies.items())
+        (model, BehaviorStats(
+            negotiations=tally[model, Outcome.ACCEPTED]
+            + tally[model, Outcome.REFUSED],
+            accepted=tally[model, Outcome.ACCEPTED],
+            refused=tally[model, Outcome.REFUSED]))
+        for model in BehaviorModel)
     return ExperimentReport(runs=runs, stats=stats, forged_records=forged,
                             flagged_records=flagged)
 

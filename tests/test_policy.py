@@ -128,6 +128,15 @@ class TestPeerPolicy:
         with pytest.raises(UnknownScopeError):
             self.build().add_property("nowhere", integrity())
 
+    def test_domain_property_conflicting_with_a_file_rejected(self):
+        policy = PeerPolicy(peer_id="A").create_domain("d").add_resource(
+            "f", "d", (spread(),))
+        with pytest.raises(PropertyConflictError) as err:
+            policy.add_property("d", confidentiality())
+        assert err.value.pairs
+        scoped = policy.add_property("d", confidentiality("partner"))
+        assert scoped.conflict_report() == ()
+
     def test_remove_property_roundtrip(self):
         policy = self.build()
         policy = policy.remove_property("work", confidentiality())

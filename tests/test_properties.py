@@ -1,5 +1,7 @@
 """Generated-input properties for the core invariants."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from p2psec import (
@@ -10,6 +12,7 @@ from p2psec import (
     Outcome,
     PeerId,
     PeerPolicy,
+    PolicyError,
     PolicySlice,
     PropertyKind,
     ResourceRequest,
@@ -18,7 +21,9 @@ from p2psec import (
     TARGETED_KINDS,
     TrustConfig,
     TrustLedger,
+    confidentiality,
     conflicts,
+    cooperation,
     decide,
     eval_property,
     kind_ruleset,
@@ -36,9 +41,7 @@ from p2psec import (
 from p2psec.simnet import (
     AskAction,
     BehaviorModel,
-    DomainDecl,
     PeerDecl,
-    ResourceDecl,
     Scenario,
     SimulationEngine,
 )
@@ -91,6 +94,39 @@ def generated_policies(draw):
                  if draw(st.booleans()) else ())
         policy = policy.add_resource(path, home, props)
     return policy
+
+
+# Names double as domain names and resource paths, so calls collide.
+# Edits are drawn from enumerated lists: far cheaper than composing
+# strategies, which keeps 1000 examples to a few seconds.
+_NAMES = ("d", "e", "f")
+_PROPERTIES = ([SecurityProperty(kind) for kind in PropertyKind]
+               + [confidentiality("partner"), cooperation("partner")])
+_PROPERTY_SETS = [frozenset(combo) for size in range(3)
+                  for combo in itertools.combinations(_PROPERTIES, size)]
+policy_edits = st.lists(st.one_of(
+    st.sampled_from([("create_domain", name) for name in _NAMES]),
+    st.sampled_from([("add_property", scope, prop)
+                     for scope in _NAMES for prop in _PROPERTIES]),
+    st.sampled_from([("add_resource", path, domain, props)
+                     for path in _NAMES for domain in _NAMES
+                     for props in _PROPERTY_SETS]),
+    st.sampled_from([("publish", props, path, domain)
+                     for path in _NAMES for domain in _NAMES
+                     for props in _PROPERTY_SETS]),
+), max_size=12)
+
+
+@EXAMPLES
+@given(policy_edits)
+def test_accepted_edits_never_leave_a_conflict(edits):
+    policy = PeerPolicy(peer_id="gen")
+    for method, *args in edits:
+        try:
+            policy = getattr(policy, method)(*args)
+        except PolicyError:
+            continue
+    assert policy.conflict_report() == ()
 
 
 def _shape(policy):
@@ -251,14 +287,18 @@ def ask_scenarios(draw):
     asker_kinds = draw(safe_kind_sets)
     behavior = draw(st.sampled_from(list(BehaviorModel)))
     seed = draw(st.integers(0, 2**16))
+    owner = PeerPolicy(peer_id="o").create_domain("src")
+    for prop in _props(owner_kinds):
+        owner = owner.add_property("src", prop)
+    asker = PeerPolicy(peer_id="r").create_domain("dst")
+    for prop in _props(asker_kinds):
+        asker = asker.add_property("dst", prop)
     peers = (
         PeerDecl(uid="o", display_name="O",
-                 domains=(DomainDecl("src", _props(owner_kinds)),),
-                 resources=(ResourceDecl("res", "src"),),
+                 policy=owner.add_resource("res", "src"),
                  knows=(("c0", 0.8),)),
-        PeerDecl(uid="c0", display_name="C"),
-        PeerDecl(uid="r", display_name="R", behavior=behavior,
-                 domains=(DomainDecl("dst", _props(asker_kinds)),)),
+        PeerDecl(uid="c0", display_name="C", policy=PeerPolicy(peer_id="c0")),
+        PeerDecl(uid="r", display_name="R", policy=asker, behavior=behavior),
     )
     return Scenario(seed=seed, peers=peers,
                     actions=(AskAction("r", "o", "res", "dst"),))

@@ -32,6 +32,84 @@ from p2psec import (
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+#: (scenario text, message, line) for every parser rejection.
+PARSE_ERRORS = [
+    ("seed\n", "seed takes one integer", 1),
+    ("config history_window\n", "bad config statement ['history_window']",
+     1),
+    ("peer\n", "peer takes a uid", 1),
+    ("peer a\nknows a\n", "knows takes peer, peer, trust", 2),
+    ("peer a\ndomain a\n", "domain takes peer and name", 2),
+    ("peer a\nresource a f\n", "resource takes peer, path, domain", 2),
+    ("peer a\nproperty a d\n", "property takes peer, scope, kind", 2),
+    ("peer a\nask a a f\n", "ask takes requester, owner, resource, domain",
+     2),
+    ("peer a\npublish a f\n", "publish takes peer, path, domain", 2),
+    ("peer a\nadd-property a d\n", "add-property takes peer, scope, kind",
+     2),
+    ("peer a\ncreate-domain a\n", "create-domain takes peer and name", 2),
+    ("peer a\ndelete-domain a\n", "delete-domain takes peer and name", 2),
+    ("peer a\nshow a b\n", "show takes a peer", 2),
+    ("ask a b f d\n", "peer 'a' is not declared", 1),
+    ("peer a\nknows a ghost 0.5\n", "peer 'ghost' is not declared", 2),
+    ("peer a\nfrobnicate a\n", "unknown statement 'frobnicate'", 2),
+    ("peer a\ndomain a d\nproperty a d secrecy\n",
+     "unknown property kind 'secrecy'", 3),
+    ("peer a\ndomain a d\npublish a f d secrecy\n",
+     "unknown property kind 'secrecy'", 3),
+    ("peer a behavior=saint\n", "unknown behavior 'saint'", 1),
+    ("peer a color=red\n", "bad peer option 'color=red'", 1),
+    ("peer a\npeer a\n", "peer 'a' declared twice", 2),
+    ("peer a\ndomain a d\ndomain a d\n", "domain 'd' declared twice", 3),
+    ("seed x\n", "invalid literal for int() with base 10: 'x'", 1),
+    ("config speed 3\n", "bad config statement ['speed', '3']", 1),
+    ("peer a\ndomain a d\nproperty a d integrity e\n",
+     "integrity does not take target domains", 3),
+    ("peer a\nadd-property a d spread e\n",
+     "spread does not take target domains", 2),
+    ("config refuse_threshold high\n",
+     "could not convert string to float: 'high'", 1),
+    ("config history_window 1.5\n",
+     "invalid literal for int() with base 10: '1.5'", 1),
+    ("config strict_conflicts yes\n",
+     "strict_conflicts takes true or false, not 'yes'", 1),
+    ("peer a\npeer b\nknows a b 7.5\n",
+     "knows trust must lie in [0, 1], not '7.5'", 3),
+    ("peer a\npeer b\nknows a b high\n",
+     "could not convert string to float: 'high'", 3),
+    ("peer a\nresource a f nowhere\n",
+     "resource domain 'nowhere' is not declared", 2),
+    ("peer a\nproperty a nowhere integrity\n",
+     "scope 'nowhere' is not declared", 2),
+    # Declarations are checked by the peer's policy as they are read.
+    ("peer a\ndomain a d\nproperty a d spread\n"
+     "property a d confidentiality\n",
+     "confidentiality conflicts at domain 'd'", 4),
+    ("peer a\ndomain a d\nproperty a d confidentiality\nresource a f d\n"
+     "property a f spread\n", "spread conflicts at resource 'f'", 5),
+    ("peer a\ndomain a d\nresource a f d\nproperty a f spread\n"
+     "property a d confidentiality\n",
+     "confidentiality conflicts at domain 'd'", 5),
+    ("peer a\ndomain a d\nresource a f d\nproperty a f nopublication\n",
+     "nopublication applies to domains, not resources", 4),
+    ("peer a\ndomain a d\nresource a f d\nproperty a f nopublication\n"
+     "property a d nopublication\n",
+     "nopublication applies to domains, not resources", 4),
+    ("peer a\ndomain a d\nresource a f d\nresource a f d\n",
+     "resource 'f' declared twice", 4),
+    ("peer a\ndomain a d\npublish a f d nopublication\n",
+     "nopublication applies to domains, not resources", 3),
+    # Config values are checked as one set, on the last config line.
+    ("config initial_reputation 2\n",
+     "initial reputation must lie in [0, 1]", 1),
+    ("seed 1\nconfig history_window -1\n",
+     "history window must be non-negative", 2),
+    ("config refuse_threshold 0.9\n",
+     "need 0 <= refuse_threshold < full_trust_threshold <= 1", 1),
+    ("config refuse_threshold 0.9\npeer a\nconfig eval_weight 0.25\n",
+     "need 0 <= refuse_threshold < full_trust_threshold <= 1", 3),
+]
+
 
 def load(name):
     return parse_scenario((SCENARIOS / name).read_text())
@@ -45,7 +123,7 @@ class TestParsing:
         assert scenario.seed == 7
         jfl = scenario.peers[0]
         assert jfl.knows == (("C1", 0.8), ("C2", 0.9))
-        assert {d.name for d in jfl.domains} == {"ensib", "free"}
+        assert {d.name for d in jfl.policy.domains} == {"ensib", "free"}
 
     def test_comments_and_blanks_ignored(self):
         scenario = parse_scenario("# hi\n\npeer a\n  # indented\n")
@@ -112,6 +190,17 @@ class TestParsing:
     def test_knows_trust_bounds_accepted(self, trust):
         scenario = parse_scenario(f"peer a\npeer b\nknows a b {trust}\n")
         assert scenario.peers[0].knows == (("b", float(trust)),)
+
+    @pytest.mark.parametrize("text, message, line", PARSE_ERRORS)
+    def test_error_message_and_line(self, text, message, line):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert (str(err.value), err.value.line) == (message, line)
+
+    def test_config_checked_only_as_a_whole(self):
+        scenario = parse_scenario("config refuse_threshold 0.6\n"
+                                  "config full_trust_threshold 0.8\n")
+        assert scenario.config.refuse_threshold == 0.6
 
 
 class TestContractScenario:
@@ -219,6 +308,25 @@ def test_publish_action_respects_nopublication():
         "publish a note.txt sealed\n")
     report = run_scenario(scenario)
     assert any("forbids publication" in line for line in report.transcript)
+
+
+def test_add_property_conflicting_with_a_file_is_refused():
+    scenario = parse_scenario(
+        "peer a\ndomain a d\nresource a f d\nproperty a f spread\n"
+        "add-property a d confidentiality\nshow a\n")
+    transcript = run_scenario(scenario).transcript
+    assert ("a: property confidentiality refused on d: conflicting "
+            "properties") in transcript
+    assert "[Display a] <file> f in d under [spread]" in transcript
+
+
+def test_add_property_nopublication_on_a_file_is_refused():
+    scenario = parse_scenario(
+        "peer a\ndomain a d\nresource a f d\n"
+        "add-property a f nopublication\n")
+    transcript = run_scenario(scenario).transcript
+    assert ("a: property nopublication refused on f: nopublication "
+            "applies to domains, not resources") in transcript
 
 
 def test_show_lists_domains_and_files():
