@@ -103,12 +103,23 @@ class MacRuleSet:
 DEFAULT_RULESET = MacRuleSet()
 
 
+#: kind_ruleset's results by kind set; at most one per subset of kinds.
+_KIND_RULESETS: dict[frozenset[PropertyKind], MacRuleSet] = {}
+
+
 def kind_ruleset(kinds: Iterable[PropertyKind]) -> MacRuleSet:
-    """Union of the per-kind neverallow sets over the default base."""
-    denied: frozenset[Permission] = frozenset()
-    for kind in kinds:
-        denied |= KIND_NEVERALLOW[kind]
-    return MacRuleSet(neverallow=denied)
+    """Union of the per-kind neverallow sets over the default base.
+
+    Results are memoized by kind set and shared between callers, which
+    is safe because ``MacRuleSet`` is frozen.
+    """
+    key = frozenset(kinds)
+    ruleset = _KIND_RULESETS.get(key)
+    if ruleset is None:
+        ruleset = MacRuleSet(neverallow=frozenset().union(
+            *(KIND_NEVERALLOW[kind] for kind in key)))
+        _KIND_RULESETS[key] = ruleset
+    return ruleset
 
 
 class Decision(Enum):
@@ -190,8 +201,9 @@ def compile_policy(policy: PeerPolicy) -> CompiledPolicy:
     contexts: dict[str, SecurityContext] = {}
     resource_rules: dict[str, MacRuleSet] = {}
     resource_domains: dict[str, str] = {}
+    by_id = {dom.id: dom for dom in policy.domains}
     for res in policy.resources:
-        dom = policy.domain_by_id(res.domain_id)
+        dom = by_id[res.domain_id]
         contexts[res.path] = object_context(dom.name)
         kinds = dom.kinds | {p.kind for p in res.properties}
         resource_rules[res.path] = kind_ruleset(kinds)

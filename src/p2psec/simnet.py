@@ -753,10 +753,13 @@ class SimulationEngine:
             + [replace(r, violation=True) if not ok else r
                for r, ok in checked if r.actor == requester.id]))
 
+        # Evaluating a property changes only the requester's reputation,
+        # and the requester is never a delegate, so one list serves all.
+        delegates = self._delegates_for(owner, requester)
         computations: dict[SecurityProperty, TrustComputation] = {}
         for prop in session.required:
             computation = self._evaluate_property(
-                session, prop, owner, requester, hist_ledger)
+                session, prop, owner, requester, hist_ledger, delegates)
             session.per_property_eval[prop] = computation.eval_score
             computations[prop] = computation
 
@@ -783,8 +786,9 @@ class SimulationEngine:
 
     def _evaluate_property(self, session: NegotiationSession,
                            prop: SecurityProperty, owner: PeerAgent,
-                           requester: PeerAgent,
-                           hist_ledger: TrustLedger) -> TrustComputation:
+                           requester: PeerAgent, hist_ledger: TrustLedger,
+                           delegates: list[tuple[PeerId, float]]
+                           ) -> TrustComputation:
         own_name = owner.id.name
         req_name = requester.id.name
         kind_name = prop.kind.value
@@ -807,11 +811,10 @@ class SimulationEngine:
                             now=self.now, window=self.config.history_window)
         self._say(f"(Eval) Hist({req_name},{kind_name})={hist.render()}")
 
-        delegates = self._delegates_for(owner, requester)
         if delegates:
             chal = run_challenges(
                 delegates, requester.id, prop.kind,
-                self._probe_harness(session, requester))
+                self._probe_harness(session, requester, prop.kind))
         else:
             chal = 0.0
             self._say(f"(Eval) {own_name} no trusted delegates for "
@@ -857,64 +860,75 @@ class SimulationEngine:
         return chosen
 
     def _probe_harness(self, session: NegotiationSession,
-                       requester: PeerAgent):
+                       requester: PeerAgent, kind: PropertyKind):
+        """Challenge harness for one property evaluation.
+
+        The requester's answers depend only on its behaviour, the target
+        domain and ``kind``, never on which delegate asks, so the probe
+        kind, the stub, the challenge and both answers are derived once
+        here.  The returned closure does each delegate's own part: it
+        advances the clock by the probes' message ticks, takes the
+        delegate's audit serial, and records a failed probe in that
+        delegate's ledger at the tick it would have been answered.
+        """
         offered = session.offered_slice
         assert offered is not None
-        claimed_kinds = offered.kinds
         target_domain = session.target_domain_name
-        resource_path = session.resource.path
+        probe_kind = next(
+            (k for k in KIND_ORDER if conflicts(k, kind)), None)
+        conflict_passed = False
+        if probe_kind is not None:
+            accepted = requester.respond_conflicting_request(
+                target_domain, probe_kind)
+            expect_refusal = any(conflicts(probe_kind, c)
+                                 for c in offered.kinds)
+            conflict_passed = (not accepted) == expect_refusal
+        probe_perm = next(
+            (name for name in FILE_PERMISSIONS
+             if any(p.name == name and p.cls is PermissionClass.FILE
+                    for p in kind_ruleset({kind}).neverallow)),
+            "read")
+        stub = next(s for s, perm in PROBE_PERMISSIONS.items()
+                    if perm == probe_perm)
+        challenge = build_challenge(
+            session.resource.path, CHALLENGE_SUBJECT, stub,
+            kind_ruleset(offered.kinds), object_context(target_domain))
+        # Stamped with the serial the first delegate takes; the verdict
+        # reads neither stamp.
+        response = requester.respond_mac_challenge(
+            challenge, target_domain, probe_perm,
+            timestamp=f"{self.now}.000", serial=str(self._serial + 1))
+        mac_passed = verify_challenge(challenge, [response]).passed
 
         def harness(delegate: PeerId, target: PeerId,
-                    kind: PropertyKind) -> list[ChallengeResult]:
+                    _: PropertyKind) -> list[ChallengeResult]:
+            ledger = self.agents[delegate.uid].ledger
             results = []
-            probe_kind = next(
-                (k for k in KIND_ORDER if conflicts(k, kind)), None)
             if probe_kind is not None:
                 self._tick()
-                accepted = requester.respond_conflicting_request(
-                    target_domain, probe_kind)
                 self._tick()
-                expect_refusal = any(conflicts(probe_kind, c)
-                                     for c in claimed_kinds)
-                passed = (not accepted) == expect_refusal
                 results.append(ChallengeResult(
                     delegate=delegate, target=target, property_kind=kind,
                     kind=ChallengeKind.CONFLICTING_REQUEST,
-                    score=1.0 if passed else 0.0))
-                if not passed:
-                    self.agents[delegate.uid].ledger.history.append(
-                        HistoryRecord(
-                            timestamp=self.now, actor=target,
-                            property_kind=kind,
-                            action="accepted a conflicting transfer",
-                            violation=True, counterparty=delegate))
-            probe_perm = next(
-                (name for name in FILE_PERMISSIONS
-                 if any(p.name == name and p.cls is PermissionClass.FILE
-                        for p in kind_ruleset({kind}).neverallow)),
-                "read")
-            stub = next(s for s, perm in PROBE_PERMISSIONS.items()
-                        if perm == probe_perm)
-            challenge = build_challenge(
-                resource_path, CHALLENGE_SUBJECT, stub,
-                kind_ruleset(claimed_kinds), object_context(target_domain))
+                    score=1.0 if conflict_passed else 0.0))
+                if not conflict_passed:
+                    ledger.history.append(HistoryRecord(
+                        timestamp=self.now, actor=target,
+                        property_kind=kind,
+                        action="accepted a conflicting transfer",
+                        violation=True, counterparty=delegate))
             self._tick()
-            response = requester.respond_mac_challenge(
-                challenge, target_domain, probe_perm,
-                timestamp=f"{self.now}.000", serial=self._next_serial())
+            self._next_serial()
             self._tick()
-            verdict = verify_challenge(challenge, [response])
             results.append(ChallengeResult(
                 delegate=delegate, target=target, property_kind=kind,
                 kind=ChallengeKind.MAC_CHALLENGE,
-                score=1.0 if verdict.passed else 0.0))
-            if not verdict.passed:
-                self.agents[delegate.uid].ledger.history.append(
-                    HistoryRecord(
-                        timestamp=self.now, actor=target,
-                        property_kind=kind,
-                        action="failed an access challenge",
-                        violation=True, counterparty=delegate))
+                score=1.0 if mac_passed else 0.0))
+            if not mac_passed:
+                ledger.history.append(HistoryRecord(
+                    timestamp=self.now, actor=target, property_kind=kind,
+                    action="failed an access challenge",
+                    violation=True, counterparty=delegate))
             return results
 
         return harness

@@ -1,8 +1,9 @@
 """Whole-report pins: outputs must stay byte-identical across changes.
 
 The expected files under ``tests/golden/`` hold the full rendered
-reports of the bundled scenarios and of the README's detection
-experiment.  A behaviour change that is meant to alter them must
+reports of the bundled scenarios, of ``golden/delegates.scn`` (a run
+whose delegate list grows past ten and whose delegates record failed
+probes) and of the README's detection experiment.  A behaviour change that is meant to alter them must
 regenerate them with the same calls as below and say why.
 """
 
@@ -21,11 +22,11 @@ from p2psec import (
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
+SCENARIOS = TESTS.parent / "scenarios"
 
 
-def scenario_report(name: str) -> str:
-    text = (TESTS.parent / "scenarios" / f"{name}.scn").read_text()
-    return render_report(run_scenario(parse_scenario(text)))
+def scenario_report(path: Path) -> str:
+    return render_report(run_scenario(parse_scenario(path.read_text())))
 
 
 def readme_experiment() -> str:
@@ -34,8 +35,9 @@ def readme_experiment() -> str:
 
 
 RENDERERS = {
-    "contract.report": lambda: scenario_report("contract"),
-    "firefox.report": lambda: scenario_report("firefox"),
+    "contract.report": lambda: scenario_report(SCENARIOS / "contract.scn"),
+    "delegates.report": lambda: scenario_report(GOLDEN / "delegates.scn"),
+    "firefox.report": lambda: scenario_report(SCENARIOS / "firefox.scn"),
     "experiment_seed416_runs100.txt": readme_experiment,
 }
 

@@ -102,6 +102,13 @@ def test_kind_ruleset_unions():
         | kind_ruleset({PropertyKind.INTEGRITY}).neverallow)
 
 
+def test_kind_ruleset_accepts_one_shot_iterables():
+    kinds = [PropertyKind.INTEGRITY, PropertyKind.NOSHARE]
+    assert kind_ruleset(iter(kinds)) == kind_ruleset(set(kinds))
+    assert kind_ruleset(kind for kind in kinds) == kind_ruleset(set(kinds))
+    assert kind_ruleset(iter([])) == DEFAULT_RULESET
+
+
 def test_check_access_deny_overrides():
     ruleset = kind_ruleset({PropertyKind.CONFIDENTIALITY})
     assert check_access(ruleset, PermissionClass.FILE, "read") is Decision.DENIED

@@ -294,6 +294,42 @@ def test_run_is_deterministic():
     assert first == second
 
 
+def delegated_scenario(delegates: int) -> str:
+    """Two asks for a confidentiality + noshare file, each property with
+    a conflicting probe kind, judged through ``delegates`` delegates
+    (plus the honest requester once it is accepted)."""
+    lines = ["peer own", "peer honest", "peer liar behavior=informed-liar",
+             "domain own vault", "property own vault confidentiality",
+             "property own vault noshare", "resource own doc vault",
+             "domain honest inbox", "property honest inbox confidentiality",
+             "property honest inbox noshare", "domain liar open"]
+    for i in range(delegates):
+        lines += [f"peer d{i}", f"knows own d{i} 0.9"]
+    lines += ["ask honest own doc inbox", "ask liar own doc open"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("delegates, final_tick", [(1, 35), (8, 147)])
+def test_requester_answers_once_per_property_evaluation(
+        monkeypatch, delegates, final_tick):
+    calls = {"respond_mac_challenge": 0, "respond_conflicting_request": 0}
+    for name in calls:
+        original = getattr(PeerAgent, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(PeerAgent, name, counted)
+    engine = SimulationEngine(parse_scenario(delegated_scenario(delegates)))
+    report = engine.run()
+    evaluations = sum(len(n.per_property) for n in report.negotiations)
+    assert evaluations == 4
+    assert calls == {"respond_mac_challenge": evaluations,
+                     "respond_conflicting_request": evaluations}
+    # Every delegate is still charged its probes' message ticks.
+    assert engine.now == final_tick
+
+
 def test_unknown_resource_is_graceful():
     scenario = parse_scenario(
         "peer a\npeer b\ndomain b inbox\nask b a missing inbox\n")
