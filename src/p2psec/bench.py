@@ -14,8 +14,10 @@ from typing import Optional, Sequence
 
 from .mac import compile_policy, emit_rules
 from .policy import (
+    Domain,
     PeerPolicy,
     PropertyKind,
+    Resource,
     SecurityProperty,
 )
 
@@ -40,19 +42,28 @@ def synthetic_policy(domains: int, resources_per_domain: int = 2) -> PeerPolicy:
     """Deterministic policy with the requested number of domains.
 
     Property mixes cycle through every non-conflicting combination so
-    the compiled output exercises each rule set shape.
+    the compiled output exercises each rule set shape.  The domain and
+    resource tuples are built in one pass; the result equals what
+    ``create_domain``, ``add_property`` and ``add_resource`` calls in
+    the same order would build.
     """
     if domains < 0:
         raise ValueError("domains must be non-negative")
-    policy = PeerPolicy(peer_id="bench")
+    built_domains = []
+    resources = []
+    next_id = 1
     for index in range(domains):
         name = f"dom{index:05d}"
-        policy = policy.create_domain(name)
-        for prop in _DOMAIN_MIXES[index % len(_DOMAIN_MIXES)]:
-            policy = policy.add_property(name, prop)
+        dom = Domain(id=next_id, name=name,
+                     properties=_DOMAIN_MIXES[index % len(_DOMAIN_MIXES)])
+        built_domains.append(dom)
+        next_id += 1
         for res in range(resources_per_domain):
-            policy = policy.add_resource(f"/srv/{name}/file{res}", name)
-    return policy
+            resources.append(Resource(
+                id=next_id, path=f"/srv/{name}/file{res}", domain_id=dom.id))
+            next_id += 1
+    return PeerPolicy(peer_id="bench", domains=tuple(built_domains),
+                      resources=tuple(resources), next_id=next_id)
 
 
 @dataclass(frozen=True)
@@ -101,25 +112,11 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     return LinearFit(slope=slope, intercept=intercept, r2=r2)
 
 
-def time_compile(policy: PeerPolicy, repeats: int = 3,
-                 warmup: int = 1) -> float:
-    """Best wall-clock milliseconds for compile plus rule emission.
-
-    Scheduler and GC noise is strictly additive, so the minimum over
-    the repeats is the least-contaminated estimate of the true cost.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    for _ in range(warmup):
-        emit_rules(compile_policy(policy))
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        emit_rules(compile_policy(policy))
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best * 1000.0
+def _time_compile_once(policy: PeerPolicy) -> float:
+    """Wall-clock milliseconds for one compile plus rule emission."""
+    start = time.perf_counter()
+    emit_rules(compile_policy(policy))
+    return (time.perf_counter() - start) * 1000.0
 
 
 DEFAULT_COUNTS = (10, 20, 40, 80, 160, 320, 640)
@@ -130,19 +127,34 @@ def run_benchmark(counts: Sequence[int] = DEFAULT_COUNTS, repeats: int = 3,
                   large_threshold: int = 100) -> BenchReport:
     """Time compiles across policy sizes and fit time against size.
 
+    Every size is warmed up first; the timed samples then go round-robin
+    across the sizes, one sample of each size per round, so a host stall
+    costs one sample of every size rather than every sample of one size.
+    Each size reports its best sample: scheduler and GC noise is
+    strictly additive, so the minimum is the least-contaminated estimate
+    of the true cost.
+
     Small policies are dominated by constant overhead, so a second fit
     restricted to counts above ``large_threshold`` is reported when at
     least two such sizes were measured.
     """
     if not counts:
         raise ValueError("counts must not be empty")
-    points = []
-    for count in counts:
-        policy = synthetic_policy(count, resources_per_domain)
-        time_ms = time_compile(policy, repeats=repeats, warmup=warmup)
-        points.append(BenchPoint(domains=count,
-                                 resources=count * resources_per_domain,
-                                 time_ms=time_ms, repeats=repeats))
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    policies = [synthetic_policy(count, resources_per_domain)
+                for count in counts]
+    for policy in policies:
+        for _ in range(warmup):
+            emit_rules(compile_policy(policy))
+    best = [float("inf")] * len(policies)
+    for _ in range(repeats):
+        for index, policy in enumerate(policies):
+            best[index] = min(best[index], _time_compile_once(policy))
+    points = [BenchPoint(domains=count,
+                         resources=count * resources_per_domain,
+                         time_ms=time_ms, repeats=repeats)
+              for count, time_ms in zip(counts, best)]
     xs = [float(p.domains) for p in points]
     ys = [p.time_ms for p in points]
     fit_all = linear_fit(xs, ys)

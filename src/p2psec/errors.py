@@ -23,6 +23,10 @@ class DuplicateDomainError(PolicyError):
     """A domain with the same name already exists in the policy."""
 
 
+class DuplicateResourceError(PolicyError):
+    """A resource with the same path already exists in the policy."""
+
+
 class UnknownDomainError(PolicyError):
     """The referenced domain is not declared in the policy."""
 

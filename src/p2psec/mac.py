@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     UnknownPermissionError,
     UnknownResourceError,
 )
-from .policy import PeerPolicy, PropertyKind
+from .policy import Domain, PeerPolicy, PropertyKind
 
 
 class PermissionClass(Enum):
@@ -99,6 +100,11 @@ class MacRuleSet:
     allow: frozenset[Permission] = DEFAULT_ALLOW
     neverallow: frozenset[Permission] = frozenset()
 
+    @cached_property
+    def _body(self) -> str:
+        """The stanza's rule lines, rendered once per instance."""
+        return "\n".join(_ruleset_lines(self))
+
 
 DEFAULT_RULESET = MacRuleSet()
 
@@ -166,9 +172,12 @@ class SecurityContext:
         return cls(*parts)
 
 
+_NON_LABEL = re.compile(r"[^0-9A-Za-z]")
+
+
 def sanitize_label(domain_name: str) -> str:
     """Domain name to type label: non-alphanumerics become underscores."""
-    return re.sub(r"[^0-9A-Za-z]", "_", domain_name) + "_t"
+    return _NON_LABEL.sub("_", domain_name) + "_t"
 
 
 def object_context(domain_name: str) -> SecurityContext:
@@ -195,18 +204,31 @@ class CompiledPolicy:
 
 
 def compile_policy(policy: PeerPolicy) -> CompiledPolicy:
+    """Project a policy onto MAC rulesets and object contexts.
+
+    The policy is validated first.  Each domain's ruleset and object
+    context are derived once per compile: a file with no properties of
+    its own shares its domain's ``MacRuleSet`` and ``SecurityContext``
+    objects, and a file with its own properties gets the ruleset of its
+    domain's kinds united with its own.
+    """
     policy.validate()
-    domain_rules = {dom.name: kind_ruleset(dom.kinds)
-                    for dom in policy.domains}
+    domain_rules: dict[str, MacRuleSet] = {}
+    by_id: dict[int, tuple[Domain, MacRuleSet, SecurityContext]] = {}
+    for dom in policy.domains:
+        ruleset = kind_ruleset(dom.kinds)
+        domain_rules[dom.name] = ruleset
+        by_id[dom.id] = (dom, ruleset, object_context(dom.name))
     contexts: dict[str, SecurityContext] = {}
     resource_rules: dict[str, MacRuleSet] = {}
     resource_domains: dict[str, str] = {}
-    by_id = {dom.id: dom for dom in policy.domains}
     for res in policy.resources:
-        dom = by_id[res.domain_id]
-        contexts[res.path] = object_context(dom.name)
-        kinds = dom.kinds | {p.kind for p in res.properties}
-        resource_rules[res.path] = kind_ruleset(kinds)
+        dom, ruleset, context = by_id[res.domain_id]
+        if res.properties:
+            ruleset = kind_ruleset(
+                dom.kinds.union(p.kind for p in res.properties))
+        contexts[res.path] = context
+        resource_rules[res.path] = ruleset
         resource_domains[res.path] = dom.name
     return CompiledPolicy(domain_rules=domain_rules,
                           resource_contexts=contexts,
@@ -234,13 +256,17 @@ def _ruleset_lines(ruleset: MacRuleSet) -> list[str]:
 def emit_rules(compiled: CompiledPolicy) -> str:
     """Canonical rules listing: one stanza per domain, permissions in
     vocabulary order, plus stanzas for resources stricter than their
-    domain."""
-    stanzas = []
-    for name, ruleset in compiled.domain_rules.items():
-        stanzas.append("\n".join([f"{name}:"] + _ruleset_lines(ruleset)))
+    domain.
+
+    Each ruleset's rule lines are rendered once and kept on the
+    ruleset, so the ``kind_ruleset`` instances that every compile shares
+    are rendered once per process.
+    """
+    stanzas = [f"{name}:\n{ruleset._body}"
+               for name, ruleset in compiled.domain_rules.items()]
     for path, ruleset in compiled.resource_rules.items():
         if ruleset != compiled.domain_rules[compiled.resource_domains[path]]:
-            stanzas.append("\n".join([f"{path}:"] + _ruleset_lines(ruleset)))
+            stanzas.append(f"{path}:\n{ruleset._body}")
     return "\n\n".join(stanzas) + ("\n" if stanzas else "")
 
 

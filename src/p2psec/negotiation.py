@@ -11,7 +11,7 @@ optionally carrying owner-requested resource-level properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -154,6 +154,19 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
     conflict with the target domain's own properties, in which case
     ``add_resource`` aborts the whole transfer with
     ``PropertyConflictError``.
+
+    A policy has one resource per path.  If the requester already holds
+    the path in the target domain, ``requester_policy`` itself comes
+    back unchanged; if it holds the path in another domain, the received
+    copy replaces that one.
     """
-    return requester_policy.add_resource(resource.path, target_domain_name,
+    path = resource.path
+    if requester_policy.has_resource(path):
+        held = requester_policy.find_resource(path)
+        if (requester_policy.domain_by_id(held.domain_id).name
+                == target_domain_name):
+            return requester_policy
+        requester_policy = replace(requester_policy, resources=tuple(
+            r for r in requester_policy.resources if r is not held))
+    return requester_policy.add_resource(path, target_domain_name,
                                          owner_props)

@@ -14,12 +14,13 @@ All types are immutable values.  Mutation operations return a new
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
 
 from .errors import (
     DuplicateDomainError,
+    DuplicateResourceError,
     PolicyValidationError,
     PropertyConflictError,
     PublicationForbiddenError,
@@ -158,21 +159,26 @@ def property_set_conflicts(
 
 @dataclass(frozen=True)
 class Domain:
-    """A named group of resources protected by a common property set."""
+    """A named group of resources protected by a common property set.
+
+    ``kinds`` is the set of the properties' kinds.  It is computed once
+    when the value is built, and policy edits keep the ``Domain`` values
+    they do not change, so every compile of an edited policy reuses it.
+    """
 
     id: int
     name: str
     properties: frozenset[SecurityProperty] = frozenset()
+    kinds: frozenset[PropertyKind] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if not self.name:
             raise PolicyValidationError("domain name must be non-empty")
         if not isinstance(self.properties, frozenset):
             object.__setattr__(self, "properties", frozenset(self.properties))
-
-    @property
-    def kinds(self) -> frozenset[PropertyKind]:
-        return frozenset(p.kind for p in self.properties)
+        object.__setattr__(self, "kinds",
+                           frozenset(p.kind for p in self.properties))
 
 
 @dataclass(frozen=True)
@@ -313,7 +319,9 @@ class PeerPolicy:
         """Plain constructor used by setup and transfers.
 
         Unlike :meth:`publish` this applies no publication rules; property
-        conflicts against the owning domain are still rejected.
+        conflicts against the owning domain are still rejected, and so is
+        a path the policy already holds (after the domain and property
+        checks).
         """
         dom = self.domain(domain_name)
         props = frozenset(props)
@@ -322,6 +330,8 @@ class PeerPolicy:
         if pairs:
             raise PropertyConflictError(
                 f"properties conflict in domain {domain_name!r}", pairs)
+        if self.has_resource(path):
+            raise DuplicateResourceError(f"resource {path!r} already exists")
         attached = frozenset(p for p in props if p not in dom.properties)
         res = Resource(id=self.next_id, path=path, domain_id=dom.id,
                        properties=attached)
@@ -332,8 +342,9 @@ class PeerPolicy:
                 domain_name: str) -> "PeerPolicy":
         """Introduce a new resource into ``domain_name`` with ``props``.
 
-        Refused when the domain carries nopublication, or when any request
-        conflicts with the domain's properties.  Properties the domain
+        Refused when the domain carries nopublication, when any request
+        conflicts with the domain's properties, or, after those checks,
+        when the policy already holds ``path``.  Properties the domain
         already implies are not duplicated on the resource.
         """
         dom = self.domain(domain_name)
@@ -382,6 +393,7 @@ class PeerPolicy:
         """Check structural invariants; raises PolicyValidationError."""
         seen_ids: set[int] = set()
         seen_names: set[str] = set()
+        seen_paths: set[str] = set()
         domain_ids = {dom.id for dom in self.domains}
         for dom in self.domains:
             if dom.id in seen_ids:
@@ -399,6 +411,10 @@ class PeerPolicy:
                 raise PolicyValidationError(
                     f"resource {res.path!r} owned by unknown domain id "
                     f"{res.domain_id}")
+            if res.path in seen_paths:
+                raise PolicyValidationError(
+                    f"duplicate resource path {res.path!r}")
+            seen_paths.add(res.path)
         if seen_ids and max(seen_ids) >= self.next_id:
             raise PolicyValidationError("id counter behind an assigned id")
 

@@ -287,8 +287,13 @@ def to_peer_policy(doc: PolicyDocument, peer_id: str = "peer") -> PeerPolicy:
             id=dom.id, name=dom.name,
             properties=_lift_properties(dom.properties, names_by_id,
                                         f"domain {dom.name!r}")))
+    seen_paths: set[str] = set()
     resources = []
     for file in doc.files:
+        if file.path in seen_paths:
+            raise XmlValidationError(
+                f"duplicate file path {file.path!r}", element="file")
+        seen_paths.add(file.path)
         props = _lift_properties(file.properties, names_by_id,
                                  f"file {file.path!r}")
         try:

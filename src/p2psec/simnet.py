@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import (
     DuplicateDomainError,
+    DuplicateResourceError,
     PolicyError,
     PolicyValidationError,
     PrivacyViolationError,
@@ -318,9 +319,9 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
         except UnknownDomainError:
             raise ScenarioError(f"resource domain {args[2]!r} is not "
                                 f"declared", line=lineno) from None
-        if decl.policy.has_resource(args[1]):
+        except DuplicateResourceError:
             raise ScenarioError(f"resource {args[1]!r} declared twice",
-                                line=lineno)
+                                line=lineno) from None
         builder.update(decl, policy=policy)
     elif stmt == "property":
         decl = builder.peer(args[0], lineno)
@@ -634,6 +635,9 @@ class SimulationEngine:
         except UnknownDomainError:
             self._say(f"{name}: publication refused: unknown domain "
                       f"{action.domain_name}")
+        except DuplicateResourceError:
+            self._say(f"{name}: publication refused: file {action.path} "
+                      f"already exists")
 
     def _add_property(self, action: AddPropertyAction) -> None:
         agent = self.agents[action.peer]
@@ -940,8 +944,11 @@ class SimulationEngine:
         policy = requester.policy
         if not policy.has_domain(target_domain):
             policy = policy.create_domain(target_domain)
-        requester.apply_policy(apply_transfer(policy, session.resource,
-                                              target_domain))
+        policy = apply_transfer(policy, session.resource, target_domain)
+        # A file already held in the target domain leaves the policy, and
+        # so its MAC projection, as it is.
+        if policy is not requester.policy:
+            requester.apply_policy(policy)
         self._say(f"{requester.id.name}: file {session.resource.path} "
                   f"placed in domain {target_domain}")
         for prop in session.required:

@@ -1,0 +1,39 @@
+"""Synthetic policies and the compile sweep's sampling order."""
+
+import pytest
+
+from p2psec import PeerPolicy, run_benchmark, synthetic_policy
+from p2psec import bench
+
+
+def edit_built(domains, resources_per_domain):
+    """The policy built through the edit operations, one call at a time."""
+    policy = PeerPolicy(peer_id="bench")
+    for index in range(domains):
+        name = f"dom{index:05d}"
+        policy = policy.create_domain(name)
+        for prop in bench._DOMAIN_MIXES[index % len(bench._DOMAIN_MIXES)]:
+            policy = policy.add_property(name, prop)
+        for res in range(resources_per_domain):
+            policy = policy.add_resource(f"/srv/{name}/file{res}", name)
+    return policy
+
+
+@pytest.mark.parametrize("domains, per_domain",
+                         [(0, 2), (1, 2), (9, 0), (17, 3), (40, 2)])
+def test_synthetic_policy_equals_edit_built(domains, per_domain):
+    policy = synthetic_policy(domains, per_domain)
+    assert policy == edit_built(domains, per_domain)
+    assert policy.conflict_report() == ()
+
+
+def test_samples_go_round_robin_across_sizes(monkeypatch):
+    timed = []
+
+    def fake_time(policy):
+        timed.append(len(policy.domains))
+        return float(len(policy.domains))
+    monkeypatch.setattr(bench, "_time_compile_once", fake_time)
+    report = run_benchmark(counts=(10, 20, 40), repeats=3)
+    assert timed == [10, 20, 40] * 3
+    assert [p.time_ms for p in report.points] == [10.0, 20.0, 40.0]

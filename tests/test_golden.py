@@ -3,10 +3,16 @@
 The expected files under ``tests/golden/`` hold the full rendered
 reports of the bundled scenarios, of ``golden/delegates.scn`` (a run
 whose delegate list grows past ten and whose delegates record failed
-probes) and of the README's detection experiment.  A behaviour change that is meant to alter them must
-regenerate them with the same calls as below and say why.
+probes) and of the README's detection experiment, plus the
+``p2psec compile`` output for ``golden/policy.xml`` (every locally
+consistent kind mix, files stricter than their domain, scoped and
+``ext:`` targets, names with non-alphanumerics).  A behaviour change
+that is meant to alter them must regenerate them with the same calls as
+below and say why.
 """
 
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -19,6 +25,7 @@ from p2psec import (
     render_report,
     run_scenario,
 )
+from p2psec.cli import main
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -27,6 +34,14 @@ SCENARIOS = TESTS.parent / "scenarios"
 
 def scenario_report(path: Path) -> str:
     return render_report(run_scenario(parse_scenario(path.read_text())))
+
+
+def compile_output(path: Path) -> str:
+    """What ``p2psec compile <path>`` prints."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["compile", str(path)]) == 0
+    return out.getvalue()
 
 
 def readme_experiment() -> str:
@@ -38,6 +53,7 @@ RENDERERS = {
     "contract.report": lambda: scenario_report(SCENARIOS / "contract.scn"),
     "delegates.report": lambda: scenario_report(GOLDEN / "delegates.scn"),
     "firefox.report": lambda: scenario_report(SCENARIOS / "firefox.scn"),
+    "policy.compile": lambda: compile_output(GOLDEN / "policy.xml"),
     "experiment_seed416_runs100.txt": readme_experiment,
 }
 

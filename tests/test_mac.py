@@ -6,11 +6,13 @@ from p2psec import (
     AvcParseError,
     AvcRecord,
     ChallengeError,
+    CompiledPolicy,
     Decision,
     DEFAULT_RULESET,
     DIR_PERMISSIONS,
     FILE_PERMISSIONS,
     KIND_NEVERALLOW,
+    MacRuleSet,
     PeerPolicy,
     Permission,
     PermissionClass,
@@ -37,6 +39,7 @@ from p2psec import (
     sanitize_label,
     verify_challenge,
 )
+from p2psec import mac
 
 # Permission vocabulary and the per-kind forbidden sets, hand-copied
 # (with token normalization) from the reference rule tables.
@@ -181,6 +184,47 @@ class TestCompile:
         compiled = compile_policy(policy)
         for name, ruleset in compiled.domain_rules.items():
             assert parsed[name] == ruleset
+
+
+    def test_each_domain_projected_once(self, monkeypatch):
+        calls = []
+        original = mac.kind_ruleset
+
+        def counted(kinds):
+            calls.append(frozenset(kinds))
+            return original(calls[-1])
+        monkeypatch.setattr(mac, "kind_ruleset", counted)
+        policy = self.policy().create_domain("open")
+        policy = policy.add_resource("/tmp/a", "open")
+        policy = policy.add_resource("/tmp/b", "open", (integrity(),))
+        policy = policy.add_resource("/root/key", "domainA", (integrity(),))
+        compiled = compile_policy(policy)
+        # One call per domain, plus one per file with its own properties.
+        assert len(calls) == 2 + 2
+        contexts = compiled.resource_contexts
+        assert contexts["/root/key"] is contexts["/root/secret.txt"]
+        assert contexts["/tmp/a"] is contexts["/tmp/b"]
+        assert (compiled.resource_rules["/tmp/a"]
+                is compiled.domain_rules["open"])
+
+    def test_emit_rules_renders_each_ruleset_once(self, monkeypatch):
+        calls = []
+        original = mac._ruleset_lines
+
+        def counted(ruleset):
+            calls.append(ruleset)
+            return original(ruleset)
+        monkeypatch.setattr(mac, "_ruleset_lines", counted)
+        # A fresh instance: kind_ruleset's shared ones may be rendered.
+        shared = MacRuleSet(
+            neverallow=KIND_NEVERALLOW[PropertyKind.INTEGRITY])
+        compiled = CompiledPolicy(
+            domain_rules={"a": shared, "b": shared},
+            resource_contexts={}, resource_rules={}, resource_domains={})
+        first = emit_rules(compiled)
+        assert emit_rules(compiled) == first
+        assert first.count("neverallow file") == 2
+        assert calls == [shared]
 
 
 class TestAvc:

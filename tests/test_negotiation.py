@@ -167,3 +167,20 @@ class TestApplyTransfer:
         policy = apply_transfer(self.requester_policy(), resource, "free",
                                 frozenset({integrity()}))
         assert integrity() in policy.effective_properties("firefox")
+
+    def test_transfer_of_a_path_held_in_the_target_domain_changes_nothing(
+            self):
+        resource = owner_policy().find_resource("firefox")
+        once = apply_transfer(self.requester_policy(), resource, "free")
+        assert apply_transfer(once, resource, "free") is once
+
+    def test_transfer_replaces_a_copy_held_in_another_domain(self):
+        resource = owner_policy().find_resource("firefox")
+        policy = self.requester_policy().create_domain("old")
+        policy = policy.add_resource("firefox", "old", (integrity(),))
+        policy = apply_transfer(policy, resource, "free")
+        (landed,) = policy.resources
+        assert landed.path == "firefox"
+        assert policy.domain_by_id(landed.domain_id).name == "free"
+        assert landed.properties == frozenset()
+        policy.validate()

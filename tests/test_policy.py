@@ -1,15 +1,19 @@
 """Property model and local policy operations."""
 
+from dataclasses import replace
+
 import pytest
 
 from p2psec import (
     CONFLICTING_KIND_PAIRS,
     DuplicateDomainError,
+    DuplicateResourceError,
     PeerPolicy,
     PolicyValidationError,
     PropertyConflictError,
     PropertyKind,
     PublicationForbiddenError,
+    Resource,
     SecurityProperty,
     UnknownDomainError,
     UnknownScopeError,
@@ -161,6 +165,21 @@ class TestPeerPolicy:
         with pytest.raises(UnknownDomainError):
             self.build().delete_domain("nope")
 
+    def test_duplicate_resource_path_rejected(self):
+        policy = self.build().create_domain("play").add_resource(
+            "report.pdf", "work")
+        for domain in ("work", "play"):
+            with pytest.raises(DuplicateResourceError):
+                policy.add_resource("report.pdf", domain)
+
+    def test_duplicate_resource_path_checked_after_domain_and_properties(
+            self):
+        policy = self.build().add_resource("report.pdf", "work")
+        with pytest.raises(UnknownDomainError):
+            policy.add_resource("report.pdf", "nowhere")
+        with pytest.raises(PropertyConflictError):
+            policy.add_resource("report.pdf", "work", (spread(),))
+
 
 class TestPublication:
     def company_policy(self):
@@ -199,6 +218,15 @@ class TestPublication:
         with pytest.raises(UnknownDomainError):
             self.company_policy().publish((), "x.txt", "elsewhere")
 
+    def test_publish_held_path_refused(self):
+        policy = self.company_policy().publish((), "x.txt",
+                                               "private_company_A")
+        with pytest.raises(DuplicateResourceError):
+            policy.publish((integrity(),), "x.txt", "private_company_A")
+        # The domain's own refusals keep their precedence.
+        with pytest.raises(PropertyConflictError):
+            policy.publish((spread(),), "x.txt", "private_company_A")
+
 
 def test_conflict_report_lists_scoped_pairs():
     policy = PeerPolicy(peer_id="A").create_domain("d")
@@ -219,3 +247,13 @@ def test_validate_accepts_built_policies():
     policy = PeerPolicy(peer_id="A").create_domain("d")
     policy = policy.add_resource("f", "d")
     policy.validate()
+
+
+def test_validate_rejects_duplicate_resource_paths():
+    policy = PeerPolicy(peer_id="A").create_domain("d").add_resource("f", "d")
+    twice = replace(policy, resources=policy.resources + (
+        Resource(id=policy.next_id, path="f", domain_id=1),),
+        next_id=policy.next_id + 1)
+    with pytest.raises(PolicyValidationError, match="duplicate resource "
+                                                    "path 'f'"):
+        twice.validate()

@@ -168,3 +168,12 @@ def test_duplicate_domain_names_rejected_at_model_load():
                        b"<domain id='2' name='a'/></policy>")
     with pytest.raises(XmlValidationError):
         to_peer_policy(doc)
+
+
+def test_duplicate_file_paths_rejected_at_model_load():
+    doc = parse_policy(b"<policy><domain id='1' name='a'/>"
+                       b"<domain id='2' name='b'/>"
+                       b"<file id='3' path='f' domainid='1'/>"
+                       b"<file id='4' path='f' domainid='2'/></policy>")
+    with pytest.raises(XmlValidationError, match="duplicate file path 'f'"):
+        to_peer_policy(doc)

@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 from p2psec import (
     AvcRecord,
     Band,
+    DIR_PERMISSIONS,
     Decision,
     FILE_PERMISSIONS,
+    KIND_NEVERALLOW,
+    MacRuleSet,
     Outcome,
     PeerId,
     PeerPolicy,
+    Permission,
+    PermissionClass,
     PolicyError,
     PolicySlice,
     PropertyKind,
@@ -21,10 +26,12 @@ from p2psec import (
     TARGETED_KINDS,
     TrustConfig,
     TrustLedger,
+    compile_policy,
     confidentiality,
     conflicts,
     cooperation,
     decide,
+    emit_rules,
     eval_property,
     kind_ruleset,
     open_session,
@@ -32,6 +39,7 @@ from p2psec import (
     parse_policy,
     property_set_conflicts,
     render_avc,
+    render_contexts,
     serialize_policy,
     to_peer_policy,
     from_peer_policy,
@@ -145,6 +153,53 @@ def test_xml_round_trip_preserves_structure(policy):
     assert _shape(again) == _shape(policy)
     # canonical form is a fixed point
     assert serialize_policy(from_peer_policy(again)) == data
+
+
+def _reference_projection(policy):
+    """Rules text, context text and per-path rulesets, projected file by
+    file straight from ``KIND_NEVERALLOW``."""
+    vocabularies = ((PermissionClass.FILE, FILE_PERMISSIONS),
+                    (PermissionClass.DIR, DIR_PERMISSIONS))
+
+    def neverallow(props):
+        return frozenset().union(*(KIND_NEVERALLOW[p.kind] for p in props))
+
+    def stanza(name, denied):
+        lines = [f"{name}:"]
+        lines += [f"allow {cls.value} {{{' '.join(vocab)}}}"
+                  for cls, vocab in vocabularies]
+        for cls, vocab in vocabularies:
+            names = [n for n in vocab if Permission(cls, n) in denied]
+            if names:
+                lines.append(f"neverallow {cls.value} {{{' '.join(names)}}}")
+        return "\n".join(lines)
+
+    owners = {dom.id: dom for dom in policy.domains}
+    stanzas = [stanza(dom.name, neverallow(dom.properties))
+               for dom in policy.domains]
+    contexts = []
+    rules = {}
+    for res in policy.resources:
+        dom = owners[res.domain_id]
+        denied = neverallow(dom.properties | res.properties)
+        rules[res.path] = MacRuleSet(neverallow=denied)
+        if denied != neverallow(dom.properties):
+            stanzas.append(stanza(res.path, denied))
+        label = "".join(c if c.isascii() and c.isalnum() else "_"
+                        for c in dom.name)
+        contexts.append(f"{res.path} system_u:object_r:{label}_t\n")
+    return "\n\n".join(stanzas) + "\n", "".join(contexts), rules
+
+
+@EXAMPLES
+@given(generated_policies())
+def test_compile_matches_per_file_reference_projection(policy):
+    compiled = compile_policy(policy)
+    rules, contexts, resource_rules = _reference_projection(policy)
+    assert emit_rules(compiled) == rules
+    assert render_contexts(compiled) == contexts
+    assert list(compiled.resource_rules.items()) == list(
+        resource_rules.items())
 
 
 @EXAMPLES

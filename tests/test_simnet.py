@@ -365,6 +365,74 @@ def test_add_property_nopublication_on_a_file_is_refused():
             "applies to domains, not resources") in transcript
 
 
+HELD_PATH_SCENARIO = """\
+peer a
+peer b
+peer c
+knows a c 0.9
+domain a d
+property a d integrity
+resource a f d
+domain b inbox
+property b inbox integrity
+domain b other
+property b other integrity
+ask b a f inbox
+ask b a f inbox
+show b
+"""
+
+
+def test_repeated_ask_into_the_same_domain_keeps_one_copy(monkeypatch):
+    recompiles = []
+    original = PeerAgent.apply_policy
+
+    def counted(self, policy):
+        recompiles.append(self.id.uid)
+        return original(self, policy)
+    monkeypatch.setattr(PeerAgent, "apply_policy", counted)
+    engine = SimulationEngine(parse_scenario(HELD_PATH_SCENARIO))
+    report = engine.run()
+    assert [n.outcome for n in report.negotiations] == [Outcome.ACCEPTED] * 2
+    b = engine.agents["b"]
+    assert [r.path for r in b.policy.resources] == ["f"]
+    # The second transfer leaves b's policy and projection as they are.
+    assert recompiles == ["b"]
+    assert report.transcript.count("b: file f placed in domain inbox") == 2
+    assert report.transcript.count(
+        "[Display b] <file> f in inbox under [integrity]") == 1
+    for agent in (engine.agents["a"], b):
+        assert [r.action for r in agent.ledger.history] == ["received f"] * 2
+
+
+def test_ask_into_another_domain_moves_the_held_copy():
+    scenario = parse_scenario(HELD_PATH_SCENARIO
+                              + "ask b a f other\nshow b\n")
+    engine = SimulationEngine(scenario)
+    report = engine.run()
+    assert report.negotiations[-1].outcome is Outcome.ACCEPTED
+    b = engine.agents["b"]
+    (held,) = b.policy.resources
+    assert b.policy.domain_by_id(held.domain_id).name == "other"
+    assert report.transcript[-4:] == (
+        "b: file f placed in domain other",
+        "[Display b] <domain> inbox secured by [integrity]",
+        "[Display b] <domain> other secured by [integrity]",
+        "[Display b] <file> f in other under [integrity]",
+    )
+    assert b.compiled.resource_domains == {"f": "other"}
+
+
+def test_publish_of_a_held_path_is_refused():
+    scenario = parse_scenario(
+        "peer a\ndomain a d\nresource a f d\ndomain a e\n"
+        "publish a f e\nshow a\n")
+    transcript = run_scenario(scenario).transcript
+    assert "a: publication refused: file f already exists" in transcript
+    assert [line for line in transcript if "<file>" in line] == [
+        "[Display a] <file> f in d under null"]
+
+
 def test_show_lists_domains_and_files():
     report = run_scenario(load("contract.scn"))
     assert ("[Display JFL] <domain> ensib secured by "
