@@ -103,6 +103,17 @@ def _parse_counts(text: str) -> tuple[int, ...]:
     return counts
 
 
+def _parse_repeats(text: str) -> int:
+    try:
+        repeats = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad repeats {text!r}") from None
+    if repeats < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad repeats {text!r}: must be at least 1")
+    return repeats
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2psec",
@@ -146,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--counts", type=_parse_counts,
                          default=DEFAULT_COUNTS,
                          help="comma-separated domain counts")
-    bench_p.add_argument("--repeats", type=int, default=3,
+    bench_p.add_argument("--repeats", type=_parse_repeats, default=3,
                          help="timed repeats per size")
     bench_p.set_defaults(func=_cmd_bench)
     return parser

@@ -108,16 +108,8 @@ class ChallengeError(MacError):
 
 
 # ---------------------------------------------------------------------------
-# Negotiation and trust errors
+# Trust errors
 # ---------------------------------------------------------------------------
-
-class NegotiationError(P2PSecError):
-    """Base class for negotiation protocol failures."""
-
-
-class MissingTrustValueError(NegotiationError):
-    """decide() called without a trust value for a required property."""
-
 
 class TrustError(P2PSecError):
     """Base class for trust computation failures."""

@@ -342,21 +342,24 @@ class AvcRecord:
             raise AvcParseError("AVC record carries no permissions")
 
 
-_AVC_STEPS: tuple[tuple[str, str], ...] = (
-    ("audit prefix", r"\s*audit\("),
-    ("timestamp", r"([0-9.]+):"),
-    ("serial", r"(\d+)\):\s+"),
-    ("avc marker", r"avc:\s+"),
-    ("decision", r"(denied|granted)\s+"),
-    ("permissions", r"\{\s*([^{}]*?)\s*\}\s+for\s+"),
-    ("pid", r"pid=(\d+)\s+"),
-    ("comm", r'comm="([^"]*)"\s+'),
-    ("name", r'name="([^"]*)"\s+'),
-    ("dev", r"dev=(\S+)\s+"),
-    ("ino", r"ino=(\d+)\s+"),
-    ("scontext", r"scontext=(\S+)\s+"),
-    ("tcontext", r"tcontext=(\S+)\s+"),
-    ("tclass", r"tclass=(\S+)\s*$"),
+#: (label, compiled pattern) for each field of an AVC line, in order.
+_AVC_STEPS: tuple[tuple[str, re.Pattern[str]], ...] = tuple(
+    (label, re.compile(pattern)) for label, pattern in (
+        ("audit prefix", r"\s*audit\("),
+        ("timestamp", r"([0-9.]+):"),
+        ("serial", r"(\d+)\):\s+"),
+        ("avc marker", r"avc:\s+"),
+        ("decision", r"(denied|granted)\s+"),
+        ("permissions", r"\{\s*([^{}]*?)\s*\}\s+for\s+"),
+        ("pid", r"pid=(\d+)\s+"),
+        ("comm", r'comm="([^"]*)"\s+'),
+        ("name", r'name="([^"]*)"\s+'),
+        ("dev", r"dev=(\S+)\s+"),
+        ("ino", r"ino=(\d+)\s+"),
+        ("scontext", r"scontext=(\S+)\s+"),
+        ("tcontext", r"tcontext=(\S+)\s+"),
+        ("tclass", r"tclass=(\S+)\s*$"),
+    )
 )
 
 
@@ -365,7 +368,7 @@ def parse_avc(line: str) -> AvcRecord:
     pos = 0
     fields: dict[str, str] = {}
     for label, pattern in _AVC_STEPS:
-        match = re.compile(pattern).match(line, pos)
+        match = pattern.match(line, pos)
         if not match:
             offending = line[pos:pos + 40] or "<end of line>"
             raise AvcParseError(

@@ -3,19 +3,21 @@
 The requester names a resource and the domain it intends to hold the
 resource in.  The owner reveals nothing about the rest of the
 requester's policy: it asks only for the slice covering that one
-domain, evaluates its own required properties against the slice, runs
-the trust pipeline per property, and then accepts or refuses.  On
-acceptance the resource lands in the requester's target domain,
-optionally carrying owner-requested resource-level properties.
+domain.  :func:`open_session` records what the owner must check (the
+resource, where it lives and its required properties), each required
+property is scored against the slice with :func:`eval_property` and
+through the trust pipeline, and :func:`decide` accepts or refuses over
+the resulting ``TrustComputation`` values.  On acceptance
+:func:`apply_transfer` lands the resource in the requester's target
+domain, optionally carrying owner-requested resource-level properties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterable
 
-from .errors import MissingTrustValueError
 from .policy import (
     PeerPolicy,
     Resource,
@@ -23,7 +25,7 @@ from .policy import (
     conflicts,
     sort_properties,
 )
-from .trust import PeerId, TrustConfig
+from .trust import TrustComputation, TrustConfig
 
 
 class Outcome(Enum):
@@ -34,13 +36,6 @@ class Outcome(Enum):
 # ---------------------------------------------------------------------------
 # Protocol messages (in-memory, typed)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResourceRequest:
-    requester: PeerId
-    resource_name: str
-    target_domain_name: str
-
 
 @dataclass(frozen=True)
 class PolicySlice:
@@ -64,50 +59,44 @@ class PolicySlice:
 # Session state
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class NegotiationSession:
-    """Owner-side record of one negotiation."""
+    """What the owner checks in one negotiation: the requested resource,
+    the domain it lives in, the requester's target domain and the
+    resource's required properties (domain properties plus its own)."""
 
-    owner: PeerId
-    requester: PeerId
     resource: Resource
     source_domain: str
     target_domain_name: str
     required: tuple[SecurityProperty, ...]
-    offered_slice: Optional[PolicySlice] = None
-    per_property_eval: dict[SecurityProperty, int] = field(default_factory=dict)
 
 
-def open_session(owner_policy: PeerPolicy, owner: PeerId,
-                 request: ResourceRequest) -> NegotiationSession:
+def open_session(owner_policy: PeerPolicy, resource_name: str,
+                 target_domain_name: str) -> NegotiationSession:
     """Locate the requested resource and snapshot its required
-    properties (domain properties plus its own)."""
-    resource = owner_policy.find_resource(request.resource_name)
+    properties; ``UnknownResourceError`` if the owner does not hold it."""
+    resource = owner_policy.find_resource(resource_name)
     source = owner_policy.domain_by_id(resource.domain_id)
     required = sort_properties(
         owner_policy.effective_properties(resource.path))
     return NegotiationSession(
-        owner=owner,
-        requester=request.requester,
         resource=resource,
         source_domain=source.name,
-        target_domain_name=request.target_domain_name,
+        target_domain_name=target_domain_name,
         required=required,
     )
 
 
-def eval_property(required: SecurityProperty,
-                  offered_slice: PolicySlice) -> int:
+def eval_property(required: SecurityProperty, offered: PolicySlice) -> int:
     """Compatibility of one required property with the offered slice.
 
     -1 when any offered kind conflicts with the required kind (plain
     kind-level relation), 1 when the slice carries the same kind with
     compatible targets (both empty, or intersecting), 0 otherwise.
     """
-    offered = sort_properties(offered_slice.properties)
-    if any(conflicts(required.kind, off.kind) for off in offered):
+    if any(conflicts(required.kind, off.kind) for off in offered.properties):
         return -1
-    for off in offered:
+    for off in offered.properties:
         if off.kind is not required.kind:
             continue
         if not required.targets and not off.targets:
@@ -117,31 +106,20 @@ def eval_property(required: SecurityProperty,
     return 0
 
 
-def decide(session: NegotiationSession,
-           trust_values: Mapping[SecurityProperty, float],
+def decide(computations: Iterable[TrustComputation],
            config: TrustConfig) -> Outcome:
-    """Final owner decision over the per-property trust values.
+    """Final owner decision over the required properties' computations.
 
     A single property below the refuse threshold refuses the whole
     request; no required properties means the resource is free.  With
     ``strict_conflicts`` the decision degrades to pure conflict
     checking: any -1 evaluation refuses.
     """
-    if not session.required:
-        return Outcome.ACCEPTED
     if config.strict_conflicts:
-        if any(session.per_property_eval.get(prop, 0) == -1
-               for prop in session.required):
-            return Outcome.REFUSED
-        return Outcome.ACCEPTED
-    for prop in session.required:
-        if prop not in trust_values:
-            raise MissingTrustValueError(
-                f"no trust value for {prop.render()}")
-    if any(trust_values[prop] < config.refuse_threshold
-           for prop in session.required):
-        return Outcome.REFUSED
-    return Outcome.ACCEPTED
+        refused = any(c.eval_score == -1 for c in computations)
+    else:
+        refused = any(c.tv < config.refuse_threshold for c in computations)
+    return Outcome.REFUSED if refused else Outcome.ACCEPTED
 
 
 def apply_transfer(requester_policy: PeerPolicy, resource: Resource,

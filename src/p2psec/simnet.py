@@ -50,7 +50,6 @@ from .negotiation import (
     NegotiationSession,
     Outcome,
     PolicySlice,
-    ResourceRequest,
     apply_transfer,
     decide,
     eval_property,
@@ -67,8 +66,6 @@ from .policy import (
 )
 from .trust import (
     Band,
-    ChallengeKind,
-    ChallengeResult,
     HistoryRecord,
     PeerId,
     TrustComputation,
@@ -575,9 +572,8 @@ class SimulationEngine:
             self.agents[decl.uid] = self._build_agent(decl)
 
     def _build_agent(self, decl: PeerDecl) -> PeerAgent:
-        ledger = TrustLedger()
-        for subject, trust in decl.knows:
-            ledger.reputations[self.peer_ids[subject]] = trust
+        ledger = TrustLedger(reputations={
+            self.peer_ids[subject]: trust for subject, trust in decl.knows})
         return PeerAgent(self.peer_ids[decl.uid], decl.policy, decl.behavior,
                          ledger)
 
@@ -698,9 +694,6 @@ class SimulationEngine:
         own_name = owner.id.name
         target_domain = action.target_domain
 
-        request = ResourceRequest(requester=requester.id,
-                                  resource_name=action.resource_name,
-                                  target_domain_name=target_domain)
         self._tick()
         self._say(f"{req_name}: I asks to peer {own_name} the file "
                   f"{action.resource_name} to be put in {target_domain}")
@@ -710,7 +703,8 @@ class SimulationEngine:
                   f"domain {target_domain}")
 
         try:
-            session = open_session(owner.policy, owner.id, request)
+            session = open_session(owner.policy, action.resource_name,
+                                   target_domain)
         except UnknownResourceError:
             self._say(f"{own_name}: File {action.resource_name} not found.")
             self._say(f"{req_name}: peer {own_name} REFUSED to send the "
@@ -738,7 +732,6 @@ class SimulationEngine:
                 f"slice for {offered.domain_name!r} leaked during a "
                 f"negotiation about {target_domain!r}")
         self.slice_log.append((requester.id.uid, offered))
-        session.offered_slice = offered
         self._say(f"{req_name}: returning policy "
                   f"{render_properties(offered.properties)}")
 
@@ -760,15 +753,12 @@ class SimulationEngine:
         # Evaluating a property changes only the requester's reputation,
         # and the requester is never a delegate, so one list serves all.
         delegates = self._delegates_for(owner, requester)
-        computations: dict[SecurityProperty, TrustComputation] = {}
-        for prop in session.required:
-            computation = self._evaluate_property(
-                session, prop, owner, requester, hist_ledger, delegates)
-            session.per_property_eval[prop] = computation.eval_score
-            computations[prop] = computation
+        computations = {
+            prop: self._evaluate_property(session, offered, prop, owner,
+                                          requester, hist_ledger, delegates)
+            for prop in session.required}
 
-        outcome = decide(session, {p: c.tv for p, c in computations.items()},
-                         self.config)
+        outcome = decide(computations.values(), self.config)
         self._tick()
         if outcome is Outcome.REFUSED:
             self._say(f"{own_name}: one of the property is refused: "
@@ -789,6 +779,7 @@ class SimulationEngine:
             flagged_records=flagged, forged_records=forged))
 
     def _evaluate_property(self, session: NegotiationSession,
+                           offered: PolicySlice,
                            prop: SecurityProperty, owner: PeerAgent,
                            requester: PeerAgent, hist_ledger: TrustLedger,
                            delegates: list[tuple[PeerId, float]]
@@ -796,8 +787,6 @@ class SimulationEngine:
         own_name = owner.id.name
         req_name = requester.id.name
         kind_name = prop.kind.value
-        offered = session.offered_slice
-        assert offered is not None
 
         self._say(f"(Eval) {own_name} Computation of "
                   f"Eval({req_name},{kind_name})")
@@ -818,7 +807,7 @@ class SimulationEngine:
         if delegates:
             chal = run_challenges(
                 delegates, requester.id, prop.kind,
-                self._probe_harness(session, requester, prop.kind))
+                self._probe_harness(session, offered, requester, prop.kind))
         else:
             chal = 0.0
             self._say(f"(Eval) {own_name} no trusted delegates for "
@@ -832,9 +821,8 @@ class SimulationEngine:
         self._say(f"(Eval) Tv({kind_name},{req_name})={fmt(tv)}")
 
         verdict = band(tv, self.config)
-        owner.ledger = update_reputation(owner.ledger, requester.id,
-                                         verdict, self.config)
-        reputation = owner.ledger.reputation(requester.id, self.config)
+        reputation = update_reputation(owner.ledger, requester.id, verdict,
+                                       self.config)
         if verdict is Band.REFUSED:
             self._say(f"(Eval) Peer refused ({fmt(tv)}<"
                       f"{fmt(self.config.refuse_threshold)}) for "
@@ -864,7 +852,8 @@ class SimulationEngine:
         return chosen
 
     def _probe_harness(self, session: NegotiationSession,
-                       requester: PeerAgent, kind: PropertyKind):
+                       offered: PolicySlice, requester: PeerAgent,
+                       kind: PropertyKind):
         """Challenge harness for one property evaluation.
 
         The requester's answers depend only on its behaviour, the target
@@ -875,8 +864,6 @@ class SimulationEngine:
         delegate's audit serial, and records a failed probe in that
         delegate's ledger at the tick it would have been answered.
         """
-        offered = session.offered_slice
-        assert offered is not None
         target_domain = session.target_domain_name
         probe_kind = next(
             (k for k in KIND_ORDER if conflicts(k, kind)), None)
@@ -905,16 +892,13 @@ class SimulationEngine:
         mac_passed = verify_challenge(challenge, [response]).passed
 
         def harness(delegate: PeerId, target: PeerId,
-                    _: PropertyKind) -> list[ChallengeResult]:
+                    _: PropertyKind) -> list[float]:
             ledger = self.agents[delegate.uid].ledger
-            results = []
+            scores = []
             if probe_kind is not None:
                 self._tick()
                 self._tick()
-                results.append(ChallengeResult(
-                    delegate=delegate, target=target, property_kind=kind,
-                    kind=ChallengeKind.CONFLICTING_REQUEST,
-                    score=1.0 if conflict_passed else 0.0))
+                scores.append(1.0 if conflict_passed else 0.0)
                 if not conflict_passed:
                     ledger.history.append(HistoryRecord(
                         timestamp=self.now, actor=target,
@@ -924,16 +908,13 @@ class SimulationEngine:
             self._tick()
             self._next_serial()
             self._tick()
-            results.append(ChallengeResult(
-                delegate=delegate, target=target, property_kind=kind,
-                kind=ChallengeKind.MAC_CHALLENGE,
-                score=1.0 if mac_passed else 0.0))
+            scores.append(1.0 if mac_passed else 0.0)
             if not mac_passed:
                 ledger.history.append(HistoryRecord(
                     timestamp=self.now, actor=target, property_kind=kind,
                     action="failed an access challenge",
                     violation=True, counterparty=delegate))
-            return results
+            return scores
 
         return harness
 

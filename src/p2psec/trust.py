@@ -108,24 +108,6 @@ class HistoryRecord:
     counterparty: Optional[PeerId] = None
 
 
-class ChallengeKind(Enum):
-    CONFLICTING_REQUEST = "conflicting-request"
-    MAC_CHALLENGE = "mac-challenge"
-
-
-@dataclass(frozen=True)
-class ChallengeResult:
-    delegate: PeerId
-    target: PeerId
-    property_kind: PropertyKind
-    kind: ChallengeKind
-    score: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise TrustError("challenge score must lie in [0, 1]")
-
-
 class Band(Enum):
     REFUSED = "refused"
     PARTIAL = "partial"
@@ -136,13 +118,20 @@ class Band(Enum):
 class TrustLedger:
     """Per-peer trust state: reputations and operation history.
 
-    A ledger has a single writer (its owning peer).
-    :func:`update_reputation` returns a fresh ledger, but the simulator
-    appends history records to a ledger in place.
+    A ledger has a single writer, its owning peer, and is updated in
+    place: :func:`update_reputation` writes reputations and the
+    simulator appends history records.  Every reputation lies in
+    [0, 1]; construction rejects any other value.
     """
 
     reputations: dict[PeerId, float] = field(default_factory=dict)
     history: list[HistoryRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        for peer, value in self.reputations.items():
+            if not 0.0 <= value <= 1.0:
+                raise TrustError(f"reputation of {peer.uid} must lie in "
+                                 f"[0, 1], got {value}")
 
     def reputation(self, peer: PeerId, config: TrustConfig) -> float:
         return self.reputations.get(peer, config.initial_reputation)
@@ -203,17 +192,22 @@ def eval_hist_norm(hist: HistoryScore, eval_score: int) -> float:
     return _HIST_FACTOR[hist]
 
 
+#: Runs one delegate's probes of ``target`` for a property kind and
+#: returns their scores, each in [0, 1]: called as
+#: ``harness(delegate, target, kind)``.
 ChallengeHarness = Callable[[PeerId, PeerId, PropertyKind],
-                            Sequence[ChallengeResult]]
+                            Sequence[float]]
 
 
 def run_challenges(delegates: Sequence[tuple[PeerId, float]], target: PeerId,
                    kind: PropertyKind, harness: ChallengeHarness) -> float:
     """Trust-weighted mean of per-delegate challenge scores.
 
-    Each delegate's score is the mean over the probes the harness ran
-    for it.  Delegate trusts must be positive; an empty delegate list is
-    an error.
+    Each delegate's score is the mean of the probe scores the harness
+    returns for it.  Delegate trusts must be positive, each delegate
+    must run at least one probe and every probe score must lie in
+    [0, 1] (``TrustError`` otherwise); an empty delegate list raises
+    ``NoDelegatesError``.
     """
     if not delegates:
         raise NoDelegatesError("no delegates available for challenges")
@@ -223,12 +217,13 @@ def run_challenges(delegates: Sequence[tuple[PeerId, float]], target: PeerId,
         if trust <= 0.0:
             raise TrustError(f"delegate {delegate.uid} has non-positive "
                              f"trust {trust}")
-        results = list(harness(delegate, target, kind))
-        if not results:
+        scores = harness(delegate, target, kind)
+        if not scores:
             raise TrustError(
                 f"harness ran no probes for delegate {delegate.uid}")
-        score = sum(r.score for r in results) / len(results)
-        weighted += trust * score
+        if not all(0.0 <= score <= 1.0 for score in scores):
+            raise TrustError("challenge score must lie in [0, 1]")
+        weighted += trust * (sum(scores) / len(scores))
         total += trust
     return weighted / total
 
@@ -251,12 +246,13 @@ def band(tv: float, config: TrustConfig) -> Band:
 
 
 def update_reputation(ledger: TrustLedger, peer: PeerId, band_result: Band,
-                      config: TrustConfig) -> TrustLedger:
-    """Fresh ledger with the peer's reputation adjusted for the band.
+                      config: TrustConfig) -> float:
+    """Adjust the peer's reputation in ``ledger`` for the band, in place,
+    and return the new value.
 
     Refused and partial outcomes cost reputation; full trust leaves it
-    unchanged.  Values stay clamped to [0, 1] and are kept on a 1e-9
-    grid so repeated small decrements stay exact.
+    unchanged (but records it).  Values stay clamped to [0, 1] and are
+    kept on a 1e-9 grid so repeated small decrements stay exact.
     """
     decrement = {
         Band.REFUSED: config.refuse_decrement,
@@ -265,7 +261,5 @@ def update_reputation(ledger: TrustLedger, peer: PeerId, band_result: Band,
     }[band_result]
     current = ledger.reputation(peer, config)
     updated = min(1.0, max(0.0, round(current - decrement, 9)))
-    reputations = dict(ledger.reputations)
-    reputations[peer] = updated
-    return TrustLedger(reputations=reputations,
-                       history=list(ledger.history))
+    ledger.reputations[peer] = updated
+    return updated

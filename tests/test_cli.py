@@ -135,3 +135,11 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2", "three"])
+def test_bench_bad_repeats_is_a_usage_error(repeats, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--counts", "5", "--repeats", repeats])
+    assert err.value.code == 2
+    assert "--repeats" in capsys.readouterr().err

@@ -3,13 +3,13 @@
 import pytest
 
 from p2psec import (
-    MissingTrustValueError,
+    Band,
+    HistoryScore,
     Outcome,
-    PeerId,
     PeerPolicy,
     PolicySlice,
     PropertyConflictError,
-    ResourceRequest,
+    TrustComputation,
     TrustConfig,
     UnknownDomainError,
     UnknownResourceError,
@@ -23,10 +23,6 @@ from p2psec import (
     spread,
 )
 
-OWNER = PeerId("jfl", "JFL")
-ASKER = PeerId("david", "David")
-
-
 def owner_policy():
     policy = PeerPolicy(peer_id="jfl").create_domain("ensib")
     policy = policy.add_property("ensib", confidentiality())
@@ -39,18 +35,15 @@ def owner_policy():
 
 class TestOpenSession:
     def test_required_properties_sorted(self):
-        request = ResourceRequest(requester=ASKER, resource_name="contract",
-                                  target_domain_name="free")
-        session = open_session(owner_policy(), OWNER, request)
+        session = open_session(owner_policy(), "contract", "free")
         assert session.source_domain == "ensib"
+        assert session.target_domain_name == "free"
         assert [p.render() for p in session.required] == [
             "confidentiality", "integrity"]
 
     def test_unknown_resource(self):
-        request = ResourceRequest(requester=ASKER, resource_name="nope",
-                                  target_domain_name="free")
         with pytest.raises(UnknownResourceError):
-            open_session(owner_policy(), OWNER, request)
+            open_session(owner_policy(), "nope", "free")
 
 
 class TestEvalProperty:
@@ -88,47 +81,40 @@ class TestEvalProperty:
         assert eval_property(confidentiality(), offered) == -1
 
 
-class TestDecide:
-    def session(self, resource_name="contract"):
-        request = ResourceRequest(requester=ASKER,
-                                  resource_name=resource_name,
-                                  target_domain_name="free")
-        return open_session(owner_policy(), OWNER, request)
+def computation(tv, eval_score=0):
+    """A trust computation; ``decide`` reads only ``tv`` and
+    ``eval_score``."""
+    return TrustComputation(eval_score=eval_score, hist=HistoryScore.NO_DATA,
+                            chal=0.0, eval_hist=0.5, tv=tv, band=Band.FULL,
+                            reputation_after=0.5)
 
+
+class TestDecide:
     def test_any_low_trust_refuses(self):
-        session = self.session()
-        trust = {confidentiality(): 0.1, integrity(): 0.9}
-        assert decide(session, trust, TrustConfig()) is Outcome.REFUSED
+        computations = [computation(0.1), computation(0.9)]
+        assert decide(computations, TrustConfig()) is Outcome.REFUSED
 
     def test_all_above_threshold_accepts(self):
-        session = self.session()
-        trust = {confidentiality(): 0.25, integrity(): 0.9}
-        assert decide(session, trust, TrustConfig()) is Outcome.ACCEPTED
-
-    def test_missing_trust_value_is_error(self):
-        session = self.session()
-        with pytest.raises(MissingTrustValueError):
-            decide(session, {confidentiality(): 0.9}, TrustConfig())
+        computations = [computation(0.25), computation(0.9)]
+        assert decide(computations, TrustConfig()) is Outcome.ACCEPTED
 
     def test_strict_mode_refuses_on_conflict_eval(self):
-        session = self.session()
-        session.per_property_eval = {confidentiality(): -1, integrity(): 0}
+        computations = [computation(0.9, eval_score=-1), computation(0.9)]
         config = TrustConfig(strict_conflicts=True)
-        assert decide(session, {}, config) is Outcome.REFUSED
+        assert decide(computations, config) is Outcome.REFUSED
 
     def test_strict_mode_accepts_without_conflicts(self):
-        session = self.session()
-        session.per_property_eval = {confidentiality(): 0, integrity(): 0}
+        # Strict mode judges conflicts only, whatever the trust values.
+        computations = [computation(0.0), computation(0.0)]
         config = TrustConfig(strict_conflicts=True)
-        assert decide(session, {}, config) is Outcome.ACCEPTED
+        assert decide(computations, config) is Outcome.ACCEPTED
 
     def test_no_required_properties_accepts(self):
         policy = PeerPolicy(peer_id="jfl").create_domain("open")
         policy = policy.add_resource("misc", "open")
-        request = ResourceRequest(requester=ASKER, resource_name="misc",
-                                  target_domain_name="free")
-        session = open_session(policy, OWNER, request)
-        assert decide(session, {}, TrustConfig()) is Outcome.ACCEPTED
+        session = open_session(policy, "misc", "free")
+        assert session.required == ()
+        assert decide([], TrustConfig()) is Outcome.ACCEPTED
 
 
 class TestApplyTransfer:

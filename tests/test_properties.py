@@ -10,6 +10,7 @@ from p2psec import (
     DIR_PERMISSIONS,
     Decision,
     FILE_PERMISSIONS,
+    HistoryScore,
     KIND_NEVERALLOW,
     MacRuleSet,
     Outcome,
@@ -20,10 +21,10 @@ from p2psec import (
     PolicyError,
     PolicySlice,
     PropertyKind,
-    ResourceRequest,
     SecurityContext,
     SecurityProperty,
     TARGETED_KINDS,
+    TrustComputation,
     TrustConfig,
     TrustLedger,
     compile_policy,
@@ -34,7 +35,6 @@ from p2psec import (
     emit_rules,
     eval_property,
     kind_ruleset,
-    open_session,
     parse_avc,
     parse_policy,
     property_set_conflicts,
@@ -244,20 +244,10 @@ def test_trust_value_monotone_in_eval_hist(eval_score, chal, low, high):
         trust_value(eval_score, high, chal, config)
 
 
-OWNER = PeerId("o")
-ASKER = PeerId("r")
-
-
-def _session():
-    policy = PeerPolicy(peer_id="o").create_domain("src")
-    policy = policy.add_property(
-        "src", SecurityProperty(PropertyKind.CONFIDENTIALITY))
-    policy = policy.add_property(
-        "src", SecurityProperty(PropertyKind.INTEGRITY))
-    policy = policy.add_resource("res", "src")
-    request = ResourceRequest(requester=ASKER, resource_name="res",
-                              target_domain_name="dst")
-    return open_session(policy, OWNER, request)
+def _computation(tv):
+    return TrustComputation(eval_score=0, hist=HistoryScore.NO_DATA,
+                            chal=0.0, eval_hist=0.5, tv=tv, band=Band.FULL,
+                            reputation_after=0.5)
 
 
 @EXAMPLES
@@ -265,12 +255,11 @@ def _session():
        bumps=st.lists(st.floats(0, 1), min_size=2, max_size=2))
 def test_decide_monotone_in_trust(base, bumps):
     config = TrustConfig()
-    session = _session()
-    lower = dict(zip(session.required, base))
-    higher = {prop: min(1.0, value + bump) for (prop, value), bump
-              in zip(lower.items(), bumps)}
-    if decide(session, lower, config) is Outcome.ACCEPTED:
-        assert decide(session, higher, config) is Outcome.ACCEPTED
+    lower = [_computation(value) for value in base]
+    higher = [_computation(min(1.0, value + bump))
+              for value, bump in zip(base, bumps)]
+    if decide(lower, config) is Outcome.ACCEPTED:
+        assert decide(higher, config) is Outcome.ACCEPTED
 
 
 @EXAMPLES
@@ -281,8 +270,9 @@ def test_reputation_stays_clamped(initial, bands):
     peer = PeerId("p")
     ledger = TrustLedger(reputations={peer: initial})
     for verdict in bands:
-        ledger = update_reputation(ledger, peer, verdict, config)
-        assert 0.0 <= ledger.reputation(peer, config) <= 1.0
+        value = update_reputation(ledger, peer, verdict, config)
+        assert 0.0 <= value <= 1.0
+        assert ledger.reputation(peer, config) == value
 
 
 @st.composite

@@ -27,10 +27,12 @@ from p2psec import (
     render_experiment,
     render_report,
     run_scenario,
+    simnet,
     spread,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: (scenario text, message, line) for every parser rejection.
 PARSE_ERRORS = [
@@ -328,6 +330,29 @@ def test_requester_answers_once_per_property_evaluation(
                      "respond_conflicting_request": evaluations}
     # Every delegate is still charged its probes' message ticks.
     assert engine.now == final_tick
+
+
+def test_delegate_consultations_on_the_delegate_golden(monkeypatch):
+    """What ``golden/delegates.report`` cannot show: how many delegates
+    each challenged evaluation consults, and the clock the run ends on.
+    Every requester the owner accepts becomes a delegate, so the list
+    grows from 3 to 12."""
+    consulted = []
+    original = simnet.run_challenges
+
+    def counted(delegates, target, kind, harness):
+        consulted.append(len(delegates))
+        return original(delegates, target, kind, harness)
+    monkeypatch.setattr(simnet, "run_challenges", counted)
+    engine = SimulationEngine(parse_scenario(
+        (GOLDEN / "delegates.scn").read_text()))
+    report = engine.run()
+    # Two evaluations are by delegate D1, which trusts no one.
+    assert sum(len(n.per_property) for n in report.negotiations) == 54
+    assert len(consulted) == 52
+    assert sum(consulted) == 433
+    assert max(consulted) == 12
+    assert engine.now == 1559
 
 
 def test_unknown_resource_is_graceful():

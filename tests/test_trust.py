@@ -1,11 +1,11 @@
 """Trust pipeline: history scoring, challenges, trust values, reputation."""
 
+import re
+
 import pytest
 
 from p2psec import (
     Band,
-    ChallengeKind,
-    ChallengeResult,
     HistoryRecord,
     HistoryScore,
     NoDelegatesError,
@@ -114,18 +114,12 @@ class TestEvalHistNorm:
         assert eval_hist_norm(HistoryScore.NO_DATA, 1) == 0.5
 
 
-def result(delegate, score, kind=ChallengeKind.MAC_CHALLENGE):
-    return ChallengeResult(delegate=delegate, target=BOB,
-                           property_kind=PropertyKind.CONFIDENTIALITY,
-                           kind=kind, score=score)
-
-
 class TestRunChallenges:
     def test_trust_weighted_mean(self):
         def harness(delegate, target, kind):
             if delegate == ALICE:
-                return [result(ALICE, 1.0), result(ALICE, 0.0)]
-            return [result(CARA, 1.0)]
+                return [1.0, 0.0]
+            return [1.0]
 
         chal = run_challenges([(ALICE, 0.5), (CARA, 1.0)], BOB,
                               PropertyKind.CONFIDENTIALITY, harness)
@@ -135,7 +129,7 @@ class TestRunChallenges:
     def test_no_delegates(self):
         with pytest.raises(NoDelegatesError):
             run_challenges([], BOB, PropertyKind.CONFIDENTIALITY,
-                           lambda d, t, k: [result(d, 1.0)])
+                           lambda d, t, k: [1.0])
 
     def test_empty_harness_result_is_error(self):
         with pytest.raises(TrustError):
@@ -147,11 +141,14 @@ class TestRunChallenges:
         with pytest.raises(TrustError):
             run_challenges([(ALICE, 0.0)], BOB,
                            PropertyKind.CONFIDENTIALITY,
-                           lambda d, t, k: [result(d, 1.0)])
+                           lambda d, t, k: [1.0])
 
     def test_score_bounds_enforced(self):
-        with pytest.raises(TrustError):
-            result(ALICE, 1.5)
+        for score in (1.5, -0.1, float("nan")):
+            with pytest.raises(TrustError):
+                run_challenges([(ALICE, 1.0)], BOB,
+                               PropertyKind.CONFIDENTIALITY,
+                               lambda d, t, k: [1.0, score])
 
 
 class TestTrustValue:
@@ -185,29 +182,41 @@ class TestReputation:
     def test_refused_then_partial_trajectory(self):
         config = TrustConfig()
         ledger = TrustLedger()
-        ledger = update_reputation(ledger, BOB, Band.REFUSED, config)
+        assert update_reputation(ledger, BOB, Band.REFUSED, config) == 0.48
         assert ledger.reputation(BOB, config) == 0.48
-        ledger = update_reputation(ledger, BOB, Band.PARTIAL, config)
+        assert update_reputation(ledger, BOB, Band.PARTIAL, config) == 0.47
         assert ledger.reputation(BOB, config) == 0.47
 
     def test_partial_only(self):
         config = TrustConfig()
-        ledger = update_reputation(TrustLedger(), BOB, Band.PARTIAL, config)
+        ledger = TrustLedger()
+        assert update_reputation(ledger, BOB, Band.PARTIAL, config) == 0.49
         assert ledger.reputation(BOB, config) == 0.49
 
     def test_full_leaves_reputation_unchanged(self):
         config = TrustConfig()
-        ledger = update_reputation(TrustLedger(), BOB, Band.FULL, config)
-        assert ledger.reputation(BOB, config) == 0.5
+        ledger = TrustLedger()
+        assert update_reputation(ledger, BOB, Band.FULL, config) == 0.5
+        assert ledger.reputations == {BOB: 0.5}
 
     def test_never_below_zero(self):
         config = TrustConfig()
         ledger = TrustLedger(reputations={BOB: 0.01})
-        ledger = update_reputation(ledger, BOB, Band.REFUSED, config)
+        assert update_reputation(ledger, BOB, Band.REFUSED, config) == 0.0
         assert ledger.reputation(BOB, config) == 0.0
 
-    def test_update_does_not_mutate_input(self):
+    def test_update_writes_in_place_and_keeps_history(self):
         config = TrustConfig()
-        before = TrustLedger(reputations={BOB: 0.5})
-        update_reputation(before, BOB, Band.REFUSED, config)
-        assert before.reputations[BOB] == 0.5
+        history = [record(90)]
+        ledger = TrustLedger(reputations={BOB: 0.5, CARA: 0.9},
+                             history=history)
+        update_reputation(ledger, BOB, Band.REFUSED, config)
+        assert ledger.reputations == {BOB: 0.48, CARA: 0.9}
+        assert ledger.history is history
+        assert history == [record(90)]
+
+    @pytest.mark.parametrize("value", [7.5, -0.1, float("nan")])
+    def test_ledger_rejects_reputation_outside_unit_interval(self, value):
+        message = rf"bob .*\[0, 1\], got {re.escape(str(value))}$"
+        with pytest.raises(TrustError, match=message):
+            TrustLedger(reputations={BOB: value})
