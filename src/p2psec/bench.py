@@ -8,6 +8,7 @@ pipeline, and fits a line through the measurements.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -113,10 +114,21 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
 
 
 def _time_compile_once(policy: PeerPolicy) -> float:
-    """Wall-clock milliseconds for one compile plus rule emission."""
-    start = time.perf_counter()
-    emit_rules(compile_policy(policy))
-    return (time.perf_counter() - start) * 1000.0
+    """Wall-clock milliseconds for one compile plus rule emission.
+
+    The garbage collector is off while the sample runs, as in
+    ``timeit``: a collection would charge this sample for objects that
+    earlier work left behind.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        emit_rules(compile_policy(policy))
+        return (time.perf_counter() - start) * 1000.0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 DEFAULT_COUNTS = (10, 20, 40, 80, 160, 320, 640)

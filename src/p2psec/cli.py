@@ -114,6 +114,17 @@ def _parse_repeats(text: str) -> int:
     return repeats
 
 
+def _parse_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad threshold {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"bad threshold {text!r}: must be a finite value in [0, 1]")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2psec",
@@ -135,10 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("scenario", help="scenario file")
     sim_p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-    sim_p.add_argument("--refuse-threshold", type=float, default=None,
-                       help="trust below this refuses the request")
-    sim_p.add_argument("--full-threshold", type=float, default=None,
-                       help="trust at or above this is full trust")
+    sim_p.add_argument("--refuse-threshold", type=_parse_threshold,
+                       default=None,
+                       help="trust below this refuses the request; in "
+                            "[0, 1]")
+    sim_p.add_argument("--full-threshold", type=_parse_threshold,
+                       default=None,
+                       help="lower bound of the full-trust band, in [0, 1]: "
+                            "trust at or above it is full trust, and a "
+                            "delegate must be trusted strictly above it")
     sim_p.add_argument("--strict-conflicts", action="store_true",
                        help="refuse on any property conflict outright")
     sim_p.add_argument("--out", default=None,

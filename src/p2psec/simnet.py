@@ -370,14 +370,25 @@ class PeerAgent:
         self.id = peer_id
         self.behavior = behavior
         self.ledger = ledger if ledger is not None else TrustLedger()
+        policy.validate()
         self.policy: PeerPolicy = policy
-        self.compiled: CompiledPolicy = compile_policy(policy)
+        self._compiled: Optional[CompiledPolicy] = None
         self._forged_serial = 0
 
     def apply_policy(self, policy: PeerPolicy) -> None:
-        """Install a new policy; the MAC projection follows immediately."""
+        """Install a new policy.  It is validated now; its MAC projection
+        is compiled when :attr:`compiled` is next read."""
+        policy.validate()
         self.policy = policy
-        self.compiled = compile_policy(policy)
+        self._compiled = None
+
+    @property
+    def compiled(self) -> CompiledPolicy:
+        """The MAC projection of the current policy, compiled on the
+        first read after each policy change and kept until the next."""
+        if self._compiled is None:
+            self._compiled = compile_policy(self.policy)
+        return self._compiled
 
     def _domain_properties(self, domain_name: str) -> frozenset[SecurityProperty]:
         if self.policy.has_domain(domain_name):
@@ -454,8 +465,8 @@ class PeerAgent:
         """Records of this peer's own past operations for the requested
         kinds, plus how many of them were fabricated."""
         kinds = tuple(kinds)
-        own = [r for r in self.ledger.history
-               if r.actor == self.id and r.property_kind in kinds]
+        own = [r for r in self.ledger.records_by(self.id)
+               if r.property_kind in kinds]
         if self.behavior is not BehaviorModel.LOG_FORGER:
             return own, 0
         forged = []
@@ -482,8 +493,8 @@ def cross_reference_history(
     """Validate presented records against their counterparties' ledgers.
 
     A record is verified when its named counterparty exists and holds a
-    matching entry (same actor, timestamp, and property kind).  Records
-    naming nobody are left alone.
+    matching entry (same actor, timestamp, and property kind), looked
+    up in that ledger's index.  Records naming nobody are left alone.
     """
     checked = []
     for record in presented:
@@ -494,12 +505,8 @@ def cross_reference_history(
         if other is None:
             checked.append((record, False))
             continue
-        matched = any(
-            r.actor == target
-            and r.timestamp == record.timestamp
-            and r.property_kind is record.property_kind
-            for r in other.ledger.history)
-        checked.append((record, matched))
+        checked.append((record, other.ledger.has_record(
+            target, record.timestamp, record.property_kind)))
     return checked
 
 
@@ -570,6 +577,10 @@ class SimulationEngine:
             self.peer_ids[decl.uid] = PeerId(decl.uid, decl.display_name)
         for decl in scenario.peers:
             self.agents[decl.uid] = self._build_agent(decl)
+        # Owner uid -> its eligible delegates; see _eligible_delegates.
+        self._delegates: dict[str, list[tuple[PeerId, float]]] = {
+            uid: self._eligible_delegates(agent)
+            for uid, agent in self.agents.items()}
 
     def _build_agent(self, decl: PeerDecl) -> PeerAgent:
         ledger = TrustLedger(reputations={
@@ -746,7 +757,7 @@ class SimulationEngine:
             self._say(f"{own_name}: {flagged} history record(s) could not "
                       f"be verified")
         hist_ledger = TrustLedger(history=(
-            [r for r in owner.ledger.history if r.actor == requester.id]
+            list(owner.ledger.records_by(requester.id))
             + [replace(r, violation=True) if not ok else r
                for r, ok in checked if r.actor == requester.id]))
 
@@ -821,8 +832,7 @@ class SimulationEngine:
         self._say(f"(Eval) Tv({kind_name},{req_name})={fmt(tv)}")
 
         verdict = band(tv, self.config)
-        reputation = update_reputation(owner.ledger, requester.id, verdict,
-                                       self.config)
+        reputation = self._update_reputation(owner, requester.id, verdict)
         if verdict is Band.REFUSED:
             self._say(f"(Eval) Peer refused ({fmt(tv)}<"
                       f"{fmt(self.config.refuse_threshold)}) for "
@@ -840,16 +850,34 @@ class SimulationEngine:
                                 eval_hist=eval_hist, tv=tv, band=verdict,
                                 reputation_after=reputation)
 
+    def _eligible_delegates(self, owner: PeerAgent
+                            ) -> list[tuple[PeerId, float]]:
+        """The peers the owner trusts strictly above the full-trust
+        threshold, with their reputations, sorted by uid; never the
+        owner itself.  A requester judged FULL keeps the initial
+        reputation, which by default equals the threshold, so it does
+        not become a delegate by being accepted."""
+        threshold = self.config.full_trust_threshold
+        return sorted(
+            ((peer, value) for peer, value in owner.ledger.reputations.items()
+             if value > threshold and peer != owner.id),
+            key=lambda item: item[0].uid)
+
+    def _update_reputation(self, owner: PeerAgent, peer: PeerId,
+                           verdict: Band) -> float:
+        """Write ``peer``'s reputation in the owner's ledger and keep the
+        owner's delegate list in step with it.  Only an entry above the
+        threshold before or after the write can change the list."""
+        before = owner.ledger.reputations.get(peer, 0.0)
+        after = update_reputation(owner.ledger, peer, verdict, self.config)
+        if max(before, after) > self.config.full_trust_threshold:
+            self._delegates[owner.id.uid] = self._eligible_delegates(owner)
+        return after
+
     def _delegates_for(self, owner: PeerAgent,
                        requester: PeerAgent) -> list[tuple[PeerId, float]]:
-        chosen = []
-        for peer, reputation in sorted(owner.ledger.reputations.items(),
-                                       key=lambda item: item[0].uid):
-            if peer == requester.id or peer == owner.id:
-                continue
-            if reputation >= self.config.full_trust_threshold:
-                chosen.append((peer, reputation))
-        return chosen
+        return [item for item in self._delegates[owner.id.uid]
+                if item[0] != requester.id]
 
     def _probe_harness(self, session: NegotiationSession,
                        offered: PolicySlice, requester: PeerAgent,
@@ -900,7 +928,7 @@ class SimulationEngine:
                 self._tick()
                 scores.append(1.0 if conflict_passed else 0.0)
                 if not conflict_passed:
-                    ledger.history.append(HistoryRecord(
+                    ledger.record(HistoryRecord(
                         timestamp=self.now, actor=target,
                         property_kind=kind,
                         action="accepted a conflicting transfer",
@@ -910,7 +938,7 @@ class SimulationEngine:
             self._tick()
             scores.append(1.0 if mac_passed else 0.0)
             if not mac_passed:
-                ledger.history.append(HistoryRecord(
+                ledger.record(HistoryRecord(
                     timestamp=self.now, actor=target, property_kind=kind,
                     action="failed an access challenge",
                     violation=True, counterparty=delegate))
@@ -938,8 +966,8 @@ class SimulationEngine:
                 property_kind=prop.kind,
                 action=f"received {session.resource.path}",
                 violation=False, counterparty=owner.id)
-            owner.ledger.history.append(record)
-            requester.ledger.history.append(record)
+            owner.ledger.record(record)
+            requester.ledger.record(record)
 
     # -- reporting -------------------------------------------------------
 

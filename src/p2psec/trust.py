@@ -119,22 +119,52 @@ class TrustLedger:
     """Per-peer trust state: reputations and operation history.
 
     A ledger has a single writer, its owning peer, and is updated in
-    place: :func:`update_reputation` writes reputations and the
-    simulator appends history records.  Every reputation lies in
+    place: :func:`update_reputation` writes reputations and
+    :meth:`record` appends history records.  Every reputation lies in
     [0, 1]; construction rejects any other value.
+
+    ``history`` keeps every record in insertion order.  Lookups by actor
+    and by (actor, timestamp, kind) go through an index that
+    construction and :meth:`record` keep in step with it, so records
+    must not be appended to ``history`` directly.
     """
 
     reputations: dict[PeerId, float] = field(default_factory=dict)
     history: list[HistoryRecord] = field(default_factory=list)
+    _by_actor: dict[str, list[HistoryRecord]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+    _keys: set[tuple[str, int, PropertyKind]] = field(
+        init=False, repr=False, compare=False, default_factory=set)
 
     def __post_init__(self):
         for peer, value in self.reputations.items():
             if not 0.0 <= value <= 1.0:
                 raise TrustError(f"reputation of {peer.uid} must lie in "
                                  f"[0, 1], got {value}")
+        for record in self.history:
+            self._index(record)
 
     def reputation(self, peer: PeerId, config: TrustConfig) -> float:
         return self.reputations.get(peer, config.initial_reputation)
+
+    def record(self, record: HistoryRecord) -> None:
+        """Append ``record`` to the history and index it."""
+        self.history.append(record)
+        self._index(record)
+
+    def _index(self, record: HistoryRecord) -> None:
+        uid = record.actor.uid
+        self._by_actor.setdefault(uid, []).append(record)
+        self._keys.add((uid, record.timestamp, record.property_kind))
+
+    def records_by(self, actor: PeerId) -> tuple[HistoryRecord, ...]:
+        """The records whose actor is ``actor``, in insertion order."""
+        return tuple(self._by_actor.get(actor.uid, ()))
+
+    def has_record(self, actor: PeerId, timestamp: int,
+                   kind: PropertyKind) -> bool:
+        """Whether some record has this actor, timestamp and kind."""
+        return (actor.uid, timestamp, kind) in self._keys
 
 
 @dataclass(frozen=True)
@@ -161,8 +191,8 @@ def eval_history(ledger: TrustLedger, target: PeerId, kind: PropertyKind,
     A violation inside [now-window, now] dominates; older violations
     score -2; a non-empty clean record scores 1; silence is NO_DATA.
     """
-    selected = [r for r in ledger.history
-                if r.actor == target and r.property_kind is kind]
+    selected = [r for r in ledger.records_by(target)
+                if r.property_kind is kind]
     violations = [r for r in selected if r.violation]
     if any(r.timestamp >= now - window for r in violations):
         return HistoryScore.VIOLATED_RECENT

@@ -143,3 +143,15 @@ def test_bench_bad_repeats_is_a_usage_error(repeats, capsys):
         main(["bench", "--counts", "5", "--repeats", repeats])
     assert err.value.code == 2
     assert "--repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--refuse-threshold", "--full-threshold"])
+@pytest.mark.parametrize("value", ["5", "-0.1", "nan"])
+def test_simulate_bad_threshold_is_a_usage_error(flag, value, tmp_path,
+                                                capsys):
+    path = tmp_path / "s.scn"
+    path.write_text(SCENARIO)
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", str(path), flag, value])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err

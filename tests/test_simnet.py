@@ -1,6 +1,7 @@
 """Simulation harness: scenarios, behaviours, determinism, detection."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,12 @@ from p2psec import (
     PeerAgent,
     PeerId,
     PeerPolicy,
+    PolicyValidationError,
     PopulationParams,
     PropertyKind,
     ScenarioError,
     SimulationEngine,
+    compile_policy,
     confidentiality,
     cross_reference_history,
     detection_experiment,
@@ -298,8 +301,9 @@ def test_run_is_deterministic():
 
 def delegated_scenario(delegates: int) -> str:
     """Two asks for a confidentiality + noshare file, each property with
-    a conflicting probe kind, judged through ``delegates`` delegates
-    (plus the honest requester once it is accepted)."""
+    a conflicting probe kind, judged through ``delegates`` delegates.
+    The accepted honest requester keeps a reputation equal to the
+    full-trust threshold and so does not judge the liar."""
     lines = ["peer own", "peer honest", "peer liar behavior=informed-liar",
              "domain own vault", "property own vault confidentiality",
              "property own vault noshare", "resource own doc vault",
@@ -311,7 +315,7 @@ def delegated_scenario(delegates: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("delegates, final_tick", [(1, 35), (8, 147)])
+@pytest.mark.parametrize("delegates, final_tick", [(1, 27), (8, 139)])
 def test_requester_answers_once_per_property_evaluation(
         monkeypatch, delegates, final_tick):
     calls = {"respond_mac_challenge": 0, "respond_conflicting_request": 0}
@@ -335,8 +339,10 @@ def test_requester_answers_once_per_property_evaluation(
 def test_delegate_consultations_on_the_delegate_golden(monkeypatch):
     """What ``golden/delegates.report`` cannot show: how many delegates
     each challenged evaluation consults, and the clock the run ends on.
-    Every requester the owner accepts becomes a delegate, so the list
-    grows from 3 to 12."""
+    A requester the owner accepts keeps a reputation equal to the
+    full-trust threshold, and a delegate must be trusted strictly above
+    it, so every challenged evaluation consults the 3 declared
+    delegates."""
     consulted = []
     original = simnet.run_challenges
 
@@ -350,9 +356,171 @@ def test_delegate_consultations_on_the_delegate_golden(monkeypatch):
     # Two evaluations are by delegate D1, which trusts no one.
     assert sum(len(n.per_property) for n in report.negotiations) == 54
     assert len(consulted) == 52
-    assert sum(consulted) == 433
-    assert max(consulted) == 12
-    assert engine.now == 1559
+    assert consulted == [3] * 52
+    assert engine.now == 671
+
+
+#: A delegate the owner refuses falls to 0.49 and leaves its list.
+DELEGATE_DROPS_OUT = """peer own
+peer d1 behavior=informed-liar
+peer d2
+peer h
+knows own d1 0.51
+knows own d2 0.9
+domain own vault
+property own vault confidentiality
+resource own doc vault
+domain d1 open
+domain h inbox
+property h inbox confidentiality
+ask d1 own doc open
+ask h own doc inbox
+ask d1 own doc open
+"""
+
+
+def experiment(seed: int, index: int):
+    return simnet._experiment_scenario(PopulationParams(seed=seed), index)
+
+
+#: Scenarios whose runs the maintained structures are checked against.
+RUNS = {
+    "contract": lambda: load("contract.scn"),
+    "firefox": lambda: load("firefox.scn"),
+    "delegates": lambda: parse_scenario(
+        (GOLDEN / "delegates.scn").read_text()),
+    "drops-out": lambda: parse_scenario(DELEGATE_DROPS_OUT),
+    # Every requester judged FULL keeps 0.6 and becomes a delegate.
+    "accepted-become-delegates": lambda: parse_scenario(
+        "config initial_reputation 0.6\n" + delegated_scenario(2)),
+    **{f"experiment-{seed}-{index}": (
+        lambda seed=seed, index=index: experiment(seed, index))
+       for seed in (1, 7) for index in range(4)},
+}
+
+
+def fresh_delegates(engine, owner, *excluded):
+    """The delegate rule applied afresh to the owner's ledger."""
+    threshold = engine.config.full_trust_threshold
+    skip = {owner.id, *(agent.id for agent in excluded)}
+    return sorted(((peer, value)
+                   for peer, value in owner.ledger.reputations.items()
+                   if value > threshold and peer not in skip),
+                  key=lambda item: item[0].uid)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_maintained_delegate_lists_match_a_fresh_filter(name):
+    engine = SimulationEngine(RUNS[name]())
+    original = engine._negotiate
+    lists = []
+
+    def negotiate(action):
+        owner = engine.agents[action.owner]
+        requester = engine.agents[action.requester]
+        for agent in engine.agents.values():
+            assert engine._delegates[agent.id.uid] == fresh_delegates(
+                engine, agent)
+        used = engine._delegates_for(owner, requester)
+        assert used == fresh_delegates(engine, owner, requester)
+        lists.append([peer.uid for peer, _ in used])
+        original(action)
+    engine._negotiate = negotiate
+    engine.run()
+    assert len(lists) == sum(isinstance(a, simnet.AskAction)
+                             for a in engine.scenario.actions)
+    if name == "drops-out":
+        assert lists == [["d2"], ["d2"], ["d2"]]
+        assert engine._delegates["own"] == [(engine.peer_ids["d2"], 0.9)]
+    if name == "accepted-become-delegates":
+        assert lists == [["d0", "d1"], ["d0", "d1", "honest"]]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_history_index_matches_a_scan_of_the_ledger(name):
+    engine = SimulationEngine(RUNS[name]())
+    engine.run()
+    nobody = PeerId("nobody")
+    for agent in engine.agents.values():
+        history = agent.ledger.history
+        for actor in {r.actor for r in history} | {nobody}:
+            assert agent.ledger.records_by(actor) == tuple(
+                r for r in history if r.actor == actor)
+        assert agent.ledger._keys == {
+            (r.actor.uid, r.timestamp, r.property_kind) for r in history}
+        assert sum(map(len, agent.ledger._by_actor.values())) == len(history)
+
+
+@pytest.mark.parametrize("name", ["contract", "firefox", "delegates"])
+def test_projection_matches_the_policy_after_every_action(name):
+    engine = SimulationEngine(RUNS[name]())
+    original = engine._dispatch
+
+    def dispatch(action):
+        original(action)
+        for agent in engine.agents.values():
+            assert agent.compiled == compile_policy(agent.policy)
+    engine._dispatch = dispatch
+    report = engine.run()
+    assert render_report(report) == (GOLDEN / f"{name}.report").read_text()
+
+
+def test_owner_edits_without_probes_compile_no_policy(monkeypatch):
+    compiled, installed = [], []
+    original_compile = simnet.compile_policy
+    original_apply = PeerAgent.apply_policy
+
+    def counted_compile(policy):
+        compiled.append(policy.peer_id)
+        return original_compile(policy)
+
+    def counted_apply(self, policy):
+        installed.append(self.id.uid)
+        return original_apply(self, policy)
+    monkeypatch.setattr(simnet, "compile_policy", counted_compile)
+    monkeypatch.setattr(PeerAgent, "apply_policy", counted_apply)
+    run_scenario(parse_scenario(
+        "peer own\npeer h\ndomain own vault\nproperty own vault integrity\n"
+        "resource own doc vault\ndomain h inbox\n"
+        "property h inbox integrity\nask h own doc inbox\n"
+        "add-property own vault confidentiality\ncreate-domain own extra\n"
+        "publish own memo extra\nask h own doc inbox\n"
+        "create-domain own spare\ndelete-domain own spare\n"))
+    assert installed == ["own"] * 5
+    assert compiled == []
+
+
+def test_installing_a_policy_validates_it_at_once():
+    policy = PeerPolicy(peer_id="x").create_domain("drop")
+    broken = replace(policy, next_id=0)
+    with pytest.raises(PolicyValidationError):
+        PeerAgent(PeerId("x"), broken)
+    agent = PeerAgent(PeerId("x"), policy)
+    with pytest.raises(PolicyValidationError):
+        agent.apply_policy(broken)
+    assert agent.policy is policy
+    assert agent.compiled == compile_policy(policy)
+
+
+def scaled_experiment(asks: int):
+    """``_experiment_scenario`` with ``asks // 5`` requesters of each
+    behaviour (honest requesters ask twice) and 2 delegates."""
+    k = asks // 5
+    return simnet._experiment_scenario(PopulationParams(
+        seed=1, delegates=2, honest_requesters=k, blind_liars=k,
+        informed_liars=k, log_forgers=k), 0)
+
+
+def test_clock_grows_linearly_with_asks():
+    """Ticks per ask at 100 and at 1600 asks stay within 1.1x: the
+    delegate list does not grow with the requesters the owner accepts."""
+    per_ask = {}
+    for asks in (100, 1600):
+        engine = SimulationEngine(scaled_experiment(asks))
+        engine.run()
+        assert len(engine.negotiations) == asks
+        per_ask[asks] = engine.now / asks
+    assert max(per_ask.values()) <= 1.1 * min(per_ask.values())
 
 
 def test_unknown_resource_is_graceful():
@@ -547,10 +715,10 @@ class TestBehaviors:
     def test_honest_presents_only_own_records(self):
         agent = self.agent(BehaviorModel.HONEST)
         other = PeerId("y")
-        agent.ledger.history.append(HistoryRecord(
+        agent.ledger.record(HistoryRecord(
             timestamp=1, actor=other,
             property_kind=PropertyKind.CONFIDENTIALITY, action="noise"))
-        agent.ledger.history.append(HistoryRecord(
+        agent.ledger.record(HistoryRecord(
             timestamp=2, actor=agent.id,
             property_kind=PropertyKind.CONFIDENTIALITY, action="mine",
             counterparty=other))
@@ -574,7 +742,7 @@ class TestCrossReference:
         shared = HistoryRecord(timestamp=5, actor=me,
                                property_kind=PropertyKind.INTEGRITY,
                                action="received", counterparty=counterpart)
-        agents["cp"].ledger.history.append(shared)
+        agents["cp"].ledger.record(shared)
         checked = cross_reference_history([shared], agents, me)
         assert checked == [(shared, True)]
 
@@ -594,6 +762,17 @@ class TestCrossReference:
                              action="made up", counterparty=counterpart)
         checked = cross_reference_history([fake], agents, me)
         assert checked == [(fake, False)]
+
+    def test_record_with_the_wrong_kind_flagged(self):
+        me, counterpart, agents = self.make_agents()
+        agents["cp"].ledger.record(HistoryRecord(
+            timestamp=5, actor=me, property_kind=PropertyKind.INTEGRITY,
+            action="received", counterparty=counterpart))
+        forged = HistoryRecord(timestamp=5, actor=me,
+                               property_kind=PropertyKind.CONFIDENTIALITY,
+                               action="made up", counterparty=counterpart)
+        checked = cross_reference_history([forged], agents, me)
+        assert checked == [(forged, False)]
 
     def test_record_without_counterparty_skipped(self):
         me, _, agents = self.make_agents()
