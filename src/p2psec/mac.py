@@ -206,13 +206,14 @@ class CompiledPolicy:
 def compile_policy(policy: PeerPolicy) -> CompiledPolicy:
     """Project a policy onto MAC rulesets and object contexts.
 
-    The policy is validated first.  Each domain's ruleset and object
-    context are derived once per compile: a file with no properties of
-    its own shares its domain's ``MacRuleSet`` and ``SecurityContext``
-    objects, and a file with its own properties gets the ruleset of its
-    domain's kinds united with its own.
+    ``policy`` must be valid, and is not checked again: policies from
+    ``to_peer_policy``, ``synthetic_policy``, the ``PeerPolicy``
+    operations and a ``PeerAgent`` all are.  Each domain's ruleset and
+    object context are derived once per compile: a file with no
+    properties of its own shares its domain's ``MacRuleSet`` and
+    ``SecurityContext`` objects, and a file with its own properties
+    gets the ruleset of its domain's kinds united with its own.
     """
-    policy.validate()
     domain_rules: dict[str, MacRuleSet] = {}
     by_id: dict[int, tuple[Domain, MacRuleSet, SecurityContext]] = {}
     for dom in policy.domains:

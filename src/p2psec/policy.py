@@ -342,10 +342,11 @@ class PeerPolicy:
                 domain_name: str) -> "PeerPolicy":
         """Introduce a new resource into ``domain_name`` with ``props``.
 
-        Refused when the domain carries nopublication, when any request
-        conflicts with the domain's properties, or, after those checks,
-        when the policy already holds ``path``.  Properties the domain
-        already implies are not duplicated on the resource.
+        Refused when the domain carries nopublication; past that check
+        it is :meth:`add_resource`, which refuses properties that
+        conflict with the domain's or with each other and then a path
+        the policy already holds.  Properties the domain already implies
+        are not duplicated on the resource.
         """
         dom = self.domain(domain_name)
         props = frozenset(props)
@@ -356,12 +357,6 @@ class PeerPolicy:
         if PropertyKind.NOPUBLICATION in dom.kinds:
             raise PublicationForbiddenError(
                 f"domain {domain_name!r} forbids publication")
-        pairs = property_set_conflicts(props, dom.properties)
-        pairs += _internal_conflicts(props)
-        if pairs:
-            raise PropertyConflictError(
-                f"published properties conflict in domain {domain_name!r}",
-                pairs)
         return self.add_resource(path, domain_name, props)
 
     # -- whole-policy checks ------------------------------------------

@@ -56,28 +56,83 @@ class DocFile:
 
 @dataclass(frozen=True)
 class PolicyDocument:
+    """A policy document; building one checks every schema invariant
+    (unique ids, names and paths, non-empty names and paths, declared
+    file owners, known property types), so code given one trusts it."""
+
     domains: tuple[DocDomain, ...] = ()
     files: tuple[DocFile, ...] = ()
+
+    def __post_init__(self):
+        ids: set[int] = set()
+        names: set[str] = set()
+        for dom in self.domains:
+            _add_unique(ids, dom.id, f"duplicate id {dom.id}", "domain")
+            if not dom.name:
+                raise XmlValidationError("domain name must be non-empty",
+                                         element="domain")
+            _validate_properties(dom.properties, f"domain {dom.name!r}")
+            _add_unique(names, dom.name,
+                        f"duplicate domain name {dom.name!r}", "domain")
+        domain_ids = set(ids)
+        paths: set[str] = set()
+        for file in self.files:
+            _add_unique(ids, file.id, f"duplicate id {file.id}", "file")
+            if not file.path:
+                raise XmlValidationError("file path must be non-empty",
+                                         element="file")
+            if file.domainid not in domain_ids:
+                raise XmlValidationError(
+                    f"file {file.path!r} references undeclared domain id "
+                    f"{file.domainid}", element="file")
+            _validate_properties(file.properties, f"file {file.path!r}")
+            _add_unique(paths, file.path,
+                        f"duplicate file path {file.path!r}", "file")
+
+
+def _add_unique(seen: set, value: object, message: str, element: str) -> None:
+    if value in seen:
+        raise XmlValidationError(message, element=element)
+    seen.add(value)
+
+
+def _validate_properties(props: tuple[DocProperty, ...], where: str) -> None:
+    for prop in props:
+        if prop.type not in PROPERTY_TYPE_NAMES:
+            raise XmlValidationError(
+                f"unknown property type {prop.type!r} on {where}",
+                element="property")
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse_policy(data: bytes | str) -> PolicyDocument:
-    """Parse and validate a policy document.
+class _TreeBuilder(ET.TreeBuilder):
+    """Refuses a DOCTYPE, and with it every entity a document declares."""
 
-    Raises XmlSyntaxError (with position) on malformed markup and
-    XmlValidationError naming the offending element otherwise.
+    def doctype(self, name, pubid, system):
+        raise XmlValidationError(
+            f"<!DOCTYPE {name}> is not allowed in a policy document",
+            element="!DOCTYPE")
+
+
+def parse_policy(data: bytes | str) -> PolicyDocument:
+    """Parse a policy document; the result is valid.
+
+    Raises XmlSyntaxError (with position when the parser gives one) on
+    malformed markup, an unknown or unusable encoding, or a ``str``
+    that cannot be encoded as UTF-8, and XmlValidationError naming the
+    offending element otherwise, a DOCTYPE declaration included.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     try:
-        root = ET.fromstring(data)
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        root = ET.fromstring(data, parser=ET.XMLParser(target=_TreeBuilder()))
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
         raise XmlSyntaxError(str(exc), line=line, column=column) from exc
-    except ValueError as exc:
+    except (ValueError, LookupError) as exc:
         raise XmlSyntaxError(str(exc)) from exc
 
     if root.tag != "policy":
@@ -99,9 +154,7 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
                 f"unexpected element <{child.tag}> under <policy>",
                 element=child.tag)
 
-    doc = PolicyDocument(domains=tuple(domains), files=tuple(files))
-    validate_document(doc)
-    return doc
+    return PolicyDocument(domains=tuple(domains), files=tuple(files))
 
 
 def _parse_domain(elem: ET.Element) -> DocDomain:
@@ -182,53 +235,11 @@ def _reject_stray_text(elem: ET.Element) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Validation shared by parse and serialize
-# ---------------------------------------------------------------------------
-
-def validate_document(doc: PolicyDocument) -> None:
-    """Schema invariants: unique ids, known types, resolvable file owners."""
-    seen: set[int] = set()
-    domain_ids: set[int] = set()
-    for dom in doc.domains:
-        if dom.id in seen:
-            raise XmlValidationError(f"duplicate id {dom.id}",
-                                     element="domain")
-        seen.add(dom.id)
-        domain_ids.add(dom.id)
-        if not dom.name:
-            raise XmlValidationError("domain name must be non-empty",
-                                     element="domain")
-        _validate_properties(dom.properties, f"domain {dom.name!r}")
-    for file in doc.files:
-        if file.id in seen:
-            raise XmlValidationError(f"duplicate id {file.id}",
-                                     element="file")
-        seen.add(file.id)
-        if not file.path:
-            raise XmlValidationError("file path must be non-empty",
-                                     element="file")
-        if file.domainid not in domain_ids:
-            raise XmlValidationError(
-                f"file {file.path!r} references undeclared domain id "
-                f"{file.domainid}", element="file")
-        _validate_properties(file.properties, f"file {file.path!r}")
-
-
-def _validate_properties(props: tuple[DocProperty, ...], where: str) -> None:
-    for prop in props:
-        if prop.type not in PROPERTY_TYPE_NAMES:
-            raise XmlValidationError(
-                f"unknown property type {prop.type!r} on {where}",
-                element="property")
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
 def serialize_policy(doc: PolicyDocument) -> bytes:
-    """Render the canonical UTF-8 form of a valid document."""
-    validate_document(doc)
+    """Render the canonical UTF-8 form of a document."""
     if not doc.domains and not doc.files:
         return b"<policy></policy>\n"
     lines = ["<policy>"]
@@ -269,31 +280,21 @@ def _q(value: object) -> str:
 # ---------------------------------------------------------------------------
 
 def to_peer_policy(doc: PolicyDocument, peer_id: str = "peer") -> PeerPolicy:
-    """Build the validated policy model from a document.
+    """Build the policy model from a document; the result is valid.
 
     Target ids that name a declared domain become that domain's name;
-    any other id becomes a symbolic ``ext:<id>`` reference.
+    any other id becomes a symbolic ``ext:<id>`` reference.  The lift
+    checks only what a document cannot: targets on a kind that takes
+    none and ``nopublication`` on a file.
     """
-    validate_document(doc)
     names_by_id = {dom.id: dom.name for dom in doc.domains}
-    seen_names: set[str] = set()
-    domains = []
-    for dom in doc.domains:
-        if dom.name in seen_names:
-            raise XmlValidationError(
-                f"duplicate domain name {dom.name!r}", element="domain")
-        seen_names.add(dom.name)
-        domains.append(Domain(
-            id=dom.id, name=dom.name,
-            properties=_lift_properties(dom.properties, names_by_id,
-                                        f"domain {dom.name!r}")))
-    seen_paths: set[str] = set()
+    domains = tuple(
+        Domain(id=dom.id, name=dom.name,
+               properties=_lift_properties(dom.properties, names_by_id,
+                                           f"domain {dom.name!r}"))
+        for dom in doc.domains)
     resources = []
     for file in doc.files:
-        if file.path in seen_paths:
-            raise XmlValidationError(
-                f"duplicate file path {file.path!r}", element="file")
-        seen_paths.add(file.path)
         props = _lift_properties(file.properties, names_by_id,
                                  f"file {file.path!r}")
         try:
@@ -303,11 +304,9 @@ def to_peer_policy(doc: PolicyDocument, peer_id: str = "peer") -> PeerPolicy:
         except PolicyValidationError as exc:
             raise XmlValidationError(str(exc), element="file") from exc
     all_ids = [d.id for d in doc.domains] + [f.id for f in doc.files]
-    policy = PeerPolicy(peer_id=peer_id, domains=tuple(domains),
-                        resources=tuple(resources),
-                        next_id=max(all_ids, default=0) + 1)
-    policy.validate()
-    return policy
+    return PeerPolicy(peer_id=peer_id, domains=domains,
+                      resources=tuple(resources),
+                      next_id=max(all_ids, default=0) + 1)
 
 
 def _lift_properties(props: tuple[DocProperty, ...],
@@ -326,8 +325,8 @@ def _lift_properties(props: tuple[DocProperty, ...],
 
 
 def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:
-    """Project a policy back onto the interchange document."""
-    policy.validate()
+    """Project a policy back onto the interchange document; a policy
+    that breaks a document invariant raises XmlValidationError."""
     ids_by_name = {dom.name: dom.id for dom in policy.domains}
     domains = tuple(
         DocDomain(id=dom.id, name=dom.name,
@@ -337,9 +336,7 @@ def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:
         DocFile(id=res.id, path=res.path, domainid=res.domain_id,
                 properties=_lower_properties(res.properties, ids_by_name))
         for res in policy.resources)
-    doc = PolicyDocument(domains=domains, files=files)
-    validate_document(doc)
-    return doc
+    return PolicyDocument(domains=domains, files=files)
 
 
 def _lower_properties(props: frozenset[SecurityProperty],

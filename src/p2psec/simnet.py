@@ -756,17 +756,18 @@ class SimulationEngine:
         if flagged:
             self._say(f"{own_name}: {flagged} history record(s) could not "
                       f"be verified")
-        hist_ledger = TrustLedger(history=(
-            list(owner.ledger.records_by(requester.id))
-            + [replace(r, violation=True) if not ok else r
-               for r, ok in checked if r.actor == requester.id]))
+        # The requester's records: the owner's own plus those presented,
+        # each one that failed cross-referencing marked as a violation.
+        history = (list(owner.ledger.records_by(requester.id))
+                   + [replace(r, violation=True) if not ok else r
+                      for r, ok in checked if r.actor == requester.id])
 
         # Evaluating a property changes only the requester's reputation,
         # and the requester is never a delegate, so one list serves all.
         delegates = self._delegates_for(owner, requester)
         computations = {
             prop: self._evaluate_property(session, offered, prop, owner,
-                                          requester, hist_ledger, delegates)
+                                          requester, history, delegates)
             for prop in session.required}
 
         outcome = decide(computations.values(), self.config)
@@ -792,7 +793,8 @@ class SimulationEngine:
     def _evaluate_property(self, session: NegotiationSession,
                            offered: PolicySlice,
                            prop: SecurityProperty, owner: PeerAgent,
-                           requester: PeerAgent, hist_ledger: TrustLedger,
+                           requester: PeerAgent,
+                           history: list[HistoryRecord],
                            delegates: list[tuple[PeerId, float]]
                            ) -> TrustComputation:
         own_name = owner.id.name
@@ -811,8 +813,8 @@ class SimulationEngine:
                       f"required property {kind_name}")
         self._say(f"(Eval) Eval({req_name},{kind_name})={eval_score}")
 
-        hist = eval_history(hist_ledger, requester.id, prop.kind,
-                            now=self.now, window=self.config.history_window)
+        hist = eval_history(history, prop.kind, now=self.now,
+                            window=self.config.history_window)
         self._say(f"(Eval) Hist({req_name},{kind_name})={hist.render()}")
 
         if delegates:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NoDelegatesError, TrustError
 from .policy import PropertyKind
@@ -184,15 +184,16 @@ class TrustComputation:
 # Pipeline stages
 # ---------------------------------------------------------------------------
 
-def eval_history(ledger: TrustLedger, target: PeerId, kind: PropertyKind,
+def eval_history(records: Iterable[HistoryRecord], kind: PropertyKind,
                  now: int, window: int) -> HistoryScore:
-    """Score the target's record for one property kind.
+    """Score one peer's records for one property kind.
 
-    A violation inside [now-window, now] dominates; older violations
-    score -2; a non-empty clean record scores 1; silence is NO_DATA.
+    ``records`` are the records whose actor is the peer being scored
+    (for example ``ledger.records_by(peer)``).  A violation inside
+    [now-window, now] dominates; older violations score -2; a non-empty
+    clean record scores 1; silence is NO_DATA.
     """
-    selected = [r for r in ledger.records_by(target)
-                if r.property_kind is kind]
+    selected = [r for r in records if r.property_kind is kind]
     violations = [r for r in selected if r.violation]
     if any(r.timestamp >= now - window for r in violations):
         return HistoryScore.VIOLATED_RECENT

@@ -66,6 +66,20 @@ def test_compile_bad_xml_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    b'<?xml version="1.0" encoding="foo"?><policy/>',
+    b'<!DOCTYPE policy [<!ENTITY a "x">]><policy/>',
+])
+def test_compile_unusable_xml_fails(tmp_path, capsys, data):
+    path = tmp_path / "bad.xml"
+    path.write_bytes(data)
+    assert main(["compile", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_compile_missing_file_fails(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "absent.xml")]) == 1
     assert "error:" in capsys.readouterr().err

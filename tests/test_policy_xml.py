@@ -1,8 +1,14 @@
 """XML policy exchange format: parsing, validation, serialization."""
 
+from dataclasses import replace
+
 import pytest
 
 from p2psec import (
+    DocDomain,
+    DocFile,
+    DocProperty,
+    Domain,
     PeerPolicy,
     PolicyDocument,
     XmlSyntaxError,
@@ -164,16 +170,64 @@ def test_full_round_trip_through_model():
 
 
 def test_duplicate_domain_names_rejected_at_model_load():
-    doc = parse_policy(b"<policy><domain id='1' name='a'/>"
-                       b"<domain id='2' name='a'/></policy>")
-    with pytest.raises(XmlValidationError):
-        to_peer_policy(doc)
+    with pytest.raises(XmlValidationError,
+                       match="duplicate domain name 'a'") as err:
+        parse_policy(b"<policy><domain id='1' name='a'/>"
+                     b"<domain id='2' name='a'/></policy>")
+    assert err.value.element == "domain"
 
 
 def test_duplicate_file_paths_rejected_at_model_load():
-    doc = parse_policy(b"<policy><domain id='1' name='a'/>"
-                       b"<domain id='2' name='b'/>"
-                       b"<file id='3' path='f' domainid='1'/>"
-                       b"<file id='4' path='f' domainid='2'/></policy>")
-    with pytest.raises(XmlValidationError, match="duplicate file path 'f'"):
-        to_peer_policy(doc)
+    with pytest.raises(XmlValidationError,
+                       match="duplicate file path 'f'") as err:
+        parse_policy(b"<policy><domain id='1' name='a'/>"
+                     b"<domain id='2' name='b'/>"
+                     b"<file id='3' path='f' domainid='1'/>"
+                     b"<file id='4' path='f' domainid='2'/></policy>")
+    assert err.value.element == "file"
+
+
+@pytest.mark.parametrize("domains, files, message", [
+    ((DocDomain(1, "a"), DocDomain(1, "b")), (), "duplicate id 1"),
+    ((DocDomain(1, ""),), (), "domain name must be non-empty"),
+    ((DocDomain(1, "a"), DocDomain(2, "a")), (), "duplicate domain name"),
+    ((DocDomain(1, "a", (DocProperty("secrecy"),)),), (),
+     "unknown property type 'secrecy'"),
+    ((DocDomain(1, "a"),), (DocFile(1, "f", 1),), "duplicate id 1"),
+    ((DocDomain(1, "a"),), (DocFile(2, "", 1),),
+     "file path must be non-empty"),
+    ((DocDomain(1, "a"),), (DocFile(2, "f", 1), DocFile(3, "f", 1)),
+     "duplicate file path 'f'"),
+    ((DocDomain(1, "a"),), (DocFile(2, "f", 3), DocFile(3, "g", 1)),
+     "undeclared domain id 3"),
+])
+def test_hand_built_document_checks_itself(domains, files, message):
+    with pytest.raises(XmlValidationError, match=message):
+        PolicyDocument(domains=domains, files=files)
+
+
+def test_from_peer_policy_rejects_a_broken_policy():
+    policy = PeerPolicy(peer_id="A").create_domain("a")
+    twice = replace(policy, domains=policy.domains + (Domain(2, "a"),),
+                    next_id=3)
+    with pytest.raises(XmlValidationError, match="duplicate domain name"):
+        from_peer_policy(twice)
+
+
+def test_doctype_rejected():
+    with pytest.raises(XmlValidationError, match="DOCTYPE policy") as err:
+        parse_policy(b'<!DOCTYPE policy [<!ENTITY a "x">]>'
+                     b'<policy><domain id="1" name="&a;&a;"/></policy>')
+    assert err.value.element == "!DOCTYPE"
+    with pytest.raises(XmlValidationError):
+        parse_policy(b'<!DOCTYPE policy SYSTEM "policy.dtd"><policy/>')
+
+
+@pytest.mark.parametrize("data", [
+    b'<?xml version="1.0" encoding="foo"?><policy/>',
+    '<?xml version="1.0" encoding="foo"?><policy/>',
+    '<policy><domain id="1" name="\ud800"/></policy>',
+])
+def test_unusable_encoding_is_a_syntax_error(data):
+    with pytest.raises(XmlSyntaxError):
+        parse_policy(data)

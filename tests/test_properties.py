@@ -9,15 +9,21 @@ from p2psec import (
     Band,
     DIR_PERMISSIONS,
     Decision,
+    DocDomain,
+    DocFile,
+    DocProperty,
     FILE_PERMISSIONS,
     HistoryScore,
     KIND_NEVERALLOW,
+    KIND_ORDER,
     MacRuleSet,
     Outcome,
+    P2PSecError,
     PeerId,
     PeerPolicy,
     Permission,
     PermissionClass,
+    PolicyDocument,
     PolicyError,
     PolicySlice,
     PropertyKind,
@@ -41,10 +47,12 @@ from p2psec import (
     render_avc,
     render_contexts,
     serialize_policy,
+    synthetic_policy,
     to_peer_policy,
     from_peer_policy,
     trust_value,
     update_reputation,
+    XmlValidationError,
 )
 from p2psec.simnet import (
     AskAction,
@@ -153,6 +161,103 @@ def test_xml_round_trip_preserves_structure(policy):
     assert _shape(again) == _shape(policy)
     # canonical form is a fixed point
     assert serialize_policy(from_peer_policy(again)) == data
+
+
+_SAMPLE_DOMAINS = (
+    DocDomain(1, "a", (DocProperty("confidentiality", (2, 9)),
+                       DocProperty("integrity"))),
+    DocDomain(2, "b&<c>", (DocProperty("spread"),)),
+)
+_SAMPLE_FILES = (
+    DocFile(3, "f", 1),
+    DocFile(4, "/srv/g", 2, (DocProperty("cooperation", (1,)),)),
+)
+_CANONICAL_DOCS = (
+    serialize_policy(PolicyDocument(_SAMPLE_DOMAINS)),
+    serialize_policy(PolicyDocument(_SAMPLE_DOMAINS, _SAMPLE_FILES)),
+)
+
+# Fragments that reach the checks past well-formedness: targets on any
+# kind, nopublication on a file, repeated ids, names and paths, DOCTYPE,
+# entities, encodings and characters outside ASCII.
+_FRAGMENTS = (b"", b"<", b">", b"/", b'"', b"=", b"&", b";", b" ", b"1",
+              b"-", b"x", b"\xff", b"\xc3\xa9", b'id="1"', b'name="a"',
+              b'path="f"', b'domainid="2"', b'<target domainid="1"/>',
+              b'<property type="nopublication"/>',
+              b'<property type="integrity"><target domainid="1"/>'
+              b'</property>',
+              b'<domain id="7" name="a"/>',
+              b'<file id="8" path="f" domainid="1"/>',
+              b"<!DOCTYPE policy>", b"&amp;", b"&#0;", b"&#x110000;",
+              b'<?xml version="1.0" encoding="foo"?>',
+              b'<?xml version="1.0" encoding="utf-16"?>', b"<!-- c -->")
+# A canonical document with data[at:at + cut] replaced by a fragment:
+# an insertion when ``cut`` is 0, a deletion when the fragment is empty.
+mutated_documents = st.builds(
+    lambda data, at, cut, fragment: data[:at] + fragment + data[at + cut:],
+    st.sampled_from(_CANONICAL_DOCS), st.integers(0, 400),
+    st.integers(0, 16), st.sampled_from(_FRAGMENTS))
+
+
+@EXAMPLES
+@given(st.one_of(st.binary(max_size=200), mutated_documents))
+def test_only_package_errors_escape_the_compile_path(data):
+    try:
+        emit_rules(compile_policy(to_peer_policy(parse_policy(data))))
+    except P2PSecError:
+        pass
+
+
+# Property lists of up to two entries, drawn whole: one draw apiece
+# keeps 1000 examples cheap.  Targets are local (1) or undeclared
+# (-1, 9); one entry puts a target on a kind that takes none.
+_DOC_PROPERTIES = ([DocProperty(kind.value) for kind in PropertyKind]
+                   + [DocProperty(kind.value, targets)
+                      for kind in sorted(TARGETED_KINDS, key=KIND_ORDER.index)
+                      for targets in ((1,), (-1, 9))]
+                   + [DocProperty("integrity", (1,))])
+_PROPERTY_LISTS = [combo for size in range(3)
+                   for combo in itertools.combinations(_DOC_PROPERTIES, size)]
+
+
+# A file is a path, the index of its owner among the declared domains
+# (an index past them names an undeclared one) and its properties.
+_DOC_FILE_SPECS = list(itertools.product(
+    ("f", "g", "/h", "/i"), range(4), _PROPERTY_LISTS))
+
+
+@st.composite
+def documents(draw):
+    """Unique ids; file paths may repeat and owners may be undeclared."""
+    first = draw(st.integers(-2, 2))
+    ndomains = draw(st.integers(1, 3))
+    nfiles = draw(st.integers(0, 3))
+    domain_ids = list(range(first, first + ndomains))
+    domains = tuple(
+        DocDomain(id, f"d{id}", draw(st.sampled_from(_PROPERTY_LISTS)))
+        for id in domain_ids)
+    owners = domain_ids + [9] * (4 - ndomains)
+    files = []
+    for id in range(first + ndomains, first + ndomains + nfiles):
+        path, owner, props = draw(st.sampled_from(_DOC_FILE_SPECS))
+        files.append(DocFile(id, path, owners[owner], props))
+    return domains, tuple(files)
+
+
+@EXAMPLES
+@given(documents())
+def test_every_document_that_lifts_is_a_valid_policy(parts):
+    try:
+        policy = to_peer_policy(PolicyDocument(*parts))
+    except XmlValidationError:
+        return
+    policy.validate()
+
+
+@EXAMPLES
+@given(domains=st.integers(0, 60), per_domain=st.integers(0, 3))
+def test_synthetic_policies_are_valid(domains, per_domain):
+    synthetic_policy(domains, per_domain).validate()
 
 
 def _reference_projection(policy):

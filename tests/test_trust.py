@@ -62,28 +62,27 @@ class TestConfig:
 
 class TestHistory:
     def test_no_data(self):
-        ledger = TrustLedger()
-        assert eval_history(ledger, BOB, PropertyKind.CONFIDENTIALITY,
+        assert eval_history([], PropertyKind.CONFIDENTIALITY,
                             now=100, window=50) is HistoryScore.NO_DATA
 
     def test_clean(self):
-        ledger = TrustLedger(history=[record(90)])
-        assert eval_history(ledger, BOB, PropertyKind.CONFIDENTIALITY,
+        records = [record(90)]
+        assert eval_history(records, PropertyKind.CONFIDENTIALITY,
                             now=100, window=50) is HistoryScore.CLEAN
 
     def test_recent_violation(self):
-        ledger = TrustLedger(history=[record(90), record(95, violation=True)])
-        assert eval_history(ledger, BOB, PropertyKind.CONFIDENTIALITY,
+        records = [record(90), record(95, violation=True)]
+        assert eval_history(records, PropertyKind.CONFIDENTIALITY,
                             now=100, window=50) is HistoryScore.VIOLATED_RECENT
 
     def test_old_violation(self):
-        ledger = TrustLedger(history=[record(10, violation=True), record(90)])
-        assert eval_history(ledger, BOB, PropertyKind.CONFIDENTIALITY,
+        records = [record(10, violation=True), record(90)]
+        assert eval_history(records, PropertyKind.CONFIDENTIALITY,
                             now=100, window=50) is HistoryScore.VIOLATED_BEFORE
 
     def test_window_boundary_is_recent(self):
-        ledger = TrustLedger(history=[record(50, violation=True)])
-        assert eval_history(ledger, BOB, PropertyKind.CONFIDENTIALITY,
+        records = [record(50, violation=True)]
+        assert eval_history(records, PropertyKind.CONFIDENTIALITY,
                             now=100, window=50) is HistoryScore.VIOLATED_RECENT
 
     def test_other_kind_and_actor_ignored(self):
@@ -91,7 +90,8 @@ class TestHistory:
             record(95, violation=True, kind=PropertyKind.INTEGRITY),
             record(95, violation=True, actor=CARA),
         ])
-        assert eval_history(ledger, BOB, PropertyKind.CONFIDENTIALITY,
+        assert eval_history(ledger.records_by(BOB),
+                            PropertyKind.CONFIDENTIALITY,
                             now=100, window=50) is HistoryScore.NO_DATA
 
     def test_render_codes(self):
