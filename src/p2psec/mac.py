@@ -348,15 +348,15 @@ _AVC_STEPS: tuple[tuple[str, re.Pattern[str]], ...] = tuple(
     (label, re.compile(pattern)) for label, pattern in (
         ("audit prefix", r"\s*audit\("),
         ("timestamp", r"([0-9.]+):"),
-        ("serial", r"(\d+)\):\s+"),
+        ("serial", r"([0-9]+)\):\s+"),
         ("avc marker", r"avc:\s+"),
         ("decision", r"(denied|granted)\s+"),
         ("permissions", r"\{\s*([^{}]*?)\s*\}\s+for\s+"),
-        ("pid", r"pid=(\d+)\s+"),
+        ("pid", r"pid=([0-9]+)\s+"),
         ("comm", r'comm="([^"]*)"\s+'),
         ("name", r'name="([^"]*)"\s+'),
         ("dev", r"dev=(\S+)\s+"),
-        ("ino", r"ino=(\d+)\s+"),
+        ("ino", r"ino=([0-9]+)\s+"),
         ("scontext", r"scontext=(\S+)\s+"),
         ("tcontext", r"tcontext=(\S+)\s+"),
         ("tclass", r"tclass=(\S+)\s*$"),
@@ -392,15 +392,23 @@ def parse_avc(line: str) -> AvcRecord:
         serial=fields["serial"],
         decision=Decision(fields["decision"]),
         permissions=permissions,
-        pid=int(fields["pid"]),
+        pid=_avc_int(fields, "pid"),
         comm=fields["comm"],
         name=fields["name"],
         dev=fields["dev"],
-        ino=int(fields["ino"]),
+        ino=_avc_int(fields, "ino"),
         scontext=scontext,
         tcontext=tcontext,
         tclass=fields["tclass"],
     )
+
+
+def _avc_int(fields: dict[str, str], label: str) -> int:
+    try:
+        return int(fields[label])
+    except ValueError:  # more digits than ``int`` converts
+        raise AvcParseError(f"{label} has too many digits",
+                            token=fields[label][:40]) from None
 
 
 def render_avc(record: AvcRecord) -> str:
@@ -427,6 +435,26 @@ PROBE_PERMISSIONS = {
     "editor-write": "write",
     "publisher": "create",
 }
+
+
+def _probe_stub(forbidden: frozenset[Permission]) -> str:
+    names = [p.name for p in forbidden if p.cls is PermissionClass.FILE]
+    permission = min(names, key=FILE_PERMISSIONS.index, default="read")
+    return next(s for s, p in PROBE_PERMISSIONS.items() if p == permission)
+
+
+#: The stub probing each kind: the first one listed for the first file
+#: permission (in vocabulary order) the kind forbids, else for ``read``.
+PROBE_STUBS: dict[PropertyKind, str] = {
+    kind: _probe_stub(forbidden)
+    for kind, forbidden in KIND_NEVERALLOW.items()}
+
+
+def probe_permission(command_stub: str) -> str:
+    """The file permission a command stub probes."""
+    if command_stub not in PROBE_PERMISSIONS:
+        raise ChallengeError(f"unknown command stub {command_stub!r}")
+    return PROBE_PERMISSIONS[command_stub]
 
 
 @dataclass(frozen=True)
@@ -473,9 +501,7 @@ def build_challenge(resource_path: str, subject: SecurityContext,
     The expected outcome is what ``ruleset`` itself decides for the
     stub's probe permission, so a faithful enforcer reproduces it.
     """
-    if command_stub not in PROBE_PERMISSIONS:
-        raise ChallengeError(f"unknown command stub {command_stub!r}")
-    permission = PROBE_PERMISSIONS[command_stub]
+    permission = probe_permission(command_stub)
     return Challenge(
         scontext=subject,
         command=f"scontext={subject.render()} {command_stub} {resource_path}",

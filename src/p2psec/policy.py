@@ -134,26 +134,21 @@ def render_properties(props: Iterable[SecurityProperty]) -> str:
 def property_set_conflicts(
     required: Iterable[SecurityProperty],
     offered: Iterable[SecurityProperty],
-    *,
-    scoped_exception: bool = True,
 ) -> list[tuple[SecurityProperty, SecurityProperty]]:
-    """All (required, offered) pairs whose kinds conflict.
-
-    With ``scoped_exception`` (the local-policy reading) a pair is not
-    reported when either side carries explicit targets: a scoped
-    cooperation or confidentiality is an intentional exception to the
-    kind-level rule.  Negotiation passes ``scoped_exception=False`` to
-    get the plain kind-level relation.
+    """All (required, offered) pairs whose kinds conflict, in the
+    local-policy reading: a pair is not reported when either side
+    carries explicit targets, since a scoped cooperation or
+    confidentiality is an intentional exception to the kind-level rule.
+    Negotiation does not use this; ``eval_property`` applies the plain
+    kind-level relation, :func:`conflicts`.
     """
     offered = sort_properties(offered)
     found = []
     for req in sort_properties(required):
         for off in offered:
-            if not conflicts(req.kind, off.kind):
-                continue
-            if scoped_exception and (req.targets or off.targets):
-                continue
-            found.append((req, off))
+            scoped = req.targets or off.targets
+            if conflicts(req.kind, off.kind) and not scoped:
+                found.append((req, off))
     return found
 
 

@@ -30,7 +30,21 @@ from .policy import (
 
 PROPERTY_TYPE_NAMES = tuple(kind.value for kind in PropertyKind)
 
-_EXTERNAL_REF = re.compile(r"^ext:(-?\d+)$")
+#: The encoding an XML declaration at the start of a document names.
+_DECLARED_ENCODING = re.compile(
+    r"\ufeff?<\?xml\s[^>]*?\bencoding\s*=\s*[\"']([^\"']*)[\"']")
+
+
+def _canonical_int(text: str) -> int | None:
+    """``text`` as an integer when it is written as ``str(int)`` writes
+    it, so that a parse followed by a serialize keeps the bytes; else
+    None.  ``int`` alone would also read spaces, ``_`` separators, a
+    ``+``, leading zeros and non-ASCII digits."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
 
 
 @dataclass(frozen=True)
@@ -120,11 +134,18 @@ class _TreeBuilder(ET.TreeBuilder):
 def parse_policy(data: bytes | str) -> PolicyDocument:
     """Parse a policy document; the result is valid.
 
+    A ``str`` is parsed as UTF-8 and may declare no other encoding.
     Raises XmlSyntaxError (with position when the parser gives one) on
-    malformed markup, an unknown or unusable encoding, or a ``str``
-    that cannot be encoded as UTF-8, and XmlValidationError naming the
-    offending element otherwise, a DOCTYPE declaration included.
+    malformed markup, an unknown or unusable encoding, a ``str`` that
+    declares an encoding other than UTF-8 or cannot be encoded as UTF-8,
+    and XmlValidationError naming the offending element otherwise, a
+    DOCTYPE declaration included.
     """
+    if isinstance(data, str):
+        declared = _DECLARED_ENCODING.match(data)
+        if declared and declared.group(1).upper() != "UTF-8":
+            raise XmlSyntaxError(f"a str policy is UTF-8 and cannot declare "
+                                 f"encoding {declared.group(1)!r}")
     try:
         if isinstance(data, str):
             data = data.encode("utf-8")
@@ -216,12 +237,12 @@ def _require_attrs(elem: ET.Element, allowed: tuple[str, ...]) -> None:
 
 def _int_attr(elem: ET.Element, attr: str) -> int:
     raw = elem.get(attr, "")
-    try:
-        return int(raw)
-    except ValueError:
+    value = _canonical_int(raw)
+    if value is None:
         raise XmlValidationError(
             f"attribute {attr}={raw!r} on <{elem.tag}> is not an integer",
-            element=elem.tag) from None
+            element=elem.tag)
+    return value
 
 
 def _reject_stray_text(elem: ET.Element) -> None:
@@ -348,12 +369,13 @@ def _lower_properties(props: frozenset[SecurityProperty],
             if name in ids_by_name:
                 targets.append(ids_by_name[name])
                 continue
-            match = _EXTERNAL_REF.match(name)
-            if not match:
+            prefix, _, digits = name.partition(":")
+            external = _canonical_int(digits) if prefix == "ext" else None
+            if external is None:
                 raise XmlValidationError(
                     f"target {name!r} names no local domain and is not an "
                     f"external ext:<id> reference", element="property")
-            targets.append(int(match.group(1)))
+            targets.append(external)
         lowered.append(DocProperty(type=prop.kind.value,
                                    targets=tuple(sorted(targets))))
     return tuple(lowered)

@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from .errors import (
     DuplicateDomainError,
@@ -33,17 +33,15 @@ from .errors import (
 from .mac import (
     AvcRecord,
     Challenge,
-    CompiledPolicy,
     DEFAULT_RULESET,
-    FILE_PERMISSIONS,
-    PROBE_PERMISSIONS,
+    PROBE_STUBS,
     PermissionClass,
     SecurityContext,
     build_challenge,
     check_access,
-    compile_policy,
     kind_ruleset,
     object_context,
+    probe_permission,
     verify_challenge,
 )
 from .negotiation import (
@@ -169,6 +167,19 @@ class Scenario:
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(TrustConfig)}
 
+_NUMBER_CHARS = frozenset("0123456789.+-eE")
+_N = TypeVar("_N", int, float)
+
+
+def _number(convert: Callable[[str], _N], text: str) -> _N:
+    """``convert(text)`` for a number written in ASCII: Python's own
+    conversions also read ``_`` separators and non-ASCII digits."""
+    value = convert(text)
+    if not _NUMBER_CHARS.issuperset(text):
+        raise ValueError(f"number {text!r} may hold only ASCII digits, "
+                         f"'.', '+', '-', 'e' and 'E'")
+    return value
+
 
 def _parse_property(tokens: list[str], lineno: int) -> SecurityProperty:
     try:
@@ -259,21 +270,21 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
     if len(args) < fewest or (most is not None and len(args) > most):
         raise ScenarioError(message.format(args), line=lineno)
     if stmt == "seed":
-        builder.seed = int(args[0])
+        builder.seed = _number(int, args[0])
     elif stmt == "config":
         key, value = args
         if key not in _CONFIG_FIELDS:
             raise ScenarioError(message.format(args), line=lineno)
         builder.config_line = lineno
         if key == "history_window":
-            builder.config_overrides[key] = int(value)
+            builder.config_overrides[key] = _number(int, value)
         elif key == "strict_conflicts":
             if value.lower() not in ("true", "false"):
                 raise ScenarioError(f"strict_conflicts takes true or false, "
                                     f"not {value!r}", line=lineno)
             builder.config_overrides[key] = value.lower() == "true"
         else:
-            builder.config_overrides[key] = float(value)
+            builder.config_overrides[key] = _number(float, value)
     elif stmt == "peer":
         uid = args[0]
         if uid in builder.peers:
@@ -296,7 +307,7 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
     elif stmt == "knows":
         holder = builder.peer(args[0], lineno)
         subject = builder.peer(args[1], lineno).uid
-        trust = float(args[2])
+        trust = _number(float, args[2])
         if not 0.0 <= trust <= 1.0:
             raise ScenarioError(f"knows trust must lie in [0, 1], not "
                                 f"{args[2]!r}", line=lineno)
@@ -372,23 +383,12 @@ class PeerAgent:
         self.ledger = ledger if ledger is not None else TrustLedger()
         policy.validate()
         self.policy: PeerPolicy = policy
-        self._compiled: Optional[CompiledPolicy] = None
         self._forged_serial = 0
 
     def apply_policy(self, policy: PeerPolicy) -> None:
-        """Install a new policy.  It is validated now; its MAC projection
-        is compiled when :attr:`compiled` is next read."""
+        """Validate a new policy and install it."""
         policy.validate()
         self.policy = policy
-        self._compiled = None
-
-    @property
-    def compiled(self) -> CompiledPolicy:
-        """The MAC projection of the current policy, compiled on the
-        first read after each policy change and kept until the next."""
-        if self._compiled is None:
-            self._compiled = compile_policy(self.policy)
-        return self._compiled
 
     def _domain_properties(self, domain_name: str) -> frozenset[SecurityProperty]:
         if self.policy.has_domain(domain_name):
@@ -427,24 +427,23 @@ class PeerAgent:
         return True
 
     def respond_mac_challenge(self, challenge: Challenge, domain_name: str,
-                              permission: str, timestamp: str,
-                              serial: str) -> AvcRecord:
+                              timestamp: str, serial: str) -> AvcRecord:
         """Synthesize the AVC line this peer's kernel would produce.
 
         Honest peers (and log forgers, who lie only about history)
-        answer from their own compiled ruleset; policy liars enforce
+        enforce their domain's kind ruleset; policy liars enforce
         nothing, so their kernel grants the access.
         """
+        stub = challenge.command.split()[1]
+        permission = probe_permission(stub)
         if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
-            ruleset = self.compiled.domain_rules.get(domain_name,
-                                                     DEFAULT_RULESET)
-            decision = check_access(ruleset, PermissionClass.FILE, permission)
+            ruleset = kind_ruleset(
+                p.kind for p in self._domain_properties(domain_name))
             tcontext = object_context(domain_name)
         else:
-            decision = check_access(DEFAULT_RULESET, PermissionClass.FILE,
-                                    permission)
+            ruleset = DEFAULT_RULESET
             tcontext = challenge.expected_tcontext
-        stub = challenge.command.split()[1]
+        decision = check_access(ruleset, PermissionClass.FILE, permission)
         return AvcRecord(
             timestamp=timestamp,
             serial=serial,
@@ -569,7 +568,6 @@ class SimulationEngine:
         self.now = 0
         self._serial = 0
         self.transcript: list[str] = []
-        self.slice_log: list[tuple[str, PolicySlice]] = []
         self.negotiations: list[NegotiationRecord] = []
         self.agents: dict[str, PeerAgent] = {}
         self.peer_ids: dict[str, PeerId] = {}
@@ -742,7 +740,6 @@ class SimulationEngine:
             raise PrivacyViolationError(
                 f"slice for {offered.domain_name!r} leaked during a "
                 f"negotiation about {target_domain!r}")
-        self.slice_log.append((requester.id.uid, offered))
         self._say(f"{req_name}: returning policy "
                   f"{render_properties(offered.properties)}")
 
@@ -888,11 +885,11 @@ class SimulationEngine:
 
         The requester's answers depend only on its behaviour, the target
         domain and ``kind``, never on which delegate asks, so the probe
-        kind, the stub, the challenge and both answers are derived once
-        here.  The returned closure does each delegate's own part: it
-        advances the clock by the probes' message ticks, takes the
-        delegate's audit serial, and records a failed probe in that
-        delegate's ledger at the tick it would have been answered.
+        kind, the challenge and both answers are derived once here.  The
+        returned closure does each delegate's own part: it advances the
+        clock by the probes' message ticks, takes the delegate's audit
+        serial, and records a failed probe in that delegate's ledger at
+        the tick it would have been answered.
         """
         target_domain = session.target_domain_name
         probe_kind = next(
@@ -904,20 +901,13 @@ class SimulationEngine:
             expect_refusal = any(conflicts(probe_kind, c)
                                  for c in offered.kinds)
             conflict_passed = (not accepted) == expect_refusal
-        probe_perm = next(
-            (name for name in FILE_PERMISSIONS
-             if any(p.name == name and p.cls is PermissionClass.FILE
-                    for p in kind_ruleset({kind}).neverallow)),
-            "read")
-        stub = next(s for s, perm in PROBE_PERMISSIONS.items()
-                    if perm == probe_perm)
         challenge = build_challenge(
-            session.resource.path, CHALLENGE_SUBJECT, stub,
+            session.resource.path, CHALLENGE_SUBJECT, PROBE_STUBS[kind],
             kind_ruleset(offered.kinds), object_context(target_domain))
         # Stamped with the serial the first delegate takes; the verdict
         # reads neither stamp.
         response = requester.respond_mac_challenge(
-            challenge, target_domain, probe_perm,
+            challenge, target_domain,
             timestamp=f"{self.now}.000", serial=str(self._serial + 1))
         mac_passed = verify_challenge(challenge, [response]).passed
 
@@ -956,8 +946,8 @@ class SimulationEngine:
         if not policy.has_domain(target_domain):
             policy = policy.create_domain(target_domain)
         policy = apply_transfer(policy, session.resource, target_domain)
-        # A file already held in the target domain leaves the policy, and
-        # so its MAC projection, as it is.
+        # A file already held in the target domain leaves the policy as
+        # it is, so there is nothing new to validate or install.
         if policy is not requester.policy:
             requester.apply_policy(policy)
         self._say(f"{requester.id.name}: file {session.resource.path} "

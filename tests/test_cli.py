@@ -138,6 +138,15 @@ def test_verify_challenge_pass_and_fail(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("fail")
 
 
+def test_verify_challenge_overlong_pid_is_an_error(tmp_path, capsys):
+    challenge = tmp_path / "challenge.txt"
+    challenge.write_text(CHALLENGE)
+    trace = tmp_path / "trace.txt"
+    trace.write_text(GOOD_TRACE.replace("pid=4241", "pid=" + "9" * 5000))
+    assert main(["verify-challenge", str(challenge), str(trace)]) == 1
+    assert "error: pid has too many digits" in capsys.readouterr().err
+
+
 def test_bench_small_counts(capsys):
     assert main(["bench", "--counts", "5,10,15", "--repeats", "1"]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,37 @@
+"""Every name a package module imports is read in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "p2psec"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression reads,
+    annotations included; ``__future__`` imports bind nothing."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(path.read_text()) == []
+
+
+def test_an_unread_import_is_reported():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import re\nfrom typing import Optional, Union\n"
+              "def f(x: Optional[int]) -> int:\n    return re.sub(x)\n")
+    assert unread_imports(source) == ["Union", "os"]

@@ -268,6 +268,20 @@ class TestAvc:
         with pytest.raises(AvcParseError):
             parse_avc(mangle(AVC_LINE))
 
+    @pytest.mark.parametrize("field, new, message", [
+        (":369)", ":\u0663\u0666\u0669)", "expected serial"),
+        ("pid=4241", "pid=\u0661\u0662", "expected pid"),
+        ("ino=179226", "ino=\uff11\uff12", "expected ino"),
+        ("pid=4241", "pid=" + "9" * 5000, "pid has too many digits"),
+        ("ino=179226", "ino=" + "9" * 5000, "ino has too many digits"),
+    ], ids=["serial-arabic-indic", "pid-arabic-indic", "ino-fullwidth",
+            "pid-5000-digits", "ino-5000-digits"])
+    def test_numbers_are_ascii_decimal(self, field, new, message):
+        """Serial, pid and ino hold ASCII digits only, and a number too
+        long for ``int`` is a parse error naming its field."""
+        with pytest.raises(AvcParseError, match=message):
+            parse_avc(AVC_LINE.replace(field, new))
+
 
 class TestChallenge:
     def compiled(self):
@@ -331,3 +345,34 @@ class TestChallenge:
         challenge = make_challenge("/root/secret.txt", self.subject(),
                                    "vim", self.compiled())
         assert parse_challenge(render_challenge(challenge)) == challenge
+
+
+def test_probe_stub_per_kind_matches_its_derivation():
+    """Each kind's probe is the first stub listed for the first file
+    permission, in vocabulary order, that the kind forbids, or for
+    ``read`` when it forbids none."""
+    assert set(mac.PROBE_STUBS) == set(PropertyKind)
+    for kind in PropertyKind:
+        probed = next(
+            (name for name in FILE_PERMISSIONS
+             if any(p.name == name and p.cls is PermissionClass.FILE
+                    for p in kind_ruleset({kind}).neverallow)),
+            "read")
+        stub = next(s for s, perm in mac.PROBE_PERMISSIONS.items()
+                    if perm == probed)
+        assert mac.PROBE_STUBS[kind] == stub
+    assert mac.PROBE_STUBS == {
+        PropertyKind.CONFIDENTIALITY: "vim",
+        PropertyKind.INTEGRITY: "editor-write",
+        PropertyKind.NOPUBLICATION: "publisher",
+        PropertyKind.COOPERATION: "vim",
+        PropertyKind.SPREAD: "vim",
+        PropertyKind.NOSHARE: "publisher",
+    }
+
+
+def test_probe_permission_is_the_stub_table_lookup():
+    for stub, permission in mac.PROBE_PERMISSIONS.items():
+        assert mac.probe_permission(stub) == permission
+    with pytest.raises(ChallengeError, match="unknown command stub 'wget'"):
+        mac.probe_permission("wget")

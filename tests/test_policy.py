@@ -96,7 +96,6 @@ def test_property_set_conflicts_scoped_exception():
     scoped = (cooperation("partner"),)
     plain = (confidentiality(),)
     assert not property_set_conflicts(plain, scoped)
-    assert property_set_conflicts(plain, scoped, scoped_exception=False)
 
 
 class TestPeerPolicy:

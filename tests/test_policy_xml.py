@@ -231,3 +231,61 @@ def test_doctype_rejected():
 def test_unusable_encoding_is_a_syntax_error(data):
     with pytest.raises(XmlSyntaxError):
         parse_policy(data)
+
+
+@pytest.mark.parametrize("element, attr", [
+    ("<domain id='{}' name='a'/>", "id"),
+    ("<domain id='1' name='a'/><file id='{}' path='f' domainid='1'/>", "id"),
+    ("<domain id='1' name='a'/><file id='2' path='f' domainid='{}'/>",
+     "domainid"),
+    ("<domain id='1' name='a'><property type='cooperation'>"
+     "<target domainid='{}'/></property></domain>", "domainid"),
+], ids=["domain-id", "file-id", "file-domainid", "target-domainid"])
+@pytest.mark.parametrize("raw", [" 1_0", "1_0", "٣", "01", "+1", "-0",
+                                 " 7", "7\n", "9" * 5000],
+                         ids=lambda raw: repr(raw)[:12])
+def test_integer_attributes_are_canonical(element, attr, raw):
+    """An integer attribute is written as ``str(int)`` writes it, so
+    parsing and serializing a document keeps its bytes."""
+    data = "<policy>" + element.format(raw) + "</policy>"
+    with pytest.raises(XmlValidationError,
+                       match=f"attribute {attr}=.* is not an integer"):
+        parse_policy(data)
+
+
+def test_negative_integer_attributes_are_accepted():
+    doc = parse_policy("<policy><domain id='-3' name='a'><property "
+                       "type='cooperation'><target domainid='-12'/>"
+                       "</property></domain></policy>")
+    assert doc.domains == (DocDomain(-3, "a", (DocProperty(
+        "cooperation", (-12,)),)),)
+
+
+@pytest.mark.parametrize("target", ["ext:٣", "ext:1_0", "ext:03",
+                                    "ext:-0", "ext: 3", "ext:3\n", "ext:",
+                                    "ext:" + "9" * 5000, "EXT:3"],
+                         ids=lambda target: repr(target)[:12])
+def test_external_targets_are_canonical(target):
+    policy = (PeerPolicy(peer_id="A").create_domain("a")
+              .add_property("a", cooperation(target)))
+    with pytest.raises(XmlValidationError, match="names no local domain"):
+        from_peer_policy(policy)
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "utf8", "utf-16",
+                                      "ascii"])
+def test_str_declaring_another_encoding_is_refused(encoding):
+    text = (f'<?xml version="1.0" encoding="{encoding}"?>'
+            f'<policy><domain id="1" name="é"/></policy>')
+    with pytest.raises(XmlSyntaxError, match=f"encoding '{encoding}'"):
+        parse_policy(text)
+    with pytest.raises(XmlSyntaxError, match=f"encoding '{encoding}'"):
+        parse_policy(f"﻿{text}".replace('"', "'"))
+
+
+@pytest.mark.parametrize("declaration", [
+    "", '<?xml version="1.0"?>', '<?xml version="1.0" encoding="UTF-8"?>',
+    "<?xml version='1.0' encoding='utf-8' standalone='yes'?>"])
+def test_str_in_utf8_parses(declaration):
+    text = declaration + '<policy><domain id="1" name="é"/></policy>'
+    assert parse_policy(text).domains == (DocDomain(1, "é"),)

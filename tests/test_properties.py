@@ -43,7 +43,6 @@ from p2psec import (
     kind_ruleset,
     parse_avc,
     parse_policy,
-    property_set_conflicts,
     render_avc,
     render_contexts,
     serialize_policy,
@@ -397,9 +396,8 @@ def claimed_properties(draw):
 def test_eval_conflict_agrees_with_kind_matrix(kind, offered):
     required = SecurityProperty(kind)
     score = eval_property(required, PolicySlice("dst", offered))
-    pairs = property_set_conflicts((required,), offered,
-                                   scoped_exception=False)
-    assert (score == -1) == bool(pairs)
+    conflicting = [off for off in offered if conflicts(kind, off.kind)]
+    assert (score == -1) == bool(conflicting)
 
 
 ctx_part = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_",
@@ -458,10 +456,16 @@ def ask_scenarios(draw):
 @given(ask_scenarios())
 def test_no_slice_beyond_negotiated_domain(scenario):
     engine = SimulationEngine(scenario)
+    slices = []
+    for agent in engine.agents.values():
+        def slice_for(*args, _original=agent.slice_for, _uid=agent.id.uid):
+            offered = _original(*args)
+            slices.append((_uid, offered))
+            return offered
+        agent.slice_for = slice_for
     report = engine.run()
     # every transmitted slice names exactly the negotiated domain
-    assert engine.slice_log
-    assert all(offered.domain_name == "dst"
-               for _, offered in engine.slice_log)
+    assert slices
+    assert all(offered.domain_name == "dst" for _, offered in slices)
     assert report.negotiations[0].outcome in (Outcome.ACCEPTED,
                                               Outcome.REFUSED)

@@ -1,14 +1,20 @@
 """Simulation harness: scenarios, behaviours, determinism, detection."""
 
 import random
+import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+import p2psec
 from p2psec import (
     Band,
     BehaviorModel,
+    Challenge,
+    ChallengeError,
+    DEFAULT_RULESET,
     Decision,
     HistoryRecord,
     HistoryScore,
@@ -16,16 +22,19 @@ from p2psec import (
     PeerAgent,
     PeerId,
     PeerPolicy,
+    PermissionClass,
     PolicyValidationError,
     PopulationParams,
     PropertyKind,
     ScenarioError,
     SimulationEngine,
+    check_access,
     compile_policy,
     confidentiality,
     cross_reference_history,
     detection_experiment,
     integrity,
+    object_context,
     parse_scenario,
     render_experiment,
     render_report,
@@ -33,9 +42,14 @@ from p2psec import (
     simnet,
     spread,
 )
+from p2psec.mac import PROBE_PERMISSIONS, build_challenge
+from p2psec.simnet import CHALLENGE_SUBJECT
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+NOT_ASCII = ("number {!r} may hold only ASCII digits, '.', '+', '-', 'e' "
+             "and 'E'")
 
 #: (scenario text, message, line) for every parser rejection.
 PARSE_ERRORS = [
@@ -113,6 +127,15 @@ PARSE_ERRORS = [
      "need 0 <= refuse_threshold < full_trust_threshold <= 1", 1),
     ("config refuse_threshold 0.9\npeer a\nconfig eval_weight 0.25\n",
      "need 0 <= refuse_threshold < full_trust_threshold <= 1", 3),
+    # Numbers are ASCII: Python's conversions would read these.
+    ("seed 1_0\n", NOT_ASCII.format("1_0"), 1),
+    ("seed \u0663\n", NOT_ASCII.format("\u0663"), 1),
+    ("config history_window 0_7\n", NOT_ASCII.format("0_7"), 1),
+    ("config refuse_threshold 0_1\n", NOT_ASCII.format("0_1"), 1),
+    ("config eval_weight \uff10.5\n", NOT_ASCII.format("\uff10.5"), 1),
+    ("peer a\npeer b\nknows a b \u0660.\u0665\n",
+     NOT_ASCII.format("\u0660.\u0665"), 3),
+    ("peer a\npeer b\nknows a b nan\n", NOT_ASCII.format("nan"), 3),
 ]
 
 
@@ -453,31 +476,61 @@ def test_history_index_matches_a_scan_of_the_ledger(name):
 
 @pytest.mark.parametrize("name", ["contract", "firefox", "delegates"])
 def test_projection_matches_the_policy_after_every_action(name):
+    """After every action, an honest answer to each probe for each
+    domain a peer holds is what the compiled policy decides."""
     engine = SimulationEngine(RUNS[name]())
     original = engine._dispatch
+    answers = 0
 
     def dispatch(action):
+        nonlocal answers
         original(action)
         for agent in engine.agents.values():
-            assert agent.compiled == compile_policy(agent.policy)
+            honest = PeerAgent(agent.id, agent.policy)
+            rules = compile_policy(agent.policy).domain_rules
+            for domain, stub in product(rules, PROBE_PERMISSIONS):
+                challenge = build_challenge(
+                    "f", CHALLENGE_SUBJECT, stub, DEFAULT_RULESET,
+                    object_context(domain))
+                record = honest.respond_mac_challenge(
+                    challenge, domain, timestamp="1.000", serial="1")
+                assert record.decision is check_access(
+                    rules[domain], PermissionClass.FILE,
+                    PROBE_PERMISSIONS[stub])
+                answers += 1
     engine._dispatch = dispatch
     report = engine.run()
+    assert answers > 0
     assert render_report(report) == (GOLDEN / f"{name}.report").read_text()
 
 
-def test_owner_edits_without_probes_compile_no_policy(monkeypatch):
-    compiled, installed = [], []
-    original_compile = simnet.compile_policy
-    original_apply = PeerAgent.apply_policy
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Every ``compile_policy`` call made through any ``p2psec`` module,
+    patched in each module that binds it, as ``perfbench/spans.py``
+    traces it."""
+    calls = []
+    original = p2psec.compile_policy
 
-    def counted_compile(policy):
-        compiled.append(policy.peer_id)
-        return original_compile(policy)
+    def counted(policy):
+        calls.append(policy.peer_id)
+        return original(policy)
+    for key, module in list(sys.modules.items()):
+        if key == "p2psec" or key.startswith("p2psec."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_owner_edits_without_probes_compile_no_policy(monkeypatch,
+                                                       compile_calls):
+    installed = []
+    original_apply = PeerAgent.apply_policy
 
     def counted_apply(self, policy):
         installed.append(self.id.uid)
         return original_apply(self, policy)
-    monkeypatch.setattr(simnet, "compile_policy", counted_compile)
     monkeypatch.setattr(PeerAgent, "apply_policy", counted_apply)
     run_scenario(parse_scenario(
         "peer own\npeer h\ndomain own vault\nproperty own vault integrity\n"
@@ -487,7 +540,11 @@ def test_owner_edits_without_probes_compile_no_policy(monkeypatch):
         "publish own memo extra\nask h own doc inbox\n"
         "create-domain own spare\ndelete-domain own spare\n"))
     assert installed == ["own"] * 5
-    assert compiled == []
+    # Nor does any other run: a challenge is answered from the policy.
+    for name in ("contract", "firefox", "delegates"):
+        run_scenario(RUNS[name]())
+    detection_experiment(PopulationParams(seed=416), runs=100)
+    assert compile_calls == []
 
 
 def test_installing_a_policy_validates_it_at_once():
@@ -499,7 +556,9 @@ def test_installing_a_policy_validates_it_at_once():
     with pytest.raises(PolicyValidationError):
         agent.apply_policy(broken)
     assert agent.policy is policy
-    assert agent.compiled == compile_policy(policy)
+    grown = policy.create_domain("inbox")
+    agent.apply_policy(grown)
+    assert agent.policy is grown
 
 
 def scaled_experiment(asks: int):
@@ -613,7 +672,7 @@ def test_ask_into_another_domain_moves_the_held_copy():
         "[Display b] <domain> other secured by [integrity]",
         "[Display b] <file> f in other under [integrity]",
     )
-    assert b.compiled.resource_domains == {"f": "other"}
+    assert compile_policy(b.policy).resource_domains == {"f": "other"}
 
 
 def test_publish_of_a_held_path_is_refused():
@@ -677,32 +736,47 @@ class TestBehaviors:
         agent = self.agent(BehaviorModel.INFORMED_LIAR, (confidentiality(),))
         assert agent.respond_conflicting_request("drop", PropertyKind.SPREAD)
 
+    def challenge(self, stub="vim"):
+        return Challenge(
+            scontext=CHALLENGE_SUBJECT,
+            command=f"scontext=user_u:user_r:user_t {stub} f",
+            target_path="f", expected=Decision.DENIED,
+            expected_permissions=frozenset({"read"}),
+            expected_tcontext=object_context("drop"))
+
     def test_honest_mac_response_reflects_policy(self):
         agent = self.agent(BehaviorModel.HONEST, (confidentiality(),))
-        from p2psec import Challenge, SecurityContext, object_context
-        challenge = Challenge(
-            scontext=SecurityContext("user_u", "user_r", "user_t"),
-            command="scontext=user_u:user_r:user_t vim f",
-            target_path="f", expected=Decision.DENIED,
-            expected_permissions=frozenset({"read"}),
-            expected_tcontext=object_context("drop"))
-        record = agent.respond_mac_challenge(challenge, "drop", "read",
+        record = agent.respond_mac_challenge(self.challenge(), "drop",
                                              timestamp="1.000", serial="1")
         assert record.decision is Decision.DENIED
+        assert record.permissions == frozenset({"read"})
+        assert record.comm == "vim"
         assert record.tcontext.type_name == "drop_t"
-
-    def test_liar_mac_response_grants_everything(self):
-        agent = self.agent(BehaviorModel.BLIND_LIAR)
-        from p2psec import Challenge, SecurityContext, object_context
-        challenge = Challenge(
-            scontext=SecurityContext("user_u", "user_r", "user_t"),
-            command="scontext=user_u:user_r:user_t vim f",
-            target_path="f", expected=Decision.DENIED,
-            expected_permissions=frozenset({"read"}),
-            expected_tcontext=object_context("drop"))
-        record = agent.respond_mac_challenge(challenge, "drop", "read",
+        # The permission is the one the stub probes.
+        record = agent.respond_mac_challenge(self.challenge("editor-write"),
+                                             "drop", timestamp="1.000",
+                                             serial="1")
+        assert record.decision is Decision.GRANTED
+        assert record.permissions == frozenset({"write"})
+        # A domain the peer does not hold enforces the default ruleset.
+        record = agent.respond_mac_challenge(self.challenge(), "other",
                                              timestamp="1.000", serial="1")
         assert record.decision is Decision.GRANTED
+        assert record.tcontext.type_name == "other_t"
+
+    def test_liar_mac_response_grants_everything(self):
+        agent = self.agent(BehaviorModel.BLIND_LIAR, (confidentiality(),))
+        record = agent.respond_mac_challenge(self.challenge(), "drop",
+                                             timestamp="1.000", serial="1")
+        assert record.decision is Decision.GRANTED
+
+    @pytest.mark.parametrize("behavior", list(BehaviorModel))
+    def test_mac_challenge_with_an_unknown_stub_is_refused(self, behavior):
+        agent = self.agent(behavior, (confidentiality(),))
+        with pytest.raises(ChallengeError,
+                           match="unknown command stub 'wget'"):
+            agent.respond_mac_challenge(self.challenge("wget"), "drop",
+                                        timestamp="1.000", serial="1")
 
     def test_forger_presents_extra_records(self):
         agent = self.agent(BehaviorModel.LOG_FORGER)
