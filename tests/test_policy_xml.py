@@ -10,6 +10,7 @@ from p2psec import (
     DocProperty,
     Domain,
     PeerPolicy,
+    P2PSecError,
     PolicyDocument,
     XmlSyntaxError,
     XmlValidationError,
@@ -289,3 +290,159 @@ def test_str_declaring_another_encoding_is_refused(encoding):
 def test_str_in_utf8_parses(declaration):
     text = declaration + '<policy><domain id="1" name="é"/></policy>'
     assert parse_policy(text).domains == (DocDomain(1, "é"),)
+
+
+V, S = XmlValidationError, XmlSyntaxError
+_DOMAIN = "<domain id='1' name='a'>"
+_COOP = "<property type='cooperation'>"
+
+#: One fault per document: (id, document, error type, exact message,
+#: line).  Line is the document line the parser reports the fault on;
+#: None for whole-document invariants, which ``PolicyDocument`` checks
+#: after the pass, and for faults with no position.  A row whose error
+#: type is None names a document that parses.
+XML_ERRORS = (
+    ("domain-missing-id", "<policy>\n<domain name='a'/>\n</policy>",
+     V, "<domain> is missing attribute 'id'", 2),
+    ("domain-missing-name", "<policy>\n<domain id='1'/>\n</policy>",
+     V, "<domain> is missing attribute 'name'", 2),
+    ("file-missing-id", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file path='f' domainid='1'/>\n</policy>",
+     V, "<file> is missing attribute 'id'", 3),
+    ("file-missing-path", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' domainid='1'/>\n</policy>",
+     V, "<file> is missing attribute 'path'", 3),
+    ("file-missing-domainid", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f'/>\n</policy>",
+     V, "<file> is missing attribute 'domainid'", 3),
+    ("property-missing-type", f"<policy>\n{_DOMAIN}\n<property/>\n"
+     "</domain>\n</policy>",
+     V, "<property> is missing attribute 'type'", 3),
+    ("target-missing-domainid", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
+     "<target/>\n</property>\n</domain>\n</policy>",
+     V, "<target> is missing attribute 'domainid'", 4),
+    ("policy-unknown-attr", "<policy\nversion='2'>\n</policy>",
+     V, "unknown attribute 'version' on <policy>", 1),
+    ("domain-unknown-attr", "<policy>\n<domain id='1' name='a' x=''/>"
+     "\n</policy>",
+     V, "unknown attribute 'x' on <domain>", 2),
+    ("file-unknown-attr", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f' domainid='1' mode='r'/>\n</policy>",
+     V, "unknown attribute 'mode' on <file>", 3),
+    ("property-unknown-attr", f"<policy>\n{_DOMAIN}\n"
+     "<property type='integrity' on='1'/>\n</domain>\n</policy>",
+     V, "unknown attribute 'on' on <property>", 3),
+    ("target-unknown-attr", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
+     "<target domainid='1' id='1'/>\n</property>\n</domain>\n</policy>",
+     V, "unknown attribute 'id' on <target>", 4),
+    ("namespaced-attr", "<policy>\n<domain xmlns:p='u' p:x='1' id='1' "
+     "name='a'/>\n</policy>",
+     V, "unknown attribute '{u}x' on <domain>", 2),
+    ("domain-id-not-canonical", "<policy>\n<domain id='01' name='a'/>\n"
+     "</policy>",
+     V, "attribute id='01' on <domain> is not an integer", 2),
+    ("file-id-not-canonical", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id=' 2' path='f' domainid='1'/>\n</policy>",
+     V, "attribute id=' 2' on <file> is not an integer", 3),
+    ("file-domainid-not-canonical", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f' domainid='+1'/>\n</policy>",
+     V, "attribute domainid='+1' on <file> is not an integer", 3),
+    ("target-domainid-not-canonical", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
+     "<target domainid='1_0'/>\n</property>\n</domain>\n</policy>",
+     V, "attribute domainid='1_0' on <target> is not an integer", 4),
+    ("root-not-policy", "<!-- c -->\n<root>\n</root>",
+     V, "root element must be <policy>, got <root>", 2),
+    ("element-under-policy", "<policy>\n<wat/>\n</policy>",
+     V, "unexpected element <wat> under <policy>", 2),
+    ("element-under-domain", f"<policy>\n{_DOMAIN}\n"
+     "<file id='2' path='f' domainid='1'/>\n</domain>\n</policy>",
+     V, "unexpected element <file> under <domain>", 3),
+    ("element-under-file", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f' domainid='1'>\n<target domainid='1'/>\n"
+     "</file>\n</policy>",
+     V, "unexpected element <target> under <file>", 4),
+    ("element-under-property", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
+     "<property type='spread'/>\n</property>\n</domain>\n</policy>",
+     V, "unexpected element <property> under <property>", 4),
+    ("text-inside-policy", f"<policy>\n  text\n{_DOMAIN}</domain>\n"
+     "</policy>",
+     V, "unexpected text inside <policy>", 2),
+    ("text-inside-domain", f"<policy>\n{_DOMAIN}\n  text\n</domain>\n"
+     "</policy>",
+     V, "unexpected text inside <domain>", 3),
+    ("text-inside-file", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f' domainid='1'>\n\ntext\n</file>\n</policy>",
+     V, "unexpected text inside <file>", 5),
+    ("text-inside-property", f"<policy>\n{_DOMAIN}\n"
+     "<property type='integrity'>text\n\n</property>\n</domain>\n"
+     "</policy>",
+     V, "unexpected text inside <property>", 3),
+    ("text-inside-target", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
+     "<target domainid='1'>x</target>\n</property>\n</domain>\n</policy>",
+     V, "unexpected text inside <target>", 4),
+    ("text-after-domain", f"<policy>\n{_DOMAIN}</domain>\n  text\n"
+     "</policy>",
+     V, "unexpected text after <domain>", 3),
+    ("text-after-file", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f' domainid='1'/>text\n</policy>",
+     V, "unexpected text after <file>", 3),
+    ("text-after-property", f"<policy>\n{_DOMAIN}\n"
+     "<property type='integrity'/>\n<![CDATA[text]]>\n</domain>\n"
+     "</policy>",
+     V, "unexpected text after <property>", 4),
+    ("text-after-target", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
+     "<target domainid='1'/>&amp;\n</property>\n</domain>\n</policy>",
+     V, "unexpected text after <target>", 4),
+    ("text-after-policy", "<policy>\n</policy>\ntext",
+     S, "junk after document element: line 3, column 0", 3),
+    ("no-break-space-is-blank", f"<policy>\u00a0\n{_DOMAIN}\u00a0"
+     "<property type='integrity'>\u00a0</property>\u00a0</domain>\n"
+     "</policy>",
+     None, "", None),
+    ("prefixed-root", "<p:policy xmlns:p='u'>\n</p:policy>",
+     V, "root element must be <policy>, got <{u}policy>", 1),
+    ("default-namespace-root", "<policy xmlns='x'>\n</policy>",
+     V, "root element must be <policy>, got <{x}policy>", 1),
+    ("doctype", "<?xml version='1.0'?>\n"
+     "<!DOCTYPE policy [<!ENTITY a 'x'>]>\n<policy/>",
+     V, "<!DOCTYPE policy> is not allowed in a policy document", 2),
+    ("unknown-encoding", b"<?xml version='1.0' encoding='foo'?><policy/>",
+     S, "unknown encoding: foo", None),
+    ("unclosed-tag", f"<policy>\n{_DOMAIN}\n</policy>",
+     S, "mismatched tag: line 3, column 2", 3),
+    ("unclosed-token", "<policy",
+     S, "unclosed token: line 1, column 0", 1),
+    ("duplicate-id", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='1' path='f' domainid='1'/>\n</policy>",
+     V, "duplicate id 1", None),
+    ("duplicate-name", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<domain id='2' name='a'/>\n</policy>",
+     V, "duplicate domain name 'a'", None),
+    ("duplicate-path", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f' domainid='1'/>\n"
+     "<file id='3' path='f' domainid='1'/>\n</policy>",
+     V, "duplicate file path 'f'", None),
+    ("undeclared-domainid", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f' domainid='9'/>\n</policy>",
+     V, "file 'f' references undeclared domain id 9", None),
+    ("unknown-property-type", f"<policy>\n{_DOMAIN}\n"
+     "<property type='secrecy'/>\n</domain>\n</policy>",
+     V, "unknown property type 'secrecy' on domain 'a'", None),
+    ("empty-name", "<policy>\n<domain id='1' name=''/>\n</policy>",
+     V, "domain name must be non-empty", None),
+    ("empty-path", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='' domainid='1'/>\n</policy>",
+     V, "file path must be non-empty", None),
+)
+
+
+@pytest.mark.parametrize("data, error, message",
+                         [row[1:4] for row in XML_ERRORS],
+                         ids=[row[0] for row in XML_ERRORS])
+def test_xml_error_messages(data, error, message):
+    if error is None:
+        parse_policy(data)
+        return
+    with pytest.raises(P2PSecError) as err:
+        parse_policy(data)
+    assert (type(err.value), str(err.value)) == (error, message)
