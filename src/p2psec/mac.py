@@ -574,14 +574,15 @@ def parse_challenge(text: str) -> Challenge:
     if not lines:
         raise ChallengeError("empty challenge file")
     command = lines[0].strip()
-    parts = command.split()
+    # scontext, stub, then the path, which may hold spaces
+    parts = command.split(maxsplit=2)
     if len(parts) < 3 or not parts[0].startswith("scontext="):
         raise ChallengeError(f"bad challenge command line {command!r}")
     try:
         scontext = SecurityContext.parse(parts[0][len("scontext="):])
     except MacError as exc:
         raise ChallengeError(str(exc)) from exc
-    target_path = parts[-1]
+    target_path = parts[2]
     keys: dict[str, str] = {}
     for line in lines[1:]:
         key, sep, value = line.strip().partition("=")

@@ -138,6 +138,20 @@ def test_verify_challenge_pass_and_fail(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("fail")
 
 
+def test_verify_challenge_for_a_path_with_spaces(tmp_path, capsys):
+    challenge = tmp_path / "challenge.txt"
+    challenge.write_text(CHALLENGE.replace("/root/secret.txt",
+                                           "/home/a b.txt"))
+    trace = tmp_path / "trace.txt"
+    trace.write_text(GOOD_TRACE.replace('"secret.txt"', '"a b.txt"'))
+    assert main(["verify-challenge", str(challenge), str(trace)]) == 0
+    assert capsys.readouterr().out.startswith("pass")
+
+    trace.write_text(GOOD_TRACE.replace('"secret.txt"', '"b.txt"'))
+    assert main(["verify-challenge", str(challenge), str(trace)]) == 1
+    assert capsys.readouterr().out.startswith("fail")
+
+
 def test_verify_challenge_overlong_pid_is_an_error(tmp_path, capsys):
     challenge = tmp_path / "challenge.txt"
     challenge.write_text(CHALLENGE)

@@ -346,6 +346,15 @@ class TestChallenge:
                                    "vim", self.compiled())
         assert parse_challenge(render_challenge(challenge)) == challenge
 
+    def test_challenge_for_a_path_with_spaces_round_trips(self):
+        challenge = mac.build_challenge(
+            "/home/a b.txt", self.subject(), "vim",
+            kind_ruleset({PropertyKind.CONFIDENTIALITY}),
+            SecurityContext("system_u", "object_r", "domainA_t"))
+        again = parse_challenge(render_challenge(challenge))
+        assert again.target_path == "/home/a b.txt"
+        assert again == challenge
+
 
 def test_probe_stub_per_kind_matches_its_derivation():
     """Each kind's probe is the first stub listed for the first file
