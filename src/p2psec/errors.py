@@ -73,11 +73,15 @@ class XmlSyntaxError(XmlError):
 
 
 class XmlValidationError(XmlError):
-    """Well-formed XML that violates the policy document schema."""
+    """Well-formed XML that violates the policy document schema; carries
+    the 1-based line when the fault was found during the parse, and None
+    for a whole-document invariant."""
 
-    def __init__(self, message: str, element: str | None = None):
+    def __init__(self, message: str, element: str | None = None,
+                 line: int | None = None):
         super().__init__(message)
         self.element = element
+        self.line = line
 
 
 # ---------------------------------------------------------------------------

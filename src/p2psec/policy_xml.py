@@ -14,8 +14,8 @@ document is lifted into a :class:`~p2psec.policy.PeerPolicy`.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
 from .errors import PolicyValidationError, XmlSyntaxError, XmlValidationError
@@ -122,137 +122,169 @@ def _validate_properties(props: tuple[DocProperty, ...], where: str) -> None:
 # Parsing
 # ---------------------------------------------------------------------------
 
-class _TreeBuilder(ET.TreeBuilder):
-    """Refuses a DOCTYPE, and with it every entity a document declares."""
-
-    def doctype(self, name, pubid, system):
-        raise XmlValidationError(
-            f"<!DOCTYPE {name}> is not allowed in a policy document",
-            element="!DOCTYPE")
-
-
 def parse_policy(data: bytes | str) -> PolicyDocument:
-    """Parse a policy document; the result is valid.
+    """Parse a policy document in one pass; the result is valid.
 
     A ``str`` is parsed as UTF-8 and may declare no other encoding.
     Raises XmlSyntaxError (with position when the parser gives one) on
     malformed markup, an unknown or unusable encoding, a ``str`` that
     declares an encoding other than UTF-8 or cannot be encoded as UTF-8,
     and XmlValidationError naming the offending element otherwise, a
-    DOCTYPE declaration included.
+    DOCTYPE declaration included.  The first fault in document order is
+    the one reported; every fault the pass finds carries its line, and
+    stray text is reported on the line of the markup that ends it.
     """
     if isinstance(data, str):
         declared = _DECLARED_ENCODING.match(data)
         if declared and declared.group(1).upper() != "UTF-8":
             raise XmlSyntaxError(f"a str policy is UTF-8 and cannot declare "
                                  f"encoding {declared.group(1)!r}")
+    # The parser ElementTree.XMLParser makes: a "}" namespace separator
+    # and text handed over in runs, not piecemeal.
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    domains: list[DocDomain] = []
+    files: list[DocFile] = []
+    _one_pass(parser, domains, files)
     try:
         if isinstance(data, str):
             data = data.encode("utf-8")
-        root = ET.fromstring(data, parser=ET.XMLParser(target=_TreeBuilder()))
-    except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        raise XmlSyntaxError(str(exc), line=line, column=column) from exc
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise XmlSyntaxError(str(exc), line=exc.lineno,
+                             column=exc.offset) from exc
     except (ValueError, LookupError) as exc:
         raise XmlSyntaxError(str(exc)) from exc
-
-    if root.tag != "policy":
-        raise XmlValidationError(
-            f"root element must be <policy>, got <{root.tag}>",
-            element=root.tag)
-    _require_attrs(root, ())
-    _reject_stray_text(root)
-
-    domains: list[DocDomain] = []
-    files: list[DocFile] = []
-    for child in root:
-        if child.tag == "domain":
-            domains.append(_parse_domain(child))
-        elif child.tag == "file":
-            files.append(_parse_file(child))
-        else:
-            raise XmlValidationError(
-                f"unexpected element <{child.tag}> under <policy>",
-                element=child.tag)
-
     return PolicyDocument(domains=tuple(domains), files=tuple(files))
 
 
-def _parse_domain(elem: ET.Element) -> DocDomain:
-    _require_attrs(elem, ("id", "name"))
-    _reject_stray_text(elem)
-    return DocDomain(
-        id=_int_attr(elem, "id"),
-        name=elem.get("name", ""),
-        properties=_parse_properties(elem),
-    )
+#: The attributes each element takes, in the order a missing one is
+#: reported.
+_ATTRS = {
+    "policy": (),
+    "domain": ("id", "name"),
+    "file": ("id", "path", "domainid"),
+    "property": ("type",),
+    "target": ("domainid",),
+}
+_DOMAIN_ATTRS, _FILE_ATTRS, _PROPERTY_ATTRS, _TARGET_ATTRS = (
+    frozenset(_ATTRS[tag]) for tag in ("domain", "file", "property", "target"))
 
 
-def _parse_file(elem: ET.Element) -> DocFile:
-    _require_attrs(elem, ("id", "path", "domainid"))
-    _reject_stray_text(elem)
-    return DocFile(
-        id=_int_attr(elem, "id"),
-        path=elem.get("path", ""),
-        domainid=_int_attr(elem, "domainid"),
-        properties=_parse_properties(elem),
-    )
+def _universal(name: str) -> str:
+    """A namespaced name in ElementTree's ``{uri}local`` form."""
+    return "{" + name if "}" in name else name
 
 
-def _parse_properties(parent: ET.Element) -> tuple[DocProperty, ...]:
-    props = []
-    for child in parent:
-        if child.tag != "property":
-            raise XmlValidationError(
-                f"unexpected element <{child.tag}> under <{parent.tag}>",
-                element=child.tag)
-        _require_attrs(child, ("type",))
-        _reject_stray_text(child)
-        targets = []
-        for sub in child:
-            if sub.tag != "target":
-                raise XmlValidationError(
-                    f"unexpected element <{sub.tag}> under <property>",
-                    element=sub.tag)
-            _require_attrs(sub, ("domainid",))
-            _reject_stray_text(sub)
-            targets.append(_int_attr(sub, "domainid"))
-        props.append(DocProperty(type=child.get("type", ""),
-                                 targets=tuple(targets)))
-    return tuple(props)
+def _one_pass(parser, domains: list, files: list) -> None:
+    """Install the expat handlers of one parse.  An element is checked
+    when it opens and its ``Doc*`` value is built when it closes:
+    ``<policy>`` at depth 0, ``<domain>`` and ``<file>`` at 1,
+    ``<property>`` at 2 and ``<target>`` at 3; nothing may open below a
+    ``<target>``."""
+    open_tags: list[str] = []
+    after = None              # the last child closed at this depth
+    scope: tuple = ()         # fields of the open domain or file
+    properties: list[DocProperty] = []
+    ptype = ""                # type of the open property
+    targets: list[int] = []
+    untargeted: dict[str, DocProperty] = {}   # each built once
 
+    def fail(message, element):
+        raise XmlValidationError(message, element=element,
+                                 line=parser.CurrentLineNumber)
 
-def _require_attrs(elem: ET.Element, allowed: tuple[str, ...]) -> None:
-    for attr in elem.attrib:
-        if attr not in allowed:
-            raise XmlValidationError(
-                f"unknown attribute {attr!r} on <{elem.tag}>",
-                element=elem.tag)
-    for attr in allowed:
-        if attr not in elem.attrib:
-            raise XmlValidationError(
-                f"<{elem.tag}> is missing attribute {attr!r}",
-                element=elem.tag)
+    def unexpected(tag):
+        tag = _universal(tag)
+        fail(f"unexpected element <{tag}> under <{open_tags[-1]}>", tag)
 
+    def check_attrs(tag, attrs):
+        allowed = _ATTRS[tag]
+        for attr in attrs:
+            if attr not in allowed:
+                fail(f"unknown attribute {_universal(attr)!r} on <{tag}>", tag)
+        for attr in allowed:
+            if attr not in attrs:
+                fail(f"<{tag}> is missing attribute {attr!r}", tag)
 
-def _int_attr(elem: ET.Element, attr: str) -> int:
-    raw = elem.get(attr, "")
-    value = _canonical_int(raw)
-    if value is None:
-        raise XmlValidationError(
-            f"attribute {attr}={raw!r} on <{elem.tag}> is not an integer",
-            element=elem.tag)
-    return value
+    def integer(tag, attrs, attr):
+        value = _canonical_int(attrs[attr])
+        if value is None:
+            fail(f"attribute {attr}={attrs[attr]!r} on <{tag}> is not an "
+                 f"integer", tag)
+        return value
 
+    def start(tag, attrs):
+        nonlocal after, scope, properties, ptype, targets
+        depth = len(open_tags)
+        if depth == 1:
+            if tag == "domain":
+                if attrs.keys() != _DOMAIN_ATTRS:
+                    check_attrs(tag, attrs)
+                scope = (integer(tag, attrs, "id"), attrs["name"])
+            elif tag == "file":
+                if attrs.keys() != _FILE_ATTRS:
+                    check_attrs(tag, attrs)
+                scope = (integer(tag, attrs, "id"), attrs["path"],
+                         integer(tag, attrs, "domainid"))
+            else:
+                unexpected(tag)
+            properties = []
+        elif depth == 2:
+            if tag != "property":
+                unexpected(tag)
+            if attrs.keys() != _PROPERTY_ATTRS:
+                check_attrs(tag, attrs)
+            ptype = attrs["type"]
+            targets = []
+        elif depth == 3:
+            if tag != "target":
+                unexpected(tag)
+            if attrs.keys() != _TARGET_ATTRS:
+                check_attrs(tag, attrs)
+            targets.append(integer(tag, attrs, "domainid"))
+        elif depth == 0:
+            if tag != "policy":
+                tag = _universal(tag)
+                fail(f"root element must be <policy>, got <{tag}>", tag)
+            if attrs:
+                check_attrs(tag, attrs)
+        else:
+            unexpected(tag)
+        open_tags.append(tag)
+        after = None
 
-def _reject_stray_text(elem: ET.Element) -> None:
-    if elem.text and elem.text.strip():
-        raise XmlValidationError(
-            f"unexpected text inside <{elem.tag}>", element=elem.tag)
-    for child in elem:
-        if child.tail and child.tail.strip():
-            raise XmlValidationError(
-                f"unexpected text after <{child.tag}>", element=child.tag)
+    def end(tag):
+        nonlocal after
+        open_tags.pop()
+        after = tag
+        if tag == "property":
+            if targets:
+                prop = DocProperty(ptype, tuple(targets))
+            else:
+                prop = untargeted.get(ptype)
+                if prop is None:
+                    prop = untargeted[ptype] = DocProperty(ptype)
+            properties.append(prop)
+        elif tag == "domain":
+            domains.append(DocDomain(*scope, tuple(properties)))
+        elif tag == "file":
+            files.append(DocFile(*scope, tuple(properties)))
+
+    def text(data):
+        if not data.isspace():
+            if after:
+                fail(f"unexpected text after <{after}>", after)
+            fail(f"unexpected text inside <{open_tags[-1]}>", open_tags[-1])
+
+    def doctype(name, system_id, public_id, has_internal_subset):
+        fail(f"<!DOCTYPE {name}> is not allowed in a policy document",
+             "!DOCTYPE")
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = text
+    parser.StartDoctypeDeclHandler = doctype
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +338,27 @@ def to_peer_policy(doc: PolicyDocument, peer_id: str = "peer") -> PeerPolicy:
     Target ids that name a declared domain become that domain's name;
     any other id becomes a symbolic ``ext:<id>`` reference.  The lift
     checks only what a document cannot: targets on a kind that takes
-    none and ``nopublication`` on a file.
+    none and ``nopublication`` on a file.  Each distinct property list
+    is lifted once.
     """
     names_by_id = {dom.id: dom.name for dom in doc.domains}
-    domains = tuple(
-        Domain(id=dom.id, name=dom.name,
-               properties=_lift_properties(dom.properties, names_by_id,
-                                           f"domain {dom.name!r}"))
-        for dom in doc.domains)
+    lifted: dict[tuple[DocProperty, ...], frozenset[SecurityProperty]] = {}
+
+    def lift(scope: DocDomain | DocFile) -> frozenset[SecurityProperty]:
+        props = lifted.get(scope.properties)
+        if props is None:
+            props = lifted[scope.properties] = _lift_properties(scope,
+                                                                names_by_id)
+        return props
+
+    domains = tuple(Domain(dom.id, dom.name, lift(dom))
+                    for dom in doc.domains)
     resources = []
     for file in doc.files:
-        props = _lift_properties(file.properties, names_by_id,
-                                 f"file {file.path!r}")
+        props = lift(file)
         try:
-            resources.append(Resource(id=file.id, path=file.path,
-                                      domain_id=file.domainid,
-                                      properties=props))
+            resources.append(Resource(file.id, file.path, file.domainid,
+                                      props))
         except PolicyValidationError as exc:
             raise XmlValidationError(str(exc), element="file") from exc
     all_ids = [d.id for d in doc.domains] + [f.id for f in doc.files]
@@ -330,16 +367,21 @@ def to_peer_policy(doc: PolicyDocument, peer_id: str = "peer") -> PeerPolicy:
                       next_id=max(all_ids, default=0) + 1)
 
 
-def _lift_properties(props: tuple[DocProperty, ...],
-                     names_by_id: dict[int, str],
-                     where: str) -> frozenset[SecurityProperty]:
+#: Each property type name's kind.
+_KINDS = {kind.value: kind for kind in PropertyKind}
+
+
+def _lift_properties(scope: DocDomain | DocFile,
+                     names_by_id: dict[int, str]) -> frozenset[SecurityProperty]:
     lifted = set()
-    for prop in props:
+    for prop in scope.properties:
         targets = frozenset(
             names_by_id.get(t, f"ext:{t}") for t in prop.targets)
         try:
-            lifted.add(SecurityProperty(PropertyKind(prop.type), targets))
+            lifted.add(SecurityProperty(_KINDS[prop.type], targets))
         except PolicyValidationError as exc:
+            where = (f"domain {scope.name!r}" if isinstance(scope, DocDomain)
+                     else f"file {scope.path!r}")
             raise XmlValidationError(f"{exc} on {where}",
                                      element="property") from exc
     return frozenset(lifted)

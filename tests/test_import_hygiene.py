@@ -35,3 +35,19 @@ def test_an_unread_import_is_reported():
               "import re\nfrom typing import Optional, Union\n"
               "def f(x: Optional[int]) -> int:\n    return re.sub(x)\n")
     assert unread_imports(source) == ["Union", "os"]
+
+
+def test_policy_xml_builds_no_element_tree():
+    """The policy parser makes one expat pass; no ElementTree path is
+    kept beside it."""
+    tree = ast.parse((PACKAGE / "policy_xml.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            modules.update(f"{node.module}.{alias.name}"
+                           for alias in node.names)
+    assert not any(name.startswith("xml.etree") for name in modules)
+    assert "xml.parsers.expat" in modules

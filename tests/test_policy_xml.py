@@ -56,6 +56,14 @@ def test_parse_sample_document():
     assert doc.files[0].properties[0].targets == (2,)
 
 
+def test_untargeted_properties_are_built_once_per_parse():
+    doc = parse_policy(b"<policy><domain id='1' name='a'>"
+                       b"<property type='integrity'/></domain>"
+                       b"<domain id='2' name='b'>"
+                       b"<property type='integrity'/></domain></policy>")
+    assert doc.domains[0].properties[0] is doc.domains[1].properties[0]
+
+
 def test_serialize_is_canonical():
     assert serialize_policy(parse_policy(SAMPLE)) == CANONICAL
 
@@ -129,6 +137,25 @@ def test_target_on_untargeted_kind_rejected():
                        b"<target domainid='1'/></property></domain></policy>")
     with pytest.raises(XmlValidationError):
         to_peer_policy(doc)
+
+
+@pytest.mark.parametrize("scopes, where", [
+    ("<domain id='2' name='b'>{bad}</domain>"
+     "<domain id='3' name='c'>{bad}</domain>", "domain 'b'"),
+    ("<file id='2' path='f' domainid='1'>{bad}</file>"
+     "<file id='3' path='g' domainid='1'>{bad}</file>", "file 'f'"),
+])
+def test_lift_names_the_first_scope_with_a_bad_property(scopes, where):
+    """Each distinct property list is lifted once; the error still
+    names the first scope that holds it."""
+    bad = "<property type='integrity'><target domainid='1'/></property>"
+    doc = parse_policy("<policy><domain id='1' name='a'/>"
+                       + scopes.format(bad=bad) + "</policy>")
+    with pytest.raises(XmlValidationError) as err:
+        to_peer_policy(doc)
+    assert str(err.value) == (
+        f"integrity does not take target domains on {where}")
+    assert err.value.line is None
 
 
 def test_to_peer_policy_resolves_local_targets():
@@ -297,10 +324,11 @@ _DOMAIN = "<domain id='1' name='a'>"
 _COOP = "<property type='cooperation'>"
 
 #: One fault per document: (id, document, error type, exact message,
-#: line).  Line is the document line the parser reports the fault on;
-#: None for whole-document invariants, which ``PolicyDocument`` checks
-#: after the pass, and for faults with no position.  A row whose error
-#: type is None names a document that parses.
+#: line).  Line is the document line the parser reports the fault on,
+#: for stray text the line of the markup that ends it; None for
+#: whole-document invariants, which ``PolicyDocument`` checks after the
+#: pass, and for faults with no position.  A row whose error type is
+#: None names a document that parses.
 XML_ERRORS = (
     ("domain-missing-id", "<policy>\n<domain name='a'/>\n</policy>",
      V, "<domain> is missing attribute 'id'", 2),
@@ -364,35 +392,39 @@ XML_ERRORS = (
     ("element-under-property", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
      "<property type='spread'/>\n</property>\n</domain>\n</policy>",
      V, "unexpected element <property> under <property>", 4),
+    ("element-under-target", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
+     "<target domainid='1'><junk x='y'>text<deeper/></junk></target>\n"
+     "</property>\n</domain>\n</policy>",
+     V, "unexpected element <junk> under <target>", 4),
     ("text-inside-policy", f"<policy>\n  text\n{_DOMAIN}</domain>\n"
      "</policy>",
-     V, "unexpected text inside <policy>", 2),
+     V, "unexpected text inside <policy>", 3),
     ("text-inside-domain", f"<policy>\n{_DOMAIN}\n  text\n</domain>\n"
      "</policy>",
-     V, "unexpected text inside <domain>", 3),
+     V, "unexpected text inside <domain>", 4),
     ("text-inside-file", f"<policy>\n{_DOMAIN}</domain>\n"
      "<file id='2' path='f' domainid='1'>\n\ntext\n</file>\n</policy>",
-     V, "unexpected text inside <file>", 5),
+     V, "unexpected text inside <file>", 6),
     ("text-inside-property", f"<policy>\n{_DOMAIN}\n"
      "<property type='integrity'>text\n\n</property>\n</domain>\n"
      "</policy>",
-     V, "unexpected text inside <property>", 3),
+     V, "unexpected text inside <property>", 5),
     ("text-inside-target", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
      "<target domainid='1'>x</target>\n</property>\n</domain>\n</policy>",
      V, "unexpected text inside <target>", 4),
     ("text-after-domain", f"<policy>\n{_DOMAIN}</domain>\n  text\n"
      "</policy>",
-     V, "unexpected text after <domain>", 3),
+     V, "unexpected text after <domain>", 4),
     ("text-after-file", f"<policy>\n{_DOMAIN}</domain>\n"
      "<file id='2' path='f' domainid='1'/>text\n</policy>",
-     V, "unexpected text after <file>", 3),
+     V, "unexpected text after <file>", 4),
     ("text-after-property", f"<policy>\n{_DOMAIN}\n"
      "<property type='integrity'/>\n<![CDATA[text]]>\n</domain>\n"
      "</policy>",
-     V, "unexpected text after <property>", 4),
+     V, "unexpected text after <property>", 5),
     ("text-after-target", f"<policy>\n{_DOMAIN}\n{_COOP}\n"
      "<target domainid='1'/>&amp;\n</property>\n</domain>\n</policy>",
-     V, "unexpected text after <target>", 4),
+     V, "unexpected text after <target>", 5),
     ("text-after-policy", "<policy>\n</policy>\ntext",
      S, "junk after document element: line 3, column 0", 3),
     ("no-break-space-is-blank", f"<policy>\u00a0\n{_DOMAIN}\u00a0"
@@ -446,3 +478,14 @@ def test_xml_error_messages(data, error, message):
     with pytest.raises(P2PSecError) as err:
         parse_policy(data)
     assert (type(err.value), str(err.value)) == (error, message)
+
+
+@pytest.mark.parametrize("data, error, line",
+                         [row[1:3] + row[4:] for row in XML_ERRORS
+                          if row[2] is not None],
+                         ids=[row[0] for row in XML_ERRORS
+                              if row[2] is not None])
+def test_xml_error_lines(data, error, line):
+    with pytest.raises(error) as err:
+        parse_policy(data)
+    assert err.value.line == line
