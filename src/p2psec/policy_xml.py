@@ -28,7 +28,8 @@ from .policy import (
     sort_properties,
 )
 
-PROPERTY_TYPE_NAMES = tuple(kind.value for kind in PropertyKind)
+#: Each property type name's kind.
+_KINDS = {kind.value: kind for kind in PropertyKind}
 
 #: The encoding an XML declaration at the start of a document names.
 _DECLARED_ENCODING = re.compile(
@@ -112,7 +113,7 @@ def _add_unique(seen: set, value: object, message: str, element: str) -> None:
 
 def _validate_properties(props: tuple[DocProperty, ...], where: str) -> None:
     for prop in props:
-        if prop.type not in PROPERTY_TYPE_NAMES:
+        if prop.type not in _KINDS:
             raise XmlValidationError(
                 f"unknown property type {prop.type!r} on {where}",
                 element="property")
@@ -145,7 +146,7 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
     parser.buffer_text = True
     domains: list[DocDomain] = []
     files: list[DocFile] = []
-    _one_pass(parser, domains, files)
+    _install_handlers(parser, domains, files)
     try:
         if isinstance(data, str):
             data = data.encode("utf-8")
@@ -176,8 +177,10 @@ def _universal(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
-def _one_pass(parser, domains: list, files: list) -> None:
-    """Install the expat handlers of one parse.  An element is checked
+def _install_handlers(parser, domains: list[DocDomain],
+                      files: list[DocFile]) -> None:
+    """Install the expat handlers of one parse, which append to
+    ``domains`` and ``files`` as it goes.  An element is checked
     when it opens and its ``Doc*`` value is built when it closes:
     ``<policy>`` at depth 0, ``<domain>`` and ``<file>`` at 1,
     ``<property>`` at 2 and ``<target>`` at 3; nothing may open below a
@@ -365,10 +368,6 @@ def to_peer_policy(doc: PolicyDocument, peer_id: str = "peer") -> PeerPolicy:
     return PeerPolicy(peer_id=peer_id, domains=domains,
                       resources=tuple(resources),
                       next_id=max(all_ids, default=0) + 1)
-
-
-#: Each property type name's kind.
-_KINDS = {kind.value: kind for kind in PropertyKind}
 
 
 def _lift_properties(scope: DocDomain | DocFile,
