@@ -156,6 +156,11 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
                              column=exc.offset) from exc
     except (ValueError, LookupError) as exc:
         raise XmlSyntaxError(str(exc)) from exc
+    finally:
+        # The handlers close over the parser: unhooking them frees both
+        # now instead of at the next cyclic garbage collection.
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.StartDoctypeDeclHandler = None
     return PolicyDocument(domains=tuple(domains), files=tuple(files))
 
 

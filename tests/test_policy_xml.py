@@ -1,5 +1,6 @@
 """XML policy exchange format: parsing, validation, serialization."""
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -62,6 +63,18 @@ def test_untargeted_properties_are_built_once_per_parse():
                        b"<domain id='2' name='b'>"
                        b"<property type='integrity'/></domain></policy>")
     assert doc.domains[0].properties[0] is doc.domains[1].properties[0]
+
+
+def test_parse_leaves_no_reference_cycle():
+    """The parser and its handlers are freed when the parse returns, not
+    kept for the cyclic garbage collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        parse_policy(SAMPLE)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_serialize_is_canonical():
