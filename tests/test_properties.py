@@ -1,6 +1,7 @@
 """Generated-input properties for the core invariants."""
 
 import itertools
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +52,7 @@ from p2psec import (
     from_peer_policy,
     trust_value,
     update_reputation,
+    XmlSyntaxError,
     XmlValidationError,
 )
 from p2psec.simnet import (
@@ -204,6 +206,27 @@ def test_only_package_errors_escape_the_compile_path(data):
     try:
         emit_rules(compile_policy(to_peer_policy(parse_policy(data))))
     except P2PSecError:
+        pass
+
+
+#: The whole-document invariants ``PolicyDocument`` checks after the
+#: parse; every other validation fault is found during the pass.
+_DOCUMENT_FAULTS = re.compile(
+    r"duplicate (id|domain name|file path) |(domain name|file path) must "
+    r"be non-empty$|unknown property type |.* references undeclared domain")
+
+
+@EXAMPLES
+@given(mutated_documents)
+def test_every_fault_found_during_the_parse_has_a_line(data):
+    try:
+        parse_policy(data)
+    except XmlValidationError as exc:
+        if _DOCUMENT_FAULTS.match(str(exc)):
+            assert exc.line is None
+        else:
+            assert exc.line is not None and 1 <= exc.line
+    except XmlSyntaxError:
         pass
 
 
