@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .mac import compile_policy, emit_rules
-from .policy import (
-    Domain,
-    PeerPolicy,
-    PropertyKind,
-    Resource,
-    SecurityProperty,
-)
+from .policy import PeerPolicy, PolicyBuilder, PropertyKind, SecurityProperty
 
 #: Non-conflicting property mixes cycled across generated domains.
 _DOMAIN_MIXES: tuple[tuple[SecurityProperty, ...], ...] = (
@@ -43,28 +37,19 @@ def synthetic_policy(domains: int, resources_per_domain: int = 2) -> PeerPolicy:
     """Deterministic policy with the requested number of domains.
 
     Property mixes cycle through every non-conflicting combination so
-    the compiled output exercises each rule set shape.  The domain and
-    resource tuples are built in one pass; the result equals what
-    ``create_domain``, ``add_property`` and ``add_resource`` calls in
-    the same order would build.
+    the compiled output exercises each rule set shape.
     """
     if domains < 0:
         raise ValueError("domains must be non-negative")
-    built_domains = []
-    resources = []
-    next_id = 1
+    policy = PolicyBuilder("bench")
     for index in range(domains):
         name = f"dom{index:05d}"
-        dom = Domain(id=next_id, name=name,
-                     properties=_DOMAIN_MIXES[index % len(_DOMAIN_MIXES)])
-        built_domains.append(dom)
-        next_id += 1
+        policy.create_domain(name)
+        for prop in _DOMAIN_MIXES[index % len(_DOMAIN_MIXES)]:
+            policy.add_property(name, prop)
         for res in range(resources_per_domain):
-            resources.append(Resource(
-                id=next_id, path=f"/srv/{name}/file{res}", domain_id=dom.id))
-            next_id += 1
-    return PeerPolicy(peer_id="bench", domains=tuple(built_domains),
-                      resources=tuple(resources), next_id=next_id)
+            policy.add_resource(f"/srv/{name}/file{res}", name)
+    return policy.freeze()
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .bench import DEFAULT_COUNTS, render_benchmark, run_benchmark
-from .errors import P2PSecError
+from .errors import P2PSecError, ScenarioError, XmlValidationError
 from .mac import (
     compile_policy,
     emit_rules,
@@ -184,11 +184,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except P2PSecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (P2PSecError, OSError) as exc:
+        where = ""
+        # An XmlSyntaxError's own message already gives its position.
+        if isinstance(exc, (ScenarioError, XmlValidationError)) and exc.line:
+            path = args.scenario if args.command == "simulate" else args.policy
+            where = f"{path}:{exc.line}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

@@ -206,9 +206,8 @@ class CompiledPolicy:
 def compile_policy(policy: PeerPolicy) -> CompiledPolicy:
     """Project a policy onto MAC rulesets and object contexts.
 
-    ``policy`` must be valid, and is not checked again: policies from
-    ``to_peer_policy``, ``synthetic_policy``, the ``PeerPolicy``
-    operations and a ``PeerAgent`` all are.  Each domain's ruleset and
+    ``policy`` is not checked again: building a ``PeerPolicy`` checks
+    it, so every policy value is valid.  Each domain's ruleset and
     object context are derived once per compile: a file with no
     properties of its own shares its domain's ``MacRuleSet`` and
     ``SecurityContext`` objects, and a file with its own properties

@@ -14,7 +14,7 @@ domain, optionally carrying owner-requested resource-level properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -130,13 +130,14 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
 
     Owner-requested resource-level properties come along unless they
     conflict with the target domain's own properties, in which case
-    ``add_resource`` aborts the whole transfer with
+    ``PolicyBuilder.add_resource`` aborts the whole transfer with
     ``PropertyConflictError``.
 
     A policy has one resource per path.  If the requester already holds
     the path in the target domain, ``requester_policy`` itself comes
-    back unchanged; if it holds the path in another domain, the received
-    copy replaces that one.
+    back unchanged; if it holds the path in another domain, one builder
+    drops that copy and adds the received one, so the result is built
+    and checked once.
     """
     path = resource.path
     if requester_policy.has_resource(path):
@@ -144,7 +145,7 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
         if (requester_policy.domain_by_id(held.domain_id).name
                 == target_domain_name):
             return requester_policy
-        requester_policy = replace(requester_policy, resources=tuple(
-            r for r in requester_policy.resources if r is not held))
-    return requester_policy.add_resource(path, target_domain_name,
-                                         owner_props)
+    policy = requester_policy.thaw()
+    if path in policy.resources:
+        policy.drop_resource(path)
+    return policy.add_resource(path, target_domain_name, owner_props).freeze()

@@ -7,14 +7,17 @@ permissions (cooperation, spread).  Some kind pairs are mutually
 incompatible; the conflict relation drives both local policy checks and
 remote negotiation.
 
-All types are immutable values.  Mutation operations return a new
-``PeerPolicy`` and never touch their input.
+The value types are immutable, and building a ``PeerPolicy`` checks
+it, so every policy value is valid.  Edits are made on a mutable
+``PolicyBuilder``, the one home of the edit checks, which freezes into
+a ``PeerPolicy``; a ``PeerPolicy`` edit thaws, applies one builder
+step and freezes, returning a new value and never touching its input.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -143,13 +146,13 @@ def property_set_conflicts(
     kind-level relation, :func:`conflicts`.
     """
     offered = sort_properties(offered)
-    found = []
-    for req in sort_properties(required):
-        for off in offered:
-            scoped = req.targets or off.targets
-            if conflicts(req.kind, off.kind) and not scoped:
-                found.append((req, off))
-    return found
+    return [(req, off) for req in sort_properties(required)
+            for off in offered if _clash(req, off)]
+
+
+def _clash(a: SecurityProperty, b: SecurityProperty) -> bool:
+    """A kind-level conflict that no explicit target excuses."""
+    return conflicts(a.kind, b.kind) and not (a.targets or b.targets)
 
 
 @dataclass(frozen=True)
@@ -201,158 +204,77 @@ class PeerPolicy:
     """The complete local policy of one peer.
 
     Ids are unique across domains and resources; a shared monotone
-    counter hands them out.  Operations are pure: each returns a new
-    policy value.
+    counter hands them out.  Building a value checks these invariants
+    and indexes the domains by name and id and the resources by path,
+    so every ``PeerPolicy`` is valid and each lookup is a dict read.
+    The edit operations are pure: each thaws the policy into a
+    :class:`PolicyBuilder`, applies one step and freezes the result.
     """
 
     peer_id: str = "peer"
     domains: tuple[Domain, ...] = ()
     resources: tuple[Resource, ...] = ()
     next_id: int = 1
+    _by_name: dict[str, Domain] = field(init=False, repr=False, compare=False)
+    _by_id: dict[int, Domain] = field(init=False, repr=False, compare=False)
+    _by_path: dict[str, Resource] = field(init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self):
+        self.validate()
 
     # -- lookups ------------------------------------------------------
 
     def domain(self, name: str) -> Domain:
-        for dom in self.domains:
-            if dom.name == name:
-                return dom
-        raise UnknownDomainError(f"unknown domain {name!r}")
+        return _get(self._by_name, name, UnknownDomainError, "domain")
 
     def has_domain(self, name: str) -> bool:
-        return any(dom.name == name for dom in self.domains)
+        return name in self._by_name
 
     def domain_by_id(self, domain_id: int) -> Domain:
-        for dom in self.domains:
-            if dom.id == domain_id:
-                return dom
-        raise UnknownDomainError(f"unknown domain id {domain_id}")
+        return _get(self._by_id, domain_id, UnknownDomainError, "domain id")
 
     def find_resource(self, path: str) -> Resource:
-        for res in self.resources:
-            if res.path == path:
-                return res
-        raise UnknownResourceError(f"unknown resource {path!r}")
+        return _get(self._by_path, path, UnknownResourceError, "resource")
 
     def has_resource(self, path: str) -> bool:
-        return any(res.path == path for res in self.resources)
-
-    # -- domain operations --------------------------------------------
-
-    def create_domain(self, name: str) -> "PeerPolicy":
-        """Add a fresh, property-free domain named ``name``."""
-        if self.has_domain(name):
-            raise DuplicateDomainError(f"domain {name!r} already exists")
-        dom = Domain(id=self.next_id, name=name)
-        return replace(self, domains=self.domains + (dom,),
-                       next_id=self.next_id + 1)
-
-    def delete_domain(self, name: str) -> "PeerPolicy":
-        """Remove a domain together with every resource it owns."""
-        dom = self.domain(name)
-        return replace(
-            self,
-            domains=tuple(d for d in self.domains if d.id != dom.id),
-            resources=tuple(r for r in self.resources
-                            if r.domain_id != dom.id),
-        )
-
-    # -- property operations ------------------------------------------
-
-    def add_property(self, scope: str, prop: SecurityProperty) -> "PeerPolicy":
-        """Attach ``prop`` at ``scope`` (a domain name, else a resource path).
-
-        Raises PropertyConflictError when the new property conflicts with
-        a property already effective at that scope (for a domain, that
-        includes its files' own properties); re-adding an implied
-        property is a no-op.
-        """
-        if self.has_domain(scope):
-            dom = self.domain(scope)
-            if prop in dom.properties:
-                return self
-            present = dom.properties.union(*(
-                r.properties for r in self.resources if r.domain_id == dom.id))
-            self._check_conflicts(prop, present, f"domain {scope!r}")
-            updated = replace(dom, properties=dom.properties | {prop})
-            return self._swap_domain(updated)
-        if self.has_resource(scope):
-            res = self.find_resource(scope)
-            effective = self.effective_properties(scope)
-            if prop in effective:
-                return self
-            self._check_conflicts(prop, effective, f"resource {scope!r}")
-            updated = replace(res, properties=res.properties | {prop})
-            return self._swap_resource(updated)
-        raise UnknownScopeError(f"no domain or resource named {scope!r}")
-
-    def remove_property(self, scope: str, prop: SecurityProperty) -> "PeerPolicy":
-        """Detach ``prop`` from ``scope``; absent properties are a no-op."""
-        if self.has_domain(scope):
-            dom = self.domain(scope)
-            if prop not in dom.properties:
-                return self
-            return self._swap_domain(
-                replace(dom, properties=dom.properties - {prop}))
-        if self.has_resource(scope):
-            res = self.find_resource(scope)
-            if prop not in res.properties:
-                return self
-            return self._swap_resource(
-                replace(res, properties=res.properties - {prop}))
-        raise UnknownScopeError(f"no domain or resource named {scope!r}")
+        return path in self._by_path
 
     def effective_properties(self, resource_path: str) -> frozenset[SecurityProperty]:
         """Owning domain properties united with the resource's own."""
         res = self.find_resource(resource_path)
-        dom = self.domain_by_id(res.domain_id)
-        return dom.properties | res.properties
+        return self._by_id[res.domain_id].properties | res.properties
 
-    # -- resource operations ------------------------------------------
+    # -- edits; see PolicyBuilder for what each one checks ------------
+
+    def thaw(self) -> "PolicyBuilder":
+        """A builder holding this policy."""
+        builder = PolicyBuilder(self.peer_id)
+        builder.next_id = self.next_id
+        builder.domains = dict(self._by_name)
+        builder.resources = dict(self._by_path)
+        builder._by_id = dict(self._by_id)
+        builder._files = {dom_id: set() for dom_id in self._by_id}
+        for res in self.resources:
+            builder._files[res.domain_id].add(res.path)
+        return builder
+
+    def create_domain(self, name: str) -> "PeerPolicy":
+        return self.thaw().create_domain(name).freeze()
+
+    def delete_domain(self, name: str) -> "PeerPolicy":
+        return self.thaw().delete_domain(name).freeze()
+
+    def add_property(self, scope: str, prop: SecurityProperty) -> "PeerPolicy":
+        return self.thaw().add_property(scope, prop).freeze()
 
     def add_resource(self, path: str, domain_name: str,
                      props: Iterable[SecurityProperty] = ()) -> "PeerPolicy":
-        """Plain constructor used by setup and transfers.
-
-        Unlike :meth:`publish` this applies no publication rules; property
-        conflicts against the owning domain are still rejected, and so is
-        a path the policy already holds (after the domain and property
-        checks).
-        """
-        dom = self.domain(domain_name)
-        props = frozenset(props)
-        pairs = property_set_conflicts(props, dom.properties)
-        pairs += _internal_conflicts(props)
-        if pairs:
-            raise PropertyConflictError(
-                f"properties conflict in domain {domain_name!r}", pairs)
-        if self.has_resource(path):
-            raise DuplicateResourceError(f"resource {path!r} already exists")
-        attached = frozenset(p for p in props if p not in dom.properties)
-        res = Resource(id=self.next_id, path=path, domain_id=dom.id,
-                       properties=attached)
-        return replace(self, resources=self.resources + (res,),
-                       next_id=self.next_id + 1)
+        return self.thaw().add_resource(path, domain_name, props).freeze()
 
     def publish(self, props: Iterable[SecurityProperty], path: str,
                 domain_name: str) -> "PeerPolicy":
-        """Introduce a new resource into ``domain_name`` with ``props``.
-
-        Refused when the domain carries nopublication; past that check
-        it is :meth:`add_resource`, which refuses properties that
-        conflict with the domain's or with each other and then a path
-        the policy already holds.  Properties the domain already implies
-        are not duplicated on the resource.
-        """
-        dom = self.domain(domain_name)
-        props = frozenset(props)
-        for prop in props:
-            if prop.kind is PropertyKind.NOPUBLICATION:
-                raise PolicyValidationError(
-                    "nopublication applies to domains, not resources")
-        if PropertyKind.NOPUBLICATION in dom.kinds:
-            raise PublicationForbiddenError(
-                f"domain {domain_name!r} forbids publication")
-        return self.add_resource(path, domain_name, props)
+        return self.thaw().publish(props, path, domain_name).freeze()
 
     # -- whole-policy checks ------------------------------------------
 
@@ -369,74 +291,186 @@ class PeerPolicy:
                 ("domain", dom.name, a, b)
                 for a, b in _internal_conflicts(dom.properties))
         for res in self.resources:
-            dom = self.domain_by_id(res.domain_id)
+            dom = self._by_id[res.domain_id]
             findings.extend(
                 ("resource", res.path, a, b)
-                for a, b in _internal_conflicts(res.properties))
-            findings.extend(
-                ("resource", res.path, a, b)
-                for a, b in property_set_conflicts(res.properties,
-                                                   dom.properties))
+                for a, b in _internal_conflicts(res.properties)
+                + property_set_conflicts(res.properties, dom.properties))
         return tuple(findings)
 
     def validate(self) -> None:
-        """Check structural invariants; raises PolicyValidationError."""
-        seen_ids: set[int] = set()
-        seen_names: set[str] = set()
-        seen_paths: set[str] = set()
-        domain_ids = {dom.id for dom in self.domains}
+        """Check the structural invariants and build the indexes; raises
+        PolicyValidationError on the first fault in declaration order.
+        Building a value calls it."""
+        by_name: dict[str, Domain] = {}
+        by_id: dict[int, Domain] = {}
+        by_path: dict[str, Resource] = {}
+        ids: set[int] = set()
         for dom in self.domains:
-            if dom.id in seen_ids:
+            if dom.id in ids:
                 raise PolicyValidationError(f"duplicate id {dom.id}")
-            seen_ids.add(dom.id)
-            if dom.name in seen_names:
+            ids.add(dom.id)
+            if dom.name in by_name:
                 raise PolicyValidationError(
                     f"duplicate domain name {dom.name!r}")
-            seen_names.add(dom.name)
+            by_name[dom.name] = by_id[dom.id] = dom
         for res in self.resources:
-            if res.id in seen_ids:
+            if res.id in ids:
                 raise PolicyValidationError(f"duplicate id {res.id}")
-            seen_ids.add(res.id)
-            if res.domain_id not in domain_ids:
+            ids.add(res.id)
+            if res.domain_id not in by_id:
                 raise PolicyValidationError(
                     f"resource {res.path!r} owned by unknown domain id "
                     f"{res.domain_id}")
-            if res.path in seen_paths:
+            if res.path in by_path:
                 raise PolicyValidationError(
                     f"duplicate resource path {res.path!r}")
-            seen_paths.add(res.path)
-        if seen_ids and max(seen_ids) >= self.next_id:
+            by_path[res.path] = res
+        if ids and max(ids) >= self.next_id:
             raise PolicyValidationError("id counter behind an assigned id")
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_path", by_path)
 
-    # -- internals ------------------------------------------------------
 
-    def _check_conflicts(self, prop: SecurityProperty,
-                         present: frozenset[SecurityProperty],
-                         where: str) -> None:
-        pairs = property_set_conflicts((prop,), present)
+class PolicyBuilder:
+    """A policy under construction, and the one place where edits are
+    checked.
+
+    Each step either raises, leaving the builder as it was, or applies
+    in O(1); adding a property to a domain also reads that domain's
+    files.  ``freeze`` returns the :class:`PeerPolicy`, with domains and
+    resources in the order they were first added and the ids the
+    counter handed out.  Every step returns the builder.
+    """
+
+    def __init__(self, peer_id: str = "peer"):
+        self.peer_id = peer_id
+        self.next_id = 1
+        self.domains: dict[str, Domain] = {}
+        self.resources: dict[str, Resource] = {}
+        self._by_id: dict[int, Domain] = {}
+        self._files: dict[int, set[str]] = {}    # domain id -> its paths
+
+    def freeze(self) -> PeerPolicy:
+        return PeerPolicy(self.peer_id, tuple(self.domains.values()),
+                          tuple(self.resources.values()), self.next_id)
+
+    def create_domain(self, name: str) -> "PolicyBuilder":
+        """Add a fresh, property-free domain named ``name``."""
+        if name in self.domains:
+            raise DuplicateDomainError(f"domain {name!r} already exists")
+        dom = Domain(self.next_id, name)
+        self.domains[name] = self._by_id[dom.id] = dom
+        self._files[dom.id] = set()
+        self.next_id += 1
+        return self
+
+    def delete_domain(self, name: str) -> "PolicyBuilder":
+        """Remove a domain together with every resource it owns."""
+        dom = _get(self.domains, name, UnknownDomainError, "domain")
+        del self.domains[name], self._by_id[dom.id]
+        for path in self._files.pop(dom.id):
+            del self.resources[path]
+        return self
+
+    def add_property(self, scope: str, prop: SecurityProperty) -> "PolicyBuilder":
+        """Attach ``prop`` at ``scope`` (a domain name, else a resource path).
+
+        Raises PropertyConflictError when the new property conflicts with
+        a property already effective at that scope (for a domain, that
+        includes its files' own properties); re-adding an implied
+        property is a no-op.
+        """
+        if scope in self.domains:
+            dom = self.domains[scope]
+            if prop not in dom.properties:
+                present = dom.properties.union(*(
+                    self.resources[path].properties
+                    for path in self._files[dom.id]))
+                _check_conflicts(prop, present, f"domain {scope!r}")
+                self.domains[scope] = self._by_id[dom.id] = Domain(
+                    dom.id, dom.name, dom.properties | {prop})
+        elif scope in self.resources:
+            res = self.resources[scope]
+            effective = self._by_id[res.domain_id].properties | res.properties
+            if prop not in effective:
+                _check_conflicts(prop, effective, f"resource {scope!r}")
+                self.resources[scope] = Resource(
+                    res.id, res.path, res.domain_id, res.properties | {prop})
+        else:
+            raise UnknownScopeError(f"no domain or resource named {scope!r}")
+        return self
+
+    def add_resource(self, path: str, domain_name: str,
+                     props: Iterable[SecurityProperty] = ()) -> "PolicyBuilder":
+        """Plain constructor used by setup and transfers.
+
+        Unlike :meth:`publish` this applies no publication rules; property
+        conflicts against the owning domain are still rejected, and so is
+        a path the builder already holds (after the domain and property
+        checks).  Properties the domain already implies are not
+        duplicated on the resource.
+        """
+        dom = _get(self.domains, domain_name, UnknownDomainError, "domain")
+        props = frozenset(props)
+        pairs = property_set_conflicts(props, dom.properties)
+        pairs += _internal_conflicts(props)
         if pairs:
             raise PropertyConflictError(
-                f"{prop.render()} conflicts at {where}", pairs)
+                f"properties conflict in domain {domain_name!r}", pairs)
+        if path in self.resources:
+            raise DuplicateResourceError(f"resource {path!r} already exists")
+        self.resources[path] = Resource(self.next_id, path, dom.id,
+                                        props - dom.properties)
+        self._files[dom.id].add(path)
+        self.next_id += 1
+        return self
 
-    def _swap_domain(self, dom: Domain) -> "PeerPolicy":
-        return replace(self, domains=tuple(
-            dom if d.id == dom.id else d for d in self.domains))
+    def publish(self, props: Iterable[SecurityProperty], path: str,
+                domain_name: str) -> "PolicyBuilder":
+        """Introduce a new resource into ``domain_name`` with ``props``.
 
-    def _swap_resource(self, res: Resource) -> "PeerPolicy":
-        return replace(self, resources=tuple(
-            res if r.id == res.id else r for r in self.resources))
+        Refused when the domain carries nopublication; past that check
+        it is :meth:`add_resource`.
+        """
+        dom = _get(self.domains, domain_name, UnknownDomainError, "domain")
+        props = frozenset(props)
+        if any(p.kind is PropertyKind.NOPUBLICATION for p in props):
+            raise PolicyValidationError(
+                "nopublication applies to domains, not resources")
+        if PropertyKind.NOPUBLICATION in dom.kinds:
+            raise PublicationForbiddenError(
+                f"domain {domain_name!r} forbids publication")
+        return self.add_resource(path, domain_name, props)
+
+    def drop_resource(self, path: str) -> "PolicyBuilder":
+        """Remove a held resource, as a transfer does before it places
+        the received copy."""
+        res = _get(self.resources, path, UnknownResourceError, "resource")
+        del self.resources[path]
+        self._files[res.domain_id].discard(path)
+        return self
+
+
+def _get(index: dict, key, error: type, what: str):
+    try:
+        return index[key]
+    except KeyError:
+        raise error(f"unknown {what} {key!r}") from None
+
+
+def _check_conflicts(prop: SecurityProperty,
+                     present: frozenset[SecurityProperty], where: str) -> None:
+    pairs = property_set_conflicts((prop,), present)
+    if pairs:
+        raise PropertyConflictError(f"{prop.render()} conflicts at {where}",
+                                    pairs)
 
 
 def _internal_conflicts(
     props: Iterable[SecurityProperty],
 ) -> list[tuple[SecurityProperty, SecurityProperty]]:
     """Conflicting pairs inside one property set (each pair once)."""
-    ordered = sort_properties(props)
-    found = []
-    for a, b in itertools.combinations(ordered, 2):
-        if not conflicts(a.kind, b.kind):
-            continue
-        if a.targets or b.targets:
-            continue
-        found.append((a, b))
-    return found
+    return [pair for pair in itertools.combinations(sort_properties(props), 2)
+            if _clash(*pair)]

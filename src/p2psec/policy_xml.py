@@ -79,6 +79,20 @@ class PolicyDocument:
     files: tuple[DocFile, ...] = ()
 
     def __post_init__(self):
+        # Set sizes first: only a broken document pays for the scan.
+        domain_ids = {dom.id for dom in self.domains}
+        names = {dom.name for dom in self.domains} - {""}
+        paths = {file.path for file in self.files} - {""}
+        scopes = self.domains + self.files
+        if (len(domain_ids.union(f.id for f in self.files)) != len(scopes)
+                or (len(names), len(paths)) != (len(self.domains),
+                                                len(self.files))
+                or not domain_ids.issuperset(f.domainid for f in self.files)
+                or not _KINDS.keys() >= {prop.type for scope in scopes
+                                         for prop in scope.properties}):
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> None:
         ids: set[int] = set()
         names: set[str] = set()
         for dom in self.domains:
@@ -392,8 +406,9 @@ def _lift_properties(scope: DocDomain | DocFile,
 
 
 def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:
-    """Project a policy back onto the interchange document; a policy
-    that breaks a document invariant raises XmlValidationError."""
+    """Project a policy back onto the interchange document; a target
+    that names no local domain and is not an ``ext:<id>`` reference
+    raises XmlValidationError."""
     ids_by_name = {dom.name: dom.id for dom in policy.domains}
     domains = tuple(
         DocDomain(id=dom.id, name=dom.name,

@@ -56,6 +56,7 @@ from .negotiation import (
 from .policy import (
     KIND_ORDER,
     PeerPolicy,
+    PolicyBuilder,
     PropertyKind,
     SecurityProperty,
     conflicts,
@@ -118,30 +119,14 @@ class AskAction:
 
 
 @dataclass(frozen=True)
-class PublishAction:
+class EditAction:
+    """An owner's policy edit at run time: the ``PeerPolicy`` edit
+    ``method`` (``publish``, ``add_property``, ``create_domain`` or
+    ``delete_domain``) called with ``args``."""
+
     peer: str
-    path: str
-    domain_name: str
-    properties: tuple[SecurityProperty, ...] = ()
-
-
-@dataclass(frozen=True)
-class AddPropertyAction:
-    peer: str
-    scope: str
-    prop: SecurityProperty
-
-
-@dataclass(frozen=True)
-class CreateDomainAction:
-    peer: str
-    name: str
-
-
-@dataclass(frozen=True)
-class DeleteDomainAction:
-    peer: str
-    name: str
+    method: str
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -149,8 +134,7 @@ class ShowAction:
     peer: str
 
 
-Action = Union[AskAction, PublishAction, AddPropertyAction,
-               CreateDomainAction, DeleteDomainAction, ShowAction]
+Action = Union[AskAction, EditAction, ShowAction]
 
 
 @dataclass(frozen=True)
@@ -194,24 +178,24 @@ def _parse_property(tokens: list[str], lineno: int) -> SecurityProperty:
 
 
 class _ScenarioBuilder:
-    """Parse state.  Declarations edit the peer's policy as they are
-    read, so the policy's own checks (conflicts, nopublication on files)
-    reject a bad statement on its line."""
+    """Parse state.  Declarations edit the peer's policy builder as they
+    are read, so its checks (conflicts, nopublication on files) reject a
+    bad statement on its line; each policy is frozen once, in
+    ``build``."""
 
     def __init__(self):
         self.seed = 0
         self.config_overrides: dict[str, object] = {}
         self.config_line: Optional[int] = None
-        self.peers: dict[str, PeerDecl] = {}
+        # uid -> (display name, behavior, known (subject, trust) pairs)
+        self.peers: dict[str, tuple[str, BehaviorModel, list]] = {}
+        self.policies: dict[str, PolicyBuilder] = {}
         self.actions: list[Action] = []
 
-    def peer(self, uid: str, lineno: int) -> PeerDecl:
-        if uid not in self.peers:
+    def peer(self, uid: str, lineno: int) -> PolicyBuilder:
+        if uid not in self.policies:
             raise ScenarioError(f"peer {uid!r} is not declared", line=lineno)
-        return self.peers[uid]
-
-    def update(self, decl: PeerDecl, **changes) -> None:
-        self.peers[decl.uid] = replace(decl, **changes)
+        return self.policies[uid]
 
     def build(self) -> Scenario:
         # Cross-field rules (refuse < full trust, weights summing to 1)
@@ -220,7 +204,11 @@ class _ScenarioBuilder:
             config = TrustConfig(**self.config_overrides)
         except TrustError as exc:
             raise ScenarioError(str(exc), line=self.config_line) from exc
-        return Scenario(seed=self.seed, peers=tuple(self.peers.values()),
+        peers = tuple(
+            PeerDecl(uid, display, self.policies[uid].freeze(), behavior,
+                     tuple(knows))
+            for uid, (display, behavior, knows) in self.peers.items())
+        return Scenario(seed=self.seed, peers=peers,
                         actions=tuple(self.actions), config=config)
 
 
@@ -302,70 +290,63 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
                                         line=lineno) from None
             else:
                 raise ScenarioError(f"bad peer option {extra!r}", line=lineno)
-        builder.peers[uid] = PeerDecl(uid, display, PeerPolicy(peer_id=uid),
-                                      behavior)
+        builder.peers[uid] = (display, behavior, [])
+        builder.policies[uid] = PolicyBuilder(uid)
     elif stmt == "knows":
-        holder = builder.peer(args[0], lineno)
-        subject = builder.peer(args[1], lineno).uid
+        holder = builder.peer(args[0], lineno).peer_id
+        subject = builder.peer(args[1], lineno).peer_id
         trust = _number(float, args[2])
         if not 0.0 <= trust <= 1.0:
             raise ScenarioError(f"knows trust must lie in [0, 1], not "
                                 f"{args[2]!r}", line=lineno)
-        builder.update(holder, knows=holder.knows + ((subject, trust),))
+        builder.peers[holder][2].append((subject, trust))
     elif stmt == "domain":
-        decl = builder.peer(args[0], lineno)
         try:
-            policy = decl.policy.create_domain(args[1])
+            builder.peer(args[0], lineno).create_domain(args[1])
         except DuplicateDomainError:
             raise ScenarioError(f"domain {args[1]!r} declared twice",
                                 line=lineno) from None
-        builder.update(decl, policy=policy)
     elif stmt == "resource":
-        decl = builder.peer(args[0], lineno)
         try:
-            policy = decl.policy.add_resource(args[1], args[2])
+            builder.peer(args[0], lineno).add_resource(args[1], args[2])
         except UnknownDomainError:
             raise ScenarioError(f"resource domain {args[2]!r} is not "
                                 f"declared", line=lineno) from None
         except DuplicateResourceError:
             raise ScenarioError(f"resource {args[1]!r} declared twice",
                                 line=lineno) from None
-        builder.update(decl, policy=policy)
     elif stmt == "property":
-        decl = builder.peer(args[0], lineno)
+        policy = builder.peer(args[0], lineno)
         prop = _parse_property(args[2:], lineno)
         try:
-            policy = decl.policy.add_property(args[1], prop)
+            policy.add_property(args[1], prop)
         except UnknownScopeError:
             raise ScenarioError(f"scope {args[1]!r} is not declared",
                                 line=lineno) from None
-        builder.update(decl, policy=policy)
     elif stmt == "ask":
         builder.actions.append(AskAction(
-            requester=builder.peer(args[0], lineno).uid,
-            owner=builder.peer(args[1], lineno).uid,
+            requester=builder.peer(args[0], lineno).peer_id,
+            owner=builder.peer(args[1], lineno).peer_id,
             resource_name=args[2], target_domain=args[3]))
     elif stmt == "publish":
         props = tuple(_parse_property([k], lineno) for k in args[3:])
         if any(p.kind is PropertyKind.NOPUBLICATION for p in props):
             raise ScenarioError("nopublication applies to domains, not "
                                 "resources", line=lineno)
-        builder.actions.append(PublishAction(
-            peer=builder.peer(args[0], lineno).uid, path=args[1],
-            domain_name=args[2], properties=props))
+        builder.actions.append(EditAction(
+            builder.peer(args[0], lineno).peer_id, "publish",
+            (props, *args[1:3])))
     elif stmt == "add-property":
-        builder.actions.append(AddPropertyAction(
-            peer=builder.peer(args[0], lineno).uid, scope=args[1],
-            prop=_parse_property(args[2:], lineno)))
-    elif stmt == "create-domain":
-        builder.actions.append(CreateDomainAction(
-            peer=builder.peer(args[0], lineno).uid, name=args[1]))
-    elif stmt == "delete-domain":
-        builder.actions.append(DeleteDomainAction(
-            peer=builder.peer(args[0], lineno).uid, name=args[1]))
+        peer = builder.peer(args[0], lineno).peer_id
+        builder.actions.append(EditAction(peer, "add_property", (
+            args[1], _parse_property(args[2:], lineno))))
+    elif stmt in ("create-domain", "delete-domain"):
+        builder.actions.append(EditAction(
+            builder.peer(args[0], lineno).peer_id, stmt.replace("-", "_"),
+            (args[1],)))
     elif stmt == "show":
         builder.actions.append(
-            ShowAction(peer=builder.peer(args[0], lineno).uid))
+            ShowAction(peer=builder.peer(args[0], lineno).peer_id))
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +362,11 @@ class PeerAgent:
         self.id = peer_id
         self.behavior = behavior
         self.ledger = ledger if ledger is not None else TrustLedger()
-        policy.validate()
         self.policy: PeerPolicy = policy
         self._forged_serial = 0
 
     def apply_policy(self, policy: PeerPolicy) -> None:
-        """Validate a new policy and install it."""
-        policy.validate()
+        """Install a new policy, which checked itself when it was built."""
         self.policy = policy
 
     def _domain_properties(self, domain_name: str) -> frozenset[SecurityProperty]:
@@ -560,6 +539,32 @@ def render_report(report: RunReport) -> str:
 # The engine
 # ---------------------------------------------------------------------------
 
+#: What the transcript says after an owner edit, by method: the wording
+#: when it applies, then the wording for each error that refuses it (no
+#: other error is caught).  ``{0}``, ``{1}``... are the edit's
+#: arguments, properties rendered, and ``{exc}`` is the error.
+_EDIT_WORDING: dict[str, tuple[str, dict[type, str]]] = {
+    "publish": ("publication accepted.", {
+        PublicationForbiddenError:
+            "publication refused: domain {2} forbids publication",
+        PropertyConflictError:
+            "publication refused: properties conflict in domain {2}",
+        UnknownDomainError: "publication refused: unknown domain {2}",
+        DuplicateResourceError: "publication refused: file {1} already exists",
+    }),
+    "add_property": ("property {1} added to {0}", {
+        PropertyConflictError:
+            "property {1} refused on {0}: conflicting properties",
+        PolicyValidationError: "property {1} refused on {0}: {exc}",
+        UnknownScopeError: "no domain or resource named {0}",
+    }),
+    "create_domain": ("domain {0} created",
+                      {PolicyError: "create domain failed: {exc}"}),
+    "delete_domain": ("domain {0} deleted",
+                      {PolicyError: "delete domain failed: {exc}"}),
+}
+
+
 class SimulationEngine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -608,77 +613,31 @@ class SimulationEngine:
     def _dispatch(self, action: Action) -> None:
         if isinstance(action, AskAction):
             self._negotiate(action)
-        elif isinstance(action, PublishAction):
-            self._publish(action)
-        elif isinstance(action, AddPropertyAction):
-            self._add_property(action)
-        elif isinstance(action, CreateDomainAction):
-            self._create_domain(action)
-        elif isinstance(action, DeleteDomainAction):
-            self._delete_domain(action)
+        elif isinstance(action, EditAction):
+            self._edit(action)
         elif isinstance(action, ShowAction):
             self._show(action)
         else:
             raise ScenarioError(f"unsupported action {action!r}")
 
-    def _publish(self, action: PublishAction) -> None:
+    def _edit(self, action: EditAction) -> None:
         agent = self.agents[action.peer]
-        name = agent.id.name
+        applied, refusals = _EDIT_WORDING[action.method]
+        shown = [arg.render() if isinstance(arg, SecurityProperty) else arg
+                 for arg in action.args]
         self._tick()
-        self._say(f"{name}: publishing file {action.path} in domain "
-                  f"{action.domain_name}")
+        if action.method == "publish":
+            self._say(f"{agent.id.name}: publishing file {shown[1]} in "
+                      f"domain {shown[2]}")
         try:
-            agent.apply_policy(agent.policy.publish(
-                action.properties, action.path, action.domain_name))
-            self._say(f"{name}: publication accepted.")
-        except PublicationForbiddenError:
-            self._say(f"{name}: publication refused: domain "
-                      f"{action.domain_name} forbids publication")
-        except PropertyConflictError:
-            self._say(f"{name}: publication refused: properties conflict "
-                      f"in domain {action.domain_name}")
-        except UnknownDomainError:
-            self._say(f"{name}: publication refused: unknown domain "
-                      f"{action.domain_name}")
-        except DuplicateResourceError:
-            self._say(f"{name}: publication refused: file {action.path} "
-                      f"already exists")
-
-    def _add_property(self, action: AddPropertyAction) -> None:
-        agent = self.agents[action.peer]
-        name = agent.id.name
-        self._tick()
-        try:
-            agent.apply_policy(agent.policy.add_property(action.scope,
-                                                         action.prop))
-            self._say(f"{name}: property {action.prop.render()} added to "
-                      f"{action.scope}")
-        except PropertyConflictError:
-            self._say(f"{name}: property {action.prop.render()} refused on "
-                      f"{action.scope}: conflicting properties")
-        except PolicyValidationError as exc:
-            self._say(f"{name}: property {action.prop.render()} refused on "
-                      f"{action.scope}: {exc}")
-        except UnknownScopeError:
-            self._say(f"{name}: no domain or resource named {action.scope}")
-
-    def _create_domain(self, action: CreateDomainAction) -> None:
-        agent = self.agents[action.peer]
-        self._tick()
-        try:
-            agent.apply_policy(agent.policy.create_domain(action.name))
-            self._say(f"{agent.id.name}: domain {action.name} created")
-        except PolicyError as exc:
-            self._say(f"{agent.id.name}: create domain failed: {exc}")
-
-    def _delete_domain(self, action: DeleteDomainAction) -> None:
-        agent = self.agents[action.peer]
-        self._tick()
-        try:
-            agent.apply_policy(agent.policy.delete_domain(action.name))
-            self._say(f"{agent.id.name}: domain {action.name} deleted")
-        except PolicyError as exc:
-            self._say(f"{agent.id.name}: delete domain failed: {exc}")
+            agent.apply_policy(getattr(agent.policy, action.method)(
+                *action.args))
+        except tuple(refusals) as exc:
+            refused = next(wording for error, wording in refusals.items()
+                           if isinstance(exc, error))
+            self._say(f"{agent.id.name}: " + refused.format(*shown, exc=exc))
+        else:
+            self._say(f"{agent.id.name}: " + applied.format(*shown))
 
     def _show(self, action: ShowAction) -> None:
         agent = self.agents[action.peer]
@@ -1068,12 +1027,14 @@ _REQUIRED_MIXES: tuple[tuple[SecurityProperty, ...], ...] = (
 )
 
 
-def _domain_policy(uid: str, domain: str,
-                   props: Iterable[SecurityProperty]) -> PeerPolicy:
-    policy = PeerPolicy(peer_id=uid).create_domain(domain)
+def _domain_policy(uid: str, domain: str, props: Iterable[SecurityProperty],
+                   *paths: str) -> PeerPolicy:
+    policy = PolicyBuilder(uid).create_domain(domain)
     for prop in props:
-        policy = policy.add_property(domain, prop)
-    return policy
+        policy.add_property(domain, prop)
+    for path in paths:
+        policy.add_resource(path, domain)
+    return policy.freeze()
 
 
 def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
@@ -1081,8 +1042,7 @@ def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
     required = rng.choice(_REQUIRED_MIXES)
     peers = [PeerDecl(
         uid="owner", display_name="owner",
-        policy=_domain_policy("owner", "vault", required).add_resource(
-            "asset", "vault"),
+        policy=_domain_policy("owner", "vault", required, "asset"),
         knows=tuple((f"c{i}", 0.6 + 0.1 * (i % 4))
                     for i in range(params.delegates)),
     )]

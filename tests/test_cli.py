@@ -80,6 +80,15 @@ def test_compile_unusable_xml_fails(tmp_path, capsys, data):
     assert "Traceback" not in captured.err
 
 
+def test_xml_fault_names_its_file_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.xml"
+    path.write_text('<policy>\n  <domain id="1" name="a">\n    <wat/>\n'
+                    '  </domain>\n</policy>\n')
+    assert main(["compile", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: unexpected element <wat> under <domain>\n")
+
+
 def test_compile_missing_file_fails(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "absent.xml")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -122,6 +131,14 @@ def test_simulate_bad_scenario_fails(tmp_path, capsys):
     path.write_text("ask ghost nobody thing dst\n")
     assert main(["simulate", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_scenario_fault_names_its_file_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text("peer a\npeer b\ndomain zz d\n")
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: peer 'zz' is not declared\n")
 
 
 def test_verify_challenge_pass_and_fail(tmp_path, capsys):

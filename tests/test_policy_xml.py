@@ -13,6 +13,7 @@ from p2psec import (
     PeerPolicy,
     P2PSecError,
     PolicyDocument,
+    PolicyValidationError,
     XmlSyntaxError,
     XmlValidationError,
     confidentiality,
@@ -248,11 +249,12 @@ def test_hand_built_document_checks_itself(domains, files, message):
 
 
 def test_from_peer_policy_rejects_a_broken_policy():
+    # A policy checks itself when built, so from_peer_policy is never
+    # handed one that breaks a document invariant.
     policy = PeerPolicy(peer_id="A").create_domain("a")
-    twice = replace(policy, domains=policy.domains + (Domain(2, "a"),),
-                    next_id=3)
-    with pytest.raises(XmlValidationError, match="duplicate domain name"):
-        from_peer_policy(twice)
+    with pytest.raises(PolicyValidationError, match="duplicate domain name"):
+        replace(policy, domains=policy.domains + (Domain(2, "a"),),
+                next_id=3)
 
 
 def test_doctype_rejected():

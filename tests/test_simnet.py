@@ -547,14 +547,37 @@ def test_owner_edits_without_probes_compile_no_policy(monkeypatch,
     assert compile_calls == []
 
 
+def test_parse_builds_each_peer_policy_once(monkeypatch):
+    # Each declaration is one builder step and each policy is frozen
+    # once, so a parse is linear in its statements.  Counting builds
+    # guards that without a wall-clock bound.
+    built = []
+    original = PeerPolicy.validate
+
+    def counted(policy):
+        built.append(policy.peer_id)
+        original(policy)
+    monkeypatch.setattr(PeerPolicy, "validate", counted)
+    lines = ["peer a", "peer b"]
+    for i in range(400):
+        lines += [f"domain a d{i}", f"resource a f{i} d{i}",
+                  f"property a d{i} confidentiality",
+                  f"property a f{i} integrity", f"domain b d{i}"]
+    scenario = parse_scenario("\n".join(lines))
+    assert len(lines) == 2002
+    assert sorted(built) == ["a", "b"]
+    owner, other = (decl.policy for decl in scenario.peers)
+    assert (len(owner.domains), len(owner.resources)) == (400, 400)
+    assert len(other.domains) == 400
+
+
 def test_installing_a_policy_validates_it_at_once():
+    # A policy checks itself when built, so no broken one can be
+    # handed to an agent.
     policy = PeerPolicy(peer_id="x").create_domain("drop")
-    broken = replace(policy, next_id=0)
     with pytest.raises(PolicyValidationError):
-        PeerAgent(PeerId("x"), broken)
+        replace(policy, next_id=0)
     agent = PeerAgent(PeerId("x"), policy)
-    with pytest.raises(PolicyValidationError):
-        agent.apply_policy(broken)
     assert agent.policy is policy
     grown = policy.create_domain("inbox")
     agent.apply_policy(grown)
