@@ -93,9 +93,12 @@ class PolicyMachine(RuleBasedStateMachine):
                     f"properties conflict in domain {domain!r}")
         if path in self.files:
             return DuplicateResourceError, f"resource {path!r} already exists"
-        if any(p.kind is PropertyKind.NOPUBLICATION for p in props):
+        # Properties the domain already carries are dropped, not stored,
+        # so only a nopublication the domain lacks is refused.
+        attached = props - dom_props
+        if any(p.kind is PropertyKind.NOPUBLICATION for p in attached):
             return NOPUBLICATION_ON_A_FILE
-        self.files[path] = (self.next_id, domain, props - dom_props)
+        self.files[path] = (self.next_id, domain, attached)
         self.next_id += 1
         return None
 
