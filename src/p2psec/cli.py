@@ -12,7 +12,8 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .bench import DEFAULT_COUNTS, render_benchmark, run_benchmark
-from .errors import P2PSecError, ScenarioError, XmlValidationError
+from .errors import (P2PSecError, ScenarioError, TrustError,
+                     XmlValidationError)
 from .mac import (
     compile_policy,
     emit_rules,
@@ -59,13 +60,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenario = parse_scenario(handle.read())
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    config = scenario.config
-    if args.refuse_threshold is not None:
-        config = replace(config, refuse_threshold=args.refuse_threshold)
-    if args.full_threshold is not None:
-        config = replace(config, full_trust_threshold=args.full_threshold)
-    if args.strict_conflicts:
-        config = replace(config, strict_conflicts=True)
+    # One replace, so TrustConfig checks the two thresholds as a pair.
+    flags = {"refuse_threshold": args.refuse_threshold,
+             "full_trust_threshold": args.full_threshold,
+             "strict_conflicts": args.strict_conflicts or None}
+    try:
+        config = replace(scenario.config, **{
+            key: value for key, value in flags.items() if value is not None})
+    except TrustError as exc:
+        raise argparse.ArgumentError(
+            None, f"--refuse-threshold/--full-threshold: {exc}") from None
     scenario = replace(scenario, config=config)
     report = render_report(run_scenario(scenario))
     if args.out:
@@ -184,6 +188,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except (P2PSecError, OSError) as exc:
         where = ""
         # An XmlSyntaxError's own message already gives its position.

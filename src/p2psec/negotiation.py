@@ -14,15 +14,16 @@ domain, optionally carrying owner-requested resource-level properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
 from .policy import (
+    KIND_CONFLICTS,
     PeerPolicy,
+    PropertyKind,
     Resource,
     SecurityProperty,
-    conflicts,
     sort_properties,
 )
 from .trust import TrustComputation, TrustConfig
@@ -44,15 +45,15 @@ class PolicySlice:
 
     domain_name: str
     properties: frozenset[SecurityProperty] = frozenset()
+    kinds: frozenset[PropertyKind] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if not isinstance(self.properties, frozenset):
             object.__setattr__(self, "properties",
                                frozenset(self.properties))
-
-    @property
-    def kinds(self):
-        return frozenset(p.kind for p in self.properties)
+        object.__setattr__(self, "kinds",
+                           frozenset(p.kind for p in self.properties))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def eval_property(required: SecurityProperty, offered: PolicySlice) -> int:
     kind-level relation), 1 when the slice carries the same kind with
     compatible targets (both empty, or intersecting), 0 otherwise.
     """
-    if any(conflicts(required.kind, off.kind) for off in offered.properties):
+    if not KIND_CONFLICTS[required.kind].isdisjoint(offered.kinds):
         return -1
     for off in offered.properties:
         if off.kind is not required.kind:

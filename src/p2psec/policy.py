@@ -43,6 +43,10 @@ class PropertyKind(Enum):
     COOPERATION = "cooperation"
     SPREAD = "spread"
 
+    # Members are singletons that compare by identity, so hashing by
+    # identity agrees with equality and skips Enum's Python-level hash.
+    __hash__ = object.__hash__
+
 
 #: Kinds whose two-argument form names explicit partner domains.
 TARGETED_KINDS = frozenset({
@@ -62,10 +66,18 @@ CONFLICTING_KIND_PAIRS = frozenset({
 #: Stable kind order used for deterministic iteration and rendering.
 KIND_ORDER = tuple(PropertyKind)
 
+_KIND_RANK = {kind: rank for rank, kind in enumerate(KIND_ORDER)}
+
+#: Kind -> the kinds it conflicts with, read off ``CONFLICTING_KIND_PAIRS``.
+KIND_CONFLICTS: dict[PropertyKind, frozenset[PropertyKind]] = {
+    kind: frozenset().union(*(pair - {kind} for pair in CONFLICTING_KIND_PAIRS
+                              if kind in pair))
+    for kind in KIND_ORDER}
+
 
 def conflicts(kind_a: PropertyKind, kind_b: PropertyKind) -> bool:
     """True when the two kinds are incompatible on the same scope."""
-    return frozenset((kind_a, kind_b)) in CONFLICTING_KIND_PAIRS
+    return kind_b in KIND_CONFLICTS[kind_a]
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,7 @@ def spread() -> SecurityProperty:
 
 def sort_properties(props: Iterable[SecurityProperty]) -> tuple[SecurityProperty, ...]:
     """Deterministic order: declaration order of kinds, then targets."""
-    return tuple(sorted(props, key=lambda p: (KIND_ORDER.index(p.kind),
+    return tuple(sorted(props, key=lambda p: (_KIND_RANK[p.kind],
                                               sorted(p.targets))))
 
 

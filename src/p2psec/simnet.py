@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from .errors import (
@@ -54,7 +55,9 @@ from .negotiation import (
     open_session,
 )
 from .policy import (
+    KIND_CONFLICTS,
     KIND_ORDER,
+    Domain,
     PeerPolicy,
     PolicyBuilder,
     PropertyKind,
@@ -88,6 +91,13 @@ class BehaviorModel(Enum):
 
 #: Subject context used by delegated access challenges.
 CHALLENGE_SUBJECT = SecurityContext("user_u", "user_r", "user_t")
+
+
+#: Kind -> the kind a conflicting-transfer probe for it imposes: the first
+#: in ``KIND_ORDER`` that conflicts with it, or None when none does.
+PROBE_KINDS: dict[PropertyKind, Optional[PropertyKind]] = {
+    kind: next((k for k in KIND_ORDER if conflicts(k, kind)), None)
+    for kind in KIND_ORDER}
 
 
 def fmt(value: float) -> str:
@@ -369,10 +379,11 @@ class PeerAgent:
         """Install a new policy, which checked itself when it was built."""
         self.policy = policy
 
-    def _domain_properties(self, domain_name: str) -> frozenset[SecurityProperty]:
+    def _domain(self, domain_name: str) -> Domain:
+        """The named domain, or an empty one if the policy lacks it."""
         if self.policy.has_domain(domain_name):
-            return self.policy.domain(domain_name).properties
-        return frozenset()
+            return self.policy.domain(domain_name)
+        return Domain(0, domain_name)
 
     def slice_for(self, domain_name: str,
                   required: tuple[SecurityProperty, ...],
@@ -384,7 +395,8 @@ class PeerAgent:
         liar echoes the required properties back.
         """
         if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
-            return PolicySlice(domain_name, self._domain_properties(domain_name))
+            return PolicySlice(domain_name,
+                               self._domain(domain_name).properties)
         if self.behavior is BehaviorModel.BLIND_LIAR:
             if rng.random() < 0.5:
                 return PolicySlice(domain_name)
@@ -401,8 +413,8 @@ class PeerAgent:
         domain actually enforces; liars accept anything.
         """
         if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
-            actual = self._domain_properties(domain_name)
-            return not any(conflicts(probe_kind, p.kind) for p in actual)
+            return KIND_CONFLICTS[probe_kind].isdisjoint(
+                self._domain(domain_name).kinds)
         return True
 
     def respond_mac_challenge(self, challenge: Challenge, domain_name: str,
@@ -416,27 +428,18 @@ class PeerAgent:
         stub = challenge.command.split()[1]
         permission = probe_permission(stub)
         if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
-            ruleset = kind_ruleset(
-                p.kind for p in self._domain_properties(domain_name))
+            ruleset = kind_ruleset(self._domain(domain_name).kinds)
             tcontext = object_context(domain_name)
         else:
             ruleset = DEFAULT_RULESET
             tcontext = challenge.expected_tcontext
         decision = check_access(ruleset, PermissionClass.FILE, permission)
         return AvcRecord(
-            timestamp=timestamp,
-            serial=serial,
-            decision=decision,
-            permissions=frozenset({permission}),
-            pid=4000 + int(serial),
-            comm=stub,
-            name=challenge.target_name,
-            dev="sda3",
-            ino=170000 + int(serial),
-            scontext=challenge.scontext,
-            tcontext=tcontext,
-            tclass="file",
-        )
+            timestamp=timestamp, serial=serial, decision=decision,
+            permissions=frozenset({permission}), pid=4000 + int(serial),
+            comm=stub, name=challenge.target_name, dev="sda3",
+            ino=170000 + int(serial), scontext=challenge.scontext,
+            tcontext=tcontext, tclass="file")
 
     def present_history(self, kinds: Iterable[PropertyKind],
                         now: int) -> tuple[list[HistoryRecord], int]:
@@ -474,18 +477,14 @@ def cross_reference_history(
     matching entry (same actor, timestamp, and property kind), looked
     up in that ledger's index.  Records naming nobody are left alone.
     """
-    checked = []
-    for record in presented:
+    def verified(record: HistoryRecord) -> bool:
         if record.counterparty is None:
-            checked.append((record, True))
-            continue
+            return True
         other = agents_by_uid.get(record.counterparty.uid)
-        if other is None:
-            checked.append((record, False))
-            continue
-        checked.append((record, other.ledger.has_record(
-            target, record.timestamp, record.property_kind)))
-    return checked
+        return other is not None and other.ledger.has_record(
+            target, record.timestamp, record.property_kind)
+
+    return [(record, verified(record)) for record in presented]
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +493,9 @@ def cross_reference_history(
 
 @dataclass(frozen=True)
 class NegotiationRecord:
+    """One ask; ``per_property`` follows the required properties.  The
+    fields past ``found`` stay empty when the resource was not found."""
+
     requester: str
     owner: str
     resource_name: str
@@ -503,33 +505,176 @@ class NegotiationRecord:
     per_property: tuple[tuple[SecurityProperty, TrustComputation], ...] = ()
     flagged_records: int = 0
     forged_records: int = 0
+    found: bool = True
+    source_domain: str = ""
+    offered: PolicySlice = PolicySlice("")
+    delegates: int = 0      # how many challenged each property
+
+
+@dataclass(frozen=True)
+class EditRecord:
+    """An owner edit: its shown arguments and any refusal's wording."""
+
+    peer: str
+    method: str
+    shown: tuple
+    refusal: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class ShowRecord:
+    peer: str
+    policy: PeerPolicy
+
+
+RunRecord = Union[NegotiationRecord, EditRecord, ShowRecord]
 
 
 @dataclass(frozen=True)
 class RunReport:
+    """A run's records, one per action, and its final reputations; the
+    transcript, asks and metrics are derived from them when first read."""
+
     seed: int
-    transcript: tuple[str, ...]
-    negotiations: tuple[NegotiationRecord, ...]
+    records: tuple[RunRecord, ...]
     final_reputations: tuple[tuple[str, str, float], ...]
-    metrics: tuple[tuple[str, float], ...]
+    names: dict[str, str]       # peer uid -> display name
+    config: TrustConfig
+
+    @cached_property
+    def transcript(self) -> tuple[str, ...]:
+        return render_transcript(self.records, self.names, self.config)
+
+    @cached_property
+    def negotiations(self) -> tuple[NegotiationRecord, ...]:
+        return tuple(r for r in self.records
+                     if isinstance(r, NegotiationRecord))
+
+    @cached_property
+    def metrics(self) -> tuple[tuple[str, float], ...]:
+        asks = self.negotiations
+        accepted = sum(1 for n in asks if n.outcome is Outcome.ACCEPTED)
+        liars = [n for n in asks
+                 if n.requester_behavior is not BehaviorModel.HONEST]
+        honest = [n for n in asks
+                  if n.requester_behavior is BehaviorModel.HONEST]
+        liar_refused = sum(1 for n in liars if n.outcome is Outcome.REFUSED)
+        honest_refused = sum(1 for n in honest
+                             if n.outcome is Outcome.REFUSED)
+        return (
+            ("negotiations", float(len(asks))),
+            ("accepted", float(accepted)),
+            ("acceptance_rate", accepted / len(asks) if asks else 0.0),
+            ("liar_negotiations", float(len(liars))),
+            ("liar_detection_rate",
+             liar_refused / len(liars) if liars else 0.0),
+            ("honest_negotiations", float(len(honest))),
+            ("false_refusal_rate",
+             honest_refused / len(honest) if honest else 0.0),
+            ("forged_records", float(sum(n.forged_records for n in asks))),
+            ("flagged_records", float(sum(n.flagged_records for n in asks))),
+        )
+
+
+def render_transcript(records: Iterable[RunRecord], names: dict[str, str],
+                      config: TrustConfig) -> tuple[str, ...]:
+    """The transcript lines of a run, rendered from its records."""
+    lines: list[str] = []
+    say = lines.append
+    for rec in records:
+        if isinstance(rec, NegotiationRecord):
+            _render_ask(lines, rec, names, config)
+            continue
+        name = names[rec.peer]
+        if isinstance(rec, EditRecord):
+            if rec.method == "publish":
+                say(f"{name}: publishing file {rec.shown[1]} in domain "
+                    f"{rec.shown[2]}")
+            applied = _EDIT_WORDING[rec.method][0].format(*rec.shown)
+            say(f"{name}: {rec.refusal or applied}")
+            continue
+        policy = rec.policy
+        for dom in policy.domains:
+            if dom.properties:
+                say(f"[Display {name}] <domain> {dom.name} secured by "
+                    f"{render_properties(dom.properties)}")
+        for res in policy.resources:
+            dom = policy.domain_by_id(res.domain_id)
+            effective = policy.effective_properties(res.path)
+            say(f"[Display {name}] <file> {res.path} in {dom.name} under "
+                f"{render_properties(effective)}")
+    return tuple(lines)
+
+
+def _render_ask(lines: list[str], rec: NegotiationRecord,
+                names: dict[str, str], config: TrustConfig) -> None:
+    say = lines.append
+    req, own = names[rec.requester], names[rec.owner]
+    path, to = rec.resource_name, rec.target_domain
+    say(f"{req}: I asks to peer {own} the file {path} to be put in {to}")
+    say(f"{own}: Peer {req} asking file {path}")
+    say(f"{own}: Peer {req} will put the file in domain {to}")
+    if not rec.found:
+        say(f"{own}: File {path} not found.")
+        say(f"{req}: peer {own} REFUSED to send the file.")
+        return
+    say(f"{own}: File {path} found.")
+    say(f"{own}: File is in domain {rec.source_domain}")
+    required = render_properties(prop for prop, _ in rec.per_property)
+    say(f"{own}: Security properties {required}")
+    say(f"{req}: someone asking policy for domain {to}")
+    say(f"{req}: returning policy {render_properties(rec.offered.properties)}")
+    if rec.flagged_records:
+        say(f"{own}: {rec.flagged_records} history record(s) could not be "
+            f"verified")
+    offered = [f"(Eval) {own} Target domain has property {p.render()}"
+               for p in sort_properties(rec.offered.properties)]
+    refuse = fmt(config.refuse_threshold)
+    full = fmt(config.full_trust_threshold)
+    for prop, c in rec.per_property:
+        kind = prop.kind.value
+        say(f"(Eval) {own} Computation of Eval({req},{kind})")
+        lines += offered
+        if c.eval_score == -1:
+            say(f"(Eval) {own} the properties of {req}'s {to} domain hurts "
+                f"the required property {kind}")
+        say(f"(Eval) Eval({req},{kind})={c.eval_score}")
+        say(f"(Eval) Hist({req},{kind})={c.hist.render()}")
+        if not rec.delegates:
+            say(f"(Eval) {own} no trusted delegates for challenges")
+        say(f"(Eval) Chal({kind},{req})={fmt(c.chal)}")
+        say(f"(Eval) EvalHist({kind},{req})={fmt(c.eval_hist)}")
+        tv = fmt(c.tv)
+        say(f"(Eval) Tv({kind},{req})={tv}")
+        if c.band is Band.REFUSED:
+            say(f"(Eval) Peer refused ({tv}<{refuse}) for {kind} trust "
+                f"decreased to {fmt(c.reputation_after)}")
+        elif c.band is Band.PARTIAL:
+            say(f"(Eval) Peer not fully trusted ({refuse}<{tv}<{full}) for "
+                f"{kind} trust decreased to {fmt(c.reputation_after)}")
+        else:
+            say(f"(Eval) Peer fully trusted ({tv}>={full}) for {kind}")
+    if rec.outcome is Outcome.REFUSED:
+        say(f"{own}: one of the property is refused: refusing request.")
+        say(f"{req}: peer {own} REFUSED to send the file.")
+    else:
+        say(f"{own}: request accepted.")
+        say(f"{req}: peer {own} accepted to send the file.")
+        say(f"{req}: file {path} placed in domain {to}")
 
 
 def render_report(report: RunReport) -> str:
-    lines = [f"seed={report.seed}", "", "# transcript"]
-    lines.extend(report.transcript)
-    lines.append("")
-    lines.append("# negotiations")
+    lines = [f"seed={report.seed}", "", "# transcript", *report.transcript,
+             "", "# negotiations"]
     for rec in report.negotiations:
         lines.append(
             f"ask requester={rec.requester} owner={rec.owner} "
             f"resource={rec.resource_name} domain={rec.target_domain} "
             f"outcome={rec.outcome.value}")
-    lines.append("")
-    lines.append("# reputations")
+    lines += ["", "# reputations"]
     for holder, subject, value in report.final_reputations:
         lines.append(f"{holder} about {subject} = {fmt(value)}")
-    lines.append("")
-    lines.append("# metrics")
+    lines += ["", "# metrics"]
     for name, value in report.metrics:
         lines.append(f"{name}={fmt(value)}")
     return "\n".join(lines) + "\n"
@@ -572,36 +717,24 @@ class SimulationEngine:
         self.rng = random.Random(scenario.seed)
         self.now = 0
         self._serial = 0
-        self.transcript: list[str] = []
-        self.negotiations: list[NegotiationRecord] = []
+        self.records: list[RunRecord] = []
+        self.peer_ids = {decl.uid: PeerId(decl.uid, decl.display_name)
+                         for decl in scenario.peers}
         self.agents: dict[str, PeerAgent] = {}
-        self.peer_ids: dict[str, PeerId] = {}
         for decl in scenario.peers:
-            self.peer_ids[decl.uid] = PeerId(decl.uid, decl.display_name)
-        for decl in scenario.peers:
-            self.agents[decl.uid] = self._build_agent(decl)
+            ledger = TrustLedger(reputations={
+                self.peer_ids[uid]: trust for uid, trust in decl.knows})
+            self.agents[decl.uid] = PeerAgent(
+                self.peer_ids[decl.uid], decl.policy, decl.behavior, ledger)
         # Owner uid -> its eligible delegates; see _eligible_delegates.
         self._delegates: dict[str, list[tuple[PeerId, float]]] = {
             uid: self._eligible_delegates(agent)
             for uid, agent in self.agents.items()}
 
-    def _build_agent(self, decl: PeerDecl) -> PeerAgent:
-        ledger = TrustLedger(reputations={
-            self.peer_ids[subject]: trust for subject, trust in decl.knows})
-        return PeerAgent(self.peer_ids[decl.uid], decl.policy, decl.behavior,
-                         ledger)
-
     # -- clock and serials ---------------------------------------------
 
     def _tick(self) -> None:
         self.now += 1
-
-    def _next_serial(self) -> str:
-        self._serial += 1
-        return str(self._serial)
-
-    def _say(self, line: str) -> None:
-        self.transcript.append(line)
 
     # -- actions ---------------------------------------------------------
 
@@ -622,76 +755,45 @@ class SimulationEngine:
 
     def _edit(self, action: EditAction) -> None:
         agent = self.agents[action.peer]
-        applied, refusals = _EDIT_WORDING[action.method]
-        shown = [arg.render() if isinstance(arg, SecurityProperty) else arg
-                 for arg in action.args]
+        refusals = _EDIT_WORDING[action.method][1]
+        shown = tuple(arg.render() if isinstance(arg, SecurityProperty)
+                      else arg for arg in action.args)
         self._tick()
-        if action.method == "publish":
-            self._say(f"{agent.id.name}: publishing file {shown[1]} in "
-                      f"domain {shown[2]}")
+        refusal = None
         try:
             agent.apply_policy(getattr(agent.policy, action.method)(
                 *action.args))
         except tuple(refusals) as exc:
-            refused = next(wording for error, wording in refusals.items()
-                           if isinstance(exc, error))
-            self._say(f"{agent.id.name}: " + refused.format(*shown, exc=exc))
-        else:
-            self._say(f"{agent.id.name}: " + applied.format(*shown))
+            refusal = next(wording for error, wording in refusals.items()
+                           if isinstance(exc, error)).format(*shown, exc=exc)
+        self.records.append(
+            EditRecord(action.peer, action.method, shown, refusal))
 
     def _show(self, action: ShowAction) -> None:
-        agent = self.agents[action.peer]
-        name = agent.id.name
-        for dom in agent.policy.domains:
-            if not dom.properties:
-                continue
-            self._say(f"[Display {name}] <domain> {dom.name} secured by "
-                      f"{render_properties(dom.properties)}")
-        for res in agent.policy.resources:
-            dom = agent.policy.domain_by_id(res.domain_id)
-            effective = agent.policy.effective_properties(res.path)
-            self._say(f"[Display {name}] <file> {res.path} in {dom.name} "
-                      f"under {render_properties(effective)}")
+        self.records.append(
+            ShowRecord(action.peer, self.agents[action.peer].policy))
 
     # -- negotiation -----------------------------------------------------
 
     def _negotiate(self, action: AskAction) -> None:
         requester = self.agents[action.requester]
         owner = self.agents[action.owner]
-        req_name = requester.id.name
-        own_name = owner.id.name
         target_domain = action.target_domain
 
         self._tick()
-        self._say(f"{req_name}: I asks to peer {own_name} the file "
-                  f"{action.resource_name} to be put in {target_domain}")
-        self._say(f"{own_name}: Peer {req_name} asking file "
-                  f"{action.resource_name}")
-        self._say(f"{own_name}: Peer {req_name} will put the file in "
-                  f"domain {target_domain}")
-
         try:
             session = open_session(owner.policy, action.resource_name,
                                    target_domain)
         except UnknownResourceError:
-            self._say(f"{own_name}: File {action.resource_name} not found.")
-            self._say(f"{req_name}: peer {own_name} REFUSED to send the "
-                      f"file.")
-            self.negotiations.append(NegotiationRecord(
+            self.records.append(NegotiationRecord(
                 requester=requester.id.uid, owner=owner.id.uid,
                 resource_name=action.resource_name,
                 target_domain=target_domain, outcome=Outcome.REFUSED,
-                requester_behavior=requester.behavior))
+                requester_behavior=requester.behavior, found=False))
             return
-        self._say(f"{own_name}: File {action.resource_name} found.")
-        self._say(f"{own_name}: File is in domain {session.source_domain}")
-        self._say(f"{own_name}: Security properties "
-                  f"{render_properties(session.required)}")
 
         # Slice phase: the owner learns exactly one domain's policy.
         self._tick()
-        self._say(f"{req_name}: someone asking policy for domain "
-                  f"{target_domain}")
         offered = requester.slice_for(target_domain, session.required,
                                       self.rng)
         self._tick()
@@ -699,8 +801,6 @@ class SimulationEngine:
             raise PrivacyViolationError(
                 f"slice for {offered.domain_name!r} leaked during a "
                 f"negotiation about {target_domain!r}")
-        self._say(f"{req_name}: returning policy "
-                  f"{render_properties(offered.properties)}")
 
         # History phase.
         kinds = tuple(dict.fromkeys(p.kind for p in session.required))
@@ -709,9 +809,6 @@ class SimulationEngine:
         checked = cross_reference_history(presented, self.agents,
                                           requester.id)
         flagged = sum(1 for _, ok in checked if not ok)
-        if flagged:
-            self._say(f"{own_name}: {flagged} history record(s) could not "
-                      f"be verified")
         # The requester's records: the owner's own plus those presented,
         # each one that failed cross-referencing marked as a violation.
         history = (list(owner.ledger.records_by(requester.id))
@@ -728,23 +825,17 @@ class SimulationEngine:
 
         outcome = decide(computations.values(), self.config)
         self._tick()
-        if outcome is Outcome.REFUSED:
-            self._say(f"{own_name}: one of the property is refused: "
-                      f"refusing request.")
-            self._say(f"{req_name}: peer {own_name} REFUSED to send the "
-                      f"file.")
-        else:
-            self._say(f"{own_name}: request accepted.")
-            self._say(f"{req_name}: peer {own_name} accepted to send the "
-                      f"file.")
+        if outcome is Outcome.ACCEPTED:
             self._transfer(session, owner, requester)
 
-        self.negotiations.append(NegotiationRecord(
+        self.records.append(NegotiationRecord(
             requester=requester.id.uid, owner=owner.id.uid,
             resource_name=action.resource_name, target_domain=target_domain,
             outcome=outcome, requester_behavior=requester.behavior,
             per_property=tuple(computations.items()),
-            flagged_records=flagged, forged_records=forged))
+            flagged_records=flagged, forged_records=forged,
+            source_domain=session.source_domain, offered=offered,
+            delegates=len(delegates)))
 
     def _evaluate_property(self, session: NegotiationSession,
                            offered: PolicySlice,
@@ -753,57 +844,19 @@ class SimulationEngine:
                            history: list[HistoryRecord],
                            delegates: list[tuple[PeerId, float]]
                            ) -> TrustComputation:
-        own_name = owner.id.name
-        req_name = requester.id.name
-        kind_name = prop.kind.value
-
-        self._say(f"(Eval) {own_name} Computation of "
-                  f"Eval({req_name},{kind_name})")
-        for off in sort_properties(offered.properties):
-            self._say(f"(Eval) {own_name} Target domain has property "
-                      f"{off.render()}")
         eval_score = eval_property(prop, offered)
-        if eval_score == -1:
-            self._say(f"(Eval) {own_name} the properties of {req_name}'s "
-                      f"{session.target_domain_name} domain hurts the "
-                      f"required property {kind_name}")
-        self._say(f"(Eval) Eval({req_name},{kind_name})={eval_score}")
-
         hist = eval_history(history, prop.kind, now=self.now,
                             window=self.config.history_window)
-        self._say(f"(Eval) Hist({req_name},{kind_name})={hist.render()}")
-
         if delegates:
             chal = run_challenges(
                 delegates, requester.id, prop.kind,
                 self._probe_harness(session, offered, requester, prop.kind))
         else:
             chal = 0.0
-            self._say(f"(Eval) {own_name} no trusted delegates for "
-                      f"challenges")
-        self._say(f"(Eval) Chal({kind_name},{req_name})={fmt(chal)}")
-
         eval_hist = eval_hist_norm(hist, eval_score)
-        self._say(f"(Eval) EvalHist({kind_name},{req_name})="
-                  f"{fmt(eval_hist)}")
         tv = trust_value(eval_score, eval_hist, chal, self.config)
-        self._say(f"(Eval) Tv({kind_name},{req_name})={fmt(tv)}")
-
         verdict = band(tv, self.config)
         reputation = self._update_reputation(owner, requester.id, verdict)
-        if verdict is Band.REFUSED:
-            self._say(f"(Eval) Peer refused ({fmt(tv)}<"
-                      f"{fmt(self.config.refuse_threshold)}) for "
-                      f"{kind_name} trust decreased to {fmt(reputation)}")
-        elif verdict is Band.PARTIAL:
-            self._say(f"(Eval) Peer not fully trusted "
-                      f"({fmt(self.config.refuse_threshold)}<{fmt(tv)}<"
-                      f"{fmt(self.config.full_trust_threshold)}) for "
-                      f"{kind_name} trust decreased to {fmt(reputation)}")
-        else:
-            self._say(f"(Eval) Peer fully trusted ({fmt(tv)}>="
-                      f"{fmt(self.config.full_trust_threshold)}) for "
-                      f"{kind_name}")
         return TrustComputation(eval_score=eval_score, hist=hist, chal=chal,
                                 eval_hist=eval_hist, tv=tv, band=verdict,
                                 reputation_after=reputation)
@@ -851,14 +904,13 @@ class SimulationEngine:
         the tick it would have been answered.
         """
         target_domain = session.target_domain_name
-        probe_kind = next(
-            (k for k in KIND_ORDER if conflicts(k, kind)), None)
+        probe_kind = PROBE_KINDS[kind]
         conflict_passed = False
         if probe_kind is not None:
             accepted = requester.respond_conflicting_request(
                 target_domain, probe_kind)
-            expect_refusal = any(conflicts(probe_kind, c)
-                                 for c in offered.kinds)
+            expect_refusal = not KIND_CONFLICTS[probe_kind].isdisjoint(
+                offered.kinds)
             conflict_passed = (not accepted) == expect_refusal
         challenge = build_challenge(
             session.resource.path, CHALLENGE_SUBJECT, PROBE_STUBS[kind],
@@ -885,7 +937,7 @@ class SimulationEngine:
                         action="accepted a conflicting transfer",
                         violation=True, counterparty=delegate))
             self._tick()
-            self._next_serial()
+            self._serial += 1
             self._tick()
             scores.append(1.0 if mac_passed else 0.0)
             if not mac_passed:
@@ -909,8 +961,6 @@ class SimulationEngine:
         # it is, so there is nothing new to validate or install.
         if policy is not requester.policy:
             requester.apply_policy(policy)
-        self._say(f"{requester.id.name}: file {session.resource.path} "
-                  f"placed in domain {target_domain}")
         for prop in session.required:
             record = HistoryRecord(
                 timestamp=self.now, actor=requester.id,
@@ -923,43 +973,14 @@ class SimulationEngine:
     # -- reporting -------------------------------------------------------
 
     def _report(self) -> RunReport:
-        reputations = []
-        for uid, agent in self.agents.items():
+        reputations = tuple(
+            (uid, peer.uid, value) for uid, agent in self.agents.items()
             for peer, value in sorted(agent.ledger.reputations.items(),
-                                      key=lambda item: item[0].uid):
-                reputations.append((uid, peer.uid, value))
-        total = len(self.negotiations)
-        accepted = sum(1 for n in self.negotiations
-                       if n.outcome is Outcome.ACCEPTED)
-        liars = [n for n in self.negotiations
-                 if n.requester_behavior is not BehaviorModel.HONEST]
-        honest = [n for n in self.negotiations
-                  if n.requester_behavior is BehaviorModel.HONEST]
-        liar_refused = sum(1 for n in liars if n.outcome is Outcome.REFUSED)
-        honest_refused = sum(1 for n in honest
-                             if n.outcome is Outcome.REFUSED)
-        forged = sum(n.forged_records for n in self.negotiations)
-        flagged = sum(n.flagged_records for n in self.negotiations)
-        metrics = (
-            ("negotiations", float(total)),
-            ("accepted", float(accepted)),
-            ("acceptance_rate", accepted / total if total else 0.0),
-            ("liar_negotiations", float(len(liars))),
-            ("liar_detection_rate",
-             liar_refused / len(liars) if liars else 0.0),
-            ("honest_negotiations", float(len(honest))),
-            ("false_refusal_rate",
-             honest_refused / len(honest) if honest else 0.0),
-            ("forged_records", float(forged)),
-            ("flagged_records", float(flagged)),
-        )
+                                      key=lambda item: item[0].uid))
         return RunReport(
-            seed=self.scenario.seed,
-            transcript=tuple(self.transcript),
-            negotiations=tuple(self.negotiations),
-            final_reputations=tuple(reputations),
-            metrics=metrics,
-        )
+            seed=self.scenario.seed, records=tuple(self.records),
+            final_reputations=reputations, config=self.config,
+            names={uid: pid.name for uid, pid in self.peer_ids.items()})
 
 
 def run_scenario(scenario: Scenario) -> RunReport:

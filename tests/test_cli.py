@@ -1,5 +1,7 @@
 """Command line interface end-to-end behaviour."""
 
+from pathlib import Path
+
 import pytest
 
 from p2psec.cli import main
@@ -197,6 +199,19 @@ def test_bench_bad_repeats_is_a_usage_error(repeats, capsys):
         main(["bench", "--counts", "5", "--repeats", repeats])
     assert err.value.code == 2
     assert "--repeats" in capsys.readouterr().err
+
+
+def test_simulate_takes_both_thresholds_as_a_pair(capsys):
+    firefox = str(Path(__file__).resolve().parent.parent / "scenarios"
+                  / "firefox.scn")
+    assert main(["simulate", firefox, "--refuse-threshold", "0.6",
+                 "--full-threshold", "0.8"]) == 0
+    assert "<0.6) for cooperation" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", firefox, "--refuse-threshold", "0.8",
+              "--full-threshold", "0.6"])
+    assert err.value.code == 2
+    assert "--refuse-threshold/--full-threshold" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--refuse-threshold", "--full-threshold"])

@@ -43,6 +43,7 @@ from p2psec import (
     spread,
 )
 from p2psec.mac import PROBE_PERMISSIONS, build_challenge
+from p2psec.policy import CONFLICTING_KIND_PAIRS, KIND_ORDER, conflicts
 from p2psec.simnet import CHALLENGE_SUBJECT
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -599,8 +600,7 @@ def test_clock_grows_linearly_with_asks():
     per_ask = {}
     for asks in (100, 1600):
         engine = SimulationEngine(scaled_experiment(asks))
-        engine.run()
-        assert len(engine.negotiations) == asks
+        assert len(engine.run().negotiations) == asks
         per_ask[asks] = engine.now / asks
     assert max(per_ask.values()) <= 1.1 * min(per_ask.values())
 
@@ -902,3 +902,28 @@ class TestDetectionExperiment:
     def test_bad_population_rejected(self):
         with pytest.raises(ValueError):
             PopulationParams(delegates=0)
+
+
+def test_kind_tables_agree_with_their_definitions():
+    for a, b in product(PropertyKind, repeat=2):
+        assert conflicts(a, b) == (
+            frozenset({a, b}) in CONFLICTING_KIND_PAIRS), (a, b)
+        first = next((k for k in KIND_ORDER if conflicts(k, b)), None)
+        assert (simnet.PROBE_KINDS[b] is a) == (first is a), (a, b)
+
+
+def test_detection_experiment_renders_no_transcript(monkeypatch):
+    calls = []
+    render = simnet.render_transcript
+
+    def counted(*args):
+        calls.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(simnet, "render_transcript", counted)
+    detection_experiment(PopulationParams(seed=3), runs=4)
+    assert calls == []
+    report = run_scenario(parse_scenario(
+        (SCENARIOS / "contract.scn").read_text()))
+    assert report.transcript is report.transcript
+    assert len(calls) == 1
