@@ -65,12 +65,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
              "full_trust_threshold": args.full_threshold,
              "strict_conflicts": args.strict_conflicts or None}
     try:
-        config = replace(scenario.config, **{
-            key: value for key, value in flags.items() if value is not None})
+        scenario = replace(scenario, config=replace(scenario.config, **{
+            key: value for key, value in flags.items() if value is not None}))
     except TrustError as exc:
         raise argparse.ArgumentError(
             None, f"--refuse-threshold/--full-threshold: {exc}") from None
-    scenario = replace(scenario, config=config)
     report = render_report(run_scenario(scenario))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -477,14 +477,18 @@ def cross_reference_history(
     matching entry (same actor, timestamp, and property kind), looked
     up in that ledger's index.  Records naming nobody are left alone.
     """
-    def verified(record: HistoryRecord) -> bool:
+    checked = []
+    for record in presented:
         if record.counterparty is None:
-            return True
+            checked.append((record, True))
+            continue
         other = agents_by_uid.get(record.counterparty.uid)
-        return other is not None and other.ledger.has_record(
-            target, record.timestamp, record.property_kind)
-
-    return [(record, verified(record)) for record in presented]
+        if other is None:
+            checked.append((record, False))
+            continue
+        checked.append((record, other.ledger.has_record(
+            target, record.timestamp, record.property_kind)))
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +517,10 @@ class NegotiationRecord:
 
 @dataclass(frozen=True)
 class EditRecord:
-    """An owner edit: its shown arguments and any refusal's wording."""
-
     peer: str
     method: str
-    shown: tuple
-    refusal: Optional[str] = None
+    shown: tuple                    # the arguments as the transcript shows
+    refusal: Optional[str] = None   # the refusing error's wording, if any
 
 
 @dataclass(frozen=True)
@@ -593,14 +595,13 @@ def render_transcript(records: Iterable[RunRecord], names: dict[str, str],
             applied = _EDIT_WORDING[rec.method][0].format(*rec.shown)
             say(f"{name}: {rec.refusal or applied}")
             continue
-        policy = rec.policy
-        for dom in policy.domains:
+        for dom in rec.policy.domains:
             if dom.properties:
                 say(f"[Display {name}] <domain> {dom.name} secured by "
                     f"{render_properties(dom.properties)}")
-        for res in policy.resources:
-            dom = policy.domain_by_id(res.domain_id)
-            effective = policy.effective_properties(res.path)
+        for res in rec.policy.resources:
+            dom = rec.policy.domain_by_id(res.domain_id)
+            effective = rec.policy.effective_properties(res.path)
             say(f"[Display {name}] <file> {res.path} in {dom.name} under "
                 f"{render_properties(effective)}")
     return tuple(lines)
