@@ -41,7 +41,7 @@ def synthetic_policy(domains: int, resources_per_domain: int = 2) -> PeerPolicy:
     """
     if domains < 0:
         raise ValueError("domains must be non-negative")
-    policy = PolicyBuilder("bench")
+    policy = PolicyBuilder()
     for index in range(domains):
         name = f"dom{index:05d}"
         policy.create_domain(name)

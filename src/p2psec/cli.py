@@ -23,7 +23,7 @@ from .mac import (
     verify_challenge,
 )
 from .policy_xml import parse_policy, to_peer_policy
-from .simnet import parse_scenario, render_report, run_scenario
+from .simnet import _number, parse_scenario, render_report, run_scenario
 
 
 def _load_policy(path: str):
@@ -96,9 +96,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+# Number flags follow the scenario rule: ASCII decimal only, so no "_"
+# separators or non-ASCII digits.
+
+def _parse_seed(text: str) -> int:
+    try:
+        return _number(int, text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from None
+
+
 def _parse_counts(text: str) -> tuple[int, ...]:
     try:
-        counts = tuple(int(part) for part in text.split(",") if part)
+        counts = tuple(_number(int, part) for part in text.split(",") if part)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad counts {text!r}") from None
     if not counts or any(c < 1 for c in counts):
@@ -108,7 +118,7 @@ def _parse_counts(text: str) -> tuple[int, ...]:
 
 def _parse_repeats(text: str) -> int:
     try:
-        repeats = int(text)
+        repeats = _number(int, text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad repeats {text!r}") from None
     if repeats < 1:
@@ -119,7 +129,7 @@ def _parse_repeats(text: str) -> int:
 
 def _parse_threshold(text: str) -> float:
     try:
-        value = float(text)
+        value = _number(float, text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad threshold {text!r}") from None
     if not 0.0 <= value <= 1.0:
@@ -147,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim_p = sub.add_parser("simulate", help="run a scenario file")
     sim_p.add_argument("scenario", help="scenario file")
-    sim_p.add_argument("--seed", type=int, default=None,
+    sim_p.add_argument("--seed", type=_parse_seed, default=None,
                        help="override the scenario seed")
     sim_p.add_argument("--refuse-threshold", type=_parse_threshold,
                        default=None,

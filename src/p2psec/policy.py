@@ -223,7 +223,6 @@ class PeerPolicy:
     :class:`PolicyBuilder`, applies one step and freezes the result.
     """
 
-    peer_id: str = "peer"
     domains: tuple[Domain, ...] = ()
     resources: tuple[Resource, ...] = ()
     next_id: int = 1
@@ -261,7 +260,7 @@ class PeerPolicy:
 
     def thaw(self) -> "PolicyBuilder":
         """A builder holding this policy."""
-        builder = PolicyBuilder(self.peer_id)
+        builder = PolicyBuilder()
         builder.next_id = self.next_id
         builder.domains = dict(self._by_name)
         builder.resources = dict(self._by_path)
@@ -356,8 +355,7 @@ class PolicyBuilder:
     counter handed out.  Every step returns the builder.
     """
 
-    def __init__(self, peer_id: str = "peer"):
-        self.peer_id = peer_id
+    def __init__(self):
         self.next_id = 1
         self.domains: dict[str, Domain] = {}
         self.resources: dict[str, Resource] = {}
@@ -365,7 +363,7 @@ class PolicyBuilder:
         self._files: dict[int, set[str]] = {}    # domain id -> its paths
 
     def freeze(self) -> PeerPolicy:
-        return PeerPolicy(self.peer_id, tuple(self.domains.values()),
+        return PeerPolicy(tuple(self.domains.values()),
                           tuple(self.resources.values()), self.next_id)
 
     def create_domain(self, name: str) -> "PolicyBuilder":

@@ -354,7 +354,7 @@ def _q(value: object) -> str:
 # Lifting to and from the policy model
 # ---------------------------------------------------------------------------
 
-def to_peer_policy(doc: PolicyDocument, peer_id: str = "peer") -> PeerPolicy:
+def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
     """Build the policy model from a document; the result is valid.
 
     Target ids that name a declared domain become that domain's name;
@@ -384,8 +384,7 @@ def to_peer_policy(doc: PolicyDocument, peer_id: str = "peer") -> PeerPolicy:
         except PolicyValidationError as exc:
             raise XmlValidationError(str(exc), element="file") from exc
     all_ids = [d.id for d in doc.domains] + [f.id for f in doc.files]
-    return PeerPolicy(peer_id=peer_id, domains=domains,
-                      resources=tuple(resources),
+    return PeerPolicy(domains=domains, resources=tuple(resources),
                       next_id=max(all_ids, default=0) + 1)
 
 

@@ -69,7 +69,6 @@ from .policy import (
 from .trust import (
     Band,
     HistoryRecord,
-    PeerId,
     TrustComputation,
     TrustConfig,
     TrustLedger,
@@ -202,10 +201,13 @@ class _ScenarioBuilder:
         self.policies: dict[str, PolicyBuilder] = {}
         self.actions: list[Action] = []
 
-    def peer(self, uid: str, lineno: int) -> PolicyBuilder:
+    def declared(self, uid: str, lineno: int) -> str:
         if uid not in self.policies:
             raise ScenarioError(f"peer {uid!r} is not declared", line=lineno)
-        return self.policies[uid]
+        return uid
+
+    def peer(self, uid: str, lineno: int) -> PolicyBuilder:
+        return self.policies[self.declared(uid, lineno)]
 
     def build(self) -> Scenario:
         # Cross-field rules (refuse < full trust, weights summing to 1)
@@ -288,23 +290,31 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
         if uid in builder.peers:
             raise ScenarioError(f"peer {uid!r} declared twice", line=lineno)
         display, behavior = uid, BehaviorModel.HONEST
+        seen: set[str] = set()
         for extra in args[1:]:
             key, sep, value = extra.partition("=")
-            if key == "name" and sep:
+            if key not in ("name", "behavior") or not sep:
+                raise ScenarioError(f"bad peer option {extra!r}", line=lineno)
+            if key in seen:
+                raise ScenarioError(f"peer option {key!r} given twice",
+                                    line=lineno)
+            seen.add(key)
+            if key == "name":
+                if not value:
+                    raise ScenarioError("peer name must be non-empty",
+                                        line=lineno)
                 display = value
-            elif key == "behavior" and sep:
+            else:
                 try:
                     behavior = BehaviorModel(value)
                 except ValueError:
                     raise ScenarioError(f"unknown behavior {value!r}",
                                         line=lineno) from None
-            else:
-                raise ScenarioError(f"bad peer option {extra!r}", line=lineno)
         builder.peers[uid] = (display, behavior, [])
-        builder.policies[uid] = PolicyBuilder(uid)
+        builder.policies[uid] = PolicyBuilder()
     elif stmt == "knows":
-        holder = builder.peer(args[0], lineno).peer_id
-        subject = builder.peer(args[1], lineno).peer_id
+        holder = builder.declared(args[0], lineno)
+        subject = builder.declared(args[1], lineno)
         trust = _number(float, args[2])
         if not 0.0 <= trust <= 1.0:
             raise ScenarioError(f"knows trust must lie in [0, 1], not "
@@ -335,8 +345,8 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
                                 line=lineno) from None
     elif stmt == "ask":
         builder.actions.append(AskAction(
-            requester=builder.peer(args[0], lineno).peer_id,
-            owner=builder.peer(args[1], lineno).peer_id,
+            requester=builder.declared(args[0], lineno),
+            owner=builder.declared(args[1], lineno),
             resource_name=args[2], target_domain=args[3]))
     elif stmt == "publish":
         props = tuple(_parse_property([k], lineno) for k in args[3:])
@@ -344,19 +354,19 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
             raise ScenarioError("nopublication applies to domains, not "
                                 "resources", line=lineno)
         builder.actions.append(EditAction(
-            builder.peer(args[0], lineno).peer_id, "publish",
+            builder.declared(args[0], lineno), "publish",
             (props, *args[1:3])))
     elif stmt == "add-property":
-        peer = builder.peer(args[0], lineno).peer_id
+        peer = builder.declared(args[0], lineno)
         builder.actions.append(EditAction(peer, "add_property", (
             args[1], _parse_property(args[2:], lineno))))
     elif stmt in ("create-domain", "delete-domain"):
         builder.actions.append(EditAction(
-            builder.peer(args[0], lineno).peer_id, stmt.replace("-", "_"),
+            builder.declared(args[0], lineno), stmt.replace("-", "_"),
             (args[1],)))
     elif stmt == "show":
         builder.actions.append(
-            ShowAction(peer=builder.peer(args[0], lineno).peer_id))
+            ShowAction(peer=builder.declared(args[0], lineno)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +374,12 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
 # ---------------------------------------------------------------------------
 
 class PeerAgent:
-    """One simulated peer: identity, policy, ledger, behaviour."""
+    """One simulated peer: uid, policy, ledger, behaviour."""
 
-    def __init__(self, peer_id: PeerId, policy: PeerPolicy,
+    def __init__(self, uid: str, policy: PeerPolicy,
                  behavior: BehaviorModel = BehaviorModel.HONEST,
                  ledger: Optional[TrustLedger] = None):
-        self.id = peer_id
+        self.uid = uid
         self.behavior = behavior
         self.ledger = ledger if ledger is not None else TrustLedger()
         self.policy: PeerPolicy = policy
@@ -446,22 +456,20 @@ class PeerAgent:
         """Records of this peer's own past operations for the requested
         kinds, plus how many of them were fabricated."""
         kinds = tuple(kinds)
-        own = [r for r in self.ledger.records_by(self.id)
+        own = [r for r in self.ledger.records_by(self.uid)
                if r.property_kind in kinds]
         if self.behavior is not BehaviorModel.LOG_FORGER:
             return own, 0
         forged = []
         for kind in kinds:
             self._forged_serial += 1
-            ghost = PeerId(f"ghost{self._forged_serial}-{self.id.uid}",
-                           "ghost")
             forged.append(HistoryRecord(
                 timestamp=max(now - 1, 0),
-                actor=self.id,
+                actor=self.uid,
                 property_kind=kind,
                 action="shared resource without incident",
                 violation=False,
-                counterparty=ghost,
+                counterparty=f"ghost{self._forged_serial}-{self.uid}",
             ))
         return own + forged, len(forged)
 
@@ -469,7 +477,7 @@ class PeerAgent:
 def cross_reference_history(
     presented: Iterable[HistoryRecord],
     agents_by_uid: dict[str, PeerAgent],
-    target: PeerId,
+    target: str,
 ) -> list[tuple[HistoryRecord, bool]]:
     """Validate presented records against their counterparties' ledgers.
 
@@ -482,7 +490,7 @@ def cross_reference_history(
         if record.counterparty is None:
             checked.append((record, True))
             continue
-        other = agents_by_uid.get(record.counterparty.uid)
+        other = agents_by_uid.get(record.counterparty)
         if other is None:
             checked.append((record, False))
             continue
@@ -719,16 +727,12 @@ class SimulationEngine:
         self.now = 0
         self._serial = 0
         self.records: list[RunRecord] = []
-        self.peer_ids = {decl.uid: PeerId(decl.uid, decl.display_name)
-                         for decl in scenario.peers}
-        self.agents: dict[str, PeerAgent] = {}
-        for decl in scenario.peers:
-            ledger = TrustLedger(reputations={
-                self.peer_ids[uid]: trust for uid, trust in decl.knows})
-            self.agents[decl.uid] = PeerAgent(
-                self.peer_ids[decl.uid], decl.policy, decl.behavior, ledger)
+        self.agents = {
+            decl.uid: PeerAgent(decl.uid, decl.policy, decl.behavior,
+                                TrustLedger(reputations=dict(decl.knows)))
+            for decl in scenario.peers}
         # Owner uid -> its eligible delegates; see _eligible_delegates.
-        self._delegates: dict[str, list[tuple[PeerId, float]]] = {
+        self._delegates: dict[str, list[tuple[str, float]]] = {
             uid: self._eligible_delegates(agent)
             for uid, agent in self.agents.items()}
 
@@ -787,7 +791,7 @@ class SimulationEngine:
                                    target_domain)
         except UnknownResourceError:
             self.records.append(NegotiationRecord(
-                requester=requester.id.uid, owner=owner.id.uid,
+                requester=requester.uid, owner=owner.uid,
                 resource_name=action.resource_name,
                 target_domain=target_domain, outcome=Outcome.REFUSED,
                 requester_behavior=requester.behavior, found=False))
@@ -808,13 +812,13 @@ class SimulationEngine:
         self._tick()
         presented, forged = requester.present_history(kinds, self.now)
         checked = cross_reference_history(presented, self.agents,
-                                          requester.id)
+                                          requester.uid)
         flagged = sum(1 for _, ok in checked if not ok)
         # The requester's records: the owner's own plus those presented,
         # each one that failed cross-referencing marked as a violation.
-        history = (list(owner.ledger.records_by(requester.id))
+        history = (list(owner.ledger.records_by(requester.uid))
                    + [replace(r, violation=True) if not ok else r
-                      for r, ok in checked if r.actor == requester.id])
+                      for r, ok in checked if r.actor == requester.uid])
 
         # Evaluating a property changes only the requester's reputation,
         # and the requester is never a delegate, so one list serves all.
@@ -830,7 +834,7 @@ class SimulationEngine:
             self._transfer(session, owner, requester)
 
         self.records.append(NegotiationRecord(
-            requester=requester.id.uid, owner=owner.id.uid,
+            requester=requester.uid, owner=owner.uid,
             resource_name=action.resource_name, target_domain=target_domain,
             outcome=outcome, requester_behavior=requester.behavior,
             per_property=tuple(computations.items()),
@@ -843,27 +847,27 @@ class SimulationEngine:
                            prop: SecurityProperty, owner: PeerAgent,
                            requester: PeerAgent,
                            history: list[HistoryRecord],
-                           delegates: list[tuple[PeerId, float]]
+                           delegates: list[tuple[str, float]]
                            ) -> TrustComputation:
         eval_score = eval_property(prop, offered)
         hist = eval_history(history, prop.kind, now=self.now,
                             window=self.config.history_window)
         if delegates:
             chal = run_challenges(
-                delegates, requester.id, prop.kind,
+                delegates, requester.uid, prop.kind,
                 self._probe_harness(session, offered, requester, prop.kind))
         else:
             chal = 0.0
         eval_hist = eval_hist_norm(hist, eval_score)
         tv = trust_value(eval_score, eval_hist, chal, self.config)
         verdict = band(tv, self.config)
-        reputation = self._update_reputation(owner, requester.id, verdict)
+        reputation = self._update_reputation(owner, requester.uid, verdict)
         return TrustComputation(eval_score=eval_score, hist=hist, chal=chal,
                                 eval_hist=eval_hist, tv=tv, band=verdict,
                                 reputation_after=reputation)
 
     def _eligible_delegates(self, owner: PeerAgent
-                            ) -> list[tuple[PeerId, float]]:
+                            ) -> list[tuple[str, float]]:
         """The peers the owner trusts strictly above the full-trust
         threshold, with their reputations, sorted by uid; never the
         owner itself.  A requester judged FULL keeps the initial
@@ -871,11 +875,10 @@ class SimulationEngine:
         not become a delegate by being accepted."""
         threshold = self.config.full_trust_threshold
         return sorted(
-            ((peer, value) for peer, value in owner.ledger.reputations.items()
-             if value > threshold and peer != owner.id),
-            key=lambda item: item[0].uid)
+            (peer, value) for peer, value in owner.ledger.reputations.items()
+            if value > threshold and peer != owner.uid)
 
-    def _update_reputation(self, owner: PeerAgent, peer: PeerId,
+    def _update_reputation(self, owner: PeerAgent, peer: str,
                            verdict: Band) -> float:
         """Write ``peer``'s reputation in the owner's ledger and keep the
         owner's delegate list in step with it.  Only an entry above the
@@ -883,13 +886,13 @@ class SimulationEngine:
         before = owner.ledger.reputations.get(peer, 0.0)
         after = update_reputation(owner.ledger, peer, verdict, self.config)
         if max(before, after) > self.config.full_trust_threshold:
-            self._delegates[owner.id.uid] = self._eligible_delegates(owner)
+            self._delegates[owner.uid] = self._eligible_delegates(owner)
         return after
 
     def _delegates_for(self, owner: PeerAgent,
-                       requester: PeerAgent) -> list[tuple[PeerId, float]]:
-        return [item for item in self._delegates[owner.id.uid]
-                if item[0] != requester.id]
+                       requester: PeerAgent) -> list[tuple[str, float]]:
+        return [item for item in self._delegates[owner.uid]
+                if item[0] != requester.uid]
 
     def _probe_harness(self, session: NegotiationSession,
                        offered: PolicySlice, requester: PeerAgent,
@@ -923,9 +926,9 @@ class SimulationEngine:
             timestamp=f"{self.now}.000", serial=str(self._serial + 1))
         mac_passed = verify_challenge(challenge, [response]).passed
 
-        def harness(delegate: PeerId, target: PeerId,
+        def harness(delegate: str, target: str,
                     _: PropertyKind) -> list[float]:
-            ledger = self.agents[delegate.uid].ledger
+            ledger = self.agents[delegate].ledger
             scores = []
             if probe_kind is not None:
                 self._tick()
@@ -964,10 +967,10 @@ class SimulationEngine:
             requester.apply_policy(policy)
         for prop in session.required:
             record = HistoryRecord(
-                timestamp=self.now, actor=requester.id,
+                timestamp=self.now, actor=requester.uid,
                 property_kind=prop.kind,
                 action=f"received {session.resource.path}",
-                violation=False, counterparty=owner.id)
+                violation=False, counterparty=owner.uid)
             owner.ledger.record(record)
             requester.ledger.record(record)
 
@@ -975,13 +978,13 @@ class SimulationEngine:
 
     def _report(self) -> RunReport:
         reputations = tuple(
-            (uid, peer.uid, value) for uid, agent in self.agents.items()
-            for peer, value in sorted(agent.ledger.reputations.items(),
-                                      key=lambda item: item[0].uid))
+            (uid, peer, value) for uid, agent in self.agents.items()
+            for peer, value in sorted(agent.ledger.reputations.items()))
         return RunReport(
             seed=self.scenario.seed, records=tuple(self.records),
             final_reputations=reputations, config=self.config,
-            names={uid: pid.name for uid, pid in self.peer_ids.items()})
+            names={decl.uid: decl.display_name
+                   for decl in self.scenario.peers})
 
 
 def run_scenario(scenario: Scenario) -> RunReport:
@@ -1049,9 +1052,9 @@ _REQUIRED_MIXES: tuple[tuple[SecurityProperty, ...], ...] = (
 )
 
 
-def _domain_policy(uid: str, domain: str, props: Iterable[SecurityProperty],
+def _domain_policy(domain: str, props: Iterable[SecurityProperty],
                    *paths: str) -> PeerPolicy:
-    policy = PolicyBuilder(uid).create_domain(domain)
+    policy = PolicyBuilder().create_domain(domain)
     for prop in props:
         policy.add_property(domain, prop)
     for path in paths:
@@ -1064,12 +1067,12 @@ def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
     required = rng.choice(_REQUIRED_MIXES)
     peers = [PeerDecl(
         uid="owner", display_name="owner",
-        policy=_domain_policy("owner", "vault", required, "asset"),
+        policy=_domain_policy("vault", required, "asset"),
         knows=tuple((f"c{i}", 0.6 + 0.1 * (i % 4))
                     for i in range(params.delegates)),
     )]
     peers.extend(PeerDecl(uid=f"c{i}", display_name="C",
-                          policy=PeerPolicy(peer_id=f"c{i}"))
+                          policy=PeerPolicy())
                  for i in range(params.delegates))
     actions: list[Action] = []
 
@@ -1077,7 +1080,7 @@ def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
                   matching: bool) -> None:
         props = required if matching else ()
         peers.append(PeerDecl(uid=uid, display_name=uid,
-                              policy=_domain_policy(uid, "drop", props),
+                              policy=_domain_policy("drop", props),
                               behavior=behavior))
 
     for i in range(params.honest_requesters):

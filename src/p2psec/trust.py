@@ -24,32 +24,6 @@ from .policy import PropertyKind
 
 
 @dataclass(frozen=True)
-class PeerId:
-    """Opaque unique identifier plus a display name.
-
-    Display names need not be unique; equality follows ``uid`` alone so
-    two distinct peers may both present themselves as ``C``.
-    """
-
-    uid: str
-    name: str = ""
-
-    def __post_init__(self):
-        if not self.uid:
-            raise TrustError("peer uid must be non-empty")
-        if not self.name:
-            object.__setattr__(self, "name", self.uid)
-
-    def __eq__(self, other):
-        if not isinstance(other, PeerId):
-            return NotImplemented
-        return self.uid == other.uid
-
-    def __hash__(self):
-        return hash(self.uid)
-
-
-@dataclass(frozen=True)
 class TrustConfig:
     """Tunable thresholds and weights; defaults follow the reference
     behaviour of the negotiation engine."""
@@ -95,17 +69,17 @@ class HistoryScore(Enum):
 class HistoryRecord:
     """One logged operation, as observed or as presented by a peer.
 
-    ``actor`` is the peer that performed the operation; ``counterparty``
-    is the other side of the exchange and is what cross-referencing
-    validates a presented record against.
+    ``actor`` is the uid of the peer that performed the operation;
+    ``counterparty`` is the uid of the other side of the exchange and is
+    what cross-referencing validates a presented record against.
     """
 
     timestamp: int
-    actor: PeerId
+    actor: str
     property_kind: PropertyKind
     action: str
     violation: bool = False
-    counterparty: Optional[PeerId] = None
+    counterparty: Optional[str] = None
 
 
 class Band(Enum):
@@ -116,7 +90,8 @@ class Band(Enum):
 
 @dataclass
 class TrustLedger:
-    """Per-peer trust state: reputations and operation history.
+    """Per-peer trust state: reputations and operation history, both
+    keyed by peer uid.
 
     A ledger has a single writer, its owning peer, and is updated in
     place: :func:`update_reputation` writes reputations and
@@ -129,7 +104,7 @@ class TrustLedger:
     must not be appended to ``history`` directly.
     """
 
-    reputations: dict[PeerId, float] = field(default_factory=dict)
+    reputations: dict[str, float] = field(default_factory=dict)
     history: list[HistoryRecord] = field(default_factory=list)
     _by_actor: dict[str, list[HistoryRecord]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
@@ -139,12 +114,12 @@ class TrustLedger:
     def __post_init__(self):
         for peer, value in self.reputations.items():
             if not 0.0 <= value <= 1.0:
-                raise TrustError(f"reputation of {peer.uid} must lie in "
+                raise TrustError(f"reputation of {peer} must lie in "
                                  f"[0, 1], got {value}")
         for record in self.history:
             self._index(record)
 
-    def reputation(self, peer: PeerId, config: TrustConfig) -> float:
+    def reputation(self, peer: str, config: TrustConfig) -> float:
         return self.reputations.get(peer, config.initial_reputation)
 
     def record(self, record: HistoryRecord) -> None:
@@ -153,18 +128,17 @@ class TrustLedger:
         self._index(record)
 
     def _index(self, record: HistoryRecord) -> None:
-        uid = record.actor.uid
-        self._by_actor.setdefault(uid, []).append(record)
-        self._keys.add((uid, record.timestamp, record.property_kind))
+        self._by_actor.setdefault(record.actor, []).append(record)
+        self._keys.add((record.actor, record.timestamp, record.property_kind))
 
-    def records_by(self, actor: PeerId) -> tuple[HistoryRecord, ...]:
+    def records_by(self, actor: str) -> tuple[HistoryRecord, ...]:
         """The records whose actor is ``actor``, in insertion order."""
-        return tuple(self._by_actor.get(actor.uid, ()))
+        return tuple(self._by_actor.get(actor, ()))
 
-    def has_record(self, actor: PeerId, timestamp: int,
+    def has_record(self, actor: str, timestamp: int,
                    kind: PropertyKind) -> bool:
         """Whether some record has this actor, timestamp and kind."""
-        return (actor.uid, timestamp, kind) in self._keys
+        return (actor, timestamp, kind) in self._keys
 
 
 @dataclass(frozen=True)
@@ -225,16 +199,16 @@ def eval_hist_norm(hist: HistoryScore, eval_score: int) -> float:
 
 #: Runs one delegate's probes of ``target`` for a property kind and
 #: returns their scores, each in [0, 1]: called as
-#: ``harness(delegate, target, kind)``.
-ChallengeHarness = Callable[[PeerId, PeerId, PropertyKind],
-                            Sequence[float]]
+#: ``harness(delegate, target, kind)`` with peer uids.
+ChallengeHarness = Callable[[str, str, PropertyKind], Sequence[float]]
 
 
-def run_challenges(delegates: Sequence[tuple[PeerId, float]], target: PeerId,
+def run_challenges(delegates: Sequence[tuple[str, float]], target: str,
                    kind: PropertyKind, harness: ChallengeHarness) -> float:
     """Trust-weighted mean of per-delegate challenge scores.
 
-    Each delegate's score is the mean of the probe scores the harness
+    ``delegates`` pairs each delegate's uid with the owner's trust in
+    it.  Each delegate's score is the mean of the probe scores the harness
     returns for it.  Delegate trusts must be positive, each delegate
     must run at least one probe and every probe score must lie in
     [0, 1] (``TrustError`` otherwise); an empty delegate list raises
@@ -246,12 +220,12 @@ def run_challenges(delegates: Sequence[tuple[PeerId, float]], target: PeerId,
     total = 0.0
     for delegate, trust in delegates:
         if trust <= 0.0:
-            raise TrustError(f"delegate {delegate.uid} has non-positive "
+            raise TrustError(f"delegate {delegate} has non-positive "
                              f"trust {trust}")
         scores = harness(delegate, target, kind)
         if not scores:
             raise TrustError(
-                f"harness ran no probes for delegate {delegate.uid}")
+                f"harness ran no probes for delegate {delegate}")
         if not all(0.0 <= score <= 1.0 for score in scores):
             raise TrustError("challenge score must lie in [0, 1]")
         weighted += trust * (sum(scores) / len(scores))
@@ -276,7 +250,7 @@ def band(tv: float, config: TrustConfig) -> Band:
     return Band.FULL
 
 
-def update_reputation(ledger: TrustLedger, peer: PeerId, band_result: Band,
+def update_reputation(ledger: TrustLedger, peer: str, band_result: Band,
                       config: TrustConfig) -> float:
     """Adjust the peer's reputation in ``ledger`` for the band, in place,
     and return the new value.
@@ -285,11 +259,12 @@ def update_reputation(ledger: TrustLedger, peer: PeerId, band_result: Band,
     unchanged (but records it).  Values stay clamped to [0, 1] and are
     kept on a 1e-9 grid so repeated small decrements stay exact.
     """
-    decrement = {
-        Band.REFUSED: config.refuse_decrement,
-        Band.PARTIAL: config.partial_decrement,
-        Band.FULL: 0.0,
-    }[band_result]
+    if band_result is Band.REFUSED:
+        decrement = config.refuse_decrement
+    elif band_result is Band.PARTIAL:
+        decrement = config.partial_decrement
+    else:
+        decrement = 0.0
     current = ledger.reputation(peer, config)
     updated = min(1.0, max(0.0, round(current - decrement, 9)))
     ledger.reputations[peer] = updated

@@ -208,7 +208,7 @@ def test_criterion_05_avc_round_trip():
 
 
 def test_criterion_06_challenge_loop():
-    policy = PeerPolicy(peer_id="A").create_domain("domainA")
+    policy = PeerPolicy().create_domain("domainA")
     policy = policy.add_property("domainA", confidentiality())
     policy = policy.add_resource("/root/secret.txt", "domainA")
     challenge = make_challenge(
@@ -242,7 +242,7 @@ def test_criterion_07_compile_scaling():
 
 
 def test_criterion_08_publication_dedup():
-    policy = PeerPolicy(peer_id="A").create_domain("private_company_A")
+    policy = PeerPolicy().create_domain("private_company_A")
     policy = policy.add_property("private_company_A", confidentiality())
     policy = policy.publish((confidentiality(), integrity()),
                             "reportA.pdf", "private_company_A")

@@ -8,7 +8,7 @@ from p2psec import bench
 
 def edit_built(domains, resources_per_domain):
     """The policy built through the edit operations, one call at a time."""
-    policy = PeerPolicy(peer_id="bench")
+    policy = PeerPolicy()
     for index in range(domains):
         name = f"dom{index:05d}"
         policy = policy.create_domain(name)

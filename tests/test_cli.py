@@ -193,7 +193,7 @@ def test_usage_error_exits_two():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("repeats", ["0", "-2", "three"])
+@pytest.mark.parametrize("repeats", ["0", "-2", "three", "١"])
 def test_bench_bad_repeats_is_a_usage_error(repeats, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bench", "--counts", "5", "--repeats", repeats])
@@ -215,7 +215,7 @@ def test_simulate_takes_both_thresholds_as_a_pair(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--refuse-threshold", "--full-threshold"])
-@pytest.mark.parametrize("value", ["5", "-0.1", "nan"])
+@pytest.mark.parametrize("value", ["5", "-0.1", "nan", "٠.٣", "0.3_0"])
 def test_simulate_bad_threshold_is_a_usage_error(flag, value, tmp_path,
                                                 capsys):
     path = tmp_path / "s.scn"
@@ -224,3 +224,18 @@ def test_simulate_bad_threshold_is_a_usage_error(flag, value, tmp_path,
         main(["simulate", str(path), flag, value])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "{}", "--seed", "٧"], "--seed"),
+    (["simulate", "{}", "--seed", "0_7"], "--seed"),
+    (["bench", "--counts", "1_0,2_0"], "--counts"),
+])
+def test_number_flags_take_only_ascii_decimal(argv, flag, tmp_path, capsys):
+    # The scenario rule: Python's int() and float() would read these.
+    path = tmp_path / "s.scn"
+    path.write_text(SCENARIO)
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(path) for arg in argv])
+    assert err.value.code == 2
+    assert f"argument {flag}: bad " in capsys.readouterr().err

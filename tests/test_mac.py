@@ -140,7 +140,7 @@ def test_security_context_parse_render():
 
 class TestCompile:
     def policy(self):
-        policy = PeerPolicy(peer_id="A").create_domain("domainA")
+        policy = PeerPolicy().create_domain("domainA")
         policy = policy.add_property("domainA", confidentiality())
         return policy.add_resource("/root/secret.txt", "domainA")
 
@@ -285,7 +285,7 @@ class TestAvc:
 
 class TestChallenge:
     def compiled(self):
-        policy = PeerPolicy(peer_id="A").create_domain("domainA")
+        policy = PeerPolicy().create_domain("domainA")
         policy = policy.add_property("domainA", confidentiality())
         policy = policy.add_resource("/root/secret.txt", "domainA")
         return compile_policy(policy)

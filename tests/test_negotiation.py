@@ -24,7 +24,7 @@ from p2psec import (
 )
 
 def owner_policy():
-    policy = PeerPolicy(peer_id="jfl").create_domain("ensib")
+    policy = PeerPolicy().create_domain("ensib")
     policy = policy.add_property("ensib", confidentiality())
     policy = policy.add_property("ensib", integrity())
     policy = policy.create_domain("free")
@@ -110,7 +110,7 @@ class TestDecide:
         assert decide(computations, config) is Outcome.ACCEPTED
 
     def test_no_required_properties_accepts(self):
-        policy = PeerPolicy(peer_id="jfl").create_domain("open")
+        policy = PeerPolicy().create_domain("open")
         policy = policy.add_resource("misc", "open")
         session = open_session(policy, "misc", "free")
         assert session.required == ()
@@ -119,7 +119,7 @@ class TestDecide:
 
 class TestApplyTransfer:
     def requester_policy(self):
-        policy = PeerPolicy(peer_id="david").create_domain("free")
+        policy = PeerPolicy().create_domain("free")
         return policy.add_property("free", spread())
 
     def test_transfer_lands_in_target_domain(self):

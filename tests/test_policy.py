@@ -100,7 +100,7 @@ def test_property_set_conflicts_scoped_exception():
 
 class TestPeerPolicy:
     def build(self):
-        policy = PeerPolicy(peer_id="A")
+        policy = PeerPolicy()
         policy = policy.create_domain("work")
         policy = policy.add_property("work", confidentiality())
         return policy
@@ -132,7 +132,7 @@ class TestPeerPolicy:
             self.build().add_property("nowhere", integrity())
 
     def test_domain_property_conflicting_with_a_file_rejected(self):
-        policy = PeerPolicy(peer_id="A").create_domain("d").add_resource(
+        policy = PeerPolicy().create_domain("d").add_resource(
             "f", "d", (spread(),))
         with pytest.raises(PropertyConflictError) as err:
             policy.add_property("d", confidentiality())
@@ -174,7 +174,7 @@ class TestPeerPolicy:
 
 class TestPublication:
     def company_policy(self):
-        policy = PeerPolicy(peer_id="A")
+        policy = PeerPolicy()
         policy = policy.create_domain("private_company_A")
         return policy.add_property("private_company_A", confidentiality())
 
@@ -190,7 +190,7 @@ class TestPublication:
             {confidentiality(), integrity()})
 
     def test_publish_into_nopublication_domain_refused(self):
-        policy = PeerPolicy(peer_id="A").create_domain("sealed")
+        policy = PeerPolicy().create_domain("sealed")
         policy = policy.add_property("sealed", nopublication())
         with pytest.raises(PublicationForbiddenError):
             policy.publish((), "x.txt", "sealed")
@@ -220,7 +220,7 @@ class TestPublication:
 
 
 def test_conflict_report_lists_scoped_pairs():
-    policy = PeerPolicy(peer_id="A").create_domain("d")
+    policy = PeerPolicy().create_domain("d")
     policy = policy.add_property("d", confidentiality())
     policy = policy.add_property("d", cooperation("partner"))
     report = policy.conflict_report()
@@ -228,21 +228,21 @@ def test_conflict_report_lists_scoped_pairs():
 
 
 def test_noshare_and_spread_conflict_via_add():
-    policy = PeerPolicy(peer_id="A").create_domain("d")
+    policy = PeerPolicy().create_domain("d")
     policy = policy.add_property("d", noshare())
     with pytest.raises(PropertyConflictError):
         policy.add_property("d", spread())
 
 
 def test_validate_accepts_built_policies():
-    policy = PeerPolicy(peer_id="A").create_domain("d")
+    policy = PeerPolicy().create_domain("d")
     policy = policy.add_resource("f", "d")
     policy.validate()
 
 
 def test_validate_rejects_duplicate_resource_paths():
     # Building the value validates it, so a broken policy never exists.
-    policy = PeerPolicy(peer_id="A").create_domain("d").add_resource("f", "d")
+    policy = PeerPolicy().create_domain("d").add_resource("f", "d")
     with pytest.raises(PolicyValidationError, match="duplicate resource "
                                                     "path 'f'"):
         replace(policy, resources=policy.resources + (

@@ -57,8 +57,8 @@ def clash(a, b):
 class PolicyMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.builder = PolicyBuilder("m")
-        self.policy = PeerPolicy("m")
+        self.builder = PolicyBuilder()
+        self.policy = PeerPolicy()
         self.domains = {}   # name -> (id, properties)
         self.files = {}     # path -> (id, owning domain name, properties)
         self.next_id = 1
@@ -188,7 +188,7 @@ class PolicyMachine(RuleBasedStateMachine):
     @invariant()
     def agrees_with_the_model(self):
         ids = {name: dom_id for name, (dom_id, _) in self.domains.items()}
-        one_step = PeerPolicy("m", tuple(
+        one_step = PeerPolicy(tuple(
             Domain(dom_id, name, props)
             for name, (dom_id, props) in self.domains.items()), tuple(
             Resource(file_id, path, ids[domain], props)

@@ -95,10 +95,10 @@ def test_empty_document():
 
 
 def test_attribute_escaping_round_trip():
-    policy = PeerPolicy(peer_id="A").create_domain('we "love" <xml> & co')
+    policy = PeerPolicy().create_domain('we "love" <xml> & co')
     policy = policy.add_resource("a&b.txt", 'we "love" <xml> & co')
     data = serialize_policy(from_peer_policy(policy))
-    again = to_peer_policy(parse_policy(data), peer_id="A")
+    again = to_peer_policy(parse_policy(data))
     assert again.has_domain('we "love" <xml> & co')
     assert again.has_resource("a&b.txt")
 
@@ -196,13 +196,13 @@ def test_from_peer_policy_preserves_ids_and_paths():
 
 
 def test_full_round_trip_through_model():
-    policy = PeerPolicy(peer_id="A").create_domain("work")
+    policy = PeerPolicy().create_domain("work")
     policy = policy.add_property("work", confidentiality())
     policy = policy.add_resource("report.pdf", "work", (integrity(),))
     policy = policy.create_domain("play")
     policy = policy.add_property("play", cooperation("work"))
     data = serialize_policy(from_peer_policy(policy))
-    again = to_peer_policy(parse_policy(data), peer_id="A")
+    again = to_peer_policy(parse_policy(data))
     assert {d.name for d in again.domains} == {"work", "play"}
     assert again.effective_properties("report.pdf") == frozenset(
         {confidentiality(), integrity()})
@@ -251,7 +251,7 @@ def test_hand_built_document_checks_itself(domains, files, message):
 def test_from_peer_policy_rejects_a_broken_policy():
     # A policy checks itself when built, so from_peer_policy is never
     # handed one that breaks a document invariant.
-    policy = PeerPolicy(peer_id="A").create_domain("a")
+    policy = PeerPolicy().create_domain("a")
     with pytest.raises(PolicyValidationError, match="duplicate domain name"):
         replace(policy, domains=policy.domains + (Domain(2, "a"),),
                 next_id=3)
@@ -309,7 +309,7 @@ def test_negative_integer_attributes_are_accepted():
                                     "ext:" + "9" * 5000, "EXT:3"],
                          ids=lambda target: repr(target)[:12])
 def test_external_targets_are_canonical(target):
-    policy = (PeerPolicy(peer_id="A").create_domain("a")
+    policy = (PeerPolicy().create_domain("a")
               .add_property("a", cooperation(target)))
     with pytest.raises(XmlValidationError, match="names no local domain"):
         from_peer_policy(policy)

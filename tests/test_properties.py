@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,6 @@ from p2psec import (
     MacRuleSet,
     Outcome,
     P2PSecError,
-    PeerId,
     PeerPolicy,
     Permission,
     PermissionClass,
@@ -43,9 +43,13 @@ from p2psec import (
     eval_property,
     kind_ruleset,
     parse_avc,
+    parse_challenge,
     parse_policy,
+    parse_scenario,
     render_avc,
+    render_challenge,
     render_contexts,
+    run_scenario,
     serialize_policy,
     synthetic_policy,
     to_peer_policy,
@@ -56,6 +60,7 @@ from p2psec import (
     XmlValidationError,
 )
 from p2psec.simnet import (
+    _ARITY,
     AskAction,
     BehaviorModel,
     PeerDecl,
@@ -93,7 +98,7 @@ def _props(kinds):
 def generated_policies(draw):
     domain_names = draw(st.lists(name_text, min_size=1, max_size=4,
                                  unique=True))
-    policy = PeerPolicy(peer_id="gen")
+    policy = PeerPolicy()
     for name in domain_names:
         policy = policy.create_domain(name)
     for name in domain_names:
@@ -137,7 +142,7 @@ policy_edits = st.lists(st.one_of(
 @EXAMPLES
 @given(policy_edits)
 def test_accepted_edits_never_leave_a_conflict(edits):
-    policy = PeerPolicy(peer_id="gen")
+    policy = PeerPolicy()
     for method, *args in edits:
         try:
             policy = getattr(policy, method)(*args)
@@ -158,7 +163,7 @@ def _shape(policy):
 @given(generated_policies())
 def test_xml_round_trip_preserves_structure(policy):
     data = serialize_policy(from_peer_policy(policy))
-    again = to_peer_policy(parse_policy(data), peer_id=policy.peer_id)
+    again = to_peer_policy(parse_policy(data))
     assert _shape(again) == _shape(policy)
     # canonical form is a fixed point
     assert serialize_policy(from_peer_policy(again)) == data
@@ -394,7 +399,7 @@ def test_decide_monotone_in_trust(base, bumps):
        bands=st.lists(st.sampled_from(list(Band)), max_size=80))
 def test_reputation_stays_clamped(initial, bands):
     config = TrustConfig()
-    peer = PeerId("p")
+    peer = "p"
     ledger = TrustLedger(reputations={peer: initial})
     for verdict in bands:
         value = update_reputation(ledger, peer, verdict, config)
@@ -458,17 +463,17 @@ def ask_scenarios(draw):
     asker_kinds = draw(safe_kind_sets)
     behavior = draw(st.sampled_from(list(BehaviorModel)))
     seed = draw(st.integers(0, 2**16))
-    owner = PeerPolicy(peer_id="o").create_domain("src")
+    owner = PeerPolicy().create_domain("src")
     for prop in _props(owner_kinds):
         owner = owner.add_property("src", prop)
-    asker = PeerPolicy(peer_id="r").create_domain("dst")
+    asker = PeerPolicy().create_domain("dst")
     for prop in _props(asker_kinds):
         asker = asker.add_property("dst", prop)
     peers = (
         PeerDecl(uid="o", display_name="O",
                  policy=owner.add_resource("res", "src"),
                  knows=(("c0", 0.8),)),
-        PeerDecl(uid="c0", display_name="C", policy=PeerPolicy(peer_id="c0")),
+        PeerDecl(uid="c0", display_name="C", policy=PeerPolicy()),
         PeerDecl(uid="r", display_name="R", policy=asker, behavior=behavior),
     )
     return Scenario(seed=seed, peers=peers,
@@ -481,7 +486,7 @@ def test_no_slice_beyond_negotiated_domain(scenario):
     engine = SimulationEngine(scenario)
     slices = []
     for agent in engine.agents.values():
-        def slice_for(*args, _original=agent.slice_for, _uid=agent.id.uid):
+        def slice_for(*args, _original=agent.slice_for, _uid=agent.uid):
             offered = _original(*args)
             slices.append((_uid, offered))
             return offered
@@ -492,3 +497,133 @@ def test_no_slice_beyond_negotiated_domain(scenario):
     assert all(offered.domain_name == "dst" for _, offered in slices)
     assert report.negotiations[0].outcome in (Outcome.ACCEPTED,
                                               Outcome.REFUSED)
+
+
+# ---------------------------------------------------------------------------
+# Only package errors escape the text parsers
+# ---------------------------------------------------------------------------
+
+def mutated(canonical, fragments):
+    """``canonical`` texts with text[at:at + cut] replaced by a fragment:
+    edits that keep most of a valid input, so the parse gets past its
+    first token."""
+    return st.builds(
+        lambda text, at, cut, fragment: text[:at] + fragment + text[at + cut:],
+        st.sampled_from(canonical), st.integers(0, 600), st.integers(0, 12),
+        st.sampled_from(fragments))
+
+
+def soup(tokens):
+    """Tokens drawn from ``tokens`` and joined by spaces and newlines."""
+    return st.lists(st.sampled_from((*tokens, " ", " ", "\n")),
+                    max_size=40).map("".join)
+
+
+_UIDS = ("a", "b", "c")
+_SCENARIO_TOKENS = (
+    *_ARITY, *_UIDS, *_NAMES, *(k.value for k in PropertyKind),
+    "0", "1", "0.5", "-1", "7.5", "1e9", "nan", "inf", "1_0", "\u0667",
+    "name=", "name=A", "behavior=", "behavior=saint",
+    *(f"behavior={b.value}" for b in BehaviorModel),
+    "refuse_threshold", "full_trust_threshold", "history_window",
+    "strict_conflicts", "true", "#", "=", "\u00e9", "\t")
+_AVC_LINE = render_avc(AvcRecord(
+    timestamp="1229395253.757", serial="369", decision=Decision.DENIED,
+    permissions=frozenset({"read", "write"}), pid=4241, comm="vim",
+    name="secret.txt", dev="sda3", ino=179226,
+    scontext=SecurityContext("user_u", "user_r", "user_t"),
+    tcontext=SecurityContext("system_u", "object_r", "a_t"), tclass="file"))
+_AVC_TOKENS = ("audit(", "1.000:1):", "avc:", "denied", "granted", "{", "}",
+               "read", "for", "pid=1", 'comm="x"', 'name="f"', "dev=d",
+               "ino=9", "scontext=a:b:c", "tcontext=a:b", "tclass=file",
+               "pid=99999999999999999999", "\u0661", ":", '"', "=")
+_CHALLENGE_FILE = render_challenge(parse_challenge(
+    "scontext=user_u:user_r:user_t vim /root/my secret.txt\n"
+    "expect=denied\npermissions=read,write\n"
+    "tcontext=system_u:object_r:a_t\n"))
+_CHALLENGE_TOKENS = ("scontext=a:b:c", "scontext=", "vim", "f", "expect=",
+                     "expect=denied", "expect=granted", "permissions=",
+                     "permissions=read", "tcontext=a:b:c", "tcontext=a:b",
+                     "other=x", "=", ":")
+_SCENARIO_FILES = [p.read_text() for p in sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))]
+parser_texts = st.one_of(
+    st.text(max_size=100),
+    soup(_SCENARIO_TOKENS),
+    mutated(_SCENARIO_FILES, ("", "\n", "#", *_SCENARIO_TOKENS)),
+    soup(_AVC_TOKENS),
+    mutated([_AVC_LINE], ("", " ", *_AVC_TOKENS)),
+    soup(_CHALLENGE_TOKENS),
+    mutated([_CHALLENGE_FILE], ("", " ", "\n", *_CHALLENGE_TOKENS)))
+
+
+@EXAMPLES
+@given(parser_texts)
+def test_only_package_errors_escape_the_text_parsers(text):
+    # Each text goes to every parser; the strategies aimed at one
+    # parser's grammar get its parse past the first token.
+    for parse in (parse_scenario, parse_avc, parse_challenge):
+        try:
+            parse(text)
+        except P2PSecError:
+            pass
+
+
+# ---------------------------------------------------------------------------
+# Reputations stay in [0, 1] over whole runs
+# ---------------------------------------------------------------------------
+
+_KINDS = tuple(k.value for k in PropertyKind)
+_SCOPES = (*_NAMES, *(f"r{d}" for d in _NAMES))
+_STATEMENTS = (
+    [f"knows {x} {y} {t}" for x in _UIDS for y in _UIDS
+     for t in ("0", "0.55", "0.9", "1")]
+    + [f"property {x} {s} {k}" for x in _UIDS for s in _SCOPES
+       for k in _KINDS]
+    + [f"ask {x} {y} r{d} {t}" for x in _UIDS for y in _UIDS
+       for d in _NAMES for t in (*_NAMES, "new")]
+    + [f"publish {x} p{d} {d} {k}" for x in _UIDS for d in _NAMES
+       for k in _KINDS]
+    + [f"add-property {x} {s} {k}" for x in _UIDS for s in _SCOPES
+       for k in _KINDS]
+    + [f"{verb} {x} {d}" for verb in ("create-domain", "delete-domain")
+       for x in _UIDS for d in (*_NAMES, "new")]
+    + [f"config {key} {value}" for key, value in (
+        ("refuse_threshold", "0.1"), ("refuse_threshold", "0.4"),
+        ("full_trust_threshold", "0.45"), ("refuse_decrement", "0.3"),
+        ("partial_decrement", "2"), ("initial_reputation", "0"),
+        ("initial_reputation", "1"), ("history_window", "0"),
+        ("strict_conflicts", "true"))])
+
+
+#: Three peers of every mix of behaviours, each holding domains d, e
+#: and f with one file apiece.
+_PRELUDES = [
+    [*(f"peer {uid} behavior={b.value}" for uid, b in zip(_UIDS, mix)),
+     *(f"{stmt} {uid} {args}" for uid in _UIDS for d in _NAMES
+       for stmt, args in (("domain", d), ("resource", f"r{d} {d}")))]
+    for mix in itertools.product(BehaviorModel, repeat=len(_UIDS))]
+
+
+def _parse_keeping_what_parses(lines):
+    """The scenario of ``lines`` less each statement the parser refuses."""
+    while True:
+        try:
+            return parse_scenario("\n".join(lines))
+        except P2PSecError as exc:
+            del lines[exc.line - 1]
+
+
+runnable_scenarios = st.builds(
+    lambda prelude, statements: _parse_keeping_what_parses(
+        prelude + statements),
+    st.sampled_from(_PRELUDES),
+    st.lists(st.sampled_from(_STATEMENTS), max_size=20))
+
+
+@EXAMPLES
+@given(runnable_scenarios)
+def test_reputations_stay_in_unit_interval_over_a_run(scenario):
+    report = run_scenario(scenario)
+    assert all(0.0 <= value <= 1.0
+               for _, _, value in report.final_reputations)

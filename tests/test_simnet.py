@@ -20,7 +20,6 @@ from p2psec import (
     HistoryScore,
     Outcome,
     PeerAgent,
-    PeerId,
     PeerPolicy,
     PermissionClass,
     PolicyValidationError,
@@ -79,6 +78,11 @@ PARSE_ERRORS = [
      "unknown property kind 'secrecy'", 3),
     ("peer a behavior=saint\n", "unknown behavior 'saint'", 1),
     ("peer a color=red\n", "bad peer option 'color=red'", 1),
+    # A peer is its uid; its name is only shown, so it may not be empty.
+    ("peer a name=\n", "peer name must be non-empty", 1),
+    ("peer a name=x name=y\n", "peer option 'name' given twice", 1),
+    ("peer a behavior=honest behavior=log-forger\n",
+     "peer option 'behavior' given twice", 1),
     ("peer a\npeer a\n", "peer 'a' declared twice", 2),
     ("peer a\ndomain a d\ndomain a d\n", "domain 'd' declared twice", 3),
     ("seed x\n", "invalid literal for int() with base 10: 'x'", 1),
@@ -153,6 +157,10 @@ class TestParsing:
         jfl = scenario.peers[0]
         assert jfl.knows == (("C1", 0.8), ("C2", 0.9))
         assert {d.name for d in jfl.policy.domains} == {"ensib", "free"}
+
+    def test_display_name_defaults_to_uid(self):
+        scenario = parse_scenario("peer a\npeer b name=B\n")
+        assert [p.display_name for p in scenario.peers] == ["a", "B"]
 
     def test_comments_and_blanks_ignored(self):
         scenario = parse_scenario("# hi\n\npeer a\n  # indented\n")
@@ -312,8 +320,8 @@ class TestFirefoxScenario:
         engine.run()
         jfl = engine.agents["JFL"]
         david = engine.agents["David"]
-        assert any(r.actor == david.id for r in jfl.ledger.history)
-        assert any(r.actor == david.id for r in david.ledger.history)
+        assert any(r.actor == david.uid for r in jfl.ledger.history)
+        assert any(r.actor == david.uid for r in david.ledger.history)
 
 
 def test_run_is_deterministic():
@@ -426,11 +434,10 @@ RUNS = {
 def fresh_delegates(engine, owner, *excluded):
     """The delegate rule applied afresh to the owner's ledger."""
     threshold = engine.config.full_trust_threshold
-    skip = {owner.id, *(agent.id for agent in excluded)}
-    return sorted(((peer, value)
-                   for peer, value in owner.ledger.reputations.items()
-                   if value > threshold and peer not in skip),
-                  key=lambda item: item[0].uid)
+    skip = {owner.uid, *(agent.uid for agent in excluded)}
+    return sorted((peer, value)
+                  for peer, value in owner.ledger.reputations.items()
+                  if value > threshold and peer not in skip)
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -443,11 +450,11 @@ def test_maintained_delegate_lists_match_a_fresh_filter(name):
         owner = engine.agents[action.owner]
         requester = engine.agents[action.requester]
         for agent in engine.agents.values():
-            assert engine._delegates[agent.id.uid] == fresh_delegates(
+            assert engine._delegates[agent.uid] == fresh_delegates(
                 engine, agent)
         used = engine._delegates_for(owner, requester)
         assert used == fresh_delegates(engine, owner, requester)
-        lists.append([peer.uid for peer, _ in used])
+        lists.append([peer for peer, _ in used])
         original(action)
     engine._negotiate = negotiate
     engine.run()
@@ -455,7 +462,7 @@ def test_maintained_delegate_lists_match_a_fresh_filter(name):
                              for a in engine.scenario.actions)
     if name == "drops-out":
         assert lists == [["d2"], ["d2"], ["d2"]]
-        assert engine._delegates["own"] == [(engine.peer_ids["d2"], 0.9)]
+        assert engine._delegates["own"] == [("d2", 0.9)]
     if name == "accepted-become-delegates":
         assert lists == [["d0", "d1"], ["d0", "d1", "honest"]]
 
@@ -464,14 +471,13 @@ def test_maintained_delegate_lists_match_a_fresh_filter(name):
 def test_history_index_matches_a_scan_of_the_ledger(name):
     engine = SimulationEngine(RUNS[name]())
     engine.run()
-    nobody = PeerId("nobody")
     for agent in engine.agents.values():
         history = agent.ledger.history
-        for actor in {r.actor for r in history} | {nobody}:
+        for actor in {r.actor for r in history} | {"nobody"}:
             assert agent.ledger.records_by(actor) == tuple(
                 r for r in history if r.actor == actor)
         assert agent.ledger._keys == {
-            (r.actor.uid, r.timestamp, r.property_kind) for r in history}
+            (r.actor, r.timestamp, r.property_kind) for r in history}
         assert sum(map(len, agent.ledger._by_actor.values())) == len(history)
 
 
@@ -487,7 +493,7 @@ def test_projection_matches_the_policy_after_every_action(name):
         nonlocal answers
         original(action)
         for agent in engine.agents.values():
-            honest = PeerAgent(agent.id, agent.policy)
+            honest = PeerAgent(agent.uid, agent.policy)
             rules = compile_policy(agent.policy).domain_rules
             for domain, stub in product(rules, PROBE_PERMISSIONS):
                 challenge = build_challenge(
@@ -514,7 +520,7 @@ def compile_calls(monkeypatch):
     original = p2psec.compile_policy
 
     def counted(policy):
-        calls.append(policy.peer_id)
+        calls.append(policy)
         return original(policy)
     for key, module in list(sys.modules.items()):
         if key == "p2psec" or key.startswith("p2psec."):
@@ -530,7 +536,7 @@ def test_owner_edits_without_probes_compile_no_policy(monkeypatch,
     original_apply = PeerAgent.apply_policy
 
     def counted_apply(self, policy):
-        installed.append(self.id.uid)
+        installed.append(self.uid)
         return original_apply(self, policy)
     monkeypatch.setattr(PeerAgent, "apply_policy", counted_apply)
     run_scenario(parse_scenario(
@@ -556,7 +562,7 @@ def test_parse_builds_each_peer_policy_once(monkeypatch):
     original = PeerPolicy.validate
 
     def counted(policy):
-        built.append(policy.peer_id)
+        built.append(policy)
         original(policy)
     monkeypatch.setattr(PeerPolicy, "validate", counted)
     lines = ["peer a", "peer b"]
@@ -566,8 +572,9 @@ def test_parse_builds_each_peer_policy_once(monkeypatch):
                   f"property a f{i} integrity", f"domain b d{i}"]
     scenario = parse_scenario("\n".join(lines))
     assert len(lines) == 2002
-    assert sorted(built) == ["a", "b"]
     owner, other = (decl.policy for decl in scenario.peers)
+    assert len(built) == 2
+    assert built[0] is owner and built[1] is other
     assert (len(owner.domains), len(owner.resources)) == (400, 400)
     assert len(other.domains) == 400
 
@@ -575,10 +582,10 @@ def test_parse_builds_each_peer_policy_once(monkeypatch):
 def test_installing_a_policy_validates_it_at_once():
     # A policy checks itself when built, so no broken one can be
     # handed to an agent.
-    policy = PeerPolicy(peer_id="x").create_domain("drop")
+    policy = PeerPolicy().create_domain("drop")
     with pytest.raises(PolicyValidationError):
         replace(policy, next_id=0)
-    agent = PeerAgent(PeerId("x"), policy)
+    agent = PeerAgent("x", policy)
     assert agent.policy is policy
     grown = policy.create_domain("inbox")
     agent.apply_policy(grown)
@@ -663,7 +670,7 @@ def test_repeated_ask_into_the_same_domain_keeps_one_copy(monkeypatch):
     original = PeerAgent.apply_policy
 
     def counted(self, policy):
-        recompiles.append(self.id.uid)
+        recompiles.append(self.uid)
         return original(self, policy)
     monkeypatch.setattr(PeerAgent, "apply_policy", counted)
     engine = SimulationEngine(parse_scenario(HELD_PATH_SCENARIO))
@@ -718,10 +725,10 @@ def test_show_lists_domains_and_files():
 
 class TestBehaviors:
     def agent(self, behavior, props=()):
-        policy = PeerPolicy(peer_id="x").create_domain("drop")
+        policy = PeerPolicy().create_domain("drop")
         for prop in props:
             policy = policy.add_property("drop", prop)
-        return PeerAgent(PeerId("x"), policy, behavior)
+        return PeerAgent("x", policy, behavior)
 
     def test_honest_slice_reports_actual_properties(self):
         agent = self.agent(BehaviorModel.HONEST, (spread(),))
@@ -807,16 +814,16 @@ class TestBehaviors:
             (PropertyKind.CONFIDENTIALITY,), now=10)
         assert forged == 1
         assert len(records) == 1
-        assert records[0].counterparty.uid.startswith("ghost")
+        assert records[0].counterparty == "ghost1-x"
 
     def test_honest_presents_only_own_records(self):
         agent = self.agent(BehaviorModel.HONEST)
-        other = PeerId("y")
+        other = "y"
         agent.ledger.record(HistoryRecord(
             timestamp=1, actor=other,
             property_kind=PropertyKind.CONFIDENTIALITY, action="noise"))
         agent.ledger.record(HistoryRecord(
-            timestamp=2, actor=agent.id,
+            timestamp=2, actor=agent.uid,
             property_kind=PropertyKind.CONFIDENTIALITY, action="mine",
             counterparty=other))
         records, forged = agent.present_history(
@@ -827,11 +834,9 @@ class TestBehaviors:
 
 class TestCrossReference:
     def make_agents(self):
-        me = PeerId("me")
-        counterpart = PeerId("cp")
-        agents = {
-            "cp": PeerAgent(counterpart, PeerPolicy(peer_id="cp")),
-        }
+        me = "me"
+        counterpart = "cp"
+        agents = {"cp": PeerAgent(counterpart, PeerPolicy())}
         return me, counterpart, agents
 
     def test_matching_record_verifies(self):
@@ -848,7 +853,7 @@ class TestCrossReference:
         fake = HistoryRecord(timestamp=5, actor=me,
                              property_kind=PropertyKind.INTEGRITY,
                              action="made up",
-                             counterparty=PeerId("ghost1"))
+                             counterparty="ghost1")
         checked = cross_reference_history([fake], agents, me)
         assert checked == [(fake, False)]
 

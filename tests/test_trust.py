@@ -9,7 +9,6 @@ from p2psec import (
     HistoryRecord,
     HistoryScore,
     NoDelegatesError,
-    PeerId,
     PropertyKind,
     TrustConfig,
     TrustError,
@@ -22,9 +21,9 @@ from p2psec import (
     update_reputation,
 )
 
-ALICE = PeerId("alice", "Alice")
-BOB = PeerId("bob", "Bob")
-CARA = PeerId("cara", "C")
+ALICE = "alice"
+BOB = "bob"
+CARA = "cara"
 
 
 def record(timestamp, violation=False, kind=PropertyKind.CONFIDENTIALITY,
@@ -32,15 +31,6 @@ def record(timestamp, violation=False, kind=PropertyKind.CONFIDENTIALITY,
     return HistoryRecord(timestamp=timestamp, actor=actor,
                          property_kind=kind, action="shared",
                          violation=violation, counterparty=ALICE)
-
-
-class TestPeerId:
-    def test_equality_by_uid_only(self):
-        assert PeerId("c1", "C") == PeerId("c1", "Other")
-        assert PeerId("c1", "C") != PeerId("c2", "C")
-
-    def test_display_defaults_to_uid(self):
-        assert PeerId("c1").name == "c1"
 
 
 class TestConfig:
