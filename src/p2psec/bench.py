@@ -57,7 +57,6 @@ class BenchPoint:
     domains: int
     resources: int
     time_ms: float
-    repeats: int
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ class BenchReport:
     points: tuple[BenchPoint, ...]
     fit_all: LinearFit
     fit_large: Optional[LinearFit]
-    large_threshold: int
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
@@ -118,49 +116,49 @@ def _time_compile_once(policy: PeerPolicy) -> float:
 
 DEFAULT_COUNTS = (10, 20, 40, 80, 160, 320, 640)
 
+#: Policies with at most this many domains are dominated by constant
+#: overhead, so the second fit leaves them out.
+LARGE_THRESHOLD = 100
 
-def run_benchmark(counts: Sequence[int] = DEFAULT_COUNTS, repeats: int = 3,
-                  warmup: int = 1, resources_per_domain: int = 2,
-                  large_threshold: int = 100) -> BenchReport:
+
+def run_benchmark(counts: Sequence[int] = DEFAULT_COUNTS,
+                  repeats: int = 3) -> BenchReport:
     """Time compiles across policy sizes and fit time against size.
 
-    Every size is warmed up first; the timed samples then go round-robin
-    across the sizes, one sample of each size per round, so a host stall
-    costs one sample of every size rather than every sample of one size.
-    Each size reports its best sample: scheduler and GC noise is
-    strictly additive, so the minimum is the least-contaminated estimate
-    of the true cost.
+    Every size is compiled once untimed first; the timed samples then go
+    round-robin across the sizes, one sample of each size per round, so
+    a host stall costs one sample of every size rather than every sample
+    of one size.  Each size reports its best sample: the minimum drops
+    the samples a host stall lengthened.  It does not remove all noise,
+    since on a shared host a sample can also come out faster than the
+    typical compile.
 
-    Small policies are dominated by constant overhead, so a second fit
-    restricted to counts above ``large_threshold`` is reported when at
-    least two such sizes were measured.
+    A second fit, restricted to counts above ``LARGE_THRESHOLD``, is
+    reported when at least two such sizes were measured.
     """
     if not counts:
         raise ValueError("counts must not be empty")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    policies = [synthetic_policy(count, resources_per_domain)
-                for count in counts]
+    policies = [synthetic_policy(count) for count in counts]
     for policy in policies:
-        for _ in range(warmup):
-            emit_rules(compile_policy(policy))
+        emit_rules(compile_policy(policy))
     best = [float("inf")] * len(policies)
     for _ in range(repeats):
         for index, policy in enumerate(policies):
             best[index] = min(best[index], _time_compile_once(policy))
-    points = [BenchPoint(domains=count,
-                         resources=count * resources_per_domain,
-                         time_ms=time_ms, repeats=repeats)
-              for count, time_ms in zip(counts, best)]
+    points = [BenchPoint(domains=count, resources=len(policy.resources),
+                         time_ms=time_ms)
+              for count, policy, time_ms in zip(counts, policies, best)]
     xs = [float(p.domains) for p in points]
     ys = [p.time_ms for p in points]
     fit_all = linear_fit(xs, ys)
-    large = [(x, y) for x, y in zip(xs, ys) if x > large_threshold]
+    large = [(x, y) for x, y in zip(xs, ys) if x > LARGE_THRESHOLD]
     fit_large = None
     if len(large) >= 2:
         fit_large = linear_fit([x for x, _ in large], [y for _, y in large])
     return BenchReport(points=tuple(points), fit_all=fit_all,
-                       fit_large=fit_large, large_threshold=large_threshold)
+                       fit_large=fit_large)
 
 
 def render_benchmark(report: BenchReport) -> str:
@@ -172,6 +170,6 @@ def render_benchmark(report: BenchReport) -> str:
     lines.append(f"fit_intercept_ms={report.fit_all.intercept:.6f}")
     lines.append(f"fit_r2={report.fit_all.r2:.6f}")
     if report.fit_large is not None:
-        lines.append(f"fit_r2_above_{report.large_threshold}="
+        lines.append(f"fit_r2_above_{LARGE_THRESHOLD}="
                      f"{report.fit_large.r2:.6f}")
     return "\n".join(lines) + "\n"

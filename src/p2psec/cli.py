@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from .bench import DEFAULT_COUNTS, render_benchmark, run_benchmark
 from .errors import (P2PSecError, ScenarioError, TrustError,
@@ -23,7 +24,7 @@ from .mac import (
     verify_challenge,
 )
 from .policy_xml import parse_policy, to_peer_policy
-from .simnet import _number, parse_scenario, render_report, run_scenario
+from .simnet import ascii_number, parse_scenario, render_report, run_scenario
 
 
 def _load_policy(path: str):
@@ -96,46 +97,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-# Number flags follow the scenario rule: ASCII decimal only, so no "_"
-# separators or non-ASCII digits.
-
-def _parse_seed(text: str) -> int:
-    try:
-        return _number(int, text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from None
-
-
-def _parse_counts(text: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(_number(int, part) for part in text.split(",") if part)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad counts {text!r}") from None
-    if not counts or any(c < 1 for c in counts):
-        raise argparse.ArgumentTypeError(f"bad counts {text!r}")
-    return counts
+def _number_flag(what: str, convert: Callable[[str], Any],
+                 accept: Callable[[Any], bool] = lambda value: True,
+                 why: str = "") -> Callable[[str], Any]:
+    """An argparse type that reads a flag with ``convert``, refusing
+    text it cannot read as ``bad {what} {text!r}`` and a value outside
+    ``accept`` with ``why`` appended.  Numbers follow the scenario rule
+    (:func:`~p2psec.simnet.ascii_number`): ASCII decimal only."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}{why}")
+        return value
+    return parse
 
 
-def _parse_repeats(text: str) -> int:
-    try:
-        repeats = _number(int, text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad repeats {text!r}") from None
-    if repeats < 1:
-        raise argparse.ArgumentTypeError(
-            f"bad repeats {text!r}: must be at least 1")
-    return repeats
-
-
-def _parse_threshold(text: str) -> float:
-    try:
-        value = _number(float, text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad threshold {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"bad threshold {text!r}: must be a finite value in [0, 1]")
-    return value
+_parse_seed = _number_flag("seed", partial(ascii_number, int))
+_parse_counts = _number_flag(
+    "counts", lambda text: tuple(ascii_number(int, part)
+                                 for part in text.split(",") if part),
+    lambda counts: bool(counts) and min(counts) >= 1)
+_parse_repeats = _number_flag("repeats", partial(ascii_number, int),
+                              lambda repeats: repeats >= 1,
+                              ": must be at least 1")
+_parse_threshold = _number_flag("threshold", partial(ascii_number, float),
+                                lambda value: 0.0 <= value <= 1.0,
+                                ": must be a finite value in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -63,13 +63,12 @@ class XmlError(P2PSecError):
 
 
 class XmlSyntaxError(XmlError):
-    """Malformed markup; carries the 1-based line and column when known."""
+    """Malformed markup; carries the 1-based line when the parser gives
+    one, and its message then names the line and column."""
 
-    def __init__(self, message: str, line: int | None = None,
-                 column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class XmlValidationError(XmlError):
@@ -97,14 +96,8 @@ class UnknownPermissionError(MacError):
 
 
 class AvcParseError(MacError):
-    """An audit line does not match the AVC grammar.
-
-    ``token`` points at the first part of the line that failed to parse.
-    """
-
-    def __init__(self, message: str, token: str = ""):
-        super().__init__(message)
-        self.token = token
+    """An audit line does not match the AVC grammar; the message names
+    the field that failed."""
 
 
 class ChallengeError(MacError):

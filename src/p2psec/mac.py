@@ -371,16 +371,14 @@ def parse_avc(line: str) -> AvcRecord:
         match = pattern.match(line, pos)
         if not match:
             offending = line[pos:pos + 40] or "<end of line>"
-            raise AvcParseError(
-                f"expected {label} at {offending!r}", token=offending)
+            raise AvcParseError(f"expected {label} at {offending!r}")
         if match.groups():
             fields[label] = match.group(1)
         pos = match.end()
 
     permissions = frozenset(fields["permissions"].split())
     if not permissions:
-        raise AvcParseError("empty permission set in braces",
-                            token=fields["permissions"])
+        raise AvcParseError("empty permission set in braces")
     try:
         scontext = SecurityContext.parse(fields["scontext"])
         tcontext = SecurityContext.parse(fields["tcontext"])
@@ -406,8 +404,7 @@ def _avc_int(fields: dict[str, str], label: str) -> int:
     try:
         return int(fields[label])
     except ValueError:  # more digits than ``int`` converts
-        raise AvcParseError(f"{label} has too many digits",
-                            token=fields[label][:40]) from None
+        raise AvcParseError(f"{label} has too many digits") from None
 
 
 def render_avc(record: AvcRecord) -> str:

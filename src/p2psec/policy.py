@@ -349,8 +349,8 @@ class PolicyBuilder:
     checked.
 
     Each step either raises, leaving the builder as it was, or applies
-    in O(1); adding a property to a domain also reads that domain's
-    files.  ``freeze`` returns the :class:`PeerPolicy`, with domains and
+    in O(1); adding a property to a domain and deleting a domain also
+    read that domain's files.  ``freeze`` returns the :class:`PeerPolicy`, with domains and
     resources in the order they were first added and the ids the
     counter handed out.  Every step returns the builder.
     """

@@ -166,8 +166,7 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
             data = data.encode("utf-8")
         parser.Parse(data, True)
     except expat.ExpatError as exc:
-        raise XmlSyntaxError(str(exc), line=exc.lineno,
-                             column=exc.offset) from exc
+        raise XmlSyntaxError(str(exc), line=exc.lineno) from exc
     except (ValueError, LookupError) as exc:
         raise XmlSyntaxError(str(exc)) from exc
     finally:

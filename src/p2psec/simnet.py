@@ -148,25 +148,53 @@ Action = Union[AskAction, EditAction, ShowAction]
 
 @dataclass(frozen=True)
 class Scenario:
+    """A run to simulate.  Building one checks it as the parser does, but
+    with no line: a uid is declared once, every uid a ``knows`` pair or
+    an action names is declared, and an edit's method is one the engine
+    applies (``ScenarioError`` otherwise)."""
+
     seed: int = 0
     peers: tuple[PeerDecl, ...] = ()
     actions: tuple[Action, ...] = ()
     config: TrustConfig = TrustConfig()
+
+    def __post_init__(self):
+        declared: set[str] = set()
+        for decl in self.peers:
+            if decl.uid in declared:
+                raise ScenarioError(f"peer {decl.uid!r} declared twice")
+            declared.add(decl.uid)
+        named = [subject for decl in self.peers for subject, _ in decl.knows]
+        for action in self.actions:
+            if isinstance(action, AskAction):
+                named += (action.requester, action.owner)
+            elif isinstance(action, (EditAction, ShowAction)):
+                named.append(action.peer)
+            else:
+                raise ScenarioError(f"unsupported action {action!r}")
+            if (isinstance(action, EditAction)
+                    and action.method not in _EDIT_WORDING):
+                raise ScenarioError(
+                    f"unknown edit method {action.method!r}")
+        for uid in named:
+            if uid not in declared:
+                raise ScenarioError(f"peer {uid!r} is not declared")
 
 
 # ---------------------------------------------------------------------------
 # Scenario file parsing
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(TrustConfig)}
+_CONFIG_FIELDS = {f.name for f in fields(TrustConfig)}
 
 _NUMBER_CHARS = frozenset("0123456789.+-eE")
 _N = TypeVar("_N", int, float)
 
 
-def _number(convert: Callable[[str], _N], text: str) -> _N:
-    """``convert(text)`` for a number written in ASCII: Python's own
-    conversions also read ``_`` separators and non-ASCII digits."""
+def ascii_number(convert: Callable[[str], _N], text: str) -> _N:
+    """``convert(text)`` for a number written in ASCII, the rule for
+    scenario numbers and CLI number flags: Python's own conversions also
+    read ``_`` separators and non-ASCII digits."""
     value = convert(text)
     if not _NUMBER_CHARS.issuperset(text):
         raise ValueError(f"number {text!r} may hold only ASCII digits, "
@@ -196,18 +224,19 @@ class _ScenarioBuilder:
         self.seed = 0
         self.config_overrides: dict[str, object] = {}
         self.config_line: Optional[int] = None
-        # uid -> (display name, behavior, known (subject, trust) pairs)
-        self.peers: dict[str, tuple[str, BehaviorModel, list]] = {}
-        self.policies: dict[str, PolicyBuilder] = {}
+        # uid -> (display name, behavior, known (subject, trust) pairs,
+        # policy builder)
+        self.peers: dict[str, tuple[str, BehaviorModel, list,
+                                    PolicyBuilder]] = {}
         self.actions: list[Action] = []
 
     def declared(self, uid: str, lineno: int) -> str:
-        if uid not in self.policies:
+        if uid not in self.peers:
             raise ScenarioError(f"peer {uid!r} is not declared", line=lineno)
         return uid
 
     def peer(self, uid: str, lineno: int) -> PolicyBuilder:
-        return self.policies[self.declared(uid, lineno)]
+        return self.peers[self.declared(uid, lineno)][3]
 
     def build(self) -> Scenario:
         # Cross-field rules (refuse < full trust, weights summing to 1)
@@ -217,9 +246,8 @@ class _ScenarioBuilder:
         except TrustError as exc:
             raise ScenarioError(str(exc), line=self.config_line) from exc
         peers = tuple(
-            PeerDecl(uid, display, self.policies[uid].freeze(), behavior,
-                     tuple(knows))
-            for uid, (display, behavior, knows) in self.peers.items())
+            PeerDecl(uid, display, policy.freeze(), behavior, tuple(knows))
+            for uid, (display, behavior, knows, policy) in self.peers.items())
         return Scenario(seed=self.seed, peers=peers,
                         actions=tuple(self.actions), config=config)
 
@@ -270,21 +298,21 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
     if len(args) < fewest or (most is not None and len(args) > most):
         raise ScenarioError(message.format(args), line=lineno)
     if stmt == "seed":
-        builder.seed = _number(int, args[0])
+        builder.seed = ascii_number(int, args[0])
     elif stmt == "config":
         key, value = args
         if key not in _CONFIG_FIELDS:
             raise ScenarioError(message.format(args), line=lineno)
         builder.config_line = lineno
         if key == "history_window":
-            builder.config_overrides[key] = _number(int, value)
+            builder.config_overrides[key] = ascii_number(int, value)
         elif key == "strict_conflicts":
             if value.lower() not in ("true", "false"):
                 raise ScenarioError(f"strict_conflicts takes true or false, "
                                     f"not {value!r}", line=lineno)
             builder.config_overrides[key] = value.lower() == "true"
         else:
-            builder.config_overrides[key] = _number(float, value)
+            builder.config_overrides[key] = ascii_number(float, value)
     elif stmt == "peer":
         uid = args[0]
         if uid in builder.peers:
@@ -310,12 +338,11 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
                 except ValueError:
                     raise ScenarioError(f"unknown behavior {value!r}",
                                         line=lineno) from None
-        builder.peers[uid] = (display, behavior, [])
-        builder.policies[uid] = PolicyBuilder()
+        builder.peers[uid] = (display, behavior, [], PolicyBuilder())
     elif stmt == "knows":
         holder = builder.declared(args[0], lineno)
         subject = builder.declared(args[1], lineno)
-        trust = _number(float, args[2])
+        trust = ascii_number(float, args[2])
         if not 0.0 <= trust <= 1.0:
             raise ScenarioError(f"knows trust must lie in [0, 1], not "
                                 f"{args[2]!r}", line=lineno)
@@ -753,10 +780,8 @@ class SimulationEngine:
             self._negotiate(action)
         elif isinstance(action, EditAction):
             self._edit(action)
-        elif isinstance(action, ShowAction):
-            self._show(action)
         else:
-            raise ScenarioError(f"unsupported action {action!r}")
+            self._show(action)
 
     def _edit(self, action: EditAction) -> None:
         agent = self.agents[action.peer]

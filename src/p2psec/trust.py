@@ -96,18 +96,13 @@ class TrustLedger:
     A ledger has a single writer, its owning peer, and is updated in
     place: :func:`update_reputation` writes reputations and
     :meth:`record` appends history records.  Every reputation lies in
-    [0, 1]; construction rejects any other value.
-
-    ``history`` keeps every record in insertion order.  Lookups by actor
-    and by (actor, timestamp, kind) go through an index that
-    construction and :meth:`record` keep in step with it, so records
-    must not be appended to ``history`` directly.
+    [0, 1]; construction rejects any other value.  Records are kept per
+    actor, in recording order, and only :meth:`record` adds them.
     """
 
     reputations: dict[str, float] = field(default_factory=dict)
-    history: list[HistoryRecord] = field(default_factory=list)
     _by_actor: dict[str, list[HistoryRecord]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
+        init=False, repr=False, default_factory=dict)
     _keys: set[tuple[str, int, PropertyKind]] = field(
         init=False, repr=False, compare=False, default_factory=set)
 
@@ -116,23 +111,17 @@ class TrustLedger:
             if not 0.0 <= value <= 1.0:
                 raise TrustError(f"reputation of {peer} must lie in "
                                  f"[0, 1], got {value}")
-        for record in self.history:
-            self._index(record)
 
     def reputation(self, peer: str, config: TrustConfig) -> float:
         return self.reputations.get(peer, config.initial_reputation)
 
     def record(self, record: HistoryRecord) -> None:
-        """Append ``record`` to the history and index it."""
-        self.history.append(record)
-        self._index(record)
-
-    def _index(self, record: HistoryRecord) -> None:
+        """Append ``record`` to its actor's records and index it."""
         self._by_actor.setdefault(record.actor, []).append(record)
         self._keys.add((record.actor, record.timestamp, record.property_kind))
 
     def records_by(self, actor: str) -> tuple[HistoryRecord, ...]:
-        """The records whose actor is ``actor``, in insertion order."""
+        """The records whose actor is ``actor``, in recording order."""
         return tuple(self._by_actor.get(actor, ()))
 
     def has_record(self, actor: str, timestamp: int,

@@ -239,3 +239,42 @@ def test_number_flags_take_only_ascii_decimal(argv, flag, tmp_path, capsys):
         main([arg.format(path) for arg in argv])
     assert err.value.code == 2
     assert f"argument {flag}: bad " in capsys.readouterr().err
+
+
+#: (argv, the last stderr line) for every number-flag refusal.
+FLAG_REFUSALS = [
+    (["simulate", "{}", "--seed", "seven"],
+     "p2psec simulate: error: argument --seed: bad seed 'seven'"),
+    (["simulate", "{}", "--seed", "0_7"],
+     "p2psec simulate: error: argument --seed: bad seed '0_7'"),
+    (["bench", "--counts", "1_0,2_0"],
+     "p2psec bench: error: argument --counts: bad counts '1_0,2_0'"),
+    (["bench", "--counts", "5,0"],
+     "p2psec bench: error: argument --counts: bad counts '5,0'"),
+    (["bench", "--counts", ","],
+     "p2psec bench: error: argument --counts: bad counts ','"),
+    (["bench", "--repeats", "three"],
+     "p2psec bench: error: argument --repeats: bad repeats 'three'"),
+    (["bench", "--repeats", "0"],
+     "p2psec bench: error: argument --repeats: bad repeats '0': must be "
+     "at least 1"),
+    *[(["simulate", "{}", flag, value],
+       f"p2psec simulate: error: argument {flag}: bad threshold "
+       f"{value!r}{why}")
+      for flag in ("--refuse-threshold", "--full-threshold")
+      for value, why in (
+          ("٠.٣", ""), ("nan", ""),
+          ("5", ": must be a finite value in [0, 1]"),
+          ("-0.1", ": must be a finite value in [0, 1]"))],
+]
+
+
+@pytest.mark.parametrize("argv, line", FLAG_REFUSALS,
+                         ids=[" ".join(argv[-2:]) for argv, _ in FLAG_REFUSALS])
+def test_number_flag_refusal_wording(argv, line, tmp_path, capsys):
+    path = tmp_path / "s.scn"
+    path.write_text(SCENARIO)
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(path) for arg in argv])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line

@@ -1,4 +1,5 @@
-"""Every name a package module imports is read in that module."""
+"""Every name a package module imports is read in that module, and no
+package module imports another's private name."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,26 @@ def test_policy_xml_builds_no_element_tree():
                            for alias in node.names)
     assert not any(name.startswith("xml.etree") for name in modules)
     assert "xml.parsers.expat" in modules
+
+
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names imported from a package module, relatively
+    or by the ``p2psec`` name."""
+    return sorted(
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "p2psec")
+        for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_a_private_import_is_reported():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\nfrom .simnet import _number, fmt\n"
+              "from p2psec.mac import _AVC_STEPS\nfrom . import _x\n")
+    assert private_imports(source) == ["_AVC_STEPS", "_number", "_x"]

@@ -15,6 +15,7 @@ from p2psec import (
     DocFile,
     DocProperty,
     FILE_PERMISSIONS,
+    HistoryRecord,
     HistoryScore,
     KIND_NEVERALLOW,
     KIND_ORDER,
@@ -405,6 +406,40 @@ def test_reputation_stays_clamped(initial, bands):
         value = update_reputation(ledger, peer, verdict, config)
         assert 0.0 <= value <= 1.0
         assert ledger.reputation(peer, config) == value
+
+
+LEDGER_ACTORS = ["a", "b", "c"]
+history_records = st.builds(
+    HistoryRecord, timestamp=st.integers(0, 5),
+    actor=st.sampled_from(LEDGER_ACTORS), property_kind=kinds_strategy,
+    action=st.sampled_from(["shared", "received f"]),
+    violation=st.booleans(),
+    counterparty=st.sampled_from([None, *LEDGER_ACTORS]))
+
+
+@EXAMPLES
+@given(records=st.lists(history_records, max_size=30),
+       queries=st.lists(st.tuples(st.sampled_from(LEDGER_ACTORS + ["d"]),
+                                  st.integers(0, 5), kinds_strategy),
+                        max_size=10))
+def test_ledger_lookups_agree_with_a_scan_of_a_plain_list(records, queries):
+    ledger = TrustLedger()
+    for record in records:
+        ledger.record(record)
+    for actor in LEDGER_ACTORS + ["d"]:
+        assert ledger.records_by(actor) == tuple(
+            r for r in records if r.actor == actor)
+    keys = [(r.actor, r.timestamp, r.property_kind) for r in records]
+    for key in queries + keys:
+        assert ledger.has_record(*key) == (key in keys)
+    # Equality covers the records.
+    same, fewer = TrustLedger(), TrustLedger()
+    for record in records:
+        same.record(record)
+    for record in records[:-1]:
+        fewer.record(record)
+    assert same == ledger
+    assert (fewer == ledger) == (not records)
 
 
 @st.composite

@@ -27,6 +27,7 @@ from p2psec import (
     PropertyKind,
     ScenarioError,
     SimulationEngine,
+    TrustLedger,
     check_access,
     compile_policy,
     confidentiality,
@@ -43,13 +44,24 @@ from p2psec import (
 )
 from p2psec.mac import PROBE_PERMISSIONS, build_challenge
 from p2psec.policy import CONFLICTING_KIND_PAIRS, KIND_ORDER, conflicts
-from p2psec.simnet import CHALLENGE_SUBJECT
+from p2psec.simnet import (
+    CHALLENGE_SUBJECT,
+    AskAction,
+    EditAction,
+    PeerDecl,
+    Scenario,
+    ShowAction,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 NOT_ASCII = ("number {!r} may hold only ASCII digits, '.', '+', '-', 'e' "
              "and 'E'")
+
+def decl(uid, knows=()):
+    return PeerDecl(uid, uid, PeerPolicy(), knows=knows)
+
 
 #: (scenario text, message, line) for every parser rejection.
 PARSE_ERRORS = [
@@ -239,6 +251,24 @@ class TestParsing:
                                   "config full_trust_threshold 0.8\n")
         assert scenario.config.refuse_threshold == 0.6
 
+    @pytest.mark.parametrize("peers, actions, message", [
+        pytest.param((decl("a", knows=(("ghost", 0.9),)),), (),
+                     "peer 'ghost' is not declared", id="knows"),
+        pytest.param((decl("a"),), (AskAction("a", "ghost", "f", "d"),),
+                     "peer 'ghost' is not declared", id="ask"),
+        pytest.param((decl("a"),), (ShowAction("ghost"),),
+                     "peer 'ghost' is not declared", id="show"),
+        pytest.param((decl("a"), decl("b"), decl("a")), (),
+                     "peer 'a' declared twice", id="repeated-uid"),
+        pytest.param((decl("a"),), (EditAction("a", "rename", ("d",)),),
+                     "unknown edit method 'rename'", id="edit-method"),
+    ])
+    def test_a_scenario_built_in_code_checks_itself(self, peers, actions,
+                                                    message):
+        with pytest.raises(ScenarioError) as err:
+            Scenario(peers=peers, actions=actions)
+        assert (str(err.value), err.value.line) == (message, None)
+
 
 class TestContractScenario:
     def report(self):
@@ -320,8 +350,8 @@ class TestFirefoxScenario:
         engine.run()
         jfl = engine.agents["JFL"]
         david = engine.agents["David"]
-        assert any(r.actor == david.uid for r in jfl.ledger.history)
-        assert any(r.actor == david.uid for r in david.ledger.history)
+        assert jfl.ledger.records_by(david.uid)
+        assert david.ledger.records_by(david.uid)
 
 
 def test_run_is_deterministic():
@@ -468,17 +498,25 @@ def test_maintained_delegate_lists_match_a_fresh_filter(name):
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_history_index_matches_a_scan_of_the_ledger(name):
+def test_history_index_matches_a_scan_of_the_ledger(name, monkeypatch):
+    """Over a run, each ledger's lookups agree with a scan of the records
+    it was given, logged here in a plain list per ledger."""
+    logs = {}
+    record = TrustLedger.record
+
+    def logged(ledger, rec):
+        logs.setdefault(id(ledger), []).append(rec)
+        record(ledger, rec)
+    monkeypatch.setattr(TrustLedger, "record", logged)
     engine = SimulationEngine(RUNS[name]())
     engine.run()
     for agent in engine.agents.values():
-        history = agent.ledger.history
-        for actor in {r.actor for r in history} | {"nobody"}:
+        log = logs.get(id(agent.ledger), [])
+        for actor in {r.actor for r in log} | {"nobody"}:
             assert agent.ledger.records_by(actor) == tuple(
-                r for r in history if r.actor == actor)
+                r for r in log if r.actor == actor)
         assert agent.ledger._keys == {
-            (r.actor, r.timestamp, r.property_kind) for r in history}
-        assert sum(map(len, agent.ledger._by_actor.values())) == len(history)
+            (r.actor, r.timestamp, r.property_kind) for r in log}
 
 
 @pytest.mark.parametrize("name", ["contract", "firefox", "delegates"])
@@ -684,7 +722,8 @@ def test_repeated_ask_into_the_same_domain_keeps_one_copy(monkeypatch):
     assert report.transcript.count(
         "[Display b] <file> f in inbox under [integrity]") == 1
     for agent in (engine.agents["a"], b):
-        assert [r.action for r in agent.ledger.history] == ["received f"] * 2
+        assert [r.action for r in agent.ledger.records_by("b")] == [
+            "received f"] * 2
 
 
 def test_ask_into_another_domain_moves_the_held_copy():

@@ -76,10 +76,9 @@ class TestHistory:
                             now=100, window=50) is HistoryScore.VIOLATED_RECENT
 
     def test_other_kind_and_actor_ignored(self):
-        ledger = TrustLedger(history=[
-            record(95, violation=True, kind=PropertyKind.INTEGRITY),
-            record(95, violation=True, actor=CARA),
-        ])
+        ledger = TrustLedger()
+        ledger.record(record(95, violation=True, kind=PropertyKind.INTEGRITY))
+        ledger.record(record(95, violation=True, actor=CARA))
         assert eval_history(ledger.records_by(BOB),
                             PropertyKind.CONFIDENTIALITY,
                             now=100, window=50) is HistoryScore.NO_DATA
@@ -197,13 +196,11 @@ class TestReputation:
 
     def test_update_writes_in_place_and_keeps_history(self):
         config = TrustConfig()
-        history = [record(90)]
-        ledger = TrustLedger(reputations={BOB: 0.5, CARA: 0.9},
-                             history=history)
+        ledger = TrustLedger(reputations={BOB: 0.5, CARA: 0.9})
+        ledger.record(record(90))
         update_reputation(ledger, BOB, Band.REFUSED, config)
         assert ledger.reputations == {BOB: 0.48, CARA: 0.9}
-        assert ledger.history is history
-        assert history == [record(90)]
+        assert ledger.records_by(BOB) == (record(90),)
 
     @pytest.mark.parametrize("value", [7.5, -0.1, float("nan")])
     def test_ledger_rejects_reputation_outside_unit_interval(self, value):
