@@ -2,7 +2,8 @@
 
 Each property kind maps to a fixed set of ``neverallow`` entries over
 the file and directory permission vocabularies; a domain's ruleset is
-the union over its property kinds on top of a default-allow base.
+the union over its property kinds on top of a fixed default-allow base.
+The rules listing is written, never read back.
 Resources get ``system_u:object_r:<label>_t`` security contexts derived
 from the owning domain name.
 
@@ -32,6 +33,7 @@ from .policy import Domain, PeerPolicy, PropertyKind
 class PermissionClass(Enum):
     FILE = "file"
     DIR = "dir"
+    __hash__ = object.__hash__  # identity, as PropertyKind's
 
 
 #: Permission vocabularies, in canonical emission order.
@@ -88,16 +90,20 @@ KIND_NEVERALLOW: dict[PropertyKind, frozenset[Permission]] = {
 # noshare shares the nopublication projection.
 KIND_NEVERALLOW[PropertyKind.NOSHARE] = KIND_NEVERALLOW[PropertyKind.NOPUBLICATION]
 
-#: The default-allow base: every vocabulary permission of both classes.
-DEFAULT_ALLOW = (_perms(PermissionClass.FILE, FILE_PERMISSIONS)
-                 | _perms(PermissionClass.DIR, DIR_PERMISSIONS))
+#: The allow lines every stanza starts with: the fixed default-allow
+#: base, every permission of both vocabularies.
+_ALLOW_LINES = (f"allow file {{{' '.join(FILE_PERMISSIONS)}}}\n"
+                f"allow dir {{{' '.join(DIR_PERMISSIONS)}}}")
 
 
 @dataclass(frozen=True)
 class MacRuleSet:
-    """Allow base plus neverallow entries; neverallow wins on overlap."""
+    """The neverallow entries over the fixed allow base.
 
-    allow: frozenset[Permission] = DEFAULT_ALLOW
+    Every vocabulary permission is allowed unless ``neverallow`` names
+    it, so a ruleset is its neverallow set.
+    """
+
     neverallow: frozenset[Permission] = frozenset()
 
     @cached_property
@@ -135,13 +141,11 @@ class Decision(Enum):
 
 def check_access(ruleset: MacRuleSet, cls: PermissionClass,
                  permission: str) -> Decision:
-    """Decide one access; unknown permission names are an error."""
-    perm = Permission(cls, permission)
-    if perm in ruleset.neverallow:
+    """Decide one access: DENIED when ``ruleset`` neverallows it, else
+    GRANTED; unknown permission names are an error."""
+    if Permission(cls, permission) in ruleset.neverallow:
         return Decision.DENIED
-    if perm in ruleset.allow:
-        return Decision.GRANTED
-    return Decision.DENIED
+    return Decision.GRANTED
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,8 @@ def check_access(ruleset: MacRuleSet, cls: PermissionClass,
 
 @dataclass(frozen=True)
 class SecurityContext:
-    """A user:role:type triple."""
+    """A user:role:type triple; no component is empty or holds a colon
+    or whitespace, so the rendered context is one token."""
 
     user: str
     role: str
@@ -158,7 +163,7 @@ class SecurityContext:
 
     def __post_init__(self):
         for part in (self.user, self.role, self.type_name):
-            if not part or ":" in part:
+            if ":" in part or part.split() != [part]:
                 raise MacError(f"bad security context component {part!r}")
 
     def render(self) -> str:
@@ -236,20 +241,18 @@ def compile_policy(policy: PeerPolicy) -> CompiledPolicy:
                           resource_domains=resource_domains)
 
 
-def _permission_line(verb: str, cls: PermissionClass,
+def _neverallow_line(cls: PermissionClass,
                      perms: frozenset[Permission]) -> str:
     names = [p.name for p in perms if p.cls is cls]
     ordered = [n for n in _VOCABULARY[cls] if n in names]
-    return f"{verb} {cls.value} {{{' '.join(ordered)}}}"
+    return f"neverallow {cls.value} {{{' '.join(ordered)}}}"
 
 
 def _ruleset_lines(ruleset: MacRuleSet) -> list[str]:
-    lines = [_permission_line("allow", PermissionClass.FILE, ruleset.allow),
-             _permission_line("allow", PermissionClass.DIR, ruleset.allow)]
+    lines = [_ALLOW_LINES]
     for cls in (PermissionClass.FILE, PermissionClass.DIR):
         if any(p.cls is cls for p in ruleset.neverallow):
-            lines.append(_permission_line("neverallow", cls,
-                                          ruleset.neverallow))
+            lines.append(_neverallow_line(cls, ruleset.neverallow))
     return lines
 
 
@@ -268,42 +271,6 @@ def emit_rules(compiled: CompiledPolicy) -> str:
         if ruleset != compiled.domain_rules[compiled.resource_domains[path]]:
             stanzas.append(f"{path}:\n{ruleset._body}")
     return "\n\n".join(stanzas) + ("\n" if stanzas else "")
-
-
-_RULE_LINE = re.compile(
-    r"^(allow|neverallow) (file|dir) \{([^{}]*)\}$")
-
-
-def parse_rules(text: str) -> dict[str, MacRuleSet]:
-    """Inverse of :func:`emit_rules` over the emitted stanza mapping."""
-    result: dict[str, MacRuleSet] = {}
-    current: str | None = None
-    allow: set[Permission] = set()
-    neverallow: set[Permission] = set()
-
-    def flush():
-        if current is not None:
-            result[current] = MacRuleSet(allow=frozenset(allow),
-                                         neverallow=frozenset(neverallow))
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.endswith(":") and not _RULE_LINE.match(line):
-            flush()
-            current = line[:-1]
-            allow, neverallow = set(), set()
-            continue
-        match = _RULE_LINE.match(line)
-        if not match or current is None:
-            raise MacError(f"unrecognized rules line {line!r}")
-        verb, cls_name, body = match.groups()
-        perms = {Permission(PermissionClass(cls_name), n)
-                 for n in body.split()}
-        (allow if verb == "allow" else neverallow).update(perms)
-    flush()
-    return result
 
 
 def render_contexts(compiled: CompiledPolicy) -> str:

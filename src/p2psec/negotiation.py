@@ -32,6 +32,7 @@ from .trust import TrustComputation, TrustConfig
 class Outcome(Enum):
     ACCEPTED = "accepted"
     REFUSED = "refused"
+    __hash__ = object.__hash__  # identity, as PropertyKind's
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,7 @@ class BehaviorModel(Enum):
     BLIND_LIAR = "blind-liar"
     INFORMED_LIAR = "informed-liar"
     LOG_FORGER = "log-forger"
+    __hash__ = object.__hash__  # identity, as PropertyKind's
 
 
 #: Subject context used by delegated access challenges.
@@ -149,9 +150,10 @@ Action = Union[AskAction, EditAction, ShowAction]
 @dataclass(frozen=True)
 class Scenario:
     """A run to simulate.  Building one checks it as the parser does, but
-    with no line: a uid is declared once, every uid a ``knows`` pair or
-    an action names is declared, and an edit's method is one the engine
-    applies (``ScenarioError`` otherwise)."""
+    with no line: a uid is declared once, a peer knows each subject once
+    with a trust in [0, 1], every uid a ``knows`` pair or an action
+    names is declared, and an edit's method is one the engine applies
+    (``ScenarioError`` otherwise)."""
 
     seed: int = 0
     peers: tuple[PeerDecl, ...] = ()
@@ -164,6 +166,16 @@ class Scenario:
             if decl.uid in declared:
                 raise ScenarioError(f"peer {decl.uid!r} declared twice")
             declared.add(decl.uid)
+            known: set[str] = set()
+            for subject, trust in decl.knows:
+                if subject in known:
+                    raise ScenarioError(
+                        f"peer {decl.uid!r} knows {subject!r} twice")
+                known.add(subject)
+                if not 0.0 <= trust <= 1.0:
+                    raise ScenarioError(
+                        f"peer {decl.uid!r} knows {subject!r} with trust "
+                        f"{trust!r}, outside [0, 1]")
         named = [subject for decl in self.peers for subject, _ in decl.knows]
         for action in self.actions:
             if isinstance(action, AskAction):
@@ -224,9 +236,9 @@ class _ScenarioBuilder:
         self.seed = 0
         self.config_overrides: dict[str, object] = {}
         self.config_line: Optional[int] = None
-        # uid -> (display name, behavior, known (subject, trust) pairs,
+        # uid -> (display name, behavior, trust by known subject,
         # policy builder)
-        self.peers: dict[str, tuple[str, BehaviorModel, list,
+        self.peers: dict[str, tuple[str, BehaviorModel, dict,
                                     PolicyBuilder]] = {}
         self.actions: list[Action] = []
 
@@ -246,7 +258,8 @@ class _ScenarioBuilder:
         except TrustError as exc:
             raise ScenarioError(str(exc), line=self.config_line) from exc
         peers = tuple(
-            PeerDecl(uid, display, policy.freeze(), behavior, tuple(knows))
+            PeerDecl(uid, display, policy.freeze(), behavior,
+                     tuple(knows.items()))
             for uid, (display, behavior, knows, policy) in self.peers.items())
         return Scenario(seed=self.seed, peers=peers,
                         actions=tuple(self.actions), config=config)
@@ -338,7 +351,7 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
                 except ValueError:
                     raise ScenarioError(f"unknown behavior {value!r}",
                                         line=lineno) from None
-        builder.peers[uid] = (display, behavior, [], PolicyBuilder())
+        builder.peers[uid] = (display, behavior, {}, PolicyBuilder())
     elif stmt == "knows":
         holder = builder.declared(args[0], lineno)
         subject = builder.declared(args[1], lineno)
@@ -346,7 +359,11 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
         if not 0.0 <= trust <= 1.0:
             raise ScenarioError(f"knows trust must lie in [0, 1], not "
                                 f"{args[2]!r}", line=lineno)
-        builder.peers[holder][2].append((subject, trust))
+        knows = builder.peers[holder][2]
+        if subject in knows:
+            raise ScenarioError(f"peer {holder!r} knows {subject!r} twice",
+                                line=lineno)
+        knows[subject] = trust
     elif stmt == "domain":
         try:
             builder.peer(args[0], lineno).create_domain(args[1])

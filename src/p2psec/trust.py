@@ -60,6 +60,7 @@ class HistoryScore(Enum):
     VIOLATED_BEFORE = -2
     CLEAN = 1
     NO_DATA = 0
+    __hash__ = object.__hash__  # identity, as PropertyKind's
 
     def render(self) -> str:
         return "NoData" if self is HistoryScore.NO_DATA else str(self.value)

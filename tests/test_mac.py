@@ -1,5 +1,7 @@
 """Rule projection, labels, audit records, and challenges."""
 
+import itertools
+
 import pytest
 
 from p2psec import (
@@ -12,6 +14,7 @@ from p2psec import (
     DIR_PERMISSIONS,
     FILE_PERMISSIONS,
     KIND_NEVERALLOW,
+    MacError,
     MacRuleSet,
     PeerPolicy,
     Permission,
@@ -23,16 +26,13 @@ from p2psec import (
     check_access,
     compile_policy,
     confidentiality,
-    cooperation,
     emit_rules,
     integrity,
     kind_ruleset,
     make_challenge,
-    noshare,
     object_context,
     parse_avc,
     parse_challenge,
-    parse_rules,
     render_avc,
     render_challenge,
     render_contexts,
@@ -113,11 +113,34 @@ def test_kind_ruleset_accepts_one_shot_iterables():
 
 
 def test_check_access_deny_overrides():
+    """The whole table: for every subset of kinds and every permission of
+    both vocabularies, access is denied exactly when one of the kinds
+    neverallows it, and a name outside a vocabulary is an error."""
     ruleset = kind_ruleset({PropertyKind.CONFIDENTIALITY})
     assert check_access(ruleset, PermissionClass.FILE, "read") is Decision.DENIED
     assert check_access(ruleset, PermissionClass.FILE, "write") is Decision.GRANTED
     assert check_access(ruleset, PermissionClass.DIR, "search") is Decision.DENIED
     assert check_access(DEFAULT_RULESET, PermissionClass.FILE, "read") is Decision.GRANTED
+    vocabularies = ((PermissionClass.FILE, FILE_VOCAB, "search"),
+                    (PermissionClass.DIR, DIR_VOCAB, "lock"))
+    kinds = list(PropertyKind)
+    subsets = [subset for size in range(len(kinds) + 1)
+               for subset in itertools.combinations(kinds, size)]
+    assert len(subsets) == 2 ** 6
+    for subset in subsets:
+        forbidden = frozenset().union(
+            *(KIND_NEVERALLOW[kind] for kind in subset))
+        ruleset = kind_ruleset(subset)
+        for cls, names, foreign in vocabularies:
+            for name in names:
+                expected = (Decision.DENIED
+                            if Permission(cls, name) in forbidden
+                            else Decision.GRANTED)
+                assert check_access(ruleset, cls, name) is expected, (
+                    subset, cls, name)
+            for unknown in (foreign, "chmod"):
+                with pytest.raises(UnknownPermissionError):
+                    check_access(ruleset, cls, unknown)
 
 
 def test_sanitize_label_preserves_case():
@@ -136,6 +159,29 @@ def test_security_context_parse_render():
     assert ctx.render() == "user_u:user_r:user_t"
     with pytest.raises(Exception):
         SecurityContext.parse("just_two:parts")
+
+
+@pytest.mark.parametrize("spaced", ["user u", "user\tu", "user\u00a0u"])
+def test_security_context_refuses_whitespace(spaced):
+    """A context renders to one token of a challenge's command line and
+    of an AVC line, so a component may hold no whitespace: a valid
+    subject's challenge round-trips, and a spaced one is refused when it
+    is built and when a challenge file names it."""
+    subject = SecurityContext("user_u", "user_r", "user_t")
+    challenge = mac.build_challenge(
+        "/root/secret.txt", subject, "vim",
+        kind_ruleset({PropertyKind.CONFIDENTIALITY}),
+        object_context("domainA"))
+    text = render_challenge(challenge)
+    assert parse_challenge(text) == challenge
+    for parts in ((spaced, "user_r", "user_t"), ("user_u", spaced, "user_t"),
+                  ("user_u", "user_r", spaced)):
+        with pytest.raises(MacError):
+            SecurityContext(*parts)
+    with pytest.raises(MacError):
+        SecurityContext.parse(f"system_u:object_r:{spaced}")
+    with pytest.raises(ChallengeError):
+        parse_challenge(text.replace("domainA_t", spaced))
 
 
 class TestCompile:
@@ -173,18 +219,6 @@ class TestCompile:
         assert "/root/secret.txt:" in emitted
         assert "neverallow file {read write unlink append rename setattr}" \
             in emitted
-
-    def test_parse_rules_inverts_emit(self):
-        policy = self.policy().create_domain("open")
-        policy = policy.add_property("open", cooperation())
-        policy = policy.create_domain("archive")
-        policy = policy.add_property("archive", noshare())
-        emitted = emit_rules(compile_policy(policy))
-        parsed = parse_rules(emitted)
-        compiled = compile_policy(policy)
-        for name, ruleset in compiled.domain_rules.items():
-            assert parsed[name] == ruleset
-
 
     def test_each_domain_projected_once(self, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
-"""The README's scenario grammar names the statements the parser takes."""
+"""The README's scenario grammar names the statements the parser takes,
+and its library examples run against the package as it is."""
 
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 from p2psec.simnet import _ARITY
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN_POLICY = Path(__file__).resolve().parent / "golden" / "policy.xml"
 
 
 def grammar_keywords(text: str) -> list[str]:
@@ -28,3 +30,32 @@ def test_indented_lines_are_not_statements():
     text = ("## Scenario files\n\n```\nseed <int>   # seed\n"
             "peer <uid>\n                # behavior\n```\n")
     assert grammar_keywords(text) == ["seed", "peer"]
+
+
+def library_examples(text: str) -> list[str]:
+    """The fenced ``python`` blocks of the ``## Library use`` section."""
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+
+
+def run_example(index: int, namespace: dict, monkeypatch) -> None:
+    examples = library_examples(README.read_text(encoding="utf-8"))
+    assert len(examples) == 2
+    monkeypatch.chdir(README.parent)
+    exec(compile(examples[index], f"README.md example {index + 1}", "exec"),
+         namespace)
+
+
+def test_library_example_runs(monkeypatch, capsys):
+    run_example(0, {}, monkeypatch)
+    out = capsys.readouterr().out
+    assert out.startswith("ensib:\nallow file {")
+    assert "neverallow file {read append setattr}" in out
+
+
+def test_xml_example_runs_on_a_canonical_policy(monkeypatch):
+    # The golden policy is canonical: serializing its parse gives it back.
+    xml = GOLDEN_POLICY.read_bytes()
+    namespace = {"xml_bytes": xml, "canonical_bytes": xml}
+    run_example(1, namespace, monkeypatch)
+    assert namespace["policy"].domains

@@ -111,6 +111,8 @@ PARSE_ERRORS = [
      "strict_conflicts takes true or false, not 'yes'", 1),
     ("peer a\npeer b\nknows a b 7.5\n",
      "knows trust must lie in [0, 1], not '7.5'", 3),
+    ("peer a\npeer b\nknows a b 0.9\nknows a b 0.1\n",
+     "peer 'a' knows 'b' twice", 4),
     ("peer a\npeer b\nknows a b high\n",
      "could not convert string to float: 'high'", 3),
     ("peer a\nresource a f nowhere\n",
@@ -262,6 +264,14 @@ class TestParsing:
                      "peer 'a' declared twice", id="repeated-uid"),
         pytest.param((decl("a"),), (EditAction("a", "rename", ("d",)),),
                      "unknown edit method 'rename'", id="edit-method"),
+        pytest.param((decl("a", knows=(("b", 0.9), ("b", 0.1))), decl("b")),
+                     (), "peer 'a' knows 'b' twice", id="knows-twice"),
+        pytest.param((decl("a", knows=(("b", 7.0),)), decl("b")), (),
+                     "peer 'a' knows 'b' with trust 7.0, outside [0, 1]",
+                     id="trust-above-one"),
+        pytest.param((decl("a", knows=(("b", float("nan")),)), decl("b")),
+                     (), "peer 'a' knows 'b' with trust nan, outside [0, 1]",
+                     id="trust-nan"),
     ])
     def test_a_scenario_built_in_code_checks_itself(self, peers, actions,
                                                     message):
