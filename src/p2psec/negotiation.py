@@ -10,6 +10,8 @@ through the trust pipeline, and :func:`decide` accepts or refuses over
 the resulting ``TrustComputation`` values.  On acceptance
 :func:`apply_transfer` lands the resource in the requester's target
 domain, optionally carrying owner-requested resource-level properties.
+The simulator passes none, so a received file takes only the target
+domain's properties.
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
     Owner-requested resource-level properties come along unless they
     conflict with the target domain's own properties, in which case
     ``PolicyBuilder.add_resource`` aborts the whole transfer with
-    ``PropertyConflictError``.
+    ``PropertyConflictError``.  The simulator passes no ``owner_props``,
+    so there a received file takes only the target domain's properties.
 
     A policy has one resource per path.  If the requester already holds
     the path in the target domain, ``requester_policy`` itself comes
@@ -142,12 +145,12 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
     and checked once.
     """
     path = resource.path
-    if requester_policy.has_resource(path):
-        held = requester_policy.find_resource(path)
-        if (requester_policy.domain_by_id(held.domain_id).name
-                == target_domain_name):
-            return requester_policy
+    held = requester_policy.has_resource(path)
+    if held and (requester_policy.domain_by_id(
+            requester_policy.find_resource(path).domain_id).name
+            == target_domain_name):
+        return requester_policy
     policy = requester_policy.thaw()
-    if path in policy.resources:
+    if held:
         policy.drop_resource(path)
     return policy.add_resource(path, target_domain_name, owner_props).freeze()

@@ -7,11 +7,13 @@ permissions (cooperation, spread).  Some kind pairs are mutually
 incompatible; the conflict relation drives both local policy checks and
 remote negotiation.
 
-The value types are immutable, and building a ``PeerPolicy`` checks
-it, so every policy value is valid.  Edits are made on a mutable
-``PolicyBuilder``, the one home of the edit checks, which freezes into
-a ``PeerPolicy``; a ``PeerPolicy`` edit thaws, applies one builder
-step and freezes, returning a new value and never touching its input.
+The value types are immutable, and every policy value is valid: a
+``PeerPolicy`` built directly is validated, and one frozen from a
+``PolicyBuilder`` was checked step by step.  Edits are made on that
+mutable builder, the one home of the edit checks; a ``PeerPolicy`` edit
+thaws, applies one builder step and freezes, returning a new value and
+never touching its input.  Thaw and freeze copy indexes and re-check
+nothing, so an edit costs the size of the change.
 """
 
 from __future__ import annotations
@@ -157,6 +159,10 @@ def property_set_conflicts(
     Negotiation does not use this; ``eval_property`` applies the plain
     kind-level relation, :func:`conflicts`.
     """
+    required, offered = tuple(required), tuple(offered)
+    clashing = frozenset().union(*(KIND_CONFLICTS[r.kind] for r in required))
+    if not any(off.kind in clashing for off in offered):
+        return []
     offered = sort_properties(offered)
     return [(req, off) for req in sort_properties(required)
             for off in offered if _clash(req, off)]
@@ -216,11 +222,12 @@ class PeerPolicy:
     """The complete local policy of one peer.
 
     Ids are unique across domains and resources; a shared monotone
-    counter hands them out.  Building a value checks these invariants
-    and indexes the domains by name and id and the resources by path,
-    so every ``PeerPolicy`` is valid and each lookup is a dict read.
-    The edit operations are pure: each thaws the policy into a
-    :class:`PolicyBuilder`, applies one step and freezes the result.
+    counter hands them out.  Building a value directly checks these
+    invariants and indexes the domains by name and id, the resources by
+    path and each domain's paths by its id, so each lookup is a dict
+    read.  The edit operations are pure: each thaws the policy into a
+    :class:`PolicyBuilder`, applies one step and freezes the result,
+    which takes the builder's step-checked indexes without validating.
     """
 
     domains: tuple[Domain, ...] = ()
@@ -230,6 +237,8 @@ class PeerPolicy:
     _by_id: dict[int, Domain] = field(init=False, repr=False, compare=False)
     _by_path: dict[str, Resource] = field(init=False, repr=False,
                                           compare=False)
+    _files: dict[int, frozenset[str]] = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -259,15 +268,14 @@ class PeerPolicy:
     # -- edits; see PolicyBuilder for what each one checks ------------
 
     def thaw(self) -> "PolicyBuilder":
-        """A builder holding this policy."""
+        """A builder holding this policy: copies of its indexes, made
+        without a Python loop over the policy."""
         builder = PolicyBuilder()
-        builder.next_id = self.next_id
-        builder.domains = dict(self._by_name)
-        builder.resources = dict(self._by_path)
+        builder._next_id = self.next_id
+        builder._domains = dict(self._by_name)
+        builder._resources = dict(self._by_path)
         builder._by_id = dict(self._by_id)
-        builder._files = {dom_id: set() for dom_id in self._by_id}
-        for res in self.resources:
-            builder._files[res.domain_id].add(res.path)
+        builder._files = dict(self._files)
         return builder
 
     def create_domain(self, name: str) -> "PeerPolicy":
@@ -316,6 +324,7 @@ class PeerPolicy:
         by_name: dict[str, Domain] = {}
         by_id: dict[int, Domain] = {}
         by_path: dict[str, Resource] = {}
+        files: dict[int, list[str]] = {}
         ids: set[int] = set()
         for dom in self.domains:
             if dom.id in ids:
@@ -325,6 +334,7 @@ class PeerPolicy:
                 raise PolicyValidationError(
                     f"duplicate domain name {dom.name!r}")
             by_name[dom.name] = by_id[dom.id] = dom
+            files[dom.id] = []
         for res in self.resources:
             if res.id in ids:
                 raise PolicyValidationError(f"duplicate id {res.id}")
@@ -337,11 +347,12 @@ class PeerPolicy:
                 raise PolicyValidationError(
                     f"duplicate resource path {res.path!r}")
             by_path[res.path] = res
+            files[res.domain_id].append(res.path)
         if ids and max(ids) >= self.next_id:
             raise PolicyValidationError("id counter behind an assigned id")
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_by_path", by_path)
+        _set_fields(self, _by_name=by_name, _by_id=by_id, _by_path=by_path,
+                    _files={dom_id: frozenset(paths)
+                            for dom_id, paths in files.items()})
 
 
 class PolicyBuilder:
@@ -350,38 +361,49 @@ class PolicyBuilder:
 
     Each step either raises, leaving the builder as it was, or applies
     in O(1); adding a property to a domain and deleting a domain also
-    read that domain's files.  ``freeze`` returns the :class:`PeerPolicy`, with domains and
-    resources in the order they were first added and the ids the
-    counter handed out.  Every step returns the builder.
+    read that domain's files.  Since every step keeps the invariants
+    ``PeerPolicy.validate`` checks, ``freeze`` hands copies of the
+    indexes to the :class:`PeerPolicy` without validating it, with
+    domains and resources in the order they were first added and the
+    ids the counter handed out.  Every step returns the builder.
     """
 
     def __init__(self):
-        self.next_id = 1
-        self.domains: dict[str, Domain] = {}
-        self.resources: dict[str, Resource] = {}
+        self._next_id = 1
+        self._domains: dict[str, Domain] = {}
+        self._resources: dict[str, Resource] = {}
         self._by_id: dict[int, Domain] = {}
-        self._files: dict[int, set[str]] = {}    # domain id -> its paths
+        # domain id -> its paths; a step replaces an entry, never
+        # mutates one, since a frozen policy may share it.
+        self._files: dict[int, frozenset[str]] = {}
 
     def freeze(self) -> PeerPolicy:
-        return PeerPolicy(tuple(self.domains.values()),
-                          tuple(self.resources.values()), self.next_id)
+        """The policy built so far.  Each step checked itself, so the
+        builder's indexes are copied over without running ``validate``."""
+        return _set_fields(
+            object.__new__(PeerPolicy),
+            domains=tuple(self._domains.values()),
+            resources=tuple(self._resources.values()),
+            next_id=self._next_id, _by_name=dict(self._domains),
+            _by_id=dict(self._by_id), _by_path=dict(self._resources),
+            _files=dict(self._files))
 
     def create_domain(self, name: str) -> "PolicyBuilder":
         """Add a fresh, property-free domain named ``name``."""
-        if name in self.domains:
+        if name in self._domains:
             raise DuplicateDomainError(f"domain {name!r} already exists")
-        dom = Domain(self.next_id, name)
-        self.domains[name] = self._by_id[dom.id] = dom
-        self._files[dom.id] = set()
-        self.next_id += 1
+        dom = Domain(self._next_id, name)
+        self._domains[name] = self._by_id[dom.id] = dom
+        self._files[dom.id] = frozenset()
+        self._next_id += 1
         return self
 
     def delete_domain(self, name: str) -> "PolicyBuilder":
         """Remove a domain together with every resource it owns."""
-        dom = _get(self.domains, name, UnknownDomainError, "domain")
-        del self.domains[name], self._by_id[dom.id]
+        dom = _get(self._domains, name, UnknownDomainError, "domain")
+        del self._domains[name], self._by_id[dom.id]
         for path in self._files.pop(dom.id):
-            del self.resources[path]
+            del self._resources[path]
         return self
 
     def add_property(self, scope: str, prop: SecurityProperty) -> "PolicyBuilder":
@@ -392,21 +414,21 @@ class PolicyBuilder:
         includes its files' own properties); re-adding an implied
         property is a no-op.
         """
-        if scope in self.domains:
-            dom = self.domains[scope]
+        if scope in self._domains:
+            dom = self._domains[scope]
             if prop not in dom.properties:
                 present = dom.properties.union(*(
-                    self.resources[path].properties
+                    self._resources[path].properties
                     for path in self._files[dom.id]))
                 _check_conflicts(prop, present, f"domain {scope!r}")
-                self.domains[scope] = self._by_id[dom.id] = Domain(
+                self._domains[scope] = self._by_id[dom.id] = Domain(
                     dom.id, dom.name, dom.properties | {prop})
-        elif scope in self.resources:
-            res = self.resources[scope]
+        elif scope in self._resources:
+            res = self._resources[scope]
             effective = self._by_id[res.domain_id].properties | res.properties
             if prop not in effective:
                 _check_conflicts(prop, effective, f"resource {scope!r}")
-                self.resources[scope] = Resource(
+                self._resources[scope] = Resource(
                     res.id, res.path, res.domain_id, res.properties | {prop})
         else:
             raise UnknownScopeError(f"no domain or resource named {scope!r}")
@@ -422,19 +444,19 @@ class PolicyBuilder:
         checks).  Properties the domain already implies are not
         duplicated on the resource.
         """
-        dom = _get(self.domains, domain_name, UnknownDomainError, "domain")
+        dom = _get(self._domains, domain_name, UnknownDomainError, "domain")
         props = frozenset(props)
         pairs = property_set_conflicts(props, dom.properties)
         pairs += _internal_conflicts(props)
         if pairs:
             raise PropertyConflictError(
                 f"properties conflict in domain {domain_name!r}", pairs)
-        if path in self.resources:
+        if path in self._resources:
             raise DuplicateResourceError(f"resource {path!r} already exists")
-        self.resources[path] = Resource(self.next_id, path, dom.id,
-                                        props - dom.properties)
-        self._files[dom.id].add(path)
-        self.next_id += 1
+        self._resources[path] = Resource(self._next_id, path, dom.id,
+                                         props - dom.properties)
+        self._files[dom.id] |= {path}
+        self._next_id += 1
         return self
 
     def publish(self, props: Iterable[SecurityProperty], path: str,
@@ -444,7 +466,7 @@ class PolicyBuilder:
         Refused when the domain carries nopublication; past that check
         it is :meth:`add_resource`.
         """
-        dom = _get(self.domains, domain_name, UnknownDomainError, "domain")
+        dom = _get(self._domains, domain_name, UnknownDomainError, "domain")
         props = frozenset(props)
         if any(p.kind is PropertyKind.NOPUBLICATION for p in props):
             raise PolicyValidationError(
@@ -457,10 +479,17 @@ class PolicyBuilder:
     def drop_resource(self, path: str) -> "PolicyBuilder":
         """Remove a held resource, as a transfer does before it places
         the received copy."""
-        res = _get(self.resources, path, UnknownResourceError, "resource")
-        del self.resources[path]
-        self._files[res.domain_id].discard(path)
+        res = _get(self._resources, path, UnknownResourceError, "resource")
+        del self._resources[path]
+        self._files[res.domain_id] -= {path}
         return self
+
+
+def _set_fields(policy: PeerPolicy, **fields) -> PeerPolicy:
+    """Set fields of a frozen ``PeerPolicy``; the caller vouches that
+    the indexes match ``domains`` and ``resources``."""
+    vars(policy).update(fields)
+    return policy
 
 
 def _get(index: dict, key, error: type, what: str):

@@ -151,9 +151,9 @@ Action = Union[AskAction, EditAction, ShowAction]
 class Scenario:
     """A run to simulate.  Building one checks it as the parser does, but
     with no line: a uid is declared once, a peer knows each subject once
-    with a trust in [0, 1], every uid a ``knows`` pair or an action
-    names is declared, and an edit's method is one the engine applies
-    (``ScenarioError`` otherwise)."""
+    with a trust that is a number (not a bool) in [0, 1], every uid a
+    ``knows`` pair or an action names is declared, and an edit's method
+    is one the engine applies (``ScenarioError`` otherwise)."""
 
     seed: int = 0
     peers: tuple[PeerDecl, ...] = ()
@@ -172,6 +172,11 @@ class Scenario:
                     raise ScenarioError(
                         f"peer {decl.uid!r} knows {subject!r} twice")
                 known.add(subject)
+                if (isinstance(trust, bool)
+                        or not isinstance(trust, (int, float))):
+                    raise ScenarioError(
+                        f"peer {decl.uid!r} knows {subject!r} with trust "
+                        f"{trust!r}, not a number")
                 if not 0.0 <= trust <= 1.0:
                     raise ScenarioError(
                         f"peer {decl.uid!r} knows {subject!r} with trust "
@@ -430,7 +435,9 @@ class PeerAgent:
         self._forged_serial = 0
 
     def apply_policy(self, policy: PeerPolicy) -> None:
-        """Install a new policy, which checked itself when it was built."""
+        """Install a new policy without checking it: a policy built
+        directly was validated, and one frozen from a builder was checked
+        step by step, so an install costs nothing beyond the edit."""
         self.policy = policy
 
     def _domain(self, domain_name: str) -> Domain:

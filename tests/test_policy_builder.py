@@ -6,7 +6,10 @@ run on one ``PolicyBuilder`` and, one pure edit at a time, on a
 ``PeerPolicy``.  After every step both must agree with a reference model
 kept in plain dicts: the same refusals (error type and message), the
 same lookups, and equality with the policy built in one step from the
-model.  See MacIver et al., "Hypothesis: A new approach to
+model.  A frozen builder's indexes are handed over without
+``validate``, so each policy must also equal the policy ``validate``
+rebuilds from its fields, answer every lookup as that rebuild does, and
+delete each domain as the rebuild does.  See MacIver et al., "Hypothesis: A new approach to
 property-based testing", JOSS 2019, for rule-based state machines.
 """
 
@@ -47,6 +50,21 @@ PROPERTY_SETS = st.sampled_from([
 
 NOPUBLICATION_ON_A_FILE = (PolicyValidationError,
                            "nopublication applies to domains, not resources")
+
+
+def outcome(lookup, key):
+    """What ``lookup(key)`` returns, or the type and message it raises."""
+    try:
+        return lookup(key)
+    except PolicyError as exc:
+        return type(exc), str(exc)
+
+
+def lookups(policy, name):
+    """Every lookup of ``name`` as a domain name and as a path."""
+    return [outcome(getattr(policy, method), name) for method in (
+        "has_domain", "domain", "has_resource", "find_resource",
+        "effective_properties")]
 
 
 def clash(a, b):
@@ -194,13 +212,28 @@ class PolicyMachine(RuleBasedStateMachine):
             Resource(file_id, path, ids[domain], props)
             for path, (file_id, domain, props) in self.files.items()),
             self.next_id)
-        assert self.builder.freeze() == one_step
-        assert self.policy == one_step
-        for name in ("d", "e", "f"):
-            self.check_lookups(name)
+        for policy in (self.builder.freeze(), self.policy):
+            assert policy == one_step
+            self.check_handover(policy)
+            for name in ("d", "e", "f"):
+                self.check_lookups(policy, name)
 
-    def check_lookups(self, name):
-        policy = self.policy
+    def check_handover(self, policy):
+        """A frozen builder hands its indexes over unchecked; they must
+        be what ``validate`` builds from the same fields."""
+        rebuilt = PeerPolicy(policy.domains, policy.resources,
+                             policy.next_id)
+        assert policy == rebuilt
+        for name in ("d", "e", "f"):
+            assert lookups(policy, name) == lookups(rebuilt, name)
+        for dom_id in range(self.next_id + 1):
+            assert (outcome(policy.domain_by_id, dom_id)
+                    == outcome(rebuilt.domain_by_id, dom_id))
+        for name in self.domains:
+            assert (policy.thaw().delete_domain(name).freeze()
+                    == rebuilt.thaw().delete_domain(name).freeze())
+
+    def check_lookups(self, policy, name):
         assert policy.has_domain(name) is (name in self.domains)
         if name in self.domains:
             dom_id, props = self.domains[name]

@@ -47,11 +47,13 @@ from p2psec import (
     parse_challenge,
     parse_policy,
     parse_scenario,
+    property_set_conflicts,
     render_avc,
     render_challenge,
     render_contexts,
     run_scenario,
     serialize_policy,
+    sort_properties,
     synthetic_policy,
     to_peer_policy,
     from_peer_policy,
@@ -341,6 +343,22 @@ def test_conflicts_symmetric(a, b):
     assert conflicts(a, b) == conflicts(b, a)
     if a is b:
         assert not conflicts(a, b)
+
+
+# Every kind bare, and each targeted kind with one or two partners.
+property_sets = st.frozensets(st.sampled_from(
+    [SecurityProperty(kind) for kind in PropertyKind]
+    + [SecurityProperty(kind, targets) for kind in TARGETED_KINDS
+       for targets in ({"p"}, {"q"}, {"p", "q"})]), max_size=5)
+
+
+@EXAMPLES
+@given(a=property_sets, b=property_sets)
+def test_property_set_conflicts_is_the_all_pairs_reference(a, b):
+    # The early exit on kinds that cannot clash keeps pairs and order.
+    assert property_set_conflicts(a, b) == [
+        (r, o) for r in sort_properties(a) for o in sort_properties(b)
+        if conflicts(r.kind, o.kind) and not (r.targets or o.targets)]
 
 
 @EXAMPLES

@@ -22,6 +22,7 @@ from p2psec import (
     PeerAgent,
     PeerPolicy,
     PermissionClass,
+    PolicyBuilder,
     PolicyValidationError,
     PopulationParams,
     PropertyKind,
@@ -272,12 +273,26 @@ class TestParsing:
         pytest.param((decl("a", knows=(("b", float("nan")),)), decl("b")),
                      (), "peer 'a' knows 'b' with trust nan, outside [0, 1]",
                      id="trust-nan"),
+        pytest.param((decl("a", knows=(("b", "x"),)), decl("b")), (),
+                     "peer 'a' knows 'b' with trust 'x', not a number",
+                     id="trust-str"),
+        pytest.param((decl("a", knows=(("b", None),)), decl("b")), (),
+                     "peer 'a' knows 'b' with trust None, not a number",
+                     id="trust-none"),
+        pytest.param((decl("a", knows=(("b", True),)), decl("b")), (),
+                     "peer 'a' knows 'b' with trust True, not a number",
+                     id="trust-bool"),
     ])
     def test_a_scenario_built_in_code_checks_itself(self, peers, actions,
                                                     message):
         with pytest.raises(ScenarioError) as err:
             Scenario(peers=peers, actions=actions)
         assert (str(err.value), err.value.line) == (message, None)
+
+
+    def test_an_int_trust_is_accepted(self):
+        scenario = Scenario(peers=(decl("a", knows=(("b", 1),)), decl("b")))
+        assert scenario.peers[0].knows == (("b", 1),)
 
 
 class TestContractScenario:
@@ -604,15 +619,15 @@ def test_owner_edits_without_probes_compile_no_policy(monkeypatch,
 
 def test_parse_builds_each_peer_policy_once(monkeypatch):
     # Each declaration is one builder step and each policy is frozen
-    # once, so a parse is linear in its statements.  Counting builds
+    # once, so a parse is linear in its statements.  Counting freezes
     # guards that without a wall-clock bound.
     built = []
-    original = PeerPolicy.validate
+    original = PolicyBuilder.freeze
 
-    def counted(policy):
-        built.append(policy)
-        original(policy)
-    monkeypatch.setattr(PeerPolicy, "validate", counted)
+    def counted(builder):
+        built.append(original(builder))
+        return built[-1]
+    monkeypatch.setattr(PolicyBuilder, "freeze", counted)
     lines = ["peer a", "peer b"]
     for i in range(400):
         lines += [f"domain a d{i}", f"resource a f{i} d{i}",
