@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -160,8 +161,8 @@ def property_set_conflicts(
     kind-level relation, :func:`conflicts`.
     """
     required, offered = tuple(required), tuple(offered)
-    clashing = frozenset().union(*(KIND_CONFLICTS[r.kind] for r in required))
-    if not any(off.kind in clashing for off in offered):
+    kinds = {off.kind for off in offered}
+    if not any(KIND_CONFLICTS[req.kind] & kinds for req in required):
         return []
     offered = sort_properties(offered)
     return [(req, off) for req in sort_properties(required)
@@ -223,11 +224,11 @@ class PeerPolicy:
 
     Ids are unique across domains and resources; a shared monotone
     counter hands them out.  Building a value directly checks these
-    invariants and indexes the domains by name and id, the resources by
-    path and each domain's paths by its id, so each lookup is a dict
-    read.  The edit operations are pure: each thaws the policy into a
-    :class:`PolicyBuilder`, applies one step and freezes the result,
-    which takes the builder's step-checked indexes without validating.
+    invariants and indexes the domains by name and id and the resources
+    by path, so each lookup is a dict read.  The edit operations are
+    pure: each thaws the policy into a :class:`PolicyBuilder`, applies
+    one step and freezes the result, which takes the builder's
+    step-checked indexes without validating.
     """
 
     domains: tuple[Domain, ...] = ()
@@ -237,11 +238,19 @@ class PeerPolicy:
     _by_id: dict[int, Domain] = field(init=False, repr=False, compare=False)
     _by_path: dict[str, Resource] = field(init=False, repr=False,
                                           compare=False)
-    _files: dict[int, frozenset[str]] = field(init=False, repr=False,
-                                              compare=False)
 
     def __post_init__(self):
         self.validate()
+
+    @cached_property
+    def _files(self) -> dict[int, frozenset[str]]:
+        """Domain id -> its paths.  ``freeze`` hands over the builder's;
+        a policy built directly indexes them on its first thaw, so a
+        policy that is only compiled never pays for it."""
+        files: dict[int, list[str]] = {dom.id: [] for dom in self.domains}
+        for res in self.resources:
+            files[res.domain_id].append(res.path)
+        return {dom_id: frozenset(paths) for dom_id, paths in files.items()}
 
     # -- lookups ------------------------------------------------------
 
@@ -324,7 +333,6 @@ class PeerPolicy:
         by_name: dict[str, Domain] = {}
         by_id: dict[int, Domain] = {}
         by_path: dict[str, Resource] = {}
-        files: dict[int, list[str]] = {}
         ids: set[int] = set()
         for dom in self.domains:
             if dom.id in ids:
@@ -334,7 +342,6 @@ class PeerPolicy:
                 raise PolicyValidationError(
                     f"duplicate domain name {dom.name!r}")
             by_name[dom.name] = by_id[dom.id] = dom
-            files[dom.id] = []
         for res in self.resources:
             if res.id in ids:
                 raise PolicyValidationError(f"duplicate id {res.id}")
@@ -347,12 +354,11 @@ class PeerPolicy:
                 raise PolicyValidationError(
                     f"duplicate resource path {res.path!r}")
             by_path[res.path] = res
-            files[res.domain_id].append(res.path)
         if ids and max(ids) >= self.next_id:
             raise PolicyValidationError("id counter behind an assigned id")
-        _set_fields(self, _by_name=by_name, _by_id=by_id, _by_path=by_path,
-                    _files={dom_id: frozenset(paths)
-                            for dom_id, paths in files.items()})
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_path", by_path)
 
 
 class PolicyBuilder:
@@ -486,9 +492,12 @@ class PolicyBuilder:
 
 
 def _set_fields(policy: PeerPolicy, **fields) -> PeerPolicy:
-    """Set fields of a frozen ``PeerPolicy``; the caller vouches that
-    the indexes match ``domains`` and ``resources``."""
-    vars(policy).update(fields)
+    """Set fields of a frozen ``PeerPolicy``, in the order ``__init__``
+    and ``validate`` set them so that instances share one attribute
+    layout; the caller vouches that the indexes match ``domains`` and
+    ``resources``."""
+    for name, value in fields.items():
+        object.__setattr__(policy, name, value)
     return policy
 
 
