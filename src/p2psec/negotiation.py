@@ -145,12 +145,12 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
     and checked once.
     """
     path = resource.path
-    held = requester_policy.has_resource(path)
-    if held and (requester_policy.domain_by_id(
+    holds = requester_policy.has_resource(path)
+    if holds and (requester_policy.domain_by_id(
             requester_policy.find_resource(path).domain_id).name
             == target_domain_name):
         return requester_policy
     policy = requester_policy.thaw()
-    if held:
+    if holds:
         policy.drop_resource(path)
     return policy.add_resource(path, target_domain_name, owner_props).freeze()

@@ -244,9 +244,8 @@ class PeerPolicy:
 
     @cached_property
     def _files(self) -> dict[int, frozenset[str]]:
-        """Domain id -> its paths.  ``freeze`` hands over the builder's;
-        a policy built directly indexes them on its first thaw, so a
-        policy that is only compiled never pays for it."""
+        """Domain id -> its paths: the builder's, handed over by ``freeze``,
+        or built on first use, so a policy only compiled never pays."""
         files: dict[int, list[str]] = {dom.id: [] for dom in self.domains}
         for res in self.resources:
             files[res.domain_id].append(res.path)
@@ -277,8 +276,9 @@ class PeerPolicy:
     # -- edits; see PolicyBuilder for what each one checks ------------
 
     def thaw(self) -> "PolicyBuilder":
-        """A builder holding this policy: copies of its indexes, made
-        without a Python loop over the policy."""
+        """A builder holding copies of this policy's indexes.  Only the
+        first thaw of a policy built directly loops over it in Python,
+        to index its files."""
         builder = PolicyBuilder()
         builder._next_id = self.next_id
         builder._domains = dict(self._by_name)
@@ -384,8 +384,7 @@ class PolicyBuilder:
         self._files: dict[int, frozenset[str]] = {}
 
     def freeze(self) -> PeerPolicy:
-        """The policy built so far.  Each step checked itself, so the
-        builder's indexes are copied over without running ``validate``."""
+        """The policy so far, handed copies of the indexes unvalidated."""
         return _set_fields(
             object.__new__(PeerPolicy),
             domains=tuple(self._domains.values()),
@@ -492,10 +491,8 @@ class PolicyBuilder:
 
 
 def _set_fields(policy: PeerPolicy, **fields) -> PeerPolicy:
-    """Set fields of a frozen ``PeerPolicy``, in the order ``__init__``
-    and ``validate`` set them so that instances share one attribute
-    layout; the caller vouches that the indexes match ``domains`` and
-    ``resources``."""
+    """Set a frozen policy's fields unchecked, in the order ``__init__``
+    and ``validate`` do, so that all instances share one layout."""
     for name, value in fields.items():
         object.__setattr__(policy, name, value)
     return policy

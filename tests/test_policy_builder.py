@@ -9,8 +9,9 @@ same lookups, and equality with the policy built in one step from the
 model.  A frozen builder's indexes are handed over without
 ``validate``, so each policy must also equal the policy ``validate``
 rebuilds from its fields, answer every lookup as that rebuild does, and
-delete each domain as the rebuild does.  See MacIver et al., "Hypothesis: A new approach to
-property-based testing", JOSS 2019, for rule-based state machines.
+delete each domain as the rebuild does.  See MacIver et al.,
+"Hypothesis: A new approach to property-based testing", JOSS 2019, for
+rule-based state machines.
 """
 
 import itertools
