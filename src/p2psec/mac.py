@@ -444,6 +444,12 @@ class Challenge:
     def target_name(self) -> str:
         return self.target_path.rsplit("/", 1)[-1]
 
+    @property
+    def stub(self) -> str:
+        """The probe command the target runs: the command line's word
+        after the subject context (the path after it may hold spaces)."""
+        return self.command.split(maxsplit=2)[1]
+
 
 def make_challenge(resource_path: str, subject: SecurityContext,
                    command_stub: str, compiled: CompiledPolicy) -> Challenge:

@@ -9,9 +9,10 @@ property is scored against the slice with :func:`eval_property` and
 through the trust pipeline, and :func:`decide` accepts or refuses over
 the resulting ``TrustComputation`` values.  On acceptance
 :func:`apply_transfer` lands the resource in the requester's target
-domain, optionally carrying owner-requested resource-level properties.
-The simulator passes none, so a received file takes only the target
-domain's properties.
+domain, creating that domain if the requester lacks it, in one policy
+install, optionally carrying owner-requested resource-level
+properties.  The simulator passes none, so a received file takes only
+the target domain's properties.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
                    target_domain_name: str,
                    owner_props: frozenset[SecurityProperty] = frozenset(),
                    ) -> PeerPolicy:
-    """Install a received resource into the requester's target domain.
+    """Install a received resource into the requester's target domain,
+    creating the domain first if the requester lacks it.
 
     Owner-requested resource-level properties come along unless they
     conflict with the target domain's own properties, in which case
@@ -140,9 +142,9 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
 
     A policy has one resource per path.  If the requester already holds
     the path in the target domain, ``requester_policy`` itself comes
-    back unchanged; if it holds the path in another domain, one builder
-    drops that copy and adds the received one, so the result is built
-    and checked once.
+    back unchanged.  Otherwise one builder drops any copy held in
+    another domain, creates the target domain if it is missing and adds
+    the received file, so the result is built and checked once.
     """
     path = resource.path
     holds = requester_policy.has_resource(path)
@@ -153,4 +155,6 @@ def apply_transfer(requester_policy: PeerPolicy, resource: Resource,
     policy = requester_policy.thaw()
     if holds:
         policy.drop_resource(path)
+    if not requester_policy.has_domain(target_domain_name):
+        policy.create_domain(target_domain_name)
     return policy.add_resource(path, target_domain_name, owner_props).freeze()

@@ -150,10 +150,11 @@ Action = Union[AskAction, EditAction, ShowAction]
 @dataclass(frozen=True)
 class Scenario:
     """A run to simulate.  Building one checks it as the parser does, but
-    with no line: a uid is declared once, a peer knows each subject once
-    with a trust that is a number (not a bool) in [0, 1], every uid a
-    ``knows`` pair or an action names is declared, and an edit's method
-    is one the engine applies (``ScenarioError`` otherwise)."""
+    with no line: a uid is declared once, a peer knows each other peer
+    at most once (never itself) with a trust that is a number (not a
+    bool) in [0, 1], a peer never asks itself, every uid a ``knows``
+    pair or an action names is declared, and an edit's method is one
+    the engine applies (``ScenarioError`` otherwise)."""
 
     seed: int = 0
     peers: tuple[PeerDecl, ...] = ()
@@ -168,6 +169,8 @@ class Scenario:
             declared.add(decl.uid)
             known: set[str] = set()
             for subject, trust in decl.knows:
+                if subject == decl.uid:
+                    raise ScenarioError(f"peer {decl.uid!r} knows itself")
                 if subject in known:
                     raise ScenarioError(
                         f"peer {decl.uid!r} knows {subject!r} twice")
@@ -184,6 +187,9 @@ class Scenario:
         named = [subject for decl in self.peers for subject, _ in decl.knows]
         for action in self.actions:
             if isinstance(action, AskAction):
+                if action.requester == action.owner:
+                    raise ScenarioError(
+                        f"peer {action.requester!r} asks itself")
                 named += (action.requester, action.owner)
             elif isinstance(action, (EditAction, ShowAction)):
                 named.append(action.peer)
@@ -360,6 +366,8 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
     elif stmt == "knows":
         holder = builder.declared(args[0], lineno)
         subject = builder.declared(args[1], lineno)
+        if holder == subject:
+            raise ScenarioError(f"peer {holder!r} knows itself", line=lineno)
         trust = ascii_number(float, args[2])
         if not 0.0 <= trust <= 1.0:
             raise ScenarioError(f"knows trust must lie in [0, 1], not "
@@ -393,10 +401,11 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
             raise ScenarioError(f"scope {args[1]!r} is not declared",
                                 line=lineno) from None
     elif stmt == "ask":
-        builder.actions.append(AskAction(
-            requester=builder.declared(args[0], lineno),
-            owner=builder.declared(args[1], lineno),
-            resource_name=args[2], target_domain=args[3]))
+        requester = builder.declared(args[0], lineno)
+        if builder.declared(args[1], lineno) == requester:
+            raise ScenarioError(f"peer {requester!r} asks itself",
+                                line=lineno)
+        builder.actions.append(AskAction(requester, args[1], args[2], args[3]))
     elif stmt == "publish":
         props = tuple(_parse_property([k], lineno) for k in args[3:])
         if any(p.kind is PropertyKind.NOPUBLICATION for p in props):
@@ -486,8 +495,7 @@ class PeerAgent:
         enforce their domain's kind ruleset; policy liars enforce
         nothing, so their kernel grants the access.
         """
-        stub = challenge.command.split()[1]
-        permission = probe_permission(stub)
+        permission = probe_permission(challenge.stub)
         if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
             ruleset = kind_ruleset(self._domain(domain_name).kinds)
             tcontext = object_context(domain_name)
@@ -498,7 +506,7 @@ class PeerAgent:
         return AvcRecord(
             timestamp=timestamp, serial=serial, decision=decision,
             permissions=frozenset({permission}), pid=4000 + int(serial),
-            comm=stub, name=challenge.target_name, dev="sda3",
+            comm=challenge.stub, name=challenge.target_name, dev="sda3",
             ino=170000 + int(serial), scontext=challenge.scontext,
             tcontext=tcontext, tclass="file")
 
@@ -776,7 +784,6 @@ class SimulationEngine:
         self.config = scenario.config
         self.rng = random.Random(scenario.seed)
         self.now = 0
-        self._serial = 0
         self.records: list[RunRecord] = []
         self.agents = {
             decl.uid: PeerAgent(decl.uid, decl.policy, decl.behavior,
@@ -786,11 +793,6 @@ class SimulationEngine:
         self._delegates: dict[str, list[tuple[str, float]]] = {
             uid: self._eligible_delegates(agent)
             for uid, agent in self.agents.items()}
-
-    # -- clock and serials ---------------------------------------------
-
-    def _tick(self) -> None:
-        self.now += 1
 
     # -- actions ---------------------------------------------------------
 
@@ -812,7 +814,7 @@ class SimulationEngine:
         refusals = _EDIT_WORDING[action.method][1]
         shown = tuple(arg.render() if isinstance(arg, SecurityProperty)
                       else arg for arg in action.args)
-        self._tick()
+        self.now += 1
         refusal = None
         try:
             agent.apply_policy(getattr(agent.policy, action.method)(
@@ -834,7 +836,7 @@ class SimulationEngine:
         owner = self.agents[action.owner]
         target_domain = action.target_domain
 
-        self._tick()
+        self.now += 1
         try:
             session = open_session(owner.policy, action.resource_name,
                                    target_domain)
@@ -847,10 +849,10 @@ class SimulationEngine:
             return
 
         # Slice phase: the owner learns exactly one domain's policy.
-        self._tick()
+        self.now += 1
         offered = requester.slice_for(target_domain, session.required,
                                       self.rng)
-        self._tick()
+        self.now += 1
         if offered.domain_name != target_domain:
             raise PrivacyViolationError(
                 f"slice for {offered.domain_name!r} leaked during a "
@@ -858,7 +860,7 @@ class SimulationEngine:
 
         # History phase.
         kinds = tuple(dict.fromkeys(p.kind for p in session.required))
-        self._tick()
+        self.now += 1
         presented, forged = requester.present_history(kinds, self.now)
         checked = cross_reference_history(presented, self.agents,
                                           requester.uid)
@@ -872,13 +874,13 @@ class SimulationEngine:
         # Evaluating a property changes only the requester's reputation,
         # and the requester is never a delegate, so one list serves all.
         delegates = self._delegates_for(owner, requester)
-        computations = {
-            prop: self._evaluate_property(session, offered, prop, owner,
-                                          requester, history, delegates)
-            for prop in session.required}
+        per_property = tuple(
+            (prop, self._evaluate_property(session, offered, prop, owner,
+                                           requester, history, delegates))
+            for prop in session.required)
 
-        outcome = decide(computations.values(), self.config)
-        self._tick()
+        outcome = decide((c for _, c in per_property), self.config)
+        self.now += 1
         if outcome is Outcome.ACCEPTED:
             self._transfer(session, owner, requester)
 
@@ -886,7 +888,7 @@ class SimulationEngine:
             requester=requester.uid, owner=owner.uid,
             resource_name=action.resource_name, target_domain=target_domain,
             outcome=outcome, requester_behavior=requester.behavior,
-            per_property=tuple(computations.items()),
+            per_property=per_property,
             flagged_records=flagged, forged_records=forged,
             source_domain=session.source_domain, offered=offered,
             delegates=len(delegates)))
@@ -949,67 +951,56 @@ class SimulationEngine:
         """Challenge harness for one property evaluation.
 
         The requester's answers depend only on its behaviour, the target
-        domain and ``kind``, never on which delegate asks, so the probe
-        kind, the challenge and both answers are derived once here.  The
-        returned closure does each delegate's own part: it advances the
-        clock by the probes' message ticks, takes the delegate's audit
-        serial, and records a failed probe in that delegate's ledger at
-        the tick it would have been answered.
+        domain and ``kind``, never on which delegate asks, so the probes
+        are run once here, each as a ``(passed, violation wording)``
+        pair: the conflicting-transfer probe first, when ``kind`` has a
+        conflicting kind, then the MAC challenge.  The returned closure
+        does each delegate's own part: for each probe it advances the
+        clock by the probe's two message ticks and records a failed
+        probe in that delegate's ledger at the tick it would have been
+        answered.
         """
         target_domain = session.target_domain_name
+        probes: list[tuple[bool, str]] = []
         probe_kind = PROBE_KINDS[kind]
-        conflict_passed = False
         if probe_kind is not None:
             accepted = requester.respond_conflicting_request(
                 target_domain, probe_kind)
             expect_refusal = not KIND_CONFLICTS[probe_kind].isdisjoint(
                 offered.kinds)
-            conflict_passed = (not accepted) == expect_refusal
+            probes.append(((not accepted) == expect_refusal,
+                           "accepted a conflicting transfer"))
         challenge = build_challenge(
             session.resource.path, CHALLENGE_SUBJECT, PROBE_STUBS[kind],
             kind_ruleset(offered.kinds), object_context(target_domain))
-        # Stamped with the serial the first delegate takes; the verdict
-        # reads neither stamp.
+        # Stamped with the current tick; the verdict reads neither stamp.
         response = requester.respond_mac_challenge(
             challenge, target_domain,
-            timestamp=f"{self.now}.000", serial=str(self._serial + 1))
-        mac_passed = verify_challenge(challenge, [response]).passed
+            timestamp=f"{self.now}.000", serial=str(self.now))
+        probes.append((verify_challenge(challenge, [response]).passed,
+                       "failed an access challenge"))
 
         def harness(delegate: str, target: str,
                     _: PropertyKind) -> list[float]:
             ledger = self.agents[delegate].ledger
             scores = []
-            if probe_kind is not None:
-                self._tick()
-                self._tick()
-                scores.append(1.0 if conflict_passed else 0.0)
-                if not conflict_passed:
+            for passed, violation in probes:
+                self.now += 2
+                scores.append(1.0 if passed else 0.0)
+                if not passed:
                     ledger.record(HistoryRecord(
                         timestamp=self.now, actor=target,
-                        property_kind=kind,
-                        action="accepted a conflicting transfer",
+                        property_kind=kind, action=violation,
                         violation=True, counterparty=delegate))
-            self._tick()
-            self._serial += 1
-            self._tick()
-            scores.append(1.0 if mac_passed else 0.0)
-            if not mac_passed:
-                ledger.record(HistoryRecord(
-                    timestamp=self.now, actor=target, property_kind=kind,
-                    action="failed an access challenge",
-                    violation=True, counterparty=delegate))
             return scores
 
         return harness
 
     def _transfer(self, session: NegotiationSession, owner: PeerAgent,
                   requester: PeerAgent) -> None:
-        target_domain = session.target_domain_name
-        self._tick()
-        policy = requester.policy
-        if not policy.has_domain(target_domain):
-            policy = policy.create_domain(target_domain)
-        policy = apply_transfer(policy, session.resource, target_domain)
+        self.now += 1
+        policy = apply_transfer(requester.policy, session.resource,
+                                session.target_domain_name)
         # A file already held in the target domain leaves the policy as
         # it is, so there is nothing new to validate or install.
         if policy is not requester.policy:

@@ -1,5 +1,6 @@
-"""Every name a package module imports is read in that module, and no
-package module imports another's private name."""
+"""Every name a package module imports is read in that module, no
+package module imports another's private name, and only ``mac`` reads a
+challenge's command line."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,27 @@ def test_a_private_import_is_reported():
               "from os import _exit\nfrom .simnet import _number, fmt\n"
               "from p2psec.mac import _AVC_STEPS\nfrom . import _x\n")
     assert private_imports(source) == ["_AVC_STEPS", "_number", "_x"]
+
+
+def challenge_command_reads(source: str) -> list[str]:
+    """``.command`` reads on an expression named for a challenge; an
+    argparse namespace's ``args.command`` is not one."""
+    return sorted(
+        ast.unparse(node) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "command"
+        and "challenge" in ast.unparse(node.value).lower())
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "mac.py"],
+                         ids=lambda p: p.name)
+def test_only_mac_reads_a_challenge_command_line(path):
+    """The command line's format is ``mac``'s: other modules read a
+    challenge's ``stub`` and ``target_path``."""
+    assert challenge_command_reads(path.read_text()) == []
+
+
+def test_a_challenge_command_read_is_reported():
+    source = ("stub = challenge.command.split()[1]\n"
+              "line = parse_challenge(text).command\nverb = args.command\n")
+    assert challenge_command_reads(source) == [
+        "challenge.command", "parse_challenge(text).command"]

@@ -389,6 +389,15 @@ class TestChallenge:
         assert again.target_path == "/home/a b.txt"
         assert again == challenge
 
+    @pytest.mark.parametrize("path", ["/root/secret.txt", "/home/a b.txt"])
+    @pytest.mark.parametrize("stub", sorted(set(mac.PROBE_STUBS.values())))
+    def test_a_challenge_file_keeps_its_stub(self, stub, path):
+        challenge = mac.build_challenge(
+            path, self.subject(), stub,
+            kind_ruleset({PropertyKind.CONFIDENTIALITY}),
+            SecurityContext("system_u", "object_r", "domainA_t"))
+        assert parse_challenge(render_challenge(challenge)).stub == stub
+
 
 def test_probe_stub_per_kind_matches_its_derivation():
     """Each kind's probe is the first stub listed for the first file

@@ -11,7 +11,6 @@ from p2psec import (
     PropertyConflictError,
     TrustComputation,
     TrustConfig,
-    UnknownDomainError,
     UnknownResourceError,
     apply_transfer,
     confidentiality,
@@ -143,10 +142,19 @@ class TestApplyTransfer:
                                 frozenset({cooperation("jfl")}))
         assert cooperation("jfl") in policy.effective_properties("firefox")
 
-    def test_transfer_unknown_domain(self):
+    def test_transfer_creates_a_missing_target_domain(self):
         resource = owner_policy().find_resource("firefox")
-        with pytest.raises(UnknownDomainError):
-            apply_transfer(self.requester_policy(), resource, "elsewhere")
+        before = self.requester_policy()
+        policy = apply_transfer(before, resource, "elsewhere")
+        created = policy.domain("elsewhere")
+        landed = policy.find_resource("firefox")
+        # The domain is created first, then the file, as two edits would.
+        assert (created.id, landed.id) == (before.next_id,
+                                           before.next_id + 1)
+        assert landed.domain_id == created.id
+        assert created.properties == frozenset()
+        assert policy.effective_properties("firefox") == frozenset()
+        policy.validate()
 
     def test_transfer_nonconflicting_owner_props(self):
         resource = owner_policy().find_resource("firefox")

@@ -1,9 +1,12 @@
-"""An edit costs the size of the change, not the size of the policy.
+"""Cost grows no faster than what grows.
 
-Each edit below is profiled on ``synthetic_policy`` at three sizes, and
-the number of Python-level calls it makes must not grow with the
-policy.  Counting calls instead of timing them keeps the test free of
-host noise.
+An edit costs the size of the change, not the size of the policy: each
+edit below is profiled on ``synthetic_policy`` at three sizes, and the
+number of Python-level calls it makes must not grow with the policy.
+A run, a parse and a compile are linear in what they are given: each
+doubling of requesters, delegates, scenario domains or policy domains
+may multiply the calls by at most ``DOUBLING``.  Counting calls instead
+of timing them keeps the tests free of host noise.
 """
 
 import cProfile
@@ -11,7 +14,19 @@ import pstats
 
 import pytest
 
-from p2psec import Resource, apply_transfer, integrity, synthetic_policy
+from p2psec import (
+    Outcome,
+    PolicyBuilder,
+    Resource,
+    SimulationEngine,
+    apply_transfer,
+    compile_policy,
+    emit_rules,
+    integrity,
+    parse_scenario,
+    run_scenario,
+    synthetic_policy,
+)
 
 SIZES = (250, 500, 1000)
 # Index 7 of the synthetic mixes: no properties and two files.
@@ -24,15 +39,17 @@ EDITS = {
     "delete_domain": lambda policy: policy.delete_domain(DOMAIN),
     "apply_transfer": lambda policy: apply_transfer(
         policy, Resource(1, "/received/file", 1), DOMAIN),
+    "apply_transfer_new_domain": lambda policy: apply_transfer(
+        policy, Resource(1, "/received/file", 1), "fresh"),
 }
 
 
-def calls(edit, policy):
-    """Python-level calls one ``edit(policy)`` makes, after a warm-up
-    run so that first-use caches are not counted."""
-    edit(policy)
+def calls(work, arg):
+    """Python-level calls one ``work(arg)`` makes, after a warm-up run
+    so that first-use caches are not counted."""
+    work(arg)
     profile = cProfile.Profile()
-    profile.runcall(edit, policy)
+    profile.runcall(work, arg)
     return pstats.Stats(profile).total_calls
 
 
@@ -49,3 +66,67 @@ def policies():
 def test_an_edit_makes_as_many_calls_at_every_size(name, policies):
     counts = [calls(EDITS[name], policy) for policy in policies]
     assert counts[0] == counts[1] == counts[2], counts
+
+
+#: The most a doubling of size may multiply the calls by.
+DOUBLING = 2.2
+
+OWNER = "peer o\ndomain o v\nproperty o v integrity\nresource o f v\n"
+
+
+def requesters_scenario(count):
+    """Two delegates and ``count`` requesters that ask once each."""
+    lines = [OWNER, "peer k0\npeer k1\nknows o k0 0.9\nknows o k1 0.8\n"]
+    lines += [f"peer r{i}\ndomain r{i} w\nproperty r{i} w integrity\n"
+              f"ask r{i} o f w\n" for i in range(count)]
+    return parse_scenario("".join(lines))
+
+
+def delegates_scenario(count):
+    """``count`` delegates and 20 requesters that ask once each."""
+    lines = [OWNER]
+    lines += [f"peer k{i}\nknows o k{i} 0.9\n" for i in range(count)]
+    lines += [f"peer r{i}\ndomain r{i} w\nask r{i} o f w\n"
+              for i in range(20)]
+    return parse_scenario("".join(lines))
+
+
+def scenario_text(domains):
+    """One peer declaring ``domains`` domains, three statements each."""
+    return "peer a\n" + "".join(
+        f"domain a d{i}\nproperty a d{i} integrity\nresource a f{i} d{i}\n"
+        for i in range(domains))
+
+
+#: Dimension -> (sizes, what is built from a size, the work profiled).
+GROWTH = {
+    "requesters": ((200, 400, 800), requesters_scenario, run_scenario),
+    "delegates": ((16, 32, 64), delegates_scenario, run_scenario),
+    "parse_scenario": ((250, 500, 1000), scenario_text, parse_scenario),
+    "compile_emit": ((160, 320, 640), synthetic_policy,
+                     lambda policy: emit_rules(compile_policy(policy))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+def test_calls_grow_linearly_with_size(name):
+    sizes, build, work = GROWTH[name]
+    counts = [calls(work, build(size)) for size in sizes]
+    ratios = [later / earlier for earlier, later in zip(counts, counts[1:])]
+    assert max(ratios) <= DOUBLING, (counts, ratios)
+
+
+def test_a_transfer_into_a_new_domain_freezes_one_policy(monkeypatch):
+    """The received file's target domain is created in the same
+    builder pass that adds the file."""
+    engine = SimulationEngine(parse_scenario(
+        "peer o\ndomain o v\nresource o f v\npeer r\nask r o f fresh\n"))
+    freezes = []
+    freeze = PolicyBuilder.freeze
+    monkeypatch.setattr(PolicyBuilder, "freeze",
+                        lambda builder: freezes.append(builder)
+                        or freeze(builder))
+    (ask,) = engine.run().negotiations
+    assert ask.outcome is Outcome.ACCEPTED
+    assert engine.agents["r"].policy.has_resource("f")
+    assert len(freezes) == 1

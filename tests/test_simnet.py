@@ -116,6 +116,12 @@ PARSE_ERRORS = [
      "peer 'a' knows 'b' twice", 4),
     ("peer a\npeer b\nknows a b high\n",
      "could not convert string to float: 'high'", 3),
+    # A peer neither trusts nor asks itself: either would let an owner
+    # judge, and strip, its own file.
+    ("peer a\npeer d\nknows a d 0.9\nknows a a 0.9\n",
+     "peer 'a' knows itself", 4),
+    ("peer a\ndomain a v\nresource a f v\nask a a f w\n",
+     "peer 'a' asks itself", 4),
     ("peer a\nresource a f nowhere\n",
      "resource domain 'nowhere' is not declared", 2),
     ("peer a\nproperty a nowhere integrity\n",
@@ -282,6 +288,10 @@ class TestParsing:
         pytest.param((decl("a", knows=(("b", True),)), decl("b")), (),
                      "peer 'a' knows 'b' with trust True, not a number",
                      id="trust-bool"),
+        pytest.param((decl("a", knows=(("a", 0.9),)),), (),
+                     "peer 'a' knows itself", id="knows-itself"),
+        pytest.param((decl("a"),), (AskAction("a", "a", "f", "d"),),
+                     "peer 'a' asks itself", id="asks-itself"),
     ])
     def test_a_scenario_built_in_code_checks_itself(self, peers, actions,
                                                     message):
