@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional, TypeVar, Union
 from .errors import (
     DuplicateDomainError,
     DuplicateResourceError,
+    P2PSecError,
     PolicyError,
     PolicyValidationError,
     PrivacyViolationError,
@@ -147,14 +148,85 @@ class ShowAction:
 Action = Union[AskAction, EditAction, ShowAction]
 
 
+class _Roster:
+    """The rules that span a scenario's statements, checked step by step
+    by the parser and all at once by ``Scenario``, each raising
+    ``ScenarioError``: a uid is declared once, with a non-empty display
+    name, and before it is named; a peer knows each other peer at most
+    once, never itself, with a trust that is a number (not a bool) in
+    [0, 1]; a peer never asks itself, and an ask names its target
+    domain; an edit is one the engine applies, with arguments of the
+    types it takes, non-empty names, and no nopublication on a published
+    file.  ``knows`` maps each declared uid to the trust it gives each
+    subject it knows."""
+
+    def __init__(self):
+        self.knows: dict[str, dict[str, float]] = {}
+
+    def declare(self, uid: str, display_name: str) -> None:
+        if uid in self.knows:
+            raise ScenarioError(f"peer {uid!r} declared twice")
+        if not display_name:
+            raise ScenarioError("peer name must be non-empty")
+        self.knows[uid] = {}
+
+    def named(self, uid: str) -> str:
+        if uid not in self.knows:
+            raise ScenarioError(f"peer {uid!r} is not declared")
+        return uid
+
+    def know(self, holder: str, subject: str, trust: float) -> None:
+        known = self.knows[self.named(holder)]
+        if self.named(subject) == holder:
+            raise ScenarioError(f"peer {holder!r} knows itself")
+        if subject in known:
+            raise ScenarioError(f"peer {holder!r} knows {subject!r} twice")
+        if isinstance(trust, bool) or not isinstance(trust, (int, float)):
+            raise ScenarioError(f"peer {holder!r} knows {subject!r} with "
+                                f"trust {trust!r}, not a number")
+        if not 0.0 <= trust <= 1.0:
+            raise ScenarioError(f"peer {holder!r} knows {subject!r} with "
+                                f"trust {trust!r}, outside [0, 1]")
+        known[subject] = trust
+
+    def act(self, action: Action) -> None:
+        if isinstance(action, AskAction):
+            if self.named(action.requester) == self.named(action.owner):
+                raise ScenarioError(f"peer {action.requester!r} asks itself")
+            if not action.target_domain:
+                raise ScenarioError("ask target domain must be non-empty")
+        elif isinstance(action, ShowAction):
+            self.named(action.peer)
+        elif isinstance(action, EditAction):
+            self.named(action.peer)
+            self._edit(action.method, action.args)
+        else:
+            raise ScenarioError(f"unsupported action {action!r}")
+
+    @staticmethod
+    def _edit(method: str, args: tuple) -> None:
+        if method not in _EDITS:
+            raise ScenarioError(f"unknown edit method {method!r}")
+        types = _EDITS[method][0]
+        if len(args) != len(types) or not all(map(isinstance, args, types)):
+            raise ScenarioError(
+                f"{method} takes {', '.join(t.__name__ for t in types)}, "
+                f"not {args!r}")
+        if "" in args:
+            raise ScenarioError(f"{method} takes non-empty names, "
+                                f"not {args!r}")
+        for prop in args[0] if method == "publish" else ():
+            if not isinstance(prop, SecurityProperty):
+                raise ScenarioError(f"publish takes properties, not {prop!r}")
+            if prop.kind is PropertyKind.NOPUBLICATION:
+                raise ScenarioError(
+                    "nopublication applies to domains, not resources")
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A run to simulate.  Building one checks it as the parser does, but
-    with no line: a uid is declared once, a peer knows each other peer
-    at most once (never itself) with a trust that is a number (not a
-    bool) in [0, 1], a peer never asks itself, every uid a ``knows``
-    pair or an action names is declared, and an edit's method is one
-    the engine applies (``ScenarioError`` otherwise)."""
+    """A run to simulate.  Building one checks it against the rules of
+    ``_Roster``, as the parser does but with no line."""
 
     seed: int = 0
     peers: tuple[PeerDecl, ...] = ()
@@ -162,46 +234,14 @@ class Scenario:
     config: TrustConfig = TrustConfig()
 
     def __post_init__(self):
-        declared: set[str] = set()
+        roster = _Roster()
         for decl in self.peers:
-            if decl.uid in declared:
-                raise ScenarioError(f"peer {decl.uid!r} declared twice")
-            declared.add(decl.uid)
-            known: set[str] = set()
+            roster.declare(decl.uid, decl.display_name)
+        for decl in self.peers:
             for subject, trust in decl.knows:
-                if subject == decl.uid:
-                    raise ScenarioError(f"peer {decl.uid!r} knows itself")
-                if subject in known:
-                    raise ScenarioError(
-                        f"peer {decl.uid!r} knows {subject!r} twice")
-                known.add(subject)
-                if (isinstance(trust, bool)
-                        or not isinstance(trust, (int, float))):
-                    raise ScenarioError(
-                        f"peer {decl.uid!r} knows {subject!r} with trust "
-                        f"{trust!r}, not a number")
-                if not 0.0 <= trust <= 1.0:
-                    raise ScenarioError(
-                        f"peer {decl.uid!r} knows {subject!r} with trust "
-                        f"{trust!r}, outside [0, 1]")
-        named = [subject for decl in self.peers for subject, _ in decl.knows]
+                roster.know(decl.uid, subject, trust)
         for action in self.actions:
-            if isinstance(action, AskAction):
-                if action.requester == action.owner:
-                    raise ScenarioError(
-                        f"peer {action.requester!r} asks itself")
-                named += (action.requester, action.owner)
-            elif isinstance(action, (EditAction, ShowAction)):
-                named.append(action.peer)
-            else:
-                raise ScenarioError(f"unsupported action {action!r}")
-            if (isinstance(action, EditAction)
-                    and action.method not in _EDIT_WORDING):
-                raise ScenarioError(
-                    f"unknown edit method {action.method!r}")
-        for uid in named:
-            if uid not in declared:
-                raise ScenarioError(f"peer {uid!r} is not declared")
+            roster.act(action)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +265,12 @@ def ascii_number(convert: Callable[[str], _N], text: str) -> _N:
     return value
 
 
-def _parse_property(tokens: list[str], lineno: int) -> SecurityProperty:
+def _parse_property(tokens: list[str]) -> SecurityProperty:
     try:
         kind = PropertyKind(tokens[0])
     except ValueError:
-        raise ScenarioError(f"unknown property kind {tokens[0]!r}",
-                            line=lineno) from None
-    try:
-        return SecurityProperty(kind, frozenset(tokens[1:]))
-    except PolicyError as exc:
-        raise ScenarioError(str(exc), line=lineno) from exc
+        raise ScenarioError(f"unknown property kind {tokens[0]!r}") from None
+    return SecurityProperty(kind, frozenset(tokens[1:]))
 
 
 class _ScenarioBuilder:
@@ -247,19 +283,13 @@ class _ScenarioBuilder:
         self.seed = 0
         self.config_overrides: dict[str, object] = {}
         self.config_line: Optional[int] = None
-        # uid -> (display name, behavior, trust by known subject,
-        # policy builder)
-        self.peers: dict[str, tuple[str, BehaviorModel, dict,
-                                    PolicyBuilder]] = {}
+        self.roster = _Roster()
+        # uid -> (display name, behavior, policy builder)
+        self.peers: dict[str, tuple[str, BehaviorModel, PolicyBuilder]] = {}
         self.actions: list[Action] = []
 
-    def declared(self, uid: str, lineno: int) -> str:
-        if uid not in self.peers:
-            raise ScenarioError(f"peer {uid!r} is not declared", line=lineno)
-        return uid
-
-    def peer(self, uid: str, lineno: int) -> PolicyBuilder:
-        return self.peers[self.declared(uid, lineno)][3]
+    def peer(self, uid: str) -> PolicyBuilder:
+        return self.peers[self.roster.named(uid)][2]
 
     def build(self) -> Scenario:
         # Cross-field rules (refuse < full trust, weights summing to 1)
@@ -270,8 +300,8 @@ class _ScenarioBuilder:
             raise ScenarioError(str(exc), line=self.config_line) from exc
         peers = tuple(
             PeerDecl(uid, display, policy.freeze(), behavior,
-                     tuple(knows.items()))
-            for uid, (display, behavior, knows, policy) in self.peers.items())
+                     tuple(self.roster.knows[uid].items()))
+            for uid, (display, behavior, policy) in self.peers.items())
         return Scenario(seed=self.seed, peers=peers,
                         actions=tuple(self.actions), config=config)
 
@@ -288,9 +318,7 @@ def parse_scenario(text: str) -> Scenario:
         stmt, args = tokens[0], tokens[1:]
         try:
             _parse_statement(builder, stmt, args, lineno)
-        except ScenarioError:
-            raise
-        except (PolicyError, ValueError) as exc:
+        except (P2PSecError, ValueError) as exc:
             raise ScenarioError(str(exc), line=lineno) from exc
     return builder.build()
 
@@ -317,114 +345,90 @@ _ARITY: dict[str, tuple[int, Optional[int], str]] = {
 def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
                      lineno: int) -> None:
     if stmt not in _ARITY:
-        raise ScenarioError(f"unknown statement {stmt!r}", line=lineno)
+        raise ScenarioError(f"unknown statement {stmt!r}")
     fewest, most, message = _ARITY[stmt]
     if len(args) < fewest or (most is not None and len(args) > most):
-        raise ScenarioError(message.format(args), line=lineno)
+        raise ScenarioError(message.format(args))
     if stmt == "seed":
         builder.seed = ascii_number(int, args[0])
     elif stmt == "config":
         key, value = args
         if key not in _CONFIG_FIELDS:
-            raise ScenarioError(message.format(args), line=lineno)
+            raise ScenarioError(message.format(args))
         builder.config_line = lineno
         if key == "history_window":
             builder.config_overrides[key] = ascii_number(int, value)
         elif key == "strict_conflicts":
             if value.lower() not in ("true", "false"):
                 raise ScenarioError(f"strict_conflicts takes true or false, "
-                                    f"not {value!r}", line=lineno)
+                                    f"not {value!r}")
             builder.config_overrides[key] = value.lower() == "true"
         else:
             builder.config_overrides[key] = ascii_number(float, value)
     elif stmt == "peer":
         uid = args[0]
-        if uid in builder.peers:
-            raise ScenarioError(f"peer {uid!r} declared twice", line=lineno)
         display, behavior = uid, BehaviorModel.HONEST
         seen: set[str] = set()
         for extra in args[1:]:
             key, sep, value = extra.partition("=")
             if key not in ("name", "behavior") or not sep:
-                raise ScenarioError(f"bad peer option {extra!r}", line=lineno)
+                raise ScenarioError(f"bad peer option {extra!r}")
             if key in seen:
-                raise ScenarioError(f"peer option {key!r} given twice",
-                                    line=lineno)
+                raise ScenarioError(f"peer option {key!r} given twice")
             seen.add(key)
             if key == "name":
-                if not value:
-                    raise ScenarioError("peer name must be non-empty",
-                                        line=lineno)
                 display = value
             else:
                 try:
                     behavior = BehaviorModel(value)
                 except ValueError:
-                    raise ScenarioError(f"unknown behavior {value!r}",
-                                        line=lineno) from None
-        builder.peers[uid] = (display, behavior, {}, PolicyBuilder())
+                    raise ScenarioError(
+                        f"unknown behavior {value!r}") from None
+        builder.roster.declare(uid, display)
+        builder.peers[uid] = (display, behavior, PolicyBuilder())
     elif stmt == "knows":
-        holder = builder.declared(args[0], lineno)
-        subject = builder.declared(args[1], lineno)
-        if holder == subject:
-            raise ScenarioError(f"peer {holder!r} knows itself", line=lineno)
-        trust = ascii_number(float, args[2])
-        if not 0.0 <= trust <= 1.0:
-            raise ScenarioError(f"knows trust must lie in [0, 1], not "
-                                f"{args[2]!r}", line=lineno)
-        knows = builder.peers[holder][2]
-        if subject in knows:
-            raise ScenarioError(f"peer {holder!r} knows {subject!r} twice",
-                                line=lineno)
-        knows[subject] = trust
+        builder.roster.know(args[0], args[1], ascii_number(float, args[2]))
     elif stmt == "domain":
         try:
-            builder.peer(args[0], lineno).create_domain(args[1])
+            builder.peer(args[0]).create_domain(args[1])
         except DuplicateDomainError:
-            raise ScenarioError(f"domain {args[1]!r} declared twice",
-                                line=lineno) from None
+            raise ScenarioError(
+                f"domain {args[1]!r} declared twice") from None
     elif stmt == "resource":
         try:
-            builder.peer(args[0], lineno).add_resource(args[1], args[2])
+            builder.peer(args[0]).add_resource(args[1], args[2])
         except UnknownDomainError:
-            raise ScenarioError(f"resource domain {args[2]!r} is not "
-                                f"declared", line=lineno) from None
+            raise ScenarioError(
+                f"resource domain {args[2]!r} is not declared") from None
         except DuplicateResourceError:
-            raise ScenarioError(f"resource {args[1]!r} declared twice",
-                                line=lineno) from None
+            raise ScenarioError(
+                f"resource {args[1]!r} declared twice") from None
     elif stmt == "property":
-        policy = builder.peer(args[0], lineno)
-        prop = _parse_property(args[2:], lineno)
+        policy = builder.peer(args[0])
+        prop = _parse_property(args[2:])
         try:
             policy.add_property(args[1], prop)
         except UnknownScopeError:
-            raise ScenarioError(f"scope {args[1]!r} is not declared",
-                                line=lineno) from None
-    elif stmt == "ask":
-        requester = builder.declared(args[0], lineno)
-        if builder.declared(args[1], lineno) == requester:
-            raise ScenarioError(f"peer {requester!r} asks itself",
-                                line=lineno)
-        builder.actions.append(AskAction(requester, args[1], args[2], args[3]))
-    elif stmt == "publish":
-        props = tuple(_parse_property([k], lineno) for k in args[3:])
-        if any(p.kind is PropertyKind.NOPUBLICATION for p in props):
-            raise ScenarioError("nopublication applies to domains, not "
-                                "resources", line=lineno)
-        builder.actions.append(EditAction(
-            builder.declared(args[0], lineno), "publish",
-            (props, *args[1:3])))
-    elif stmt == "add-property":
-        peer = builder.declared(args[0], lineno)
-        builder.actions.append(EditAction(peer, "add_property", (
-            args[1], _parse_property(args[2:], lineno))))
-    elif stmt in ("create-domain", "delete-domain"):
-        builder.actions.append(EditAction(
-            builder.declared(args[0], lineno), stmt.replace("-", "_"),
-            (args[1],)))
-    elif stmt == "show":
-        builder.actions.append(
-            ShowAction(peer=builder.declared(args[0], lineno)))
+            raise ScenarioError(
+                f"scope {args[1]!r} is not declared") from None
+    else:
+        action = _parse_action(stmt, args)
+        builder.roster.act(action)
+        builder.actions.append(action)
+
+
+def _parse_action(stmt: str, args: list[str]) -> Action:
+    if stmt == "ask":
+        return AskAction(*args)
+    if stmt == "publish":
+        props = tuple(_parse_property([k]) for k in args[3:])
+        return EditAction(args[0], "publish", (props, *args[1:3]))
+    if stmt == "add-property":
+        return EditAction(args[0], "add_property",
+                          (args[1], _parse_property(args[2:])))
+    if stmt == "show":
+        return ShowAction(args[0])
+    return EditAction(args[0], stmt.replace("-", "_"), (args[1],))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +517,8 @@ class PeerAgent:
     def present_history(self, kinds: Iterable[PropertyKind],
                         now: int) -> tuple[list[HistoryRecord], int]:
         """Records of this peer's own past operations for the requested
-        kinds, plus how many of them were fabricated."""
+        kinds, plus how many of them were fabricated.  Every record's
+        actor is this peer, forged ones included."""
         kinds = tuple(kinds)
         own = [r for r in self.ledger.records_by(self.uid)
                if r.property_kind in kinds]
@@ -659,7 +664,7 @@ def render_transcript(records: Iterable[RunRecord], names: dict[str, str],
             if rec.method == "publish":
                 say(f"{name}: publishing file {rec.shown[1]} in domain "
                     f"{rec.shown[2]}")
-            applied = _EDIT_WORDING[rec.method][0].format(*rec.shown)
+            applied = _EDITS[rec.method][1].format(*rec.shown)
             say(f"{name}: {rec.refusal or applied}")
             continue
         for dom in rec.policy.domains:
@@ -752,12 +757,13 @@ def render_report(report: RunReport) -> str:
 # The engine
 # ---------------------------------------------------------------------------
 
-#: What the transcript says after an owner edit, by method: the wording
-#: when it applies, then the wording for each error that refuses it (no
-#: other error is caught).  ``{0}``, ``{1}``... are the edit's
-#: arguments, properties rendered, and ``{exc}`` is the error.
-_EDIT_WORDING: dict[str, tuple[str, dict[type, str]]] = {
-    "publish": ("publication accepted.", {
+#: The owner edits the engine applies, by method: the types of the
+#: arguments, what the transcript says when the edit applies, then the
+#: wording for each error that refuses it (no other error is caught).
+#: In a wording ``{0}``, ``{1}``... are the edit's arguments, properties
+#: rendered, and ``{exc}`` is the error.
+_EDITS: dict[str, tuple[tuple[type, ...], str, dict[type, str]]] = {
+    "publish": ((tuple, str, str), "publication accepted.", {
         PublicationForbiddenError:
             "publication refused: domain {2} forbids publication",
         PropertyConflictError:
@@ -765,15 +771,15 @@ _EDIT_WORDING: dict[str, tuple[str, dict[type, str]]] = {
         UnknownDomainError: "publication refused: unknown domain {2}",
         DuplicateResourceError: "publication refused: file {1} already exists",
     }),
-    "add_property": ("property {1} added to {0}", {
+    "add_property": ((str, SecurityProperty), "property {1} added to {0}", {
         PropertyConflictError:
             "property {1} refused on {0}: conflicting properties",
         PolicyValidationError: "property {1} refused on {0}: {exc}",
         UnknownScopeError: "no domain or resource named {0}",
     }),
-    "create_domain": ("domain {0} created",
+    "create_domain": ((str,), "domain {0} created",
                       {PolicyError: "create domain failed: {exc}"}),
-    "delete_domain": ("domain {0} deleted",
+    "delete_domain": ((str,), "domain {0} deleted",
                       {PolicyError: "delete domain failed: {exc}"}),
 }
 
@@ -811,7 +817,7 @@ class SimulationEngine:
 
     def _edit(self, action: EditAction) -> None:
         agent = self.agents[action.peer]
-        refusals = _EDIT_WORDING[action.method][1]
+        refusals = _EDITS[action.method][2]
         shown = tuple(arg.render() if isinstance(arg, SecurityProperty)
                       else arg for arg in action.args)
         self.now += 1
@@ -869,7 +875,7 @@ class SimulationEngine:
         # each one that failed cross-referencing marked as a violation.
         history = (list(owner.ledger.records_by(requester.uid))
                    + [replace(r, violation=True) if not ok else r
-                      for r, ok in checked if r.actor == requester.uid])
+                      for r, ok in checked])
 
         # Evaluating a property changes only the requester's reputation,
         # and the requester is never a delegate, so one list serves all.
@@ -920,14 +926,14 @@ class SimulationEngine:
     def _eligible_delegates(self, owner: PeerAgent
                             ) -> list[tuple[str, float]]:
         """The peers the owner trusts strictly above the full-trust
-        threshold, with their reputations, sorted by uid; never the
-        owner itself.  A requester judged FULL keeps the initial
-        reputation, which by default equals the threshold, so it does
-        not become a delegate by being accepted."""
+        threshold, with their reputations, sorted by uid.  A requester
+        judged FULL keeps the initial reputation, which by default
+        equals the threshold, so it does not become a delegate by being
+        accepted."""
         threshold = self.config.full_trust_threshold
         return sorted(
             (peer, value) for peer, value in owner.ledger.reputations.items()
-            if value > threshold and peer != owner.uid)
+            if value > threshold)
 
     def _update_reputation(self, owner: PeerAgent, peer: str,
                            verdict: Band) -> float:

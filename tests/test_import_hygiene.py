@@ -1,6 +1,7 @@
 """Every name a package module imports is read in that module, no
-package module imports another's private name, and only ``mac`` reads a
-challenge's command line."""
+package module imports another's private name, only ``mac`` reads a
+challenge's command line, and only the scenario parse loop and builder
+give a ``ScenarioError`` its line."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,42 @@ def test_a_challenge_command_read_is_reported():
               "line = parse_challenge(text).command\nverb = args.command\n")
     assert challenge_command_reads(source) == [
         "challenge.command", "parse_challenge(text).command"]
+
+
+def scenario_line_sites(source: str) -> list[str]:
+    """The qualified name of the function around each ``ScenarioError``
+    call given a line, by keyword or as a second argument."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "ScenarioError"
+                    and (len(child.args) > 1
+                         or any(k.arg == "line" for k in child.keywords))):
+                sites.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(sites)
+
+
+def test_only_the_parse_loop_and_build_name_a_scenario_line():
+    """Statements raise without a line; the parse loop attaches it, and
+    ``build`` names the last ``config`` line for the config as a whole."""
+    sites = {site for path in MODULES
+             for site in scenario_line_sites(path.read_text())}
+    assert sites == {"parse_scenario", "_ScenarioBuilder.build"}
+
+
+def test_a_scenario_line_site_is_reported():
+    source = ("def f(n):\n    raise ScenarioError('x', line=n)\n"
+              "class B:\n    def g(self, n):\n"
+              "        raise ScenarioError('y', n)\n"
+              "def h():\n    raise ScenarioError('z')\n")
+    assert scenario_line_sites(source) == ["B.g", "f"]

@@ -29,6 +29,7 @@ from p2psec import (
     PolicyError,
     PolicySlice,
     PropertyKind,
+    ScenarioError,
     SecurityContext,
     SecurityProperty,
     TARGETED_KINDS,
@@ -66,8 +67,10 @@ from p2psec.simnet import (
     _ARITY,
     AskAction,
     BehaviorModel,
+    EditAction,
     PeerDecl,
     Scenario,
+    ShowAction,
     SimulationEngine,
 )
 
@@ -680,3 +683,66 @@ def test_reputations_stay_in_unit_interval_over_a_run(scenario):
     report = run_scenario(scenario)
     assert all(0.0 <= value <= 1.0
                for _, _, value in report.final_reputations)
+
+
+# ---------------------------------------------------------------------------
+# A scenario built in code is refused at once or runs to the end
+# ---------------------------------------------------------------------------
+
+_INTEGRITY = SecurityProperty(PropertyKind.INTEGRITY)
+_NOPUBLICATION = SecurityProperty(PropertyKind.NOPUBLICATION)
+#: File ``rd`` in domain ``d``, which requires integrity, and a domain
+#: ``e`` that forbids publication.
+_CODE_POLICY = (PeerPolicy().create_domain("d").add_property("d", _INTEGRITY)
+                .add_resource("rd", "d").create_domain("e")
+                .add_property("e", _NOPUBLICATION))
+#: Edit arguments: names, the empty name, a bare kind string, properties,
+#: and property tuples with a bare kind or nopublication among them.
+_EDIT_ARGS = ("d", "e", "rd", "", "integrity", _INTEGRITY, _NOPUBLICATION,
+              (), (_INTEGRITY,), (_NOPUBLICATION,), ("integrity",))
+_SPREAD = SecurityProperty(PropertyKind.SPREAD)
+code_actions = st.lists(st.one_of(
+    st.sampled_from([AskAction(x, y, r, t) for x in _UIDS for y in _UIDS
+                     for r in ("rd", "x") for t in ("d", "e", "new", "")]),
+    st.sampled_from([ShowAction(x) for x in (*_UIDS, "ghost")]),
+    # Edits whose arguments have the method's shape, so that some run...
+    st.sampled_from(
+        [EditAction(x, "publish", (props, path, dom)) for x in _UIDS
+         for props in ((), (_SPREAD,), (_NOPUBLICATION,))
+         for path in ("rd", "p", "") for dom in ("d", "e", "new")]
+        + [EditAction(x, "add_property", (scope, prop)) for x in _UIDS
+           for scope in ("d", "e", "rd", "x")
+           for prop in (_INTEGRITY, _SPREAD, _NOPUBLICATION)]
+        + [EditAction(x, method, (name,)) for x in _UIDS
+           for method in ("create_domain", "delete_domain")
+           for name in ("d", "e", "new", "")]),
+    # ...and edits of any method with any arguments.
+    st.builds(lambda peer, method, args: EditAction(peer, method,
+                                                    tuple(args)),
+              st.sampled_from(_UIDS),
+              st.sampled_from(("publish", "add_property", "create_domain",
+                               "delete_domain", "rename")),
+              st.lists(st.sampled_from(_EDIT_ARGS), max_size=3))),
+    max_size=6)
+
+
+@st.composite
+def code_scenarios(draw):
+    peers = tuple(
+        PeerDecl(uid, uid, _CODE_POLICY,
+                 draw(st.sampled_from(list(BehaviorModel))),
+                 tuple((other, 0.9) for other in _UIDS
+                       if other != uid and draw(st.booleans())))
+        for uid in _UIDS)
+    return peers, tuple(draw(code_actions))
+
+
+@EXAMPLES
+@given(code_scenarios())
+def test_a_code_built_scenario_is_refused_or_runs(parts):
+    peers, actions = parts
+    try:
+        scenario = Scenario(peers=peers, actions=actions)
+    except ScenarioError:
+        return
+    run_scenario(scenario)

@@ -10,6 +10,7 @@ of timing them keeps the tests free of host noise.
 """
 
 import cProfile
+import gc
 import pstats
 
 import pytest
@@ -46,10 +47,18 @@ EDITS = {
 
 def calls(work, arg):
     """Python-level calls one ``work(arg)`` makes, after a warm-up run
-    so that first-use caches are not counted."""
+    so that first-use caches are not counted.  The collector is off
+    meanwhile: a collection would run the weakref callbacks of garbage
+    other tests left, and the profile would count those calls too."""
     work(arg)
+    enabled = gc.isenabled()
+    gc.disable()
     profile = cProfile.Profile()
-    profile.runcall(work, arg)
+    try:
+        profile.runcall(work, arg)
+    finally:
+        if enabled:
+            gc.enable()
     return pstats.Stats(profile).total_calls
 
 

@@ -27,6 +27,7 @@ from p2psec import (
     PopulationParams,
     PropertyKind,
     ScenarioError,
+    SecurityProperty,
     SimulationEngine,
     TrustLedger,
     check_access,
@@ -64,8 +65,49 @@ def decl(uid, knows=()):
     return PeerDecl(uid, uid, PeerPolicy(), knows=knows)
 
 
-#: (scenario text, message, line) for every parser rejection.
+NOPUBLICATION = SecurityProperty(PropertyKind.NOPUBLICATION)
+
+#: The rules a scenario keeps across statements, one row each: (id,
+#: scenario text, the line it is refused on, the same scenario built in
+#: code as peers and actions, message).  The parser names the line;
+#: ``Scenario`` refuses the code-built one with the same message and no
+#: line.
+RULES = [
+    ("repeated-uid", "peer a\npeer a\n", 2, (decl("a"), decl("a")), (),
+     "peer 'a' declared twice"),
+    # A peer is its uid; its name is only shown, so it may not be empty.
+    ("empty-name", "peer a name=\n", 1, (PeerDecl("a", "", PeerPolicy()),), (),
+     "peer name must be non-empty"),
+    ("knows", "peer a\nknows a ghost 0.5\n", 2,
+     (decl("a", knows=(("ghost", 0.5),)),), (),
+     "peer 'ghost' is not declared"),
+    ("ask", "ask a b f d\n", 1, (), (AskAction("a", "b", "f", "d"),),
+     "peer 'a' is not declared"),
+    ("show", "peer a\nshow ghost\n", 2, (decl("a"),), (ShowAction("ghost"),),
+     "peer 'ghost' is not declared"),
+    ("knows-twice", "peer a\npeer b\nknows a b 0.9\nknows a b 0.1\n", 4,
+     (decl("a", knows=(("b", 0.9), ("b", 0.1))), decl("b")), (),
+     "peer 'a' knows 'b' twice"),
+    ("trust-above-one", "peer a\npeer b\nknows a b 7.5\n", 3,
+     (decl("a", knows=(("b", 7.5),)), decl("b")), (),
+     "peer 'a' knows 'b' with trust 7.5, outside [0, 1]"),
+    # A peer neither trusts nor asks itself: either would let an owner
+    # judge, and strip, its own file.
+    ("knows-itself", "peer a\npeer d\nknows a d 0.9\nknows a a 0.9\n", 4,
+     (decl("a", knows=(("d", 0.9), ("a", 0.9))), decl("d")), (),
+     "peer 'a' knows itself"),
+    ("asks-itself", "peer a\ndomain a v\nresource a f v\nask a a f w\n", 4,
+     (decl("a"),), (AskAction("a", "a", "f", "w"),), "peer 'a' asks itself"),
+    ("publish-nopublication",
+     "peer a\ndomain a d\npublish a f d nopublication\n", 3, (decl("a"),),
+     (EditAction("a", "publish", ((NOPUBLICATION,), "f", "d")),),
+     "nopublication applies to domains, not resources"),
+]
+
+#: (scenario text, message, line) for every parser rejection: the rows of
+#: RULES, then the rules of the parser alone.
 PARSE_ERRORS = [
+    *((text, message, line) for _, text, line, _, _, message in RULES),
     ("seed\n", "seed takes one integer", 1),
     ("config history_window\n", "bad config statement ['history_window']",
      1),
@@ -82,8 +124,6 @@ PARSE_ERRORS = [
     ("peer a\ncreate-domain a\n", "create-domain takes peer and name", 2),
     ("peer a\ndelete-domain a\n", "delete-domain takes peer and name", 2),
     ("peer a\nshow a b\n", "show takes a peer", 2),
-    ("ask a b f d\n", "peer 'a' is not declared", 1),
-    ("peer a\nknows a ghost 0.5\n", "peer 'ghost' is not declared", 2),
     ("peer a\nfrobnicate a\n", "unknown statement 'frobnicate'", 2),
     ("peer a\ndomain a d\nproperty a d secrecy\n",
      "unknown property kind 'secrecy'", 3),
@@ -91,12 +131,9 @@ PARSE_ERRORS = [
      "unknown property kind 'secrecy'", 3),
     ("peer a behavior=saint\n", "unknown behavior 'saint'", 1),
     ("peer a color=red\n", "bad peer option 'color=red'", 1),
-    # A peer is its uid; its name is only shown, so it may not be empty.
-    ("peer a name=\n", "peer name must be non-empty", 1),
     ("peer a name=x name=y\n", "peer option 'name' given twice", 1),
     ("peer a behavior=honest behavior=log-forger\n",
      "peer option 'behavior' given twice", 1),
-    ("peer a\npeer a\n", "peer 'a' declared twice", 2),
     ("peer a\ndomain a d\ndomain a d\n", "domain 'd' declared twice", 3),
     ("seed x\n", "invalid literal for int() with base 10: 'x'", 1),
     ("config speed 3\n", "bad config statement ['speed', '3']", 1),
@@ -110,18 +147,8 @@ PARSE_ERRORS = [
      "invalid literal for int() with base 10: '1.5'", 1),
     ("config strict_conflicts yes\n",
      "strict_conflicts takes true or false, not 'yes'", 1),
-    ("peer a\npeer b\nknows a b 7.5\n",
-     "knows trust must lie in [0, 1], not '7.5'", 3),
-    ("peer a\npeer b\nknows a b 0.9\nknows a b 0.1\n",
-     "peer 'a' knows 'b' twice", 4),
     ("peer a\npeer b\nknows a b high\n",
      "could not convert string to float: 'high'", 3),
-    # A peer neither trusts nor asks itself: either would let an owner
-    # judge, and strip, its own file.
-    ("peer a\npeer d\nknows a d 0.9\nknows a a 0.9\n",
-     "peer 'a' knows itself", 4),
-    ("peer a\ndomain a v\nresource a f v\nask a a f w\n",
-     "peer 'a' asks itself", 4),
     ("peer a\nresource a f nowhere\n",
      "resource domain 'nowhere' is not declared", 2),
     ("peer a\nproperty a nowhere integrity\n",
@@ -142,8 +169,6 @@ PARSE_ERRORS = [
      "nopublication applies to domains, not resources", 4),
     ("peer a\ndomain a d\nresource a f d\nresource a f d\n",
      "resource 'f' declared twice", 4),
-    ("peer a\ndomain a d\npublish a f d nopublication\n",
-     "nopublication applies to domains, not resources", 3),
     # Config values are checked as one set, on the last config line.
     ("config initial_reputation 2\n",
      "initial reputation must lie in [0, 1]", 1),
@@ -261,21 +286,10 @@ class TestParsing:
         assert scenario.config.refuse_threshold == 0.6
 
     @pytest.mark.parametrize("peers, actions, message", [
-        pytest.param((decl("a", knows=(("ghost", 0.9),)),), (),
-                     "peer 'ghost' is not declared", id="knows"),
-        pytest.param((decl("a"),), (AskAction("a", "ghost", "f", "d"),),
-                     "peer 'ghost' is not declared", id="ask"),
-        pytest.param((decl("a"),), (ShowAction("ghost"),),
-                     "peer 'ghost' is not declared", id="show"),
-        pytest.param((decl("a"), decl("b"), decl("a")), (),
-                     "peer 'a' declared twice", id="repeated-uid"),
+        *(pytest.param(peers, actions, message, id=rule)
+          for rule, _, _, peers, actions, message in RULES),
         pytest.param((decl("a"),), (EditAction("a", "rename", ("d",)),),
                      "unknown edit method 'rename'", id="edit-method"),
-        pytest.param((decl("a", knows=(("b", 0.9), ("b", 0.1))), decl("b")),
-                     (), "peer 'a' knows 'b' twice", id="knows-twice"),
-        pytest.param((decl("a", knows=(("b", 7.0),)), decl("b")), (),
-                     "peer 'a' knows 'b' with trust 7.0, outside [0, 1]",
-                     id="trust-above-one"),
         pytest.param((decl("a", knows=(("b", float("nan")),)), decl("b")),
                      (), "peer 'a' knows 'b' with trust nan, outside [0, 1]",
                      id="trust-nan"),
@@ -288,10 +302,27 @@ class TestParsing:
         pytest.param((decl("a", knows=(("b", True),)), decl("b")), (),
                      "peer 'a' knows 'b' with trust True, not a number",
                      id="trust-bool"),
-        pytest.param((decl("a", knows=(("a", 0.9),)),), (),
-                     "peer 'a' knows itself", id="knows-itself"),
-        pytest.param((decl("a"),), (AskAction("a", "a", "f", "d"),),
-                     "peer 'a' asks itself", id="asks-itself"),
+        # The parser builds no action the run cannot apply; code can.
+        pytest.param((decl("a"), decl("b")), (AskAction("a", "b", "f", ""),),
+                     "ask target domain must be non-empty",
+                     id="empty-target"),
+        pytest.param((decl("a"),), (EditAction("a", "publish", ()),),
+                     "publish takes tuple, str, str, not ()",
+                     id="edit-arity"),
+        pytest.param((decl("a"),),
+                     (EditAction("a", "add_property", ("d", "integrity")),),
+                     "add_property takes str, SecurityProperty, not "
+                     "('d', 'integrity')", id="edit-bare-kind"),
+        pytest.param((decl("a"),),
+                     (EditAction("a", "publish", (("integrity",), "f", "d")),),
+                     "publish takes properties, not 'integrity'",
+                     id="publish-bare-kind"),
+        pytest.param((decl("a"),),
+                     (EditAction("a", "publish", ((), "", "d")),),
+                     "publish takes non-empty names, not ((), '', 'd')",
+                     id="publish-empty-path"),
+        pytest.param((decl("a"),), ("show a",),
+                     "unsupported action 'show a'", id="not-an-action"),
     ])
     def test_a_scenario_built_in_code_checks_itself(self, peers, actions,
                                                     message):
