@@ -73,16 +73,20 @@ NOPUBLICATION = SecurityProperty(PropertyKind.NOPUBLICATION)
 #: ``Scenario`` refuses the code-built one with the same message and no
 #: line.
 RULES = [
-    ("repeated-uid", "peer a\npeer a\n", 2, (decl("a"), decl("a")), (),
-     "peer 'a' declared twice"),
+    ("repeated-uid", "peer a\npeer b\npeer a\n", 3,
+     (decl("a"), decl("b"), decl("a")), (), "peer 'a' declared twice"),
+    ("repeated-uid-adjacent", "peer a\npeer a\n", 2, (decl("a"), decl("a")),
+     (), "peer 'a' declared twice"),
     # A peer is its uid; its name is only shown, so it may not be empty.
     ("empty-name", "peer a name=\n", 1, (PeerDecl("a", "", PeerPolicy()),), (),
      "peer name must be non-empty"),
     ("knows", "peer a\nknows a ghost 0.5\n", 2,
      (decl("a", knows=(("ghost", 0.5),)),), (),
      "peer 'ghost' is not declared"),
-    ("ask", "ask a b f d\n", 1, (), (AskAction("a", "b", "f", "d"),),
-     "peer 'a' is not declared"),
+    ("ask", "peer a\nask a ghost f d\n", 2, (decl("a"),),
+     (AskAction("a", "ghost", "f", "d"),), "peer 'ghost' is not declared"),
+    ("ask-requester", "ask a b f d\n", 1, (),
+     (AskAction("a", "b", "f", "d"),), "peer 'a' is not declared"),
     ("show", "peer a\nshow ghost\n", 2, (decl("a"),), (ShowAction("ghost"),),
      "peer 'ghost' is not declared"),
     ("knows-twice", "peer a\npeer b\nknows a b 0.9\nknows a b 0.1\n", 4,
