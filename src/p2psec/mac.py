@@ -313,7 +313,7 @@ class AvcRecord:
 _AVC_STEPS: tuple[tuple[str, re.Pattern[str]], ...] = tuple(
     (label, re.compile(pattern)) for label, pattern in (
         ("audit prefix", r"\s*audit\("),
-        ("timestamp", r"([0-9.]+):"),
+        ("timestamp", r"([0-9]+\.[0-9]+):"),
         ("serial", r"([0-9]+)\):\s+"),
         ("avc marker", r"avc:\s+"),
         ("decision", r"(denied|granted)\s+"),
@@ -538,7 +538,8 @@ def render_challenge(challenge: Challenge) -> str:
 
 
 def parse_challenge(text: str) -> Challenge:
-    """Inverse of :func:`render_challenge`."""
+    """Inverse of :func:`render_challenge`.  Each key is given once, and
+    ``permissions`` is a comma-separated list of file permissions."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ChallengeError("empty challenge file")
@@ -557,6 +558,8 @@ def parse_challenge(text: str) -> Challenge:
         key, sep, value = line.strip().partition("=")
         if not sep or key not in ("expect", "permissions", "tcontext"):
             raise ChallengeError(f"bad challenge line {line.strip()!r}")
+        if key in keys:
+            raise ChallengeError(f"challenge file repeats {key!r}")
         keys[key] = value
     for key in ("expect", "permissions", "tcontext"):
         if key not in keys:
@@ -567,7 +570,12 @@ def parse_challenge(text: str) -> Challenge:
         tcontext = SecurityContext.parse(keys["tcontext"])
     except MacError as exc:
         raise ChallengeError(str(exc)) from exc
-    permissions = frozenset(p for p in keys["permissions"].split(",") if p)
+    names = keys["permissions"].split(",") if keys["permissions"] else ()
+    for name in names:
+        if name not in FILE_PERMISSIONS:
+            raise ChallengeError(f"permissions entry {name!r} is not a file "
+                                 f"permission")
+    permissions = frozenset(names)
     return Challenge(
         scontext=scontext,
         command=command,

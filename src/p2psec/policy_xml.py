@@ -73,40 +73,38 @@ class DocFile:
 class PolicyDocument:
     """A policy document; building one checks every schema invariant
     (unique ids, names and paths, non-empty names and paths, declared
-    file owners, known property types), so code given one trusts it."""
+    file owners, known property types), so code given one trusts it.
+    The check is one pass, domains then files, and reports the first
+    fault it meets."""
 
     domains: tuple[DocDomain, ...] = ()
     files: tuple[DocFile, ...] = ()
 
     def __post_init__(self):
-        # Set sizes first: only a broken document pays for the scan.
-        domain_ids = {dom.id for dom in self.domains}
-        names = {dom.name for dom in self.domains} - {""}
-        paths = {file.path for file in self.files} - {""}
-        scopes = self.domains + self.files
-        if (len(domain_ids.union(f.id for f in self.files)) != len(scopes)
-                or (len(names), len(paths)) != (len(self.domains),
-                                                len(self.files))
-                or not domain_ids.issuperset(f.domainid for f in self.files)
-                or not _KINDS.keys() >= {prop.type for scope in scopes
-                                         for prop in scope.properties}):
-            self._raise_first_fault()
-
-    def _raise_first_fault(self) -> None:
         ids: set[int] = set()
         names: set[str] = set()
         for dom in self.domains:
-            _add_unique(ids, dom.id, f"duplicate id {dom.id}", "domain")
+            if dom.id in ids:
+                raise XmlValidationError(f"duplicate id {dom.id}",
+                                         element="domain")
+            ids.add(dom.id)
             if not dom.name:
                 raise XmlValidationError("domain name must be non-empty",
                                          element="domain")
-            _validate_properties(dom.properties, f"domain {dom.name!r}")
-            _add_unique(names, dom.name,
-                        f"duplicate domain name {dom.name!r}", "domain")
-        domain_ids = set(ids)
+            for prop in dom.properties:
+                if prop.type not in _KINDS:
+                    raise _unknown_type(prop, dom)
+            if dom.name in names:
+                raise XmlValidationError(
+                    f"duplicate domain name {dom.name!r}", element="domain")
+            names.add(dom.name)
+        domain_ids = frozenset(ids)
         paths: set[str] = set()
         for file in self.files:
-            _add_unique(ids, file.id, f"duplicate id {file.id}", "file")
+            if file.id in ids:
+                raise XmlValidationError(f"duplicate id {file.id}",
+                                         element="file")
+            ids.add(file.id)
             if not file.path:
                 raise XmlValidationError("file path must be non-empty",
                                          element="file")
@@ -114,23 +112,26 @@ class PolicyDocument:
                 raise XmlValidationError(
                     f"file {file.path!r} references undeclared domain id "
                     f"{file.domainid}", element="file")
-            _validate_properties(file.properties, f"file {file.path!r}")
-            _add_unique(paths, file.path,
-                        f"duplicate file path {file.path!r}", "file")
+            for prop in file.properties:
+                if prop.type not in _KINDS:
+                    raise _unknown_type(prop, file)
+            if file.path in paths:
+                raise XmlValidationError(
+                    f"duplicate file path {file.path!r}", element="file")
+            paths.add(file.path)
 
 
-def _add_unique(seen: set, value: object, message: str, element: str) -> None:
-    if value in seen:
-        raise XmlValidationError(message, element=element)
-    seen.add(value)
+def _where(scope: DocDomain | DocFile) -> str:
+    """How a message names a domain or a file."""
+    return (f"domain {scope.name!r}" if isinstance(scope, DocDomain)
+            else f"file {scope.path!r}")
 
 
-def _validate_properties(props: tuple[DocProperty, ...], where: str) -> None:
-    for prop in props:
-        if prop.type not in _KINDS:
-            raise XmlValidationError(
-                f"unknown property type {prop.type!r} on {where}",
-                element="property")
+def _unknown_type(prop: DocProperty,
+                  scope: DocDomain | DocFile) -> XmlValidationError:
+    return XmlValidationError(
+        f"unknown property type {prop.type!r} on {_where(scope)}",
+        element="property")
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,10 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
     return PolicyDocument(domains=tuple(domains), files=tuple(files))
 
 
+#: The elements each depth may hold: the root, what ``<policy>`` holds,
+#: and so on down; nothing may open below a ``<target>``.
+_NESTING = (("policy",), ("domain", "file"), ("property",), ("target",), ())
+
 #: The attributes each element takes, in the order a missing one is
 #: reported.
 _ATTRS = {
@@ -186,8 +191,10 @@ _ATTRS = {
     "property": ("type",),
     "target": ("domainid",),
 }
-_DOMAIN_ATTRS, _FILE_ATTRS, _PROPERTY_ATTRS, _TARGET_ATTRS = (
-    frozenset(_ATTRS[tag]) for tag in ("domain", "file", "property", "target"))
+#: Both as one lookup: per depth, each element it may hold and its
+#: attributes as a set, the one compare a well-formed element pays.
+_OPENS = tuple({tag: frozenset(_ATTRS[tag]) for tag in tags}
+               for tags in _NESTING)
 
 
 def _universal(name: str) -> str:
@@ -199,10 +206,8 @@ def _install_handlers(parser, domains: list[DocDomain],
                       files: list[DocFile]) -> None:
     """Install the expat handlers of one parse, which append to
     ``domains`` and ``files`` as it goes.  An element is checked
-    when it opens and its ``Doc*`` value is built when it closes:
-    ``<policy>`` at depth 0, ``<domain>`` and ``<file>`` at 1,
-    ``<property>`` at 2 and ``<target>`` at 3; nothing may open below a
-    ``<target>``."""
+    against ``_NESTING`` and ``_ATTRS`` when it opens and its ``Doc*``
+    value is built when it closes."""
     open_tags: list[str] = []
     after = None              # the last child closed at this depth
     scope: tuple = ()         # fields of the open domain or file
@@ -214,10 +219,6 @@ def _install_handlers(parser, domains: list[DocDomain],
     def fail(message, element):
         raise XmlValidationError(message, element=element,
                                  line=parser.CurrentLineNumber)
-
-    def unexpected(tag):
-        tag = _universal(tag)
-        fail(f"unexpected element <{tag}> under <{open_tags[-1]}>", tag)
 
     def check_attrs(tag, attrs):
         allowed = _ATTRS[tag]
@@ -237,41 +238,27 @@ def _install_handlers(parser, domains: list[DocDomain],
 
     def start(tag, attrs):
         nonlocal after, scope, properties, ptype, targets
-        depth = len(open_tags)
-        if depth == 1:
-            if tag == "domain":
-                if attrs.keys() != _DOMAIN_ATTRS:
-                    check_attrs(tag, attrs)
-                scope = (integer(tag, attrs, "id"), attrs["name"])
-            elif tag == "file":
-                if attrs.keys() != _FILE_ATTRS:
-                    check_attrs(tag, attrs)
-                scope = (integer(tag, attrs, "id"), attrs["path"],
-                         integer(tag, attrs, "domainid"))
-            else:
-                unexpected(tag)
+        allowed = _OPENS[len(open_tags)].get(tag)
+        if allowed is None:
+            tag = _universal(tag)
+            if open_tags:
+                fail(f"unexpected element <{tag}> under <{open_tags[-1]}>",
+                     tag)
+            fail(f"root element must be <policy>, got <{tag}>", tag)
+        if attrs.keys() != allowed:
+            check_attrs(tag, attrs)
+        if tag == "domain":
+            scope = (integer(tag, attrs, "id"), attrs["name"])
             properties = []
-        elif depth == 2:
-            if tag != "property":
-                unexpected(tag)
-            if attrs.keys() != _PROPERTY_ATTRS:
-                check_attrs(tag, attrs)
+        elif tag == "file":
+            scope = (integer(tag, attrs, "id"), attrs["path"],
+                     integer(tag, attrs, "domainid"))
+            properties = []
+        elif tag == "property":
             ptype = attrs["type"]
             targets = []
-        elif depth == 3:
-            if tag != "target":
-                unexpected(tag)
-            if attrs.keys() != _TARGET_ATTRS:
-                check_attrs(tag, attrs)
+        elif tag == "target":
             targets.append(integer(tag, attrs, "domainid"))
-        elif depth == 0:
-            if tag != "policy":
-                tag = _universal(tag)
-                fail(f"root element must be <policy>, got <{tag}>", tag)
-            if attrs:
-                check_attrs(tag, attrs)
-        else:
-            unexpected(tag)
         open_tags.append(tag)
         after = None
 
@@ -396,9 +383,7 @@ def _lift_properties(scope: DocDomain | DocFile,
         try:
             lifted.add(SecurityProperty(_KINDS[prop.type], targets))
         except PolicyValidationError as exc:
-            where = (f"domain {scope.name!r}" if isinstance(scope, DocDomain)
-                     else f"file {scope.path!r}")
-            raise XmlValidationError(f"{exc} on {where}",
+            raise XmlValidationError(f"{exc} on {_where(scope)}",
                                      element="property") from exc
     return frozenset(lifted)
 

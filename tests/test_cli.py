@@ -180,6 +180,16 @@ def test_verify_challenge_overlong_pid_is_an_error(tmp_path, capsys):
     assert "error: pid has too many digits" in capsys.readouterr().err
 
 
+def test_verify_challenge_repeated_key_is_an_error(tmp_path, capsys):
+    challenge = tmp_path / "challenge.txt"
+    challenge.write_text(CHALLENGE + "expect=granted\n")
+    trace = tmp_path / "trace.txt"
+    trace.write_text(GOOD_TRACE)
+    assert main(["verify-challenge", str(challenge), str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        "error: challenge file repeats 'expect'\n")
+
+
 def test_bench_small_counts(capsys):
     assert main(["bench", "--counts", "5,10,15", "--repeats", "1"]) == 0
     out = capsys.readouterr().out

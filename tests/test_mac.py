@@ -317,6 +317,51 @@ class TestAvc:
             parse_avc(AVC_LINE.replace(field, new))
 
 
+    @pytest.mark.parametrize("stamp", ["...", ".", "1.2.3", "12.", ".5",
+                                       "12", "\u0661.2"])
+    def test_timestamp_is_digits_dot_digits(self, stamp):
+        with pytest.raises(AvcParseError, match="expected timestamp at"):
+            parse_avc(AVC_LINE.replace("1229395253.757", stamp))
+
+
+CHALLENGE_TEXT = ("scontext=user_u:user_r:user_t vim /root/secret.txt\n"
+                  "expect=denied\npermissions=read\n"
+                  "tcontext=system_u:object_r:domainA_t\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("expect=denied\n", "expect=denied\nexpect=granted\n",
+     "challenge file repeats 'expect'"),
+    ("permissions=read\n", "permissions=read\npermissions=read\n",
+     "challenge file repeats 'permissions'"),
+    ("permissions=read", "permissions=reed,,",
+     "permissions entry 'reed' is not a file permission"),
+    ("permissions=read", "permissions=read,,write",
+     "permissions entry '' is not a file permission"),
+    ("permissions=read", "permissions=read,",
+     "permissions entry '' is not a file permission"),
+    ("permissions=read", "permissions=read, write",
+     "permissions entry ' write' is not a file permission"),
+    ("permissions=read", "permissions=search",
+     "permissions entry 'search' is not a file permission"),
+], ids=["repeated-expect", "repeated-permissions", "unknown-name",
+        "empty-entry", "trailing-comma", "spaced-entry", "dir-permission"])
+def test_challenge_file_faults_name_the_key_or_entry(old, new, message):
+    assert old in CHALLENGE_TEXT
+    with pytest.raises(ChallengeError) as err:
+        parse_challenge(CHALLENGE_TEXT.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_challenge_file_permissions_may_be_empty_or_many():
+    granted = CHALLENGE_TEXT.replace("expect=denied", "expect=granted")
+    assert parse_challenge(granted.replace(
+        "permissions=read", "permissions=")).expected_permissions == set()
+    assert parse_challenge(CHALLENGE_TEXT.replace(
+        "permissions=read", "permissions=write,read")
+    ).expected_permissions == {"read", "write"}
+
+
 class TestChallenge:
     def compiled(self):
         policy = PeerPolicy().create_domain("domainA")

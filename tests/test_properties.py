@@ -241,6 +241,65 @@ def test_every_fault_found_during_the_parse_has_a_line(data):
         pass
 
 
+def _first_fault(domains, files):
+    """The documented check order, written out as (failed, message,
+    element) rows: domains then files; for a domain a new id, a name,
+    known property types and a new name; for a file a new id, a path, a
+    declared owner, known property types and a new path."""
+    kinds = {kind.value for kind in PropertyKind}
+    rows = []
+    for i, dom in enumerate(domains):
+        earlier = domains[:i]
+        where = f"on domain {dom.name!r}"
+        rows += [(dom.id in [d.id for d in earlier],
+                  f"duplicate id {dom.id}", "domain"),
+                 (dom.name == "", "domain name must be non-empty", "domain"),
+                 *((p.type not in kinds,
+                    f"unknown property type {p.type!r} {where}", "property")
+                   for p in dom.properties),
+                 (dom.name in [d.name for d in earlier],
+                  f"duplicate domain name {dom.name!r}", "domain")]
+    for i, file in enumerate(files):
+        earlier = files[:i]
+        where = f"on file {file.path!r}"
+        rows += [(file.id in [x.id for x in domains + earlier],
+                  f"duplicate id {file.id}", "file"),
+                 (file.path == "", "file path must be non-empty", "file"),
+                 (file.domainid not in [d.id for d in domains],
+                  f"file {file.path!r} references undeclared domain id "
+                  f"{file.domainid}", "file"),
+                 *((p.type not in kinds,
+                    f"unknown property type {p.type!r} {where}", "property")
+                   for p in file.properties),
+                 (file.path in [f.path for f in earlier],
+                  f"duplicate file path {file.path!r}", "file")]
+    return next(((XmlValidationError, message, element)
+                 for failed, message, element in rows if failed), None)
+
+
+# Pools so small that every document rule fires, often several at once.
+_POOL_PROPERTIES = st.lists(st.sampled_from(
+    (DocProperty("integrity"), DocProperty("secrecy"))), max_size=2).map(tuple)
+_POOL_IDS = st.sampled_from((1, 2, 3))
+pool_domains = st.builds(DocDomain, _POOL_IDS, st.sampled_from(("", "a", "b")),
+                         _POOL_PROPERTIES)
+pool_files = st.builds(DocFile, _POOL_IDS, st.sampled_from(("", "f", "g")),
+                       st.sampled_from((1, 2, 9)), _POOL_PROPERTIES)
+
+
+@EXAMPLES
+@given(st.lists(pool_domains, max_size=3).map(tuple),
+       st.lists(pool_files, max_size=3).map(tuple))
+def test_a_document_reports_its_first_fault(domains, files):
+    try:
+        PolicyDocument(domains, files)
+    except P2PSecError as exc:
+        assert (type(exc), str(exc), exc.element) == _first_fault(domains,
+                                                                   files)
+    else:
+        assert _first_fault(domains, files) is None
+
+
 # Property lists of up to two entries, drawn whole: one draw apiece
 # keeps 1000 examples cheap.  Targets are local (1) or undeclared
 # (-1, 9); one entry puts a target on a kind that takes none.
@@ -600,7 +659,8 @@ _CHALLENGE_FILE = render_challenge(parse_challenge(
 _CHALLENGE_TOKENS = ("scontext=a:b:c", "scontext=", "vim", "f", "expect=",
                      "expect=denied", "expect=granted", "permissions=",
                      "permissions=read", "tcontext=a:b:c", "tcontext=a:b",
-                     "other=x", "=", ":")
+                     "other=x", "=", ":", "expect=denied\nexpect=granted",
+                     "permissions=read,,")
 _SCENARIO_FILES = [p.read_text() for p in sorted(
     (Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))]
 parser_texts = st.one_of(

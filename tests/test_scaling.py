@@ -5,8 +5,9 @@ edit below is profiled on ``synthetic_policy`` at three sizes, and the
 number of Python-level calls it makes must not grow with the policy.
 A run, a parse and a compile are linear in what they are given: each
 doubling of requesters, delegates, scenario domains or policy domains
-may multiply the calls by at most ``DOUBLING``.  Counting calls instead
-of timing them keeps the tests free of host noise.
+(compiled, or parsed from XML and lifted) may multiply the calls by at
+most ``DOUBLING``.  Counting calls instead of timing them keeps the
+tests free of host noise.
 """
 
 import cProfile
@@ -23,10 +24,14 @@ from p2psec import (
     apply_transfer,
     compile_policy,
     emit_rules,
+    from_peer_policy,
     integrity,
+    parse_policy,
     parse_scenario,
     run_scenario,
+    serialize_policy,
     synthetic_policy,
+    to_peer_policy,
 )
 
 SIZES = (250, 500, 1000)
@@ -114,6 +119,10 @@ GROWTH = {
     "parse_scenario": ((250, 500, 1000), scenario_text, parse_scenario),
     "compile_emit": ((160, 320, 640), synthetic_policy,
                      lambda policy: emit_rules(compile_policy(policy))),
+    "parse_policy": ((250, 500, 1000),
+                     lambda domains: serialize_policy(
+                         from_peer_policy(synthetic_policy(domains))),
+                     lambda data: to_peer_policy(parse_policy(data))),
 }
 
 
