@@ -284,9 +284,30 @@ def render_contexts(compiled: CompiledPolicy) -> str:
 # AVC audit lines
 # ---------------------------------------------------------------------------
 
+#: The form ``parse_avc`` reads back for each text field of a record
+#: but ``name`` (see ``render_avc``), with the wording of its error.
+_AVC_FORMS: tuple[tuple[str, re.Pattern[str], str], ...] = tuple(
+    (label, re.compile(form), wording) for label, form, wording in (
+        ("timestamp", r"[0-9]+\.[0-9]+", "<digits>.<digits>"),
+        ("serial", r"[0-9]+", "ASCII digits"),
+        ("comm", r'[^"]*', "free of '\"'"),
+        ("dev", r"\S+", "non-empty and free of whitespace"),
+        ("tclass", r"\S+", "non-empty and free of whitespace"),
+    )
+)
+_PERMISSION_NAME = re.compile(r"[^\s{}]+")
+
+
 @dataclass(frozen=True)
 class AvcRecord:
-    """One kernel audit decision about one object access."""
+    """One kernel audit decision about one object access.
+
+    Building one holds every field but ``name`` to what ``parse_avc``
+    reads back, raising ``AvcParseError`` that names the field: the
+    forms of ``_AVC_FORMS``, a non-negative ``int`` (not a bool) ``pid``
+    and ``ino``, and permission names that are non-empty and free of
+    whitespace and braces.
+    """
 
     timestamp: str
     serial: str
@@ -307,6 +328,23 @@ class AvcRecord:
                                frozenset(self.permissions))
         if not self.permissions:
             raise AvcParseError("AVC record carries no permissions")
+        for label, form, wording in _AVC_FORMS:
+            value = getattr(self, label)
+            if not (isinstance(value, str) and form.fullmatch(value)):
+                raise AvcParseError(
+                    f"AVC {label} must be {wording}, not {value!r}")
+        for label in ("pid", "ino"):
+            value = getattr(self, label)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < 0):
+                raise AvcParseError(
+                    f"AVC {label} must be a non-negative int, not {value!r}")
+        bad = [p for p in self.permissions
+               if not (isinstance(p, str) and _PERMISSION_NAME.fullmatch(p))]
+        if bad:
+            raise AvcParseError(
+                f"AVC permission {min(bad, key=repr)!r} must be non-empty "
+                f"and free of whitespace and braces")
 
 
 #: (label, compiled pattern) for each field of an AVC line, in order.
@@ -375,7 +413,10 @@ def _avc_int(fields: dict[str, str], label: str) -> int:
 
 
 def render_avc(record: AvcRecord) -> str:
-    """Single-line canonical rendering; parse_avc inverts it exactly."""
+    """Single-line canonical rendering; parse_avc inverts it exactly
+    unless ``name`` holds ``"``.  ``name`` is the only field the record
+    leaves unchecked: the engine builds it from resource paths, which a
+    policy may write with ``"`` in them."""
     perms = " ".join(sorted(record.permissions))
     return (
         f"audit({record.timestamp}:{record.serial}): avc: "
@@ -423,10 +464,17 @@ def probe_permission(command_stub: str) -> str:
 @dataclass(frozen=True)
 class Challenge:
     """A request that the remote peer attempt one access and return the
-    resulting audit trace."""
+    resulting audit trace.
+
+    ``stub`` is the probe command the target runs, one word.  Building
+    a challenge holds it to what ``parse_challenge`` reads back
+    (``ChallengeError`` otherwise): a stub that is non-empty and free of
+    whitespace, and expected permissions that are file permissions.
+    ``target_path`` is left unchecked (see ``render_challenge``).
+    """
 
     scontext: SecurityContext
-    command: str
+    stub: str
     target_path: str
     expected: Decision
     expected_permissions: frozenset[str]
@@ -436,6 +484,13 @@ class Challenge:
         if not isinstance(self.expected_permissions, frozenset):
             object.__setattr__(self, "expected_permissions",
                                frozenset(self.expected_permissions))
+        if not isinstance(self.stub, str) or self.stub.split() != [self.stub]:
+            raise ChallengeError(f"bad command stub {self.stub!r}")
+        bad = [p for p in self.expected_permissions
+               if p not in FILE_PERMISSIONS]
+        if bad:
+            raise ChallengeError(f"permissions entry {min(bad, key=repr)!r} "
+                                 f"is not a file permission")
         if self.expected is Decision.DENIED and not self.expected_permissions:
             raise ChallengeError(
                 "denied challenge needs expected permissions")
@@ -445,10 +500,11 @@ class Challenge:
         return self.target_path.rsplit("/", 1)[-1]
 
     @property
-    def stub(self) -> str:
-        """The probe command the target runs: the command line's word
-        after the subject context (the path after it may hold spaces)."""
-        return self.command.split(maxsplit=2)[1]
+    def command(self) -> str:
+        """The wire line: subject context, stub and path, one space
+        apart (the path may hold spaces)."""
+        return (f"scontext={self.scontext.render()} {self.stub} "
+                f"{self.target_path}")
 
 
 def make_challenge(resource_path: str, subject: SecurityContext,
@@ -473,7 +529,7 @@ def build_challenge(resource_path: str, subject: SecurityContext,
     permission = probe_permission(command_stub)
     return Challenge(
         scontext=subject,
-        command=f"scontext={subject.render()} {command_stub} {resource_path}",
+        stub=command_stub,
         target_path=resource_path,
         expected=check_access(ruleset, PermissionClass.FILE, permission),
         expected_permissions=frozenset({permission}),
@@ -527,7 +583,11 @@ def _record_mismatch(challenge: Challenge, record: AvcRecord) -> str | None:
 
 
 def render_challenge(challenge: Challenge) -> str:
-    """Challenge file format: the wire line, then the expectations."""
+    """Challenge file format: the wire line, then the expectations.
+    ``parse_challenge`` inverts it exactly unless ``target_path`` is
+    empty, starts or ends with whitespace, or holds a line break.  The
+    path is left unchecked: the engine builds it from resource paths,
+    which a policy may write that way."""
     perms = ",".join(sorted(challenge.expected_permissions))
     return (
         f"{challenge.command}\n"
@@ -552,7 +612,6 @@ def parse_challenge(text: str) -> Challenge:
         scontext = SecurityContext.parse(parts[0][len("scontext="):])
     except MacError as exc:
         raise ChallengeError(str(exc)) from exc
-    target_path = parts[2]
     keys: dict[str, str] = {}
     for line in lines[1:]:
         key, sep, value = line.strip().partition("=")
@@ -570,17 +629,17 @@ def parse_challenge(text: str) -> Challenge:
         tcontext = SecurityContext.parse(keys["tcontext"])
     except MacError as exc:
         raise ChallengeError(str(exc)) from exc
+    # Checked here, in file order, to name the first bad entry.
     names = keys["permissions"].split(",") if keys["permissions"] else ()
     for name in names:
         if name not in FILE_PERMISSIONS:
             raise ChallengeError(f"permissions entry {name!r} is not a file "
                                  f"permission")
-    permissions = frozenset(names)
     return Challenge(
         scontext=scontext,
-        command=command,
-        target_path=target_path,
+        stub=parts[1],
+        target_path=parts[2],
         expected=Decision(keys["expect"]),
-        expected_permissions=permissions,
+        expected_permissions=frozenset(names),
         expected_tcontext=tcontext,
     )

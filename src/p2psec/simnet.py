@@ -292,8 +292,8 @@ class _ScenarioBuilder:
         return self.peers[self.roster.named(uid)][2]
 
     def build(self) -> Scenario:
-        # Cross-field rules (refuse < full trust, weights summing to 1)
-        # hold only for the final set, so they are checked once here.
+        # refuse_threshold < full_trust_threshold holds only for the
+        # final set, so the config is checked once here.
         try:
             config = TrustConfig(**self.config_overrides)
         except TrustError as exc:
@@ -528,13 +528,9 @@ class PeerAgent:
         for kind in kinds:
             self._forged_serial += 1
             forged.append(HistoryRecord(
-                timestamp=max(now - 1, 0),
-                actor=self.uid,
-                property_kind=kind,
-                action="shared resource without incident",
-                violation=False,
-                counterparty=f"ghost{self._forged_serial}-{self.uid}",
-            ))
+                timestamp=max(now - 1, 0), actor=self.uid,
+                property_kind=kind, violation=False,
+                counterparty=f"ghost{self._forged_serial}-{self.uid}"))
         return own + forged, len(forged)
 
 
@@ -569,13 +565,11 @@ def cross_reference_history(
 
 @dataclass(frozen=True)
 class NegotiationRecord:
-    """One ask; ``per_property`` follows the required properties.  The
-    fields past ``found`` stay empty when the resource was not found."""
+    """The outcome of ``ask``; ``per_property`` follows the required
+    properties.  The fields past ``found`` stay empty when the resource
+    was not found."""
 
-    requester: str
-    owner: str
-    resource_name: str
-    target_domain: str
+    ask: AskAction
     outcome: Outcome
     requester_behavior: BehaviorModel
     per_property: tuple[tuple[SecurityProperty, TrustComputation], ...] = ()
@@ -682,8 +676,8 @@ def render_transcript(records: Iterable[RunRecord], names: dict[str, str],
 def _render_ask(lines: list[str], rec: NegotiationRecord,
                 names: dict[str, str], config: TrustConfig) -> None:
     say = lines.append
-    req, own = names[rec.requester], names[rec.owner]
-    path, to = rec.resource_name, rec.target_domain
+    req, own = names[rec.ask.requester], names[rec.ask.owner]
+    path, to = rec.ask.resource_name, rec.ask.target_domain
     say(f"{req}: I asks to peer {own} the file {path} to be put in {to}")
     say(f"{own}: Peer {req} asking file {path}")
     say(f"{own}: Peer {req} will put the file in domain {to}")
@@ -740,9 +734,10 @@ def render_report(report: RunReport) -> str:
     lines = [f"seed={report.seed}", "", "# transcript", *report.transcript,
              "", "# negotiations"]
     for rec in report.negotiations:
+        ask = rec.ask
         lines.append(
-            f"ask requester={rec.requester} owner={rec.owner} "
-            f"resource={rec.resource_name} domain={rec.target_domain} "
+            f"ask requester={ask.requester} owner={ask.owner} "
+            f"resource={ask.resource_name} domain={ask.target_domain} "
             f"outcome={rec.outcome.value}")
     lines += ["", "# reputations"]
     for holder, subject, value in report.final_reputations:
@@ -848,10 +843,7 @@ class SimulationEngine:
                                    target_domain)
         except UnknownResourceError:
             self.records.append(NegotiationRecord(
-                requester=requester.uid, owner=owner.uid,
-                resource_name=action.resource_name,
-                target_domain=target_domain, outcome=Outcome.REFUSED,
-                requester_behavior=requester.behavior, found=False))
+                action, Outcome.REFUSED, requester.behavior, found=False))
             return
 
         # Slice phase: the owner learns exactly one domain's policy.
@@ -891,10 +883,7 @@ class SimulationEngine:
             self._transfer(session, owner, requester)
 
         self.records.append(NegotiationRecord(
-            requester=requester.uid, owner=owner.uid,
-            resource_name=action.resource_name, target_domain=target_domain,
-            outcome=outcome, requester_behavior=requester.behavior,
-            per_property=per_property,
+            action, outcome, requester.behavior, per_property=per_property,
             flagged_records=flagged, forged_records=forged,
             source_domain=session.source_domain, offered=offered,
             delegates=len(delegates)))
@@ -958,8 +947,8 @@ class SimulationEngine:
 
         The requester's answers depend only on its behaviour, the target
         domain and ``kind``, never on which delegate asks, so the probes
-        are run once here, each as a ``(passed, violation wording)``
-        pair: the conflicting-transfer probe first, when ``kind`` has a
+        are run once here, each to a pass/fail bool: the
+        conflicting-transfer probe first, when ``kind`` has a
         conflicting kind, then the MAC challenge.  The returned closure
         does each delegate's own part: for each probe it advances the
         clock by the probe's two message ticks and records a failed
@@ -967,15 +956,14 @@ class SimulationEngine:
         answered.
         """
         target_domain = session.target_domain_name
-        probes: list[tuple[bool, str]] = []
+        probes: list[bool] = []
         probe_kind = PROBE_KINDS[kind]
         if probe_kind is not None:
             accepted = requester.respond_conflicting_request(
                 target_domain, probe_kind)
             expect_refusal = not KIND_CONFLICTS[probe_kind].isdisjoint(
                 offered.kinds)
-            probes.append(((not accepted) == expect_refusal,
-                           "accepted a conflicting transfer"))
+            probes.append((not accepted) == expect_refusal)
         challenge = build_challenge(
             session.resource.path, CHALLENGE_SUBJECT, PROBE_STUBS[kind],
             kind_ruleset(offered.kinds), object_context(target_domain))
@@ -983,21 +971,20 @@ class SimulationEngine:
         response = requester.respond_mac_challenge(
             challenge, target_domain,
             timestamp=f"{self.now}.000", serial=str(self.now))
-        probes.append((verify_challenge(challenge, [response]).passed,
-                       "failed an access challenge"))
+        probes.append(verify_challenge(challenge, [response]).passed)
 
         def harness(delegate: str, target: str,
                     _: PropertyKind) -> list[float]:
             ledger = self.agents[delegate].ledger
             scores = []
-            for passed, violation in probes:
+            for passed in probes:
                 self.now += 2
                 scores.append(1.0 if passed else 0.0)
                 if not passed:
                     ledger.record(HistoryRecord(
                         timestamp=self.now, actor=target,
-                        property_kind=kind, action=violation,
-                        violation=True, counterparty=delegate))
+                        property_kind=kind, violation=True,
+                        counterparty=delegate))
             return scores
 
         return harness
@@ -1014,9 +1001,8 @@ class SimulationEngine:
         for prop in session.required:
             record = HistoryRecord(
                 timestamp=self.now, actor=requester.uid,
-                property_kind=prop.kind,
-                action=f"received {session.resource.path}",
-                violation=False, counterparty=owner.uid)
+                property_kind=prop.kind, violation=False,
+                counterparty=owner.uid)
             owner.ledger.record(record)
             requester.ledger.record(record)
 
@@ -1063,9 +1049,12 @@ class PopulationParams:
 
 @dataclass(frozen=True)
 class BehaviorStats:
-    negotiations: int = 0
     accepted: int = 0
     refused: int = 0
+
+    @property
+    def negotiations(self) -> int:
+        return self.accepted + self.refused
 
 
 @dataclass(frozen=True)
@@ -1164,8 +1153,6 @@ def detection_experiment(params: PopulationParams,
         flagged += sum(n.flagged_records for n in report.negotiations)
     stats = tuple(
         (model, BehaviorStats(
-            negotiations=tally[model, Outcome.ACCEPTED]
-            + tally[model, Outcome.REFUSED],
             accepted=tally[model, Outcome.ACCEPTED],
             refused=tally[model, Outcome.REFUSED]))
         for model in BehaviorModel)

@@ -8,14 +8,16 @@ For every property the owner requires, three signals are combined:
 * ``chal``   -- trust-weighted scores from challenges run by delegates.
 
 ``Tv = EvalHist * (challenge_weight * Chal + eval_weight * (eval+1)/2)``
-with EvalHist collapsing eval and hist into a [0,1] factor.  The value
-lands in one of three bands (refused, partial, full) which also drives
-the requester's reputation update.
+with EvalHist collapsing eval and hist into a [0,1] factor and
+``eval_weight`` being ``1 - challenge_weight``.  The value lands in one
+of three bands (refused, partial, full) which also drives the
+requester's reputation update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -23,10 +25,31 @@ from .errors import NoDelegatesError, TrustError
 from .policy import PropertyKind
 
 
+#: The types each ``TrustConfig`` annotation takes, and their wording.
+_FIELD_TYPES = {
+    "float": ((int, float), "a finite number"),
+    "int": (int, "an int"),
+    "bool": (bool, "a bool"),
+}
+
+
+def _finite(value: float) -> bool:
+    """Neither infinite nor NaN; an int too large for a float is not
+    finite either, since the reputation arithmetic would overflow."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TrustConfig:
     """Tunable thresholds and weights; defaults follow the reference
-    behaviour of the negotiation engine."""
+    behaviour of the negotiation engine.
+
+    Every float field is a finite ``int`` or ``float``, ``history_window``
+    an ``int`` and ``strict_conflicts`` a ``bool`` (a bool is not a
+    number here); ``TrustError`` names a field of the wrong type."""
 
     refuse_threshold: float = 0.2
     full_trust_threshold: float = 0.5
@@ -35,10 +58,17 @@ class TrustConfig:
     initial_reputation: float = 0.5
     history_window: int = 50
     challenge_weight: float = 0.75
-    eval_weight: float = 0.25
     strict_conflicts: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, wording = _FIELD_TYPES[f.type]
+            # isinstance counts a bool as an int, so bools are told apart.
+            if (not isinstance(value, types)
+                    or isinstance(value, bool) is not (types is bool)
+                    or f.type == "float" and not _finite(value)):
+                raise TrustError(f"{f.name} must be {wording}, not {value!r}")
         if not (0.0 <= self.refuse_threshold < self.full_trust_threshold
                 <= 1.0):
             raise TrustError(
@@ -49,8 +79,13 @@ class TrustConfig:
             raise TrustError("initial reputation must lie in [0, 1]")
         if self.history_window < 0:
             raise TrustError("history window must be non-negative")
-        if abs(self.challenge_weight + self.eval_weight - 1.0) > 1e-9:
-            raise TrustError("challenge and eval weights must sum to 1")
+        if not 0.0 <= self.challenge_weight <= 1.0:
+            raise TrustError("challenge weight must lie in [0, 1]")
+
+    @property
+    def eval_weight(self) -> float:
+        """The weight of the eval signal: what the challenges leave."""
+        return 1.0 - self.challenge_weight
 
 
 class HistoryScore(Enum):
@@ -72,13 +107,14 @@ class HistoryRecord:
 
     ``actor`` is the uid of the peer that performed the operation;
     ``counterparty`` is the uid of the other side of the exchange and is
-    what cross-referencing validates a presented record against.
+    what cross-referencing validates a presented record against.  The
+    engine writes two kinds of record, a received file and a failed
+    probe (``violation``), and keeps no wording for either.
     """
 
     timestamp: int
     actor: str
     property_kind: PropertyKind
-    action: str
     violation: bool = False
     counterparty: Optional[str] = None
 
@@ -225,7 +261,8 @@ def run_challenges(delegates: Sequence[tuple[str, float]], target: str,
 
 def trust_value(eval_score: int, eval_hist: float, chal: float,
                 config: TrustConfig) -> float:
-    """Combine the three signals into the final [0,1] trust value."""
+    """Combine the three signals into the final [0,1] trust value; the
+    eval signal weighs ``config.eval_weight``, ``1 - challenge_weight``."""
     eval_norm = (eval_score + 1) / 2
     raw = eval_hist * (config.challenge_weight * chal
                        + config.eval_weight * eval_norm)

@@ -1,7 +1,7 @@
 """Every name a package module imports is read in that module, no
 package module imports another's private name, only ``mac`` reads a
-challenge's command line, and only the scenario parse loop and builder
-give a ``ScenarioError`` its line."""
+challenge's command line, only the scenario parse loop and builder
+give a ``ScenarioError`` its line, and every dataclass field is read."""
 
 import ast
 from pathlib import Path
@@ -140,3 +140,36 @@ def test_a_scenario_line_site_is_reported():
               "        raise ScenarioError('y', n)\n"
               "def h():\n    raise ScenarioError('z')\n")
     assert scenario_line_sites(source) == ["B.g", "f"]
+
+
+def write_only_fields(sources: list[str]) -> list[str]:
+    """``Class.field`` for each field of a class decorated with
+    ``dataclass`` whose name no source reads as an attribute."""
+    declared, read = [], set()
+    for node in (n for s in sources for n in ast.walk(ast.parse(s))):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                and d.func.id == "dataclass" for d in node.decorator_list):
+            declared += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and isinstance(stmt.target, ast.Name)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            read.add(node.attr)
+    return sorted(name for name in declared
+                  if name.split(".")[1] not in read)
+
+
+def test_every_dataclass_field_is_read():
+    """A field no code reads is a fact kept for nobody."""
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert write_only_fields(sources) == []
+
+
+def test_a_write_only_field_is_reported():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: str\n"
+              "@dataclass\nclass B:\n    z: int = 0\n"
+              "class C:\n    w: int\n"
+              "def f(a, b):\n    a.y = 1\n    return a.x, b.z\n")
+    assert write_only_fields([source]) == ["A.y"]

@@ -1,6 +1,7 @@
 """Rule projection, labels, audit records, and challenges."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -324,9 +325,48 @@ class TestAvc:
             parse_avc(AVC_LINE.replace("1229395253.757", stamp))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("timestamp", "...", "AVC timestamp must be <digits>.<digits>, not '...'"),
+    ("serial", "x", "AVC serial must be ASCII digits, not 'x'"),
+    ("pid", -1, "AVC pid must be a non-negative int, not -1"),
+    ("ino", True, "AVC ino must be a non-negative int, not True"),
+    ("comm", 'a"b', "AVC comm must be free of '\"', not 'a\"b'"),
+    ("dev", "", "AVC dev must be non-empty and free of whitespace, not ''"),
+    ("tclass", "a b",
+     "AVC tclass must be non-empty and free of whitespace, not 'a b'"),
+    ("permissions", {"read", "a b"}, "AVC permission 'a b' must be "
+     "non-empty and free of whitespace and braces"),
+])
+def test_a_code_built_avc_record_is_held_to_the_line_form(field, value,
+                                                          message):
+    with pytest.raises(AvcParseError) as err:
+        replace(parse_avc(AVC_LINE), **{field: value})
+    assert str(err.value) == message
+
+
+def test_a_code_built_avc_record_may_name_any_path():
+    """``name`` is unchecked, since a policy path may hold ``"``."""
+    assert replace(parse_avc(AVC_LINE), name=' a"b ').name == ' a"b '
+
+
 CHALLENGE_TEXT = ("scontext=user_u:user_r:user_t vim /root/secret.txt\n"
                   "expect=denied\npermissions=read\n"
                   "tcontext=system_u:object_r:domainA_t\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("stub", "", "bad command stub ''"),
+    ("stub", "a b", "bad command stub 'a b'"),
+    ("expected_permissions", {"reed"},
+     "permissions entry 'reed' is not a file permission"),
+    ("expected_permissions", set(),
+     "denied challenge needs expected permissions"),
+])
+def test_a_code_built_challenge_is_held_to_the_file_form(field, value,
+                                                         message):
+    with pytest.raises(ChallengeError) as err:
+        replace(parse_challenge(CHALLENGE_TEXT), **{field: value})
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("old, new, message", [

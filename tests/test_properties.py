@@ -7,8 +7,11 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from p2psec import (
+    AvcParseError,
     AvcRecord,
     Band,
+    Challenge,
+    ChallengeError,
     DIR_PERMISSIONS,
     Decision,
     DocDomain,
@@ -492,7 +495,6 @@ LEDGER_ACTORS = ["a", "b", "c"]
 history_records = st.builds(
     HistoryRecord, timestamp=st.integers(0, 5),
     actor=st.sampled_from(LEDGER_ACTORS), property_kind=kinds_strategy,
-    action=st.sampled_from(["shared", "received f"]),
     violation=st.booleans(),
     counterparty=st.sampled_from([None, *LEDGER_ACTORS]))
 
@@ -570,6 +572,77 @@ avc_records = st.builds(
 @given(avc_records)
 def test_avc_render_parse_identity(record):
     assert parse_avc(render_avc(record)) == record
+
+
+_CONTEXTS = (SecurityContext("user_u", "user_r", "user_t"),
+             SecurityContext("system_u", "object_r", "a_t"))
+_NUMBERS = ((0, 4001), (-1, True, 2.0, "5"))
+_WORDS = (("file", 'a"b'), ("", "a b", "\n", 7))
+#: Field -> (valid values, invalid values) for an ``AvcRecord`` built in
+#: code.  ``name`` is unchecked, so it takes valid values only.
+_AVC_FIELDS = {
+    "timestamp": (("1.0", "12.345"),
+                  ("...", "1", "1.2.3", ".5", "\u0661.\u0662", 1.5)),
+    "serial": (("7", "0042"), ("x", "-1", "", "\u0663", 7)),
+    "decision": (tuple(Decision), ()),
+    "permissions": ((frozenset({"read"}), frozenset({"write", "x_y", 'q"'})),
+                    (frozenset(), frozenset({"read", ""}),
+                     frozenset({"a b"}), frozenset({"{"}),
+                     frozenset({"}", "read"}), frozenset({"a\tb"}),
+                     frozenset({5}))),
+    "pid": _NUMBERS,
+    "comm": (("vim", "", "a b", "x'y"), ('a"b', 5)),
+    "name": (("f", "my file", ""), ()),
+    "dev": _WORDS,
+    "ino": _NUMBERS,
+    "scontext": (_CONTEXTS, ()),
+    "tcontext": (_CONTEXTS, ()),
+    "tclass": _WORDS,
+}
+#: The same for a ``Challenge``; ``target_path`` is unchecked.
+_CHALLENGE_FIELDS = {
+    "scontext": (_CONTEXTS, ()),
+    "stub": (("vim", "x-y", "wget", 'a"b'), ("", "a b", " vim", "\t", 3)),
+    "target_path": (("f", "/a/b c", "dir/f"), ()),
+    "expected": (tuple(Decision), ()),
+    "expected_permissions": (
+        (frozenset(), frozenset({"read"}), frozenset({"write", "create"})),
+        (frozenset({"reed"}), frozenset({"read", ""}),
+         frozenset({"search"}), frozenset({1}))),
+    "expected_tcontext": (_CONTEXTS, ()),
+}
+
+
+@st.composite
+def field_values(draw, table):
+    """Keyword arguments of valid values from ``table``, up to two of
+    them replaced by an invalid value."""
+    values = {name: draw(st.sampled_from(valid))
+              for name, (valid, _) in table.items()}
+    breakable = [name for name, (_, invalid) in table.items() if invalid]
+    for name in draw(st.sets(st.sampled_from(breakable), max_size=2)):
+        values[name] = draw(st.sampled_from(table[name][1]))
+    return values
+
+
+@EXAMPLES
+@given(field_values(_AVC_FIELDS), field_values(_CHALLENGE_FIELDS))
+def test_a_code_built_avc_record_or_challenge_is_refused_or_round_trips(
+        avc_fields, challenge_fields):
+    """What a record or challenge built in code holds, its parser reads
+    back from its rendering, or building it is refused."""
+    try:
+        record = AvcRecord(**avc_fields)
+    except AvcParseError:
+        pass
+    else:
+        assert parse_avc(render_avc(record)) == record
+    try:
+        challenge = Challenge(**challenge_fields)
+    except ChallengeError:
+        pass
+    else:
+        assert parse_challenge(render_challenge(challenge)) == challenge
 
 
 @st.composite

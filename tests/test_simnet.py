@@ -180,14 +180,19 @@ PARSE_ERRORS = [
      "history window must be non-negative", 2),
     ("config refuse_threshold 0.9\n",
      "need 0 <= refuse_threshold < full_trust_threshold <= 1", 1),
-    ("config refuse_threshold 0.9\npeer a\nconfig eval_weight 0.25\n",
+    ("config refuse_threshold 0.9\npeer a\nconfig challenge_weight 0.75\n",
      "need 0 <= refuse_threshold < full_trust_threshold <= 1", 3),
+    ("config refuse_decrement 1e999\npeer a\nconfig history_window 3\n",
+     "refuse_decrement must be a finite number, not inf", 3),
+    ("config challenge_weight 1.5\n", "challenge weight must lie in [0, 1]", 1),
+    ("config eval_weight 0.25\n", "bad config statement ['eval_weight', '0.25']",
+     1),
     # Numbers are ASCII: Python's conversions would read these.
     ("seed 1_0\n", NOT_ASCII.format("1_0"), 1),
     ("seed \u0663\n", NOT_ASCII.format("\u0663"), 1),
     ("config history_window 0_7\n", NOT_ASCII.format("0_7"), 1),
     ("config refuse_threshold 0_1\n", NOT_ASCII.format("0_1"), 1),
-    ("config eval_weight \uff10.5\n", NOT_ASCII.format("\uff10.5"), 1),
+    ("config challenge_weight \uff10.5\n", NOT_ASCII.format("\uff10.5"), 1),
     ("peer a\npeer b\nknows a b \u0660.\u0665\n",
      NOT_ASCII.format("\u0660.\u0665"), 3),
     ("peer a\npeer b\nknows a b nan\n", NOT_ASCII.format("nan"), 3),
@@ -791,9 +796,12 @@ def test_repeated_ask_into_the_same_domain_keeps_one_copy(monkeypatch):
     assert report.transcript.count("b: file f placed in domain inbox") == 2
     assert report.transcript.count(
         "[Display b] <file> f in inbox under [integrity]") == 1
-    for agent in (engine.agents["a"], b):
-        assert [r.action for r in agent.ledger.records_by("b")] == [
-            "received f"] * 2
+    # Both ledgers hold the two receipts from a, one per transfer tick.
+    records = engine.agents["a"].ledger.records_by("b")
+    assert b.ledger.records_by("b") == records
+    assert [(r.counterparty, r.violation) for r in records] == [
+        ("a", False)] * 2
+    assert records[0].timestamp < records[1].timestamp
 
 
 def test_ask_into_another_domain_moves_the_held_copy():
@@ -878,7 +886,7 @@ class TestBehaviors:
     def challenge(self, stub="vim"):
         return Challenge(
             scontext=CHALLENGE_SUBJECT,
-            command=f"scontext=user_u:user_r:user_t {stub} f",
+            stub=stub,
             target_path="f", expected=Decision.DENIED,
             expected_permissions=frozenset({"read"}),
             expected_tcontext=object_context("drop"))
@@ -930,15 +938,15 @@ class TestBehaviors:
         other = "y"
         agent.ledger.record(HistoryRecord(
             timestamp=1, actor=other,
-            property_kind=PropertyKind.CONFIDENTIALITY, action="noise"))
+            property_kind=PropertyKind.CONFIDENTIALITY))
         agent.ledger.record(HistoryRecord(
             timestamp=2, actor=agent.uid,
-            property_kind=PropertyKind.CONFIDENTIALITY, action="mine",
-            counterparty=other))
+            property_kind=PropertyKind.CONFIDENTIALITY, counterparty=other))
         records, forged = agent.present_history(
             (PropertyKind.CONFIDENTIALITY,), now=10)
         assert forged == 0
-        assert [r.action for r in records] == ["mine"]
+        assert [(r.timestamp, r.counterparty) for r in records] == [
+            (2, other)]
 
 
 class TestCrossReference:
@@ -952,7 +960,7 @@ class TestCrossReference:
         me, counterpart, agents = self.make_agents()
         shared = HistoryRecord(timestamp=5, actor=me,
                                property_kind=PropertyKind.INTEGRITY,
-                               action="received", counterparty=counterpart)
+                               counterparty=counterpart)
         agents["cp"].ledger.record(shared)
         checked = cross_reference_history([shared], agents, me)
         assert checked == [(shared, True)]
@@ -961,7 +969,6 @@ class TestCrossReference:
         me, _, agents = self.make_agents()
         fake = HistoryRecord(timestamp=5, actor=me,
                              property_kind=PropertyKind.INTEGRITY,
-                             action="made up",
                              counterparty="ghost1")
         checked = cross_reference_history([fake], agents, me)
         assert checked == [(fake, False)]
@@ -970,7 +977,7 @@ class TestCrossReference:
         me, counterpart, agents = self.make_agents()
         fake = HistoryRecord(timestamp=5, actor=me,
                              property_kind=PropertyKind.INTEGRITY,
-                             action="made up", counterparty=counterpart)
+                             counterparty=counterpart)
         checked = cross_reference_history([fake], agents, me)
         assert checked == [(fake, False)]
 
@@ -978,18 +985,17 @@ class TestCrossReference:
         me, counterpart, agents = self.make_agents()
         agents["cp"].ledger.record(HistoryRecord(
             timestamp=5, actor=me, property_kind=PropertyKind.INTEGRITY,
-            action="received", counterparty=counterpart))
+            counterparty=counterpart))
         forged = HistoryRecord(timestamp=5, actor=me,
                                property_kind=PropertyKind.CONFIDENTIALITY,
-                               action="made up", counterparty=counterpart)
+                               counterparty=counterpart)
         checked = cross_reference_history([forged], agents, me)
         assert checked == [(forged, False)]
 
     def test_record_without_counterparty_skipped(self):
         me, _, agents = self.make_agents()
         plain = HistoryRecord(timestamp=5, actor=me,
-                              property_kind=PropertyKind.INTEGRITY,
-                              action="local")
+                              property_kind=PropertyKind.INTEGRITY)
         checked = cross_reference_history([plain], agents, me)
         assert checked == [(plain, True)]
 

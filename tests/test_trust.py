@@ -29,8 +29,34 @@ CARA = "cara"
 def record(timestamp, violation=False, kind=PropertyKind.CONFIDENTIALITY,
            actor=BOB):
     return HistoryRecord(timestamp=timestamp, actor=actor,
-                         property_kind=kind, action="shared",
-                         violation=violation, counterparty=ALICE)
+                         property_kind=kind, violation=violation,
+                         counterparty=ALICE)
+
+
+#: (field, value, message) for each TrustConfig value no run can use.
+CONFIG_REFUSALS = [
+    ("refuse_decrement", float("nan"),
+     "refuse_decrement must be a finite number, not nan"),
+    ("partial_decrement", float("inf"),
+     "partial_decrement must be a finite number, not inf"),
+    ("refuse_decrement", 10**400,
+     f"refuse_decrement must be a finite number, not {10**400}"),
+    ("initial_reputation", True,
+     "initial_reputation must be a finite number, not True"),
+    ("refuse_threshold", "0.1",
+     "refuse_threshold must be a finite number, not '0.1'"),
+    ("full_trust_threshold", None,
+     "full_trust_threshold must be a finite number, not None"),
+    ("history_window", 2.5, "history_window must be an int, not 2.5"),
+    ("history_window", True, "history_window must be an int, not True"),
+    ("strict_conflicts", 1, "strict_conflicts must be a bool, not 1"),
+    ("strict_conflicts", "true",
+     "strict_conflicts must be a bool, not 'true'"),
+    ("challenge_weight", 1.5, "challenge weight must lie in [0, 1]"),
+    ("challenge_weight", -0.1, "challenge weight must lie in [0, 1]"),
+    ("challenge_weight", float("nan"),
+     "challenge_weight must be a finite number, not nan"),
+]
 
 
 class TestConfig:
@@ -47,7 +73,19 @@ class TestConfig:
 
     def test_rejects_bad_weights(self):
         with pytest.raises(TrustError):
-            TrustConfig(challenge_weight=0.9, eval_weight=0.2)
+            TrustConfig(challenge_weight=1.2)
+
+    @pytest.mark.parametrize("challenge_weight", [0, 0.75, 1.0])
+    def test_eval_weight_is_what_the_challenges_leave(self, challenge_weight):
+        config = TrustConfig(challenge_weight=challenge_weight)
+        assert config.eval_weight == 1.0 - challenge_weight
+
+    @pytest.mark.parametrize(
+        "field, value, message", CONFIG_REFUSALS,
+        ids=[f"{field}={value!r}"[:40] for field, value, _ in CONFIG_REFUSALS])
+    def test_rejects_values_no_run_can_use(self, field, value, message):
+        with pytest.raises(TrustError, match=f"^{re.escape(message)}$"):
+            TrustConfig(**{field: value})
 
 
 class TestHistory:
