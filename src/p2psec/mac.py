@@ -300,14 +300,9 @@ _PERMISSION_NAME = re.compile(r"[^\s{}]+")
 
 @dataclass(frozen=True)
 class AvcRecord:
-    """One kernel audit decision about one object access.
-
-    Building one holds every field but ``name`` to what ``parse_avc``
-    reads back, raising ``AvcParseError`` that names the field: the
-    forms of ``_AVC_FORMS``, a non-negative ``int`` (not a bool) ``pid``
-    and ``ino``, and permission names that are non-empty and free of
-    whitespace and braces.
-    """
+    """One kernel audit decision about one object access.  Each field
+    but ``name`` holds what ``parse_avc`` reads back, or building the
+    record raises ``AvcParseError`` naming the field."""
 
     timestamp: str
     serial: str
@@ -335,8 +330,7 @@ class AvcRecord:
                     f"AVC {label} must be {wording}, not {value!r}")
         for label in ("pid", "ino"):
             value = getattr(self, label)
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or value < 0):
+            if type(value) is not int or value < 0:  # a bool is not an int
                 raise AvcParseError(
                     f"AVC {label} must be a non-negative int, not {value!r}")
         bad = [p for p in self.permissions
@@ -464,14 +458,11 @@ def probe_permission(command_stub: str) -> str:
 @dataclass(frozen=True)
 class Challenge:
     """A request that the remote peer attempt one access and return the
-    resulting audit trace.
-
-    ``stub`` is the probe command the target runs, one word.  Building
-    a challenge holds it to what ``parse_challenge`` reads back
-    (``ChallengeError`` otherwise): a stub that is non-empty and free of
-    whitespace, and expected permissions that are file permissions.
-    ``target_path`` is left unchecked (see ``render_challenge``).
-    """
+    resulting audit trace.  ``stub``, the probe command the target runs,
+    is one word and the expected permissions are file permissions, as
+    ``parse_challenge`` reads them, or building the challenge raises
+    ``ChallengeError``; ``target_path`` is unchecked (see
+    ``render_challenge``)."""
 
     scontext: SecurityContext
     stub: str

@@ -25,11 +25,12 @@ from .errors import NoDelegatesError, TrustError
 from .policy import PropertyKind
 
 
-#: The types each ``TrustConfig`` annotation takes, and their wording.
+#: The exact types each ``TrustConfig`` annotation takes (so a bool is
+#: not a number), and their wording.
 _FIELD_TYPES = {
     "float": ((int, float), "a finite number"),
-    "int": (int, "an int"),
-    "bool": (bool, "a bool"),
+    "int": ((int,), "an int"),
+    "bool": ((bool,), "a bool"),
 }
 
 
@@ -64,10 +65,8 @@ class TrustConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             types, wording = _FIELD_TYPES[f.type]
-            # isinstance counts a bool as an int, so bools are told apart.
-            if (not isinstance(value, types)
-                    or isinstance(value, bool) is not (types is bool)
-                    or f.type == "float" and not _finite(value)):
+            if type(value) not in types or (
+                    f.type == "float" and not _finite(value)):
                 raise TrustError(f"{f.name} must be {wording}, not {value!r}")
         if not (0.0 <= self.refuse_threshold < self.full_trust_threshold
                 <= 1.0):
