@@ -333,6 +333,14 @@ class AvcRecord:
             if type(value) is not int or value < 0:  # a bool is not an int
                 raise AvcParseError(
                     f"AVC {label} must be a non-negative int, not {value!r}")
+            # ``str`` refuses an int over its digit limit, which is never
+            # below 640 digits, so only a long int needs the costly test.
+            if value.bit_length() > 2048:
+                try:
+                    str(value)
+                except ValueError:
+                    raise AvcParseError(
+                        f"AVC {label} has too many digits") from None
         bad = [p for p in self.permissions
                if not (isinstance(p, str) and _PERMISSION_NAME.fullmatch(p))]
         if bad:
@@ -532,9 +540,6 @@ def build_challenge(resource_path: str, subject: SecurityContext,
 class VerifyResult:
     passed: bool
     reason: str
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def verify_challenge(challenge: Challenge,

@@ -29,7 +29,7 @@ from .policy import (
     SecurityProperty,
     sort_properties,
 )
-from .trust import TrustComputation, TrustConfig
+from .trust import Band, TrustComputation, TrustConfig, band
 
 
 class Outcome(Enum):
@@ -67,19 +67,18 @@ class PolicySlice:
 @dataclass(frozen=True)
 class NegotiationSession:
     """What the owner checks in one negotiation: the requested resource,
-    the domain it lives in, the requester's target domain and the
-    resource's required properties (domain properties plus its own)."""
+    the domain it lives in and the resource's required properties
+    (domain properties plus its own); the ask names the target domain."""
 
     resource: Resource
     source_domain: str
-    target_domain_name: str
     required: tuple[SecurityProperty, ...]
 
 
-def open_session(owner_policy: PeerPolicy, resource_name: str,
-                 target_domain_name: str) -> NegotiationSession:
-    """Locate the requested resource and snapshot its required
-    properties; ``UnknownResourceError`` if the owner does not hold it."""
+def open_session(owner_policy: PeerPolicy,
+                 resource_name: str) -> NegotiationSession:
+    """Locate the requested resource in the owner's policy and snapshot
+    its required properties; ``UnknownResourceError`` if it is missing."""
     resource = owner_policy.find_resource(resource_name)
     source = owner_policy.domain_by_id(resource.domain_id)
     required = sort_properties(
@@ -87,7 +86,6 @@ def open_session(owner_policy: PeerPolicy, resource_name: str,
     return NegotiationSession(
         resource=resource,
         source_domain=source.name,
-        target_domain_name=target_domain_name,
         required=required,
     )
 
@@ -115,15 +113,16 @@ def decide(computations: Iterable[TrustComputation],
            config: TrustConfig) -> Outcome:
     """Final owner decision over the required properties' computations.
 
-    A single property below the refuse threshold refuses the whole
-    request; no required properties means the resource is free.  With
-    ``strict_conflicts`` the decision degrades to pure conflict
-    checking: any -1 evaluation refuses.
+    One property whose ``tv`` :func:`band` puts in ``Band.REFUSED``
+    refuses the whole request; no required properties means the
+    resource is free.  With ``strict_conflicts`` the decision degrades
+    to pure conflict checking: any -1 evaluation refuses.
     """
     if config.strict_conflicts:
         refused = any(c.eval_score == -1 for c in computations)
     else:
-        refused = any(c.tv < config.refuse_threshold for c in computations)
+        refused = any(band(c.tv, config) is Band.REFUSED
+                      for c in computations)
     return Outcome.REFUSED if refused else Outcome.ACCEPTED
 
 

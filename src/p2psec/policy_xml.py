@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from xml.parsers import expat
-from xml.sax.saxutils import quoteattr
 
 from .errors import PolicyValidationError, XmlSyntaxError, XmlValidationError
 from .policy import (
@@ -333,7 +332,19 @@ def _element_lines(open_tag: str, tag: str,
 
 
 def _q(value: object) -> str:
-    return quoteattr(str(value))
+    """``xml.sax.saxutils.quoteattr(str(value))`` without importing
+    ``xml.sax``, which loads ``urllib`` and ``http``: ``&``, ``<``,
+    ``>``, ``\\n``, ``\\r`` and ``\\t`` escaped, then the value quoted in
+    ``"``, or in ``'`` if it holds ``"`` but not ``'``, or in ``"`` with
+    each ``"`` escaped if it holds both."""
+    text = (str(value).replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace("\n", "&#10;")
+            .replace("\r", "&#13;").replace("\t", "&#9;"))
+    if '"' in text:
+        if "'" not in text:
+            return f"'{text}'"
+        text = text.replace('"', "&quot;")
+    return f'"{text}"'
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ class Scenario:
 # Scenario file parsing
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = {f.name for f in fields(TrustConfig)}
+_CONFIG_FIELDS = {f.name: f.type for f in fields(TrustConfig)}
 
 _NUMBER_CHARS = frozenset("0123456789.+-eE")
 _N = TypeVar("_N", int, float)
@@ -356,15 +356,15 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
         if key not in _CONFIG_FIELDS:
             raise ScenarioError(message.format(args))
         builder.config_line = lineno
-        if key == "history_window":
-            builder.config_overrides[key] = ascii_number(int, value)
-        elif key == "strict_conflicts":
+        annotation = _CONFIG_FIELDS[key]
+        if annotation == "bool":
             if value.lower() not in ("true", "false"):
-                raise ScenarioError(f"strict_conflicts takes true or false, "
+                raise ScenarioError(f"{key} takes true or false, "
                                     f"not {value!r}")
             builder.config_overrides[key] = value.lower() == "true"
         else:
-            builder.config_overrides[key] = ascii_number(float, value)
+            builder.config_overrides[key] = ascii_number(
+                int if annotation == "int" else float, value)
     elif stmt == "peer":
         uid = args[0]
         display, behavior = uid, BehaviorModel.HONEST
@@ -839,8 +839,7 @@ class SimulationEngine:
 
         self.now += 1
         try:
-            session = open_session(owner.policy, action.resource_name,
-                                   target_domain)
+            session = open_session(owner.policy, action.resource_name)
         except UnknownResourceError:
             self.records.append(NegotiationRecord(
                 action, Outcome.REFUSED, requester.behavior, found=False))
@@ -880,7 +879,7 @@ class SimulationEngine:
         outcome = decide((c for _, c in per_property), self.config)
         self.now += 1
         if outcome is Outcome.ACCEPTED:
-            self._transfer(session, owner, requester)
+            self._transfer(session, target_domain, owner, requester)
 
         self.records.append(NegotiationRecord(
             action, outcome, requester.behavior, per_property=per_property,
@@ -946,16 +945,17 @@ class SimulationEngine:
         """Challenge harness for one property evaluation.
 
         The requester's answers depend only on its behaviour, the target
-        domain and ``kind``, never on which delegate asks, so the probes
-        are run once here, each to a pass/fail bool: the
-        conflicting-transfer probe first, when ``kind`` has a
+        domain (the one ``offered`` names, which ``_negotiate`` has
+        matched to the ask's) and ``kind``, never on which delegate
+        asks, so the probes are run once here, each to a pass/fail bool:
+        the conflicting-transfer probe first, when ``kind`` has a
         conflicting kind, then the MAC challenge.  The returned closure
         does each delegate's own part: for each probe it advances the
         clock by the probe's two message ticks and records a failed
         probe in that delegate's ledger at the tick it would have been
         answered.
         """
-        target_domain = session.target_domain_name
+        target_domain = offered.domain_name
         probes: list[bool] = []
         probe_kind = PROBE_KINDS[kind]
         if probe_kind is not None:
@@ -989,11 +989,11 @@ class SimulationEngine:
 
         return harness
 
-    def _transfer(self, session: NegotiationSession, owner: PeerAgent,
-                  requester: PeerAgent) -> None:
+    def _transfer(self, session: NegotiationSession, target_domain: str,
+                  owner: PeerAgent, requester: PeerAgent) -> None:
         self.now += 1
         policy = apply_transfer(requester.policy, session.resource,
-                                session.target_domain_name)
+                                target_domain)
         # A file already held in the target domain leaves the policy as
         # it is, so there is nothing new to validate or install.
         if policy is not requester.policy:
@@ -1133,7 +1133,7 @@ def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
         actions.append(AskAction(f"f{i}", "owner", "asset", "drop"))
 
     return Scenario(seed=run_index, peers=tuple(peers),
-                    actions=tuple(actions), config=TrustConfig())
+                    actions=tuple(actions))
 
 
 def detection_experiment(params: PopulationParams,

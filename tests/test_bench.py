@@ -37,3 +37,27 @@ def test_samples_go_round_robin_across_sizes(monkeypatch):
     report = run_benchmark(counts=(10, 20, 40), repeats=3)
     assert timed == [10, 20, 40] * 3
     assert [p.time_ms for p in report.points] == [10.0, 20.0, 40.0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: synthetic_policy(-1), "domains must be non-negative"),
+    (lambda: bench.linear_fit([1.0], [2.0]), "need at least two points"),
+    (lambda: bench.linear_fit([3.0, 3.0], [1.0, 2.0]),
+     "at least two distinct x values"),
+    (lambda: run_benchmark(counts=()), "counts must not be empty"),
+    (lambda: run_benchmark(counts=(10, 20), repeats=0),
+     "repeats must be at least 1"),
+], ids=["negative-domains", "one-point", "one-distinct-x", "no-counts",
+        "no-repeats"])
+def test_unusable_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_report_fits_the_sizes_above_the_threshold(monkeypatch):
+    monkeypatch.setattr(bench, "_time_compile_once",
+                        lambda policy: 1.0 + len(policy.domains))
+    report = run_benchmark(counts=(10, 200, 400), repeats=1)
+    assert report.fit_large.slope == pytest.approx(1.0)
+    text = bench.render_benchmark(report)
+    assert text.splitlines()[-1] == "fit_r2_above_100=1.000000"

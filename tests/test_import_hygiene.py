@@ -1,9 +1,13 @@
 """Every name a package module imports is read in that module, no
 package module imports another's private name, only ``mac`` reads a
 challenge's command line, only the scenario parse loop and builder
-give a ``ScenarioError`` its line, and every dataclass field is read."""
+give a ``ScenarioError`` its line, every dataclass field is read, and
+importing the package loads no networking or e-mail module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +177,32 @@ def test_a_write_only_field_is_reported():
               "class C:\n    w: int\n"
               "def f(a, b):\n    a.y = 1\n    return a.x, b.z\n")
     assert write_only_fields([source]) == ["A.y"]
+
+
+#: Standard-library packages that importing ``p2psec`` must not load:
+#: networking and e-mail, and ``xml.sax``, which would pull them in.
+UNWANTED_PACKAGES = ("urllib", "http", "email", "ssl", "socket", "xml.sax")
+
+
+def unwanted_modules(names: list[str]) -> list[str]:
+    return sorted(name for name in names if any(
+        name == package or name.startswith(package + ".")
+        for package in UNWANTED_PACKAGES))
+
+
+def test_importing_the_package_loads_no_network_or_mail_module():
+    """A fresh interpreter started with ``-S``, so that site hooks load
+    nothing of their own."""
+    code = "import sys, p2psec, p2psec.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "p2psec.cli" in loaded
+    assert unwanted_modules(loaded) == []
+
+
+def test_an_unwanted_module_is_reported():
+    assert unwanted_modules(["xml.sax.saxutils", "xml.parsers.expat", "http",
+                             "httpx", "email.utils", "socketserver"]) == [
+        "email.utils", "http", "xml.sax.saxutils"]

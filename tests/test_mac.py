@@ -24,6 +24,7 @@ from p2psec import (
     SecurityContext,
     UnknownPermissionError,
     UnknownResourceError,
+    VerifyResult,
     check_access,
     compile_policy,
     confidentiality,
@@ -336,6 +337,8 @@ class TestAvc:
      "AVC tclass must be non-empty and free of whitespace, not 'a b'"),
     ("permissions", {"read", "a b"}, "AVC permission 'a b' must be "
      "non-empty and free of whitespace and braces"),
+    pytest.param("pid", 10**5000, "AVC pid has too many digits",
+                 id="pid-5000-digits"),
 ])
 def test_a_code_built_avc_record_is_held_to_the_line_form(field, value,
                                                           message):
@@ -384,8 +387,10 @@ def test_a_code_built_challenge_is_held_to_the_file_form(field, value,
      "permissions entry ' write' is not a file permission"),
     ("permissions=read", "permissions=search",
      "permissions entry 'search' is not a file permission"),
+    ("expect=denied", "expect=maybe", "bad expectation 'maybe'"),
 ], ids=["repeated-expect", "repeated-permissions", "unknown-name",
-        "empty-entry", "trailing-comma", "spaced-entry", "dir-permission"])
+        "empty-entry", "trailing-comma", "spaced-entry", "dir-permission",
+        "bad-expectation"])
 def test_challenge_file_faults_name_the_key_or_entry(old, new, message):
     assert old in CHALLENGE_TEXT
     with pytest.raises(ChallengeError) as err:
@@ -437,6 +442,13 @@ class TestChallenge:
                                    "vim", self.compiled())
         granted = parse_avc(AVC_LINE.replace("denied", "granted"))
         assert not verify_challenge(challenge, [granted]).passed
+
+    def test_verify_names_missing_permissions(self):
+        challenge = make_challenge("/root/secret.txt", self.subject(),
+                                   "vim", self.compiled())
+        write = parse_avc(AVC_LINE.replace("{ read }", "{ write }"))
+        assert verify_challenge(challenge, [write]) == VerifyResult(
+            False, "record 0: permissions missing ['read']")
 
     def test_verify_wrong_label_fails(self):
         challenge = make_challenge("/root/secret.txt", self.subject(),

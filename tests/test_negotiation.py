@@ -34,15 +34,14 @@ def owner_policy():
 
 class TestOpenSession:
     def test_required_properties_sorted(self):
-        session = open_session(owner_policy(), "contract", "free")
+        session = open_session(owner_policy(), "contract")
         assert session.source_domain == "ensib"
-        assert session.target_domain_name == "free"
         assert [p.render() for p in session.required] == [
             "confidentiality", "integrity"]
 
     def test_unknown_resource(self):
         with pytest.raises(UnknownResourceError):
-            open_session(owner_policy(), "nope", "free")
+            open_session(owner_policy(), "nope")
 
 
 class TestEvalProperty:
@@ -111,7 +110,7 @@ class TestDecide:
     def test_no_required_properties_accepts(self):
         policy = PeerPolicy().create_domain("open")
         policy = policy.add_resource("misc", "open")
-        session = open_session(policy, "misc", "free")
+        session = open_session(policy, "misc")
         assert session.required == ()
         assert decide([], TrustConfig()) is Outcome.ACCEPTED
 

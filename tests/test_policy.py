@@ -6,6 +6,7 @@ import pytest
 
 from p2psec import (
     CONFLICTING_KIND_PAIRS,
+    Domain,
     DuplicateDomainError,
     DuplicateResourceError,
     PeerPolicy,
@@ -248,3 +249,25 @@ def test_validate_rejects_duplicate_resource_paths():
         replace(policy, resources=policy.resources + (
             Resource(id=policy.next_id, path="f", domain_id=1),),
             next_id=policy.next_id + 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SecurityProperty(PropertyKind.COOPERATION, frozenset({""})),
+     "empty target domain name"),
+    (lambda: Domain(1, ""), "domain name must be non-empty"),
+    (lambda: Resource(2, "", 1), "resource path must be non-empty"),
+    (lambda: PeerPolicy(domains=(Domain(1, "a"), Domain(1, "b")),
+                        next_id=2), "duplicate id 1"),
+    (lambda: PeerPolicy(domains=(Domain(1, "a"),),
+                        resources=(Resource(1, "f", 1),), next_id=2),
+     "duplicate id 1"),
+    (lambda: PeerPolicy(domains=(Domain(1, "a"),),
+                        resources=(Resource(2, "f", 9),), next_id=3),
+     "resource 'f' owned by unknown domain id 9"),
+], ids=["empty-target", "empty-domain-name", "empty-resource-path",
+        "repeated-domain-id", "resource-id-is-a-domain-id",
+        "undeclared-owner"])
+def test_a_code_built_value_breaking_an_invariant_is_refused(build, message):
+    with pytest.raises(PolicyValidationError) as err:
+        build()
+    assert str(err.value) == message

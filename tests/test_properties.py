@@ -3,6 +3,7 @@
 import itertools
 import re
 from pathlib import Path
+from xml.sax.saxutils import quoteattr
 
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +67,7 @@ from p2psec import (
     XmlSyntaxError,
     XmlValidationError,
 )
+from p2psec.policy_xml import _q
 from p2psec.simnet import (
     _ARITY,
     AskAction,
@@ -176,6 +178,14 @@ def test_xml_round_trip_preserves_structure(policy):
     assert _shape(again) == _shape(policy)
     # canonical form is a fixed point
     assert serialize_policy(from_peer_policy(again)) == data
+
+
+@EXAMPLES
+@given(st.text("ab&<>\"'\n\r\t \u00e9]") | st.text())
+def test_attribute_quoting_is_quoteattr(text):
+    """``policy_xml`` quotes attributes itself, so as not to import
+    ``xml.sax``; the output is the standard library's."""
+    assert _q(text) == quoteattr(text)
 
 
 _SAMPLE_DOMAINS = (
@@ -576,7 +586,7 @@ def test_avc_render_parse_identity(record):
 
 _CONTEXTS = (SecurityContext("user_u", "user_r", "user_t"),
              SecurityContext("system_u", "object_r", "a_t"))
-_NUMBERS = ((0, 4001), (-1, True, 2.0, "5"))
+_NUMBERS = ((0, 4001), (-1, True, 2.0, "5", 10**5000))
 _WORDS = (("file", 'a"b'), ("", "a b", "\n", 7))
 #: Field -> (valid values, invalid values) for an ``AvcRecord`` built in
 #: code.  ``name`` is unchecked, so it takes valid values only.

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from p2psec import (
     ScenarioError,
     SecurityProperty,
     SimulationEngine,
+    TrustConfig,
     TrustLedger,
     check_access,
     compile_policy,
@@ -198,6 +199,19 @@ PARSE_ERRORS = [
     ("peer a\npeer b\nknows a b nan\n", NOT_ASCII.format("nan"), 3),
 ]
 
+#: For each ``TrustConfig`` field, a value other than its default that a
+#: config line may set alone: (as written, as read back).
+CONFIG_VALUES = {
+    "refuse_threshold": ("0.3", 0.3),
+    "full_trust_threshold": ("0.6", 0.6),
+    "refuse_decrement": ("0.05", 0.05),
+    "partial_decrement": ("1", 1.0),
+    "initial_reputation": ("0.7", 0.7),
+    "history_window": ("10", 10),
+    "challenge_weight": ("0.5", 0.5),
+    "strict_conflicts": ("TRUE", True),
+}
+
 
 def load(name):
     return parse_scenario((SCENARIOS / name).read_text())
@@ -261,6 +275,14 @@ class TestParsing:
         assert scenario.config.refuse_threshold == 0.3
         assert scenario.config.history_window == 10
         assert scenario.config.strict_conflicts is True
+
+    @pytest.mark.parametrize("field", fields(TrustConfig),
+                             ids=lambda f: f.name)
+    def test_every_config_field_is_set_by_a_config_line(self, field):
+        text, value = CONFIG_VALUES[field.name]
+        config = parse_scenario(f"config {field.name} {text}\n").config
+        assert config == replace(TrustConfig(), **{field.name: value})
+        assert type(getattr(config, field.name)) is type(value)
 
     @pytest.mark.parametrize("value", ["ture", "1", "yes"])
     def test_strict_conflicts_must_be_boolean(self, value):
@@ -1022,6 +1044,19 @@ class TestDetectionExperiment:
     def test_bad_population_rejected(self):
         with pytest.raises(ValueError):
             PopulationParams(delegates=0)
+
+    def test_negative_population_rejected(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            PopulationParams(blind_liars=-1)
+
+    def test_a_behaviour_with_no_asks_is_left_out(self):
+        report = detection_experiment(PopulationParams(seed=3,
+                                                       log_forgers=0), 2)
+        assert report.stat(BehaviorModel.LOG_FORGER).negotiations == 0
+        lines = render_experiment(report).splitlines()
+        assert [line.split()[0] for line in lines[1:-2]] == [
+            "behavior=honest", "behavior=blind-liar",
+            "behavior=informed-liar"]
 
 
 def test_kind_tables_agree_with_their_definitions():

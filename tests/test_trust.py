@@ -56,6 +56,7 @@ CONFIG_REFUSALS = [
     ("challenge_weight", -0.1, "challenge weight must lie in [0, 1]"),
     ("challenge_weight", float("nan"),
      "challenge_weight must be a finite number, not nan"),
+    ("refuse_decrement", 0, "reputation decrements must be positive"),
 ]
 
 
