@@ -342,6 +342,62 @@ _ARITY: dict[str, tuple[int, Optional[int], str]] = {
 }
 
 
+#: Declaration statement -> (its ``PolicyBuilder`` step, called with the
+#: peer's builder and the other arguments, then the wording for each error
+#: that refuses it, in which ``{0}``, ``{1}``... are the arguments).
+_DECLARATIONS: dict[str, tuple[Callable[..., object], dict[type, str]]] = {
+    "domain": (PolicyBuilder.create_domain,
+               {DuplicateDomainError: "domain {1!r} declared twice"}),
+    "resource": (PolicyBuilder.add_resource, {
+        UnknownDomainError: "resource domain {2!r} is not declared",
+        DuplicateResourceError: "resource {1!r} declared twice",
+    }),
+    "property": (lambda policy, scope, *kind: policy.add_property(
+                     scope, _parse_property(kind)),
+                 {UnknownScopeError: "scope {1!r} is not declared"}),
+}
+
+#: The owner edits the engine applies, by method: the types of the
+#: arguments, what the transcript says when the edit applies, then the
+#: wording for each error that refuses it.  In a wording ``{0}``,
+#: ``{1}``... are the edit's arguments, properties rendered, and ``{exc}``
+#: is the error.
+_EDITS: dict[str, tuple[tuple[type, ...], str, dict[type, str]]] = {
+    "publish": ((tuple, str, str), "publication accepted.", {
+        PublicationForbiddenError:
+            "publication refused: domain {2} forbids publication",
+        PropertyConflictError:
+            "publication refused: properties conflict in domain {2}",
+        UnknownDomainError: "publication refused: unknown domain {2}",
+        DuplicateResourceError: "publication refused: file {1} already exists",
+    }),
+    "add_property": ((str, SecurityProperty), "property {1} added to {0}", {
+        PropertyConflictError:
+            "property {1} refused on {0}: conflicting properties",
+        PolicyValidationError: "property {1} refused on {0}: {exc}",
+        UnknownScopeError: "no domain or resource named {0}",
+    }),
+    "create_domain": ((str,), "domain {0} created",
+                      {PolicyError: "create domain failed: {exc}"}),
+    "delete_domain": ((str,), "domain {0} deleted",
+                      {PolicyError: "delete domain failed: {exc}"}),
+}
+
+
+def _refusal(refusals: dict[type, str], exc: Exception,
+             args: Iterable[object]) -> str:
+    """The wording for the first error in ``refusals`` that ``exc`` is
+    (no other error is caught), formatted with ``args`` and ``exc``."""
+    return next(wording for error, wording in refusals.items()
+                if isinstance(exc, error)).format(*args, exc=exc)
+
+
+def _shown(args: tuple) -> tuple:
+    """An edit's arguments as its wordings show them."""
+    return tuple(arg.render() if isinstance(arg, SecurityProperty) else arg
+                 for arg in args)
+
+
 def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
                      lineno: int) -> None:
     if stmt not in _ARITY:
@@ -388,29 +444,13 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
         builder.peers[uid] = (display, behavior, PolicyBuilder())
     elif stmt == "knows":
         builder.roster.know(args[0], args[1], ascii_number(float, args[2]))
-    elif stmt == "domain":
-        try:
-            builder.peer(args[0]).create_domain(args[1])
-        except DuplicateDomainError:
-            raise ScenarioError(
-                f"domain {args[1]!r} declared twice") from None
-    elif stmt == "resource":
-        try:
-            builder.peer(args[0]).add_resource(args[1], args[2])
-        except UnknownDomainError:
-            raise ScenarioError(
-                f"resource domain {args[2]!r} is not declared") from None
-        except DuplicateResourceError:
-            raise ScenarioError(
-                f"resource {args[1]!r} declared twice") from None
-    elif stmt == "property":
+    elif stmt in _DECLARATIONS:
+        step, refusals = _DECLARATIONS[stmt]
         policy = builder.peer(args[0])
-        prop = _parse_property(args[2:])
         try:
-            policy.add_property(args[1], prop)
-        except UnknownScopeError:
-            raise ScenarioError(
-                f"scope {args[1]!r} is not declared") from None
+            step(policy, *args[1:])
+        except tuple(refusals) as exc:
+            raise ScenarioError(_refusal(refusals, exc, args)) from None
     else:
         action = _parse_action(stmt, args)
         builder.roster.act(action)
@@ -566,8 +606,8 @@ def cross_reference_history(
 @dataclass(frozen=True)
 class NegotiationRecord:
     """The outcome of ``ask``; ``per_property`` follows the required
-    properties.  The fields past ``found`` stay empty when the resource
-    was not found."""
+    properties.  A not-found ask is refused with the fields past
+    ``requester_behavior`` empty; only its ``source_domain`` is empty."""
 
     ask: AskAction
     outcome: Outcome
@@ -575,7 +615,6 @@ class NegotiationRecord:
     per_property: tuple[tuple[SecurityProperty, TrustComputation], ...] = ()
     flagged_records: int = 0
     forged_records: int = 0
-    found: bool = True
     source_domain: str = ""
     offered: PolicySlice = PolicySlice("")
     delegates: int = 0      # how many challenged each property
@@ -583,9 +622,7 @@ class NegotiationRecord:
 
 @dataclass(frozen=True)
 class EditRecord:
-    peer: str
-    method: str
-    shown: tuple                    # the arguments as the transcript shows
+    action: EditAction
     refusal: Optional[str] = None   # the refusing error's wording, if any
 
 
@@ -653,14 +690,15 @@ def render_transcript(records: Iterable[RunRecord], names: dict[str, str],
         if isinstance(rec, NegotiationRecord):
             _render_ask(lines, rec, names, config)
             continue
-        name = names[rec.peer]
         if isinstance(rec, EditRecord):
-            if rec.method == "publish":
-                say(f"{name}: publishing file {rec.shown[1]} in domain "
-                    f"{rec.shown[2]}")
-            applied = _EDITS[rec.method][1].format(*rec.shown)
+            edit, name = rec.action, names[rec.action.peer]
+            if edit.method == "publish":
+                say(f"{name}: publishing file {edit.args[1]} in domain "
+                    f"{edit.args[2]}")
+            applied = _EDITS[edit.method][1].format(*_shown(edit.args))
             say(f"{name}: {rec.refusal or applied}")
             continue
+        name = names[rec.peer]
         for dom in rec.policy.domains:
             if dom.properties:
                 say(f"[Display {name}] <domain> {dom.name} secured by "
@@ -681,7 +719,7 @@ def _render_ask(lines: list[str], rec: NegotiationRecord,
     say(f"{req}: I asks to peer {own} the file {path} to be put in {to}")
     say(f"{own}: Peer {req} asking file {path}")
     say(f"{own}: Peer {req} will put the file in domain {to}")
-    if not rec.found:
+    if not rec.source_domain:
         say(f"{own}: File {path} not found.")
         say(f"{req}: peer {own} REFUSED to send the file.")
         return
@@ -752,33 +790,6 @@ def render_report(report: RunReport) -> str:
 # The engine
 # ---------------------------------------------------------------------------
 
-#: The owner edits the engine applies, by method: the types of the
-#: arguments, what the transcript says when the edit applies, then the
-#: wording for each error that refuses it (no other error is caught).
-#: In a wording ``{0}``, ``{1}``... are the edit's arguments, properties
-#: rendered, and ``{exc}`` is the error.
-_EDITS: dict[str, tuple[tuple[type, ...], str, dict[type, str]]] = {
-    "publish": ((tuple, str, str), "publication accepted.", {
-        PublicationForbiddenError:
-            "publication refused: domain {2} forbids publication",
-        PropertyConflictError:
-            "publication refused: properties conflict in domain {2}",
-        UnknownDomainError: "publication refused: unknown domain {2}",
-        DuplicateResourceError: "publication refused: file {1} already exists",
-    }),
-    "add_property": ((str, SecurityProperty), "property {1} added to {0}", {
-        PropertyConflictError:
-            "property {1} refused on {0}: conflicting properties",
-        PolicyValidationError: "property {1} refused on {0}: {exc}",
-        UnknownScopeError: "no domain or resource named {0}",
-    }),
-    "create_domain": ((str,), "domain {0} created",
-                      {PolicyError: "create domain failed: {exc}"}),
-    "delete_domain": ((str,), "domain {0} deleted",
-                      {PolicyError: "delete domain failed: {exc}"}),
-}
-
-
 class SimulationEngine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -813,18 +824,14 @@ class SimulationEngine:
     def _edit(self, action: EditAction) -> None:
         agent = self.agents[action.peer]
         refusals = _EDITS[action.method][2]
-        shown = tuple(arg.render() if isinstance(arg, SecurityProperty)
-                      else arg for arg in action.args)
         self.now += 1
         refusal = None
         try:
             agent.apply_policy(getattr(agent.policy, action.method)(
                 *action.args))
         except tuple(refusals) as exc:
-            refusal = next(wording for error, wording in refusals.items()
-                           if isinstance(exc, error)).format(*shown, exc=exc)
-        self.records.append(
-            EditRecord(action.peer, action.method, shown, refusal))
+            refusal = _refusal(refusals, exc, _shown(action.args))
+        self.records.append(EditRecord(action, refusal))
 
     def _show(self, action: ShowAction) -> None:
         self.records.append(
@@ -842,7 +849,7 @@ class SimulationEngine:
             session = open_session(owner.policy, action.resource_name)
         except UnknownResourceError:
             self.records.append(NegotiationRecord(
-                action, Outcome.REFUSED, requester.behavior, found=False))
+                action, Outcome.REFUSED, requester.behavior))
             return
 
         # Slice phase: the owner learns exactly one domain's policy.
@@ -995,7 +1002,7 @@ class SimulationEngine:
         policy = apply_transfer(requester.policy, session.resource,
                                 target_domain)
         # A file already held in the target domain leaves the policy as
-        # it is, so there is nothing new to validate or install.
+        # it is, so there is nothing new to install.
         if policy is not requester.policy:
             requester.apply_policy(policy)
         for prop in session.required:
@@ -1047,6 +1054,17 @@ class PopulationParams:
             raise ValueError("population counts must be non-negative")
 
 
+#: The requesters of each generated run, in order: behaviour, the
+#: ``PopulationParams`` field counting them, uid prefix, whether their
+#: policy holds the owner's required properties, and asks per requester.
+_POPULATION: tuple[tuple[BehaviorModel, str, str, bool, int], ...] = (
+    (BehaviorModel.HONEST, "honest_requesters", "h", True, 2),
+    (BehaviorModel.BLIND_LIAR, "blind_liars", "b", False, 1),
+    (BehaviorModel.INFORMED_LIAR, "informed_liars", "m", False, 1),
+    (BehaviorModel.LOG_FORGER, "log_forgers", "f", True, 1),
+)
+
+
 @dataclass(frozen=True)
 class BehaviorStats:
     accepted: int = 0
@@ -1060,15 +1078,12 @@ class BehaviorStats:
 @dataclass(frozen=True)
 class ExperimentReport:
     runs: int
-    stats: tuple[tuple[BehaviorModel, BehaviorStats], ...]
+    stats: dict[BehaviorModel, BehaviorStats]
     forged_records: int
     flagged_records: int
 
     def stat(self, behavior: BehaviorModel) -> BehaviorStats:
-        for model, stats in self.stats:
-            if model is behavior:
-                return stats
-        return BehaviorStats()
+        return self.stats.get(behavior, BehaviorStats())
 
 
 #: Property mixes for generated owner domains.  Every mix carries at
@@ -1110,28 +1125,15 @@ def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
                           policy=PeerPolicy())
                  for i in range(params.delegates))
     actions: list[Action] = []
-
-    def requester(uid: str, behavior: BehaviorModel,
-                  matching: bool) -> None:
-        props = required if matching else ()
-        peers.append(PeerDecl(uid=uid, display_name=uid,
-                              policy=_domain_policy("drop", props),
-                              behavior=behavior))
-
-    for i in range(params.honest_requesters):
-        requester(f"h{i}", BehaviorModel.HONEST, matching=True)
-        actions.append(AskAction(f"h{i}", "owner", "asset", "drop"))
-        actions.append(AskAction(f"h{i}", "owner", "asset", "drop"))
-    for i in range(params.blind_liars):
-        requester(f"b{i}", BehaviorModel.BLIND_LIAR, matching=False)
-        actions.append(AskAction(f"b{i}", "owner", "asset", "drop"))
-    for i in range(params.informed_liars):
-        requester(f"m{i}", BehaviorModel.INFORMED_LIAR, matching=False)
-        actions.append(AskAction(f"m{i}", "owner", "asset", "drop"))
-    for i in range(params.log_forgers):
-        requester(f"f{i}", BehaviorModel.LOG_FORGER, matching=True)
-        actions.append(AskAction(f"f{i}", "owner", "asset", "drop"))
-
+    # A PeerPolicy is immutable, so requesters share the two drop policies.
+    drops = {True: _domain_policy("drop", required),
+             False: _domain_policy("drop", ())}
+    for behavior, count, prefix, matching, asks in _POPULATION:
+        for i in range(getattr(params, count)):
+            uid = f"{prefix}{i}"
+            peers.append(PeerDecl(uid=uid, display_name=uid,
+                                  policy=drops[matching], behavior=behavior))
+            actions += [AskAction(uid, "owner", "asset", "drop")] * asks
     return Scenario(seed=run_index, peers=tuple(peers),
                     actions=tuple(actions))
 
@@ -1151,18 +1153,16 @@ def detection_experiment(params: PopulationParams,
             tally[record.requester_behavior, record.outcome] += 1
         forged += sum(n.forged_records for n in report.negotiations)
         flagged += sum(n.flagged_records for n in report.negotiations)
-    stats = tuple(
-        (model, BehaviorStats(
-            accepted=tally[model, Outcome.ACCEPTED],
-            refused=tally[model, Outcome.REFUSED]))
-        for model in BehaviorModel)
+    stats = {model: BehaviorStats(accepted=tally[model, Outcome.ACCEPTED],
+                                  refused=tally[model, Outcome.REFUSED])
+             for model in BehaviorModel}
     return ExperimentReport(runs=runs, stats=stats, forged_records=forged,
                             flagged_records=flagged)
 
 
 def render_experiment(report: ExperimentReport) -> str:
     lines = [f"runs={report.runs}"]
-    for model, stats in report.stats:
+    for model, stats in report.stats.items():
         if not stats.negotiations:
             continue
         rate = stats.refused / stats.negotiations
