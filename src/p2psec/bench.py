@@ -9,6 +9,7 @@ pipeline, and fits a line through the measurements.
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -74,25 +75,21 @@ class BenchReport:
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
-    """Ordinary least squares in one variable.
+    """Ordinary least squares in one variable, with R-squared the square
+    of the correlation of ``xs`` and ``ys``.
 
     R-squared is 1.0 for a degenerate flat response, since a flat line
     then explains everything there is to explain.
     """
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two points to fit")
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
+    if len(set(xs)) < 2:
         raise ValueError("fit needs at least two distinct x values")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    slope, intercept = statistics.linear_regression(xs, ys)
+    try:
+        r2 = statistics.correlation(xs, ys) ** 2
+    except statistics.StatisticsError:  # the x values vary, so y is flat
+        r2 = 1.0
     return LinearFit(slope=slope, intercept=intercept, r2=r2)
 
 

@@ -7,6 +7,7 @@ conflicts, a failed challenge), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import replace
 from functools import partial
@@ -25,6 +26,16 @@ from .mac import (
 )
 from .policy_xml import parse_policy, to_peer_policy
 from .simnet import ascii_number, parse_scenario, render_report, run_scenario
+
+
+def _read_text(path: str) -> str:
+    """The file's text, read as UTF-8 with universal newlines; a file
+    that is not UTF-8 is a ``P2PSecError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise P2PSecError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_policy(path: str):
@@ -57,8 +68,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as handle:
-        scenario = parse_scenario(handle.read())
+    scenario = parse_scenario(_read_text(args.scenario))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     # One replace, so TrustConfig checks the two thresholds as a pair.
@@ -81,11 +91,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_challenge(args: argparse.Namespace) -> int:
-    with open(args.challenge, "r", encoding="utf-8") as handle:
-        challenge = parse_challenge(handle.read())
-    with open(args.trace, "r", encoding="utf-8") as handle:
-        records = [parse_avc(line) for line in handle
-                   if line.strip()]
+    challenge = parse_challenge(_read_text(args.challenge))
+    records = [parse_avc(line) for line in io.StringIO(_read_text(args.trace))
+               if line.strip()]
     result = verify_challenge(challenge, records)
     print(f"{'pass' if result.passed else 'fail'}: {result.reason}")
     return 0 if result.passed else 1
@@ -119,7 +127,7 @@ _parse_seed = _number_flag("seed", partial(ascii_number, int))
 _parse_counts = _number_flag(
     "counts", lambda text: tuple(ascii_number(int, part)
                                  for part in text.split(",") if part),
-    lambda counts: bool(counts) and min(counts) >= 1)
+    lambda counts: len(set(counts)) >= 2 and min(counts) >= 1)
 _parse_repeats = _number_flag("repeats", partial(ascii_number, int),
                               lambda repeats: repeats >= 1,
                               ": must be at least 1")
@@ -175,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="measure compile scaling across policy sizes")
     bench_p.add_argument("--counts", type=_parse_counts,
                          default=DEFAULT_COUNTS,
-                         help="comma-separated domain counts")
+                         help="comma-separated domain counts, each at "
+                              "least 1: two or more distinct sizes to fit")
     bench_p.add_argument("--repeats", type=_parse_repeats, default=3,
                          help="timed repeats per size")
     bench_p.set_defaults(func=_cmd_bench)

@@ -583,19 +583,15 @@ def cross_reference_history(
 
     A record is verified when its named counterparty exists and holds a
     matching entry (same actor, timestamp, and property kind), looked
-    up in that ledger's index.  Records naming nobody are left alone.
+    up in that ledger's index.  A record naming no peer, or none at
+    all, cannot be verified and is flagged.
     """
     checked = []
     for record in presented:
-        if record.counterparty is None:
-            checked.append((record, True))
-            continue
         other = agents_by_uid.get(record.counterparty)
-        if other is None:
-            checked.append((record, False))
-            continue
-        checked.append((record, other.ledger.has_record(
-            target, record.timestamp, record.property_kind)))
+        verified = other is not None and other.ledger.has_record(
+            target, record.timestamp, record.property_kind)
+        checked.append((record, verified))
     return checked
 
 
@@ -1077,6 +1073,9 @@ class BehaviorStats:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """Outcomes over ``runs`` generated runs; ``stats`` maps every
+    behaviour model, in declaration order, to its tally."""
+
     runs: int
     stats: dict[BehaviorModel, BehaviorStats]
     forged_records: int

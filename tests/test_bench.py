@@ -61,3 +61,17 @@ def test_report_fits_the_sizes_above_the_threshold(monkeypatch):
     assert report.fit_large.slope == pytest.approx(1.0)
     text = bench.render_benchmark(report)
     assert text.splitlines()[-1] == "fit_r2_above_100=1.000000"
+
+
+@pytest.mark.parametrize("xs, ys, slope, intercept, r2", [
+    ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0], 0.0, 5.0, 1.0),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.5], 1.25, -1 / 3, 1 - 1 / 76),
+    ([0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 2.0, 1.0], 0.0, 1.0, 0.0),
+], ids=["flat", "bent", "uncorrelated"])
+def test_linear_fit_is_least_squares(xs, ys, slope, intercept, r2):
+    fit = bench.linear_fit(xs, ys)
+    assert fit.slope == pytest.approx(slope, abs=1e-12)
+    assert fit.intercept == pytest.approx(intercept)
+    assert fit.r2 == pytest.approx(r2, abs=1e-12)
+    if r2 == 1.0:
+        assert fit.r2 == 1.0

@@ -143,6 +143,25 @@ def test_scenario_fault_names_its_file_and_line(tmp_path, capsys):
         f"error: {path}:3: peer 'zz' is not declared\n")
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["simulate", "{scn}"], "scn"),
+    (["verify-challenge", "{challenge}", "{trace}"], "challenge"),
+    (["verify-challenge", "{challenge}", "{trace}"], "trace"),
+], ids=["scenario", "challenge", "trace"])
+def test_a_file_that_is_not_utf8_is_an_error(argv, bad, tmp_path, capsys):
+    paths = {}
+    for name, text in (("scn", SCENARIO), ("challenge", CHALLENGE),
+                       ("trace", GOOD_TRACE)):
+        paths[name] = tmp_path / f"{name}.txt"
+        data = text.encode() + (b"peer a\xff\n" if name == bad else b"")
+        paths[name].write_bytes(data)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {paths[bad]}: not UTF-8 text (invalid start byte)\n")
+    assert captured.out == ""
+
+
 def test_verify_challenge_pass_and_fail(tmp_path, capsys):
     challenge = tmp_path / "challenge.txt"
     challenge.write_text(CHALLENGE)
@@ -206,7 +225,7 @@ def test_usage_error_exits_two():
 @pytest.mark.parametrize("repeats", ["0", "-2", "three", "١"])
 def test_bench_bad_repeats_is_a_usage_error(repeats, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["bench", "--counts", "5", "--repeats", repeats])
+        main(["bench", "--counts", "5,10", "--repeats", repeats])
     assert err.value.code == 2
     assert "--repeats" in capsys.readouterr().err
 
@@ -263,6 +282,11 @@ FLAG_REFUSALS = [
      "p2psec bench: error: argument --counts: bad counts '5,0'"),
     (["bench", "--counts", ","],
      "p2psec bench: error: argument --counts: bad counts ','"),
+    # A line needs two distinct sizes.
+    (["bench", "--counts", "5"],
+     "p2psec bench: error: argument --counts: bad counts '5'"),
+    (["bench", "--counts", "5,5"],
+     "p2psec bench: error: argument --counts: bad counts '5,5'"),
     (["bench", "--repeats", "three"],
      "p2psec bench: error: argument --repeats: bad repeats 'three'"),
     (["bench", "--repeats", "0"],

@@ -1014,12 +1014,14 @@ class TestCrossReference:
         checked = cross_reference_history([forged], agents, me)
         assert checked == [(forged, False)]
 
-    def test_record_without_counterparty_skipped(self):
+    def test_record_without_counterparty_flagged(self):
+        # Like a record naming an unknown peer, it names no ledger that
+        # could confirm it.
         me, _, agents = self.make_agents()
         plain = HistoryRecord(timestamp=5, actor=me,
                               property_kind=PropertyKind.INTEGRITY)
         checked = cross_reference_history([plain], agents, me)
-        assert checked == [(plain, True)]
+        assert checked == [(plain, False)]
 
 
 class TestDetectionExperiment:
@@ -1048,6 +1050,17 @@ class TestDetectionExperiment:
     def test_negative_population_rejected(self):
         with pytest.raises(ValueError, match="must be non-negative"):
             PopulationParams(blind_liars=-1)
+
+    def test_population_table_lists_each_behaviour_and_count_once(self):
+        rows = simnet._POPULATION
+        counts = [f.name for f in fields(PopulationParams)
+                  if f.name not in ("seed", "delegates")]
+        assert sorted(row[0].value for row in rows) == sorted(
+            model.value for model in BehaviorModel)
+        assert sorted(row[1] for row in rows) == sorted(counts)
+        # Distinct uid prefixes, none a delegate's.
+        prefixes = [row[2] for row in rows]
+        assert len(set(prefixes)) == len(prefixes) and "c" not in prefixes
 
     def test_a_behaviour_with_no_asks_is_left_out(self):
         report = detection_experiment(PopulationParams(seed=3,
