@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Optional, TypeVar, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .errors import (
     DuplicateDomainError,
@@ -265,7 +265,7 @@ def ascii_number(convert: Callable[[str], _N], text: str) -> _N:
     return value
 
 
-def _parse_property(tokens: list[str]) -> SecurityProperty:
+def _parse_property(tokens: Sequence[str]) -> SecurityProperty:
     try:
         kind = PropertyKind(tokens[0])
     except ValueError:
@@ -352,8 +352,8 @@ _DECLARATIONS: dict[str, tuple[Callable[..., object], dict[type, str]]] = {
         UnknownDomainError: "resource domain {2!r} is not declared",
         DuplicateResourceError: "resource {1!r} declared twice",
     }),
-    "property": (lambda policy, scope, *kind: policy.add_property(
-                     scope, _parse_property(kind)),
+    "property": (lambda policy, scope, *tokens: policy.add_property(
+                     scope, _parse_property(tokens)),
                  {UnknownScopeError: "scope {1!r} is not declared"}),
 }
 
