@@ -9,7 +9,6 @@ pipeline, and fits a line through the measurements.
 from __future__ import annotations
 
 import gc
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -85,6 +84,9 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
         raise ValueError("need at least two points to fit")
     if len(set(xs)) < 2:
         raise ValueError("fit needs at least two distinct x values")
+    # Imported here: it loads ``fractions`` and ``decimal``, which only a
+    # fit needs, not every command that imports the package.
+    import statistics
     slope, intercept = statistics.linear_regression(xs, ys)
     try:
         r2 = statistics.correlation(xs, ys) ** 2

@@ -801,6 +801,8 @@ class SimulationEngine:
         self._delegates: dict[str, list[tuple[str, float]]] = {
             uid: self._eligible_delegates(agent)
             for uid, agent in self.agents.items()}
+        # This run's probe verdicts by question; see _probe_harness.
+        self._verdicts: dict[tuple, tuple[bool, ...]] = {}
 
     # -- actions ---------------------------------------------------------
 
@@ -947,34 +949,30 @@ class SimulationEngine:
                        kind: PropertyKind):
         """Challenge harness for one property evaluation.
 
-        The requester's answers depend only on its behaviour, the target
-        domain (the one ``offered`` names, which ``_negotiate`` has
-        matched to the ask's) and ``kind``, never on which delegate
-        asks, so the probes are run once here, each to a pass/fail bool:
-        the conflicting-transfer probe first, when ``kind`` has a
-        conflicting kind, then the MAC challenge.  The returned closure
+        The requester's answers never depend on which delegate asks, so
+        the probes are run once, each to a pass/fail bool, and their
+        verdicts are kept for the rest of the run under the question's
+        key: the requester's behaviour, the kinds of its target domain
+        (the one ``offered`` names, which ``_negotiate`` has matched to
+        the ask's), the offered kinds and ``kind``.  The key holds
+        everything the verdicts read: the response echoes the
+        challenge's target name, an enforcing peer labels the same
+        domain name the challenge expects, and no check reads the
+        timestamp or serial stamps, so the resource path, the domain
+        name and the tick stay out of it.  The table belongs to the
+        engine, so no verdict outlives its run.  The returned closure
         does each delegate's own part: for each probe it advances the
         clock by the probe's two message ticks and records a failed
         probe in that delegate's ledger at the tick it would have been
         answered.
         """
-        target_domain = offered.domain_name
-        probes: list[bool] = []
-        probe_kind = PROBE_KINDS[kind]
-        if probe_kind is not None:
-            accepted = requester.respond_conflicting_request(
-                target_domain, probe_kind)
-            expect_refusal = not KIND_CONFLICTS[probe_kind].isdisjoint(
-                offered.kinds)
-            probes.append((not accepted) == expect_refusal)
-        challenge = build_challenge(
-            session.resource.path, CHALLENGE_SUBJECT, PROBE_STUBS[kind],
-            kind_ruleset(offered.kinds), object_context(target_domain))
-        # Stamped with the current tick; the verdict reads neither stamp.
-        response = requester.respond_mac_challenge(
-            challenge, target_domain,
-            timestamp=f"{self.now}.000", serial=str(self.now))
-        probes.append(verify_challenge(challenge, [response]).passed)
+        key = (requester.behavior,
+               requester._domain(offered.domain_name).kinds, offered.kinds,
+               kind)
+        probes = self._verdicts.get(key)
+        if probes is None:
+            probes = self._verdicts[key] = self._probe_round(
+                session.resource.path, offered, requester, kind)
 
         def harness(delegate: str, target: str,
                     _: PropertyKind) -> list[float]:
@@ -991,6 +989,31 @@ class SimulationEngine:
             return scores
 
         return harness
+
+    def _probe_round(self, resource_path: str, offered: PolicySlice,
+                     requester: PeerAgent, kind: PropertyKind
+                     ) -> tuple[bool, ...]:
+        """One challenge round, each probe to a pass/fail bool: the
+        conflicting-transfer probe first, when ``kind`` has a
+        conflicting kind, then the MAC challenge."""
+        target_domain = offered.domain_name
+        probes: list[bool] = []
+        probe_kind = PROBE_KINDS[kind]
+        if probe_kind is not None:
+            accepted = requester.respond_conflicting_request(
+                target_domain, probe_kind)
+            expect_refusal = not KIND_CONFLICTS[probe_kind].isdisjoint(
+                offered.kinds)
+            probes.append((not accepted) == expect_refusal)
+        challenge = build_challenge(
+            resource_path, CHALLENGE_SUBJECT, PROBE_STUBS[kind],
+            kind_ruleset(offered.kinds), object_context(target_domain))
+        # Stamped with the current tick; the verdict reads neither stamp.
+        response = requester.respond_mac_challenge(
+            challenge, target_domain,
+            timestamp=f"{self.now}.000", serial=str(self.now))
+        probes.append(verify_challenge(challenge, [response]).passed)
+        return tuple(probes)
 
     def _transfer(self, session: NegotiationSession, target_domain: str,
                   owner: PeerAgent, requester: PeerAgent) -> None:

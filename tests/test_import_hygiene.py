@@ -2,7 +2,8 @@
 package module imports another's private name, only ``mac`` reads a
 challenge's command line, only the scenario parse loop and builder
 give a ``ScenarioError`` its line, every dataclass field is read, and
-importing the package loads no networking or e-mail module."""
+importing the package loads no networking, e-mail or ``statistics``
+module."""
 
 import ast
 import os
@@ -180,8 +181,11 @@ def test_a_write_only_field_is_reported():
 
 
 #: Standard-library packages that importing ``p2psec`` must not load:
-#: networking and e-mail, and ``xml.sax``, which would pull them in.
-UNWANTED_PACKAGES = ("urllib", "http", "email", "ssl", "socket", "xml.sax")
+#: networking and e-mail, and ``xml.sax``, which would pull them in; and
+#: ``statistics``, with its ``fractions`` and ``decimal``, which only
+#: ``bench.linear_fit`` needs.
+UNWANTED_PACKAGES = ("urllib", "http", "email", "ssl", "socket", "xml.sax",
+                     "statistics")
 
 
 def unwanted_modules(names: list[str]) -> list[str]:

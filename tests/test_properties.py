@@ -73,6 +73,7 @@ from p2psec.simnet import (
     AskAction,
     BehaviorModel,
     EditAction,
+    PeerAgent,
     PeerDecl,
     Scenario,
     ShowAction,
@@ -695,6 +696,32 @@ def test_no_slice_beyond_negotiated_domain(scenario):
     assert all(offered.domain_name == "dst" for _, offered in slices)
     assert report.negotiations[0].outcome in (Outcome.ACCEPTED,
                                               Outcome.REFUSED)
+
+
+@EXAMPLES
+@given(behavior=st.sampled_from(list(BehaviorModel)),
+       domain_kinds=safe_kind_sets,
+       offered_kinds=st.frozensets(kinds_strategy, max_size=4),
+       kind=kinds_strategy,
+       stamps=st.lists(st.tuples(name_text, st.text(), st.integers(0, 10**9)),
+                       min_size=2, max_size=2))
+def test_a_challenge_round_reads_nothing_outside_its_key(
+        behavior, domain_kinds, offered_kinds, kind, stamps):
+    """A round's verdicts depend on the requester's behaviour, its target
+    domain's kinds, the offered kinds and the kind alone, so the engine
+    keeps them for the run under that key: two rounds with a different
+    domain name, resource path and tick give the same pass/fail bools."""
+    verdicts = []
+    for domain_name, path, tick in stamps:
+        policy = PeerPolicy().create_domain(domain_name)
+        for prop in _props(domain_kinds):
+            policy = policy.add_property(domain_name, prop)
+        engine = SimulationEngine(Scenario())
+        engine.now = tick
+        verdicts.append(engine._probe_round(
+            path, PolicySlice(domain_name, frozenset(_props(offered_kinds))),
+            PeerAgent("r", policy, behavior), kind))
+    assert verdicts[0] == verdicts[1]
 
 
 # ---------------------------------------------------------------------------

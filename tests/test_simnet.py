@@ -495,6 +495,54 @@ def test_requester_answers_once_per_property_evaluation(
     assert engine.now == final_tick
 
 
+#: Three asks for a confidentiality + noshare file by two honest
+#: requesters whose inboxes hold equal properties, one of them asking
+#: twice: six property evaluations, two distinct questions.
+REPEATED_QUESTIONS = """peer own
+peer h1
+peer h2
+peer d0
+knows own d0 0.9
+domain own vault
+property own vault confidentiality
+property own vault noshare
+resource own doc vault
+domain h1 inbox
+property h1 inbox confidentiality
+property h1 inbox noshare
+domain h2 inbox
+property h2 inbox confidentiality
+property h2 inbox noshare
+ask h1 own doc inbox
+ask h1 own doc inbox
+ask h2 own doc inbox
+"""
+
+
+def test_each_distinct_question_is_answered_once_per_run(monkeypatch):
+    calls = {"respond_mac_challenge": 0, "respond_conflicting_request": 0}
+    for name in calls:
+        original = getattr(PeerAgent, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(PeerAgent, name, counted)
+    scenario = parse_scenario(REPEATED_QUESTIONS)
+    reports = []
+    for run in (1, 2):
+        report = SimulationEngine(scenario).run()
+        # One call each per (behaviour, target-domain kinds, offered
+        # kinds, kind); a second engine asks its questions afresh.
+        assert calls == {"respond_mac_challenge": 2 * run,
+                         "respond_conflicting_request": 2 * run}
+        reports.append(render_report(report))
+    assert sum(len(n.per_property) for n in report.negotiations) == 6
+    assert all(c.chal == 1.0 for n in report.negotiations
+               for _, c in n.per_property)
+    assert reports[0] == reports[1]
+
+
 def test_delegate_consultations_on_the_delegate_golden(monkeypatch):
     """What ``golden/delegates.report`` cannot show: how many delegates
     each challenged evaluation consults, and the clock the run ends on.
