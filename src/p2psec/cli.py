@@ -14,7 +14,7 @@ from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from .bench import DEFAULT_COUNTS, render_benchmark, run_benchmark
-from .errors import (P2PSecError, ScenarioError, TrustError,
+from .errors import (AvcParseError, P2PSecError, ScenarioError, TrustError,
                      XmlValidationError)
 from .mac import (
     compile_policy,
@@ -92,8 +92,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify_challenge(args: argparse.Namespace) -> int:
     challenge = parse_challenge(_read_text(args.challenge))
-    records = [parse_avc(line) for line in io.StringIO(_read_text(args.trace))
-               if line.strip()]
+    records = []
+    # Lines are numbered as they sit in the file, blank ones included.
+    for number, line in enumerate(io.StringIO(_read_text(args.trace)), 1):
+        if line.strip():
+            try:
+                records.append(parse_avc(line))
+            except AvcParseError as exc:
+                raise AvcParseError(f"{args.trace}:{number}: {exc}") from None
     result = verify_challenge(challenge, records)
     print(f"{'pass' if result.passed else 'fail'}: {result.reason}")
     return 0 if result.passed else 1

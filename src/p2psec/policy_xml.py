@@ -3,8 +3,9 @@
 The wire dialect is a single ``<policy>`` element holding ``<domain>``
 and ``<file>`` entries; properties nest as ``<property type="...">``
 with optional ``<target domainid="..."/>`` children.  Serialization is
-canonical (two-space indent, fixed attribute order, UTF-8) so that
-``parse(serialize(doc))`` reproduces the document exactly.
+canonical (two-space indent, each element's attributes in the order
+``_ATTRS`` lists them, UTF-8) so that ``parse(serialize(doc))``
+reproduces the document exactly.
 
 Property targets may reference ids that are not declared in the same
 document; they become symbolic ``ext:<id>`` domain references when a
@@ -71,7 +72,8 @@ class DocFile:
 @dataclass(frozen=True)
 class PolicyDocument:
     """A policy document; building one checks every schema invariant
-    (unique ids, names and paths, non-empty names and paths, declared
+    (``int`` ids, owners and targets that ``str`` can write, unique
+    ids, ``str`` names and paths that are unique and non-empty, declared
     file owners, known property types), so code given one trusts it.
     The check is one pass, domains then files, and reports the first
     fault it meets."""
@@ -81,56 +83,67 @@ class PolicyDocument:
 
     def __post_init__(self):
         ids: set[int] = set()
-        names: set[str] = set()
-        for dom in self.domains:
-            if dom.id in ids:
-                raise XmlValidationError(f"duplicate id {dom.id}",
-                                         element="domain")
-            ids.add(dom.id)
-            if not dom.name:
-                raise XmlValidationError("domain name must be non-empty",
-                                         element="domain")
-            for prop in dom.properties:
-                if prop.type not in _KINDS:
-                    raise _unknown_type(prop, dom)
-            if dom.name in names:
-                raise XmlValidationError(
-                    f"duplicate domain name {dom.name!r}", element="domain")
-            names.add(dom.name)
-        domain_ids = frozenset(ids)
-        paths: set[str] = set()
-        for file in self.files:
-            if file.id in ids:
-                raise XmlValidationError(f"duplicate id {file.id}",
-                                         element="file")
-            ids.add(file.id)
-            if not file.path:
-                raise XmlValidationError("file path must be non-empty",
-                                         element="file")
-            if file.domainid not in domain_ids:
-                raise XmlValidationError(
-                    f"file {file.path!r} references undeclared domain id "
-                    f"{file.domainid}", element="file")
-            for prop in file.properties:
-                if prop.type not in _KINDS:
-                    raise _unknown_type(prop, file)
-            if file.path in paths:
-                raise XmlValidationError(
-                    f"duplicate file path {file.path!r}", element="file")
-            paths.add(file.path)
+        domain_ids: frozenset[int] = frozenset()
+        for tag, key, elements in (("domain", "name", self.domains),
+                                   ("file", "path", self.files)):
+            keys: set[str] = set()
+            for element in elements:
+                _check_integer(element.id, "id", tag)
+                if element.id in ids:
+                    raise XmlValidationError(f"duplicate id {element.id}",
+                                             element=tag)
+                ids.add(element.id)
+                value = getattr(element, key)
+                if type(value) is not str:
+                    raise XmlValidationError(
+                        f"attribute {key}={value!r} on <{tag}> is not a "
+                        f"string", element=tag)
+                if not value:
+                    raise XmlValidationError(f"{tag} {key} must be non-empty",
+                                             element=tag)
+                if tag == "file":
+                    _check_integer(element.domainid, "domainid", tag)
+                    if element.domainid not in domain_ids:
+                        raise XmlValidationError(
+                            f"file {value!r} references undeclared domain "
+                            f"id {element.domainid}", element=tag)
+                for prop in element.properties:
+                    if prop.type not in _KINDS:
+                        raise XmlValidationError(
+                            f"unknown property type {prop.type!r} on {tag} "
+                            f"{value!r}", element="property")
+                    for target in prop.targets:
+                        _check_integer(target, "domainid", "target")
+                if value in keys:
+                    raise XmlValidationError(
+                        f"duplicate {tag} {key} {value!r}", element=tag)
+                keys.add(value)
+            domain_ids = frozenset(ids)
+
+
+def _check_integer(value: object, attr: str, tag: str) -> None:
+    """Refuse an integer attribute the parser would not read back: a
+    value that is not an ``int`` (a ``bool`` is not) or one that ``str``
+    cannot write.  ``str`` refuses an int over its digit limit, which is
+    never below 640 digits, so only a long int needs the costly test;
+    its ``repr`` would raise too, so the message leaves it out."""
+    if type(value) is not int:
+        raise XmlValidationError(
+            f"attribute {attr}={value!r} on <{tag}> is not an integer",
+            element=tag)
+    if value.bit_length() > 2048:
+        try:
+            str(value)
+        except ValueError:
+            raise XmlValidationError(
+                f"attribute {attr} on <{tag}> has too many digits",
+                element=tag) from None
 
 
 def _where(scope: DocDomain | DocFile) -> str:
     """How a message names a domain or a file."""
     return (f"domain {scope.name!r}" if isinstance(scope, DocDomain)
             else f"file {scope.path!r}")
-
-
-def _unknown_type(prop: DocProperty,
-                  scope: DocDomain | DocFile) -> XmlValidationError:
-    return XmlValidationError(
-        f"unknown property type {prop.type!r} on {_where(scope)}",
-        element="property")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +195,7 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
 _NESTING = (("policy",), ("domain", "file"), ("property",), ("target",), ())
 
 #: The attributes each element takes, in the order a missing one is
-#: reported.
+#: reported and the serializer writes them.
 _ATTRS = {
     "policy": (),
     "domain": ("id", "name"),
@@ -298,37 +311,45 @@ def _install_handlers(parser, domains: list[DocDomain],
 # Serialization
 # ---------------------------------------------------------------------------
 
+#: A character outside XML 1.0's ``Char`` production, which no escape
+#: can carry.  ``re`` compiles it at the first serialize: compiling it
+#: at import would slow every ``import p2psec``.
+_NOT_XML_CHAR = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
 def serialize_policy(doc: PolicyDocument) -> bytes:
-    """Render the canonical UTF-8 form of a document."""
+    """Render the canonical UTF-8 form of a document, which
+    :func:`parse_policy` reads back as it is.  A name or path holding a
+    character that XML 1.0 cannot carry raises XmlValidationError."""
     if not doc.domains and not doc.files:
         return b"<policy></policy>\n"
     lines = ["<policy>"]
-    for dom in doc.domains:
-        open_tag = f"  <domain id={_q(dom.id)} name={_q(dom.name)}"
-        lines.extend(_element_lines(open_tag, "domain", dom.properties))
-    for file in doc.files:
-        open_tag = (f"  <file id={_q(file.id)} path={_q(file.path)} "
-                    f"domainid={_q(file.domainid)}")
-        lines.extend(_element_lines(open_tag, "file", file.properties))
+    for tag, elements in (("domain", doc.domains), ("file", doc.files)):
+        for element in elements:
+            open_tag = f"  <{tag}"
+            for attr in _ATTRS[tag]:
+                value = getattr(element, attr)
+                char = re.search(_NOT_XML_CHAR, str(value))
+                if char:
+                    raise XmlValidationError(
+                        f"{tag} {attr} {value!r} holds {char.group()!r}, "
+                        f"which XML 1.0 cannot carry", element=tag)
+                open_tag += f" {attr}={_q(value)}"
+            if not element.properties:
+                lines.append(open_tag + "/>")
+                continue
+            lines.append(open_tag + ">")
+            for prop in element.properties:
+                if prop.targets:
+                    lines.append(f"    <property type={_q(prop.type)}>")
+                    lines.extend(f"      <target domainid={_q(t)}/>"
+                                 for t in prop.targets)
+                    lines.append("    </property>")
+                else:
+                    lines.append(f"    <property type={_q(prop.type)}/>")
+            lines.append(f"  </{tag}>")
     lines.append("</policy>")
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _element_lines(open_tag: str, tag: str,
-                   props: tuple[DocProperty, ...]) -> list[str]:
-    if not props:
-        return [open_tag + "/>"]
-    lines = [open_tag + ">"]
-    for prop in props:
-        if prop.targets:
-            lines.append(f"    <property type={_q(prop.type)}>")
-            lines.extend(f"      <target domainid={_q(t)}/>"
-                         for t in prop.targets)
-            lines.append("    </property>")
-        else:
-            lines.append(f"    <property type={_q(prop.type)}/>")
-    lines.append(f"  </{tag}>")
-    return lines
 
 
 def _q(value: object) -> str:

@@ -196,7 +196,19 @@ def test_verify_challenge_overlong_pid_is_an_error(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text(GOOD_TRACE.replace("pid=4241", "pid=" + "9" * 5000))
     assert main(["verify-challenge", str(challenge), str(trace)]) == 1
-    assert "error: pid has too many digits" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {trace}:1: pid has too many digits\n")
+
+
+def test_verify_challenge_names_the_line_of_a_bad_avc_line(tmp_path, capsys):
+    challenge = tmp_path / "challenge.txt"
+    challenge.write_text(CHALLENGE)
+    trace = tmp_path / "trace.txt"
+    trace.write_text(GOOD_TRACE + "\n" + GOOD_TRACE.replace("4241", "x"))
+    assert main(["verify-challenge", str(challenge), str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {trace}:3: expected pid at "
+        f"'pid=x comm=\"vim\" name=\"secret.txt\" dev=s'\n")
 
 
 def test_verify_challenge_repeated_key_is_an_error(tmp_path, capsys):

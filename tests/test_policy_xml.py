@@ -1,7 +1,7 @@
 """XML policy exchange format: parsing, validation, serialization."""
 
 import gc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -24,6 +24,7 @@ from p2psec import (
     serialize_policy,
     to_peer_policy,
 )
+from p2psec.policy_xml import _ATTRS
 
 SAMPLE = b"""<policy>
 <domain id="1" name="domainA">
@@ -246,6 +247,63 @@ def test_duplicate_file_paths_rejected_at_model_load():
 def test_hand_built_document_checks_itself(domains, files, message):
     with pytest.raises(XmlValidationError, match=message):
         PolicyDocument(domains=domains, files=files)
+
+
+@pytest.mark.parametrize("domains, files, message, element", [
+    ((DocDomain("x", "a"),), (),
+     "attribute id='x' on <domain> is not an integer", "domain"),
+    ((DocDomain(True, "a"),), (),
+     "attribute id=True on <domain> is not an integer", "domain"),
+    ((DocDomain(1.5, "a"),), (),
+     "attribute id=1.5 on <domain> is not an integer", "domain"),
+    ((DocDomain(1, "a", (DocProperty("integrity", ("x",)),)),), (),
+     "attribute domainid='x' on <target> is not an integer", "target"),
+    ((DocDomain(10**5000, "a"),), (),
+     "attribute id on <domain> has too many digits", "domain"),
+    ((DocDomain("x", "a"), DocDomain(1, "b")), (),
+     "attribute id='x' on <domain> is not an integer", "domain"),
+    ((DocDomain(1, 5),), (),
+     "attribute name=5 on <domain> is not a string", "domain"),
+    ((DocDomain(1, "a"),), (DocFile(2, b"f", 1),),
+     "attribute path=b'f' on <file> is not a string", "file"),
+    ((DocDomain(1, "a"),), (DocFile(2, "f", True),),
+     "attribute domainid=True on <file> is not an integer", "file"),
+], ids=["str-id", "bool-id", "float-id", "str-target", "long-id",
+        "mixed-ids", "int-name", "bytes-path", "bool-owner"])
+def test_code_built_document_holds_the_parser_value_rules(
+        domains, files, message, element):
+    """What the parser would refuse to read back, building refuses: an
+    integer attribute that is not an ``int`` or that ``str`` cannot
+    write, and a name or path that is not a ``str``."""
+    with pytest.raises(XmlValidationError) as err:
+        PolicyDocument(domains=domains, files=files)
+    assert (str(err.value), err.value.element) == (message, element)
+
+
+@pytest.mark.parametrize("doc, message, element", [
+    (PolicyDocument((DocDomain(1, "a\x01b"),)),
+     "domain name 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry",
+     "domain"),
+    (PolicyDocument((DocDomain(1, "a"),), (DocFile(2, "\ud800", 1),)),
+     "file path '\\ud800' holds '\\ud800', which XML 1.0 cannot carry",
+     "file"),
+    (from_peer_policy(PeerPolicy().create_domain("a\x01b")),
+     "domain name 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry",
+     "domain"),
+], ids=["control", "surrogate", "from-policy"])
+def test_serializer_refuses_what_xml_cannot_carry(doc, message, element):
+    with pytest.raises(XmlValidationError) as err:
+        serialize_policy(doc)
+    assert (str(err.value), err.value.element) == (message, element)
+
+
+def test_attrs_table_matches_the_element_fields():
+    """``_ATTRS`` is what the parser checks and the serializer writes, in
+    order; it must name the fields the parser builds."""
+    assert [f.name for f in fields(DocDomain)] == [*_ATTRS["domain"],
+                                                   "properties"]
+    assert [f.name for f in fields(DocFile)] == [*_ATTRS["file"],
+                                                 "properties"]
 
 
 def test_from_peer_policy_rejects_a_broken_policy():

@@ -257,16 +257,24 @@ def test_every_fault_found_during_the_parse_has_a_line(data):
 
 def _first_fault(domains, files):
     """The documented check order, written out as (failed, message,
-    element) rows: domains then files; for a domain a new id, a name,
-    known property types and a new name; for a file a new id, a path, a
-    declared owner, known property types and a new path."""
+    element) rows: domains then files; for a domain an int id, a new
+    id, a str name, a non-empty name, known property types and a new
+    name; for a file an int id, a new id, a str path, a non-empty path,
+    an int owner, a declared owner, known property types and a new
+    path."""
     kinds = {kind.value for kind in PropertyKind}
     rows = []
     for i, dom in enumerate(domains):
         earlier = domains[:i]
         where = f"on domain {dom.name!r}"
-        rows += [(dom.id in [d.id for d in earlier],
+        rows += [(type(dom.id) is not int,
+                  f"attribute id={dom.id!r} on <domain> is not an integer",
+                  "domain"),
+                 (dom.id in [d.id for d in earlier],
                   f"duplicate id {dom.id}", "domain"),
+                 (type(dom.name) is not str,
+                  f"attribute name={dom.name!r} on <domain> is not a string",
+                  "domain"),
                  (dom.name == "", "domain name must be non-empty", "domain"),
                  *((p.type not in kinds,
                     f"unknown property type {p.type!r} {where}", "property")
@@ -276,9 +284,18 @@ def _first_fault(domains, files):
     for i, file in enumerate(files):
         earlier = files[:i]
         where = f"on file {file.path!r}"
-        rows += [(file.id in [x.id for x in domains + earlier],
+        rows += [(type(file.id) is not int,
+                  f"attribute id={file.id!r} on <file> is not an integer",
+                  "file"),
+                 (file.id in [x.id for x in domains + earlier],
                   f"duplicate id {file.id}", "file"),
+                 (type(file.path) is not str,
+                  f"attribute path={file.path!r} on <file> is not a string",
+                  "file"),
                  (file.path == "", "file path must be non-empty", "file"),
+                 (type(file.domainid) is not int,
+                  f"attribute domainid={file.domainid!r} on <file> is not an "
+                  f"integer", "file"),
                  (file.domainid not in [d.id for d in domains],
                   f"file {file.path!r} references undeclared domain id "
                   f"{file.domainid}", "file"),
@@ -294,11 +311,11 @@ def _first_fault(domains, files):
 # Pools so small that every document rule fires, often several at once.
 _POOL_PROPERTIES = st.lists(st.sampled_from(
     (DocProperty("integrity"), DocProperty("secrecy"))), max_size=2).map(tuple)
-_POOL_IDS = st.sampled_from((1, 2, 3))
-pool_domains = st.builds(DocDomain, _POOL_IDS, st.sampled_from(("", "a", "b")),
-                         _POOL_PROPERTIES)
-pool_files = st.builds(DocFile, _POOL_IDS, st.sampled_from(("", "f", "g")),
-                       st.sampled_from((1, 2, 9)), _POOL_PROPERTIES)
+_POOL_IDS = st.sampled_from((1, 2, 3, "1"))
+pool_domains = st.builds(DocDomain, _POOL_IDS,
+                         st.sampled_from(("", "a", "b", 5)), _POOL_PROPERTIES)
+pool_files = st.builds(DocFile, _POOL_IDS, st.sampled_from(("", "f", "g", 5)),
+                       st.sampled_from((1, 2, 9, True)), _POOL_PROPERTIES)
 
 
 @EXAMPLES
@@ -654,6 +671,38 @@ def test_a_code_built_avc_record_or_challenge_is_refused_or_round_trips(
         pass
     else:
         assert parse_challenge(render_challenge(challenge)) == challenge
+
+
+_DOC_IDS = ((1, -3), ("1", True, 1.5, 10**5000, -10**5000, None))
+_DOC_TEXTS = (("a", "a b", "q\"'&<>", "\t\n\r", "\u00e9\U0001f600"),
+              ("", "a\x01b", "\ud800", "\ufffe", 5, b"a", None))
+_DOC_PROPERTY_LISTS = (
+    ((), (DocProperty("integrity"),), (DocProperty("cooperation", (1, -2)),)),
+    ((DocProperty("secrecy"),), (DocProperty("cooperation", ("1",)),),
+     (DocProperty("cooperation", (False,)),),
+     (DocProperty("confidentiality", (10**5000,)),)))
+#: Field -> (valid values, invalid values) for a ``DocDomain`` and a
+#: ``DocFile`` built in code; a valid file owner may still name no
+#: declared domain.
+_DOC_DOMAIN_FIELDS = {"id": _DOC_IDS, "name": _DOC_TEXTS,
+                      "properties": _DOC_PROPERTY_LISTS}
+_DOC_FILE_FIELDS = {"id": ((2, 0), _DOC_IDS[1]), "path": _DOC_TEXTS,
+                    "domainid": _DOC_IDS, "properties": _DOC_PROPERTY_LISTS}
+
+
+@EXAMPLES
+@given(field_values(_DOC_DOMAIN_FIELDS), field_values(_DOC_FILE_FIELDS))
+def test_a_code_built_document_is_refused_or_round_trips(domain_fields,
+                                                         file_fields):
+    """A document built in code is refused when built, or refused by the
+    serializer, or its parser reads its serialization back as it is."""
+    try:
+        doc = PolicyDocument((DocDomain(**domain_fields),),
+                             (DocFile(**file_fields),))
+        data = serialize_policy(doc)
+    except XmlValidationError:
+        return
+    assert parse_policy(data) == doc
 
 
 @st.composite
