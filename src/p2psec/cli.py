@@ -14,8 +14,7 @@ from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from .bench import DEFAULT_COUNTS, render_benchmark, run_benchmark
-from .errors import (AvcParseError, P2PSecError, ScenarioError, TrustError,
-                     XmlValidationError)
+from .errors import P2PSecError, TrustError, XmlSyntaxError
 from .mac import (
     compile_policy,
     emit_rules,
@@ -38,10 +37,26 @@ def _read_text(path: str) -> str:
         raise P2PSecError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _parse_file(path: str, parse: Callable[[Any], Any], data: Any) -> Any:
+    """``parse(data)``, where ``path`` names the file (or the file's
+    line) ``data`` was read from; a fault in it becomes a
+    ``P2PSecError`` that names ``path``, and the line when the fault
+    carries one.  An ``XmlSyntaxError``'s message already gives its
+    position, so it takes the path alone."""
+    try:
+        return parse(data)
+    except P2PSecError as exc:
+        line = getattr(exc, "line", None)
+        if line and not isinstance(exc, XmlSyntaxError):
+            path = f"{path}:{line}"
+        raise P2PSecError(f"{path}: {exc}") from None
+
+
 def _load_policy(path: str):
     with open(path, "rb") as handle:
         data = handle.read()
-    return to_peer_policy(parse_policy(data))
+    return _parse_file(path, lambda xml: to_peer_policy(parse_policy(xml)),
+                       data)
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -68,13 +83,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(_read_text(args.scenario))
+    scenario = _parse_file(args.scenario, parse_scenario,
+                           _read_text(args.scenario))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     # One replace, so TrustConfig checks the two thresholds as a pair.
     flags = {"refuse_threshold": args.refuse_threshold,
-             "full_trust_threshold": args.full_threshold,
-             "strict_conflicts": args.strict_conflicts or None}
+             "full_trust_threshold": args.full_threshold}
     try:
         scenario = replace(scenario, config=replace(scenario.config, **{
             key: value for key, value in flags.items() if value is not None}))
@@ -91,15 +106,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_challenge(args: argparse.Namespace) -> int:
-    challenge = parse_challenge(_read_text(args.challenge))
-    records = []
+    challenge = _parse_file(args.challenge, parse_challenge,
+                            _read_text(args.challenge))
     # Lines are numbered as they sit in the file, blank ones included.
-    for number, line in enumerate(io.StringIO(_read_text(args.trace)), 1):
-        if line.strip():
-            try:
-                records.append(parse_avc(line))
-            except AvcParseError as exc:
-                raise AvcParseError(f"{args.trace}:{number}: {exc}") from None
+    records = [_parse_file(f"{args.trace}:{number}", parse_avc, line)
+               for number, line in enumerate(
+                   io.StringIO(_read_text(args.trace)), 1)
+               if line.strip()]
     result = verify_challenge(challenge, records)
     print(f"{'pass' if result.passed else 'fail'}: {result.reason}")
     return 0 if result.passed else 1
@@ -172,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lower bound of the full-trust band, in [0, 1]: "
                             "trust at or above it is full trust, and a "
                             "delegate must be trusted strictly above it")
-    sim_p.add_argument("--strict-conflicts", action="store_true",
-                       help="refuse on any property conflict outright")
     sim_p.add_argument("--out", default=None,
                        help="write the report to this file")
     sim_p.set_defaults(func=_cmd_simulate)
@@ -205,12 +216,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
     except (P2PSecError, OSError) as exc:
-        where = ""
-        # An XmlSyntaxError's own message already gives its position.
-        if isinstance(exc, (ScenarioError, XmlValidationError)) and exc.line:
-            path = args.scenario if args.command == "simulate" else args.policy
-            where = f"{path}:{exc.line}: "
-        print(f"error: {where}{exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

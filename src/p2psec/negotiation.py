@@ -6,8 +6,9 @@ requester's policy: it asks only for the slice covering that one
 domain.  :func:`open_session` records what the owner must check (the
 resource, where it lives and its required properties), each required
 property is scored against the slice with :func:`eval_property` and
-through the trust pipeline, and :func:`decide` accepts or refuses over
-the resulting ``TrustComputation`` values.  On acceptance
+through the trust pipeline, and :func:`decide` has one rule over the
+resulting ``TrustComputation`` values: a trust value in the refused
+band refuses the ask, and the ask is accepted otherwise.  On acceptance
 :func:`apply_transfer` lands the resource in the requester's target
 domain, creating that domain if the requester lacks it, in one policy
 install, optionally carrying owner-requested resource-level
@@ -115,14 +116,10 @@ def decide(computations: Iterable[TrustComputation],
 
     One property whose ``tv`` :func:`band` puts in ``Band.REFUSED``
     refuses the whole request; no required properties means the
-    resource is free.  With ``strict_conflicts`` the decision degrades
-    to pure conflict checking: any -1 evaluation refuses.
+    resource is free.  An offered kind that conflicts needs no rule of
+    its own: its eval of -1 zeroes EvalHist, so its ``tv`` is 0.
     """
-    if config.strict_conflicts:
-        refused = any(c.eval_score == -1 for c in computations)
-    else:
-        refused = any(band(c.tv, config) is Band.REFUSED
-                      for c in computations)
+    refused = any(band(c.tv, config) is Band.REFUSED for c in computations)
     return Outcome.REFUSED if refused else Outcome.ACCEPTED
 
 

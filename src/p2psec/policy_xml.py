@@ -72,9 +72,10 @@ class DocFile:
 @dataclass(frozen=True)
 class PolicyDocument:
     """A policy document; building one checks every schema invariant
-    (``int`` ids, owners and targets that ``str`` can write, unique
-    ids, ``str`` names and paths that are unique and non-empty, declared
-    file owners, known property types), so code given one trusts it.
+    (tuples of ``DocDomain``, ``DocFile`` and ``DocProperty`` values,
+    ``int`` ids, owners and targets that ``str`` can write, unique ids,
+    ``str`` names and paths that are unique and non-empty, declared file
+    owners, known ``str`` property types), so code given one trusts it.
     The check is one pass, domains then files, and reports the first
     fault it meets."""
 
@@ -84,10 +85,15 @@ class PolicyDocument:
     def __post_init__(self):
         ids: set[int] = set()
         domain_ids: frozenset[int] = frozenset()
-        for tag, key, elements in (("domain", "name", self.domains),
-                                   ("file", "path", self.files)):
+        for tag, key, cls, elements in (
+                ("domain", "name", DocDomain, self.domains),
+                ("file", "path", DocFile, self.files)):
+            if type(elements) is not tuple:
+                _refuse_type(elements, tuple, f"{tag}s", "policy")
             keys: set[str] = set()
             for element in elements:
+                if type(element) is not cls:
+                    _refuse_type(element, cls, f"{tag} entry", tag)
                 _check_integer(element.id, "id", tag)
                 if element.id in ids:
                     raise XmlValidationError(f"duplicate id {element.id}",
@@ -107,11 +113,15 @@ class PolicyDocument:
                         raise XmlValidationError(
                             f"file {value!r} references undeclared domain "
                             f"id {element.domainid}", element=tag)
+                if type(element.properties) is not tuple:
+                    _refuse_type(element.properties, tuple,
+                                 f"properties on {tag} {value!r}", tag)
                 for prop in element.properties:
-                    if prop.type not in _KINDS:
-                        raise XmlValidationError(
-                            f"unknown property type {prop.type!r} on {tag} "
-                            f"{value!r}", element="property")
+                    if (type(prop) is not DocProperty
+                            or type(prop.type) is not str
+                            or type(prop.targets) is not tuple
+                            or prop.type not in _KINDS):
+                        _refuse_property(prop, f"on {tag} {value!r}")
                     for target in prop.targets:
                         _check_integer(target, "domainid", "target")
                 if value in keys:
@@ -119,6 +129,27 @@ class PolicyDocument:
                         f"duplicate {tag} {key} {value!r}", element=tag)
                 keys.add(value)
             domain_ids = frozenset(ids)
+
+
+def _refuse_type(value: object, cls: type, what: str, tag: str) -> None:
+    """Refuse ``value``, which is not a ``cls``, naming its type."""
+    raise XmlValidationError(f"{what} must be a {cls.__name__}, not "
+                             f"{type(value).__name__}", element=tag)
+
+
+def _refuse_property(prop: object, where: str) -> None:
+    """Refuse a property entry for the first rule it breaks: a
+    ``DocProperty`` whose ``str`` type is known and whose targets are a
+    tuple; ``where`` names its domain or file."""
+    if type(prop) is not DocProperty:
+        _refuse_type(prop, DocProperty, f"property {where}", "property")
+    if type(prop.type) is not str:
+        _refuse_type(prop.type, str, f"property type {where}", "property")
+    if type(prop.targets) is not tuple:
+        _refuse_type(prop.targets, tuple,
+                     f"targets of property {prop.type!r} {where}", "property")
+    raise XmlValidationError(f"unknown property type {prop.type!r} {where}",
+                             element="property")
 
 
 def _check_integer(value: object, attr: str, tag: str) -> None:
@@ -158,9 +189,13 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
     malformed markup, an unknown or unusable encoding, a ``str`` that
     declares an encoding other than UTF-8 or cannot be encoded as UTF-8,
     and XmlValidationError naming the offending element otherwise, a
-    DOCTYPE declaration included.  The first fault in document order is
-    the one reported; every fault the pass finds carries its line, and
-    stray text is reported on the line of the markup that ends it.
+    DOCTYPE declaration included.  A fault the pass finds comes first:
+    the first in document order is reported, with its line (stray text
+    on the line of the markup that ends it).  Only a document the pass
+    accepts reaches :class:`PolicyDocument`'s check, whose faults
+    (duplicate ids, names and paths, undeclared file owners, unknown
+    property types, empty names and paths) carry no line, so such a
+    fault is reported only when the pass finds none, wherever it sits.
     """
     if isinstance(data, str):
         declared = _DECLARED_ENCODING.match(data)

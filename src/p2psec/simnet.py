@@ -4,8 +4,8 @@ Peers run under a single-threaded logical clock; every message delivery
 advances one tick and messages between a pair of peers stay ordered.
 Behaviour models cover an honest client, two kinds of policy liars, and
 a history forger.  Scenarios come from a flat one-statement-per-line
-file; the same scenario and seed always reproduce a byte-identical run
-report.
+file, whose ``config`` lines set ``TrustConfig``'s numeric fields; the
+same scenario and seed always reproduce a byte-identical run report.
 """
 
 from __future__ import annotations
@@ -412,15 +412,8 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
         if key not in _CONFIG_FIELDS:
             raise ScenarioError(message.format(args))
         builder.config_line = lineno
-        annotation = _CONFIG_FIELDS[key]
-        if annotation == "bool":
-            if value.lower() not in ("true", "false"):
-                raise ScenarioError(f"{key} takes true or false, "
-                                    f"not {value!r}")
-            builder.config_overrides[key] = value.lower() == "true"
-        else:
-            builder.config_overrides[key] = ascii_number(
-                int if annotation == "int" else float, value)
+        builder.config_overrides[key] = ascii_number(
+            int if _CONFIG_FIELDS[key] == "int" else float, value)
     elif stmt == "peer":
         uid = args[0]
         display, behavior = uid, BehaviorModel.HONEST

@@ -10,8 +10,10 @@ For every property the owner requires, three signals are combined:
 ``Tv = EvalHist * (challenge_weight * Chal + eval_weight * (eval+1)/2)``
 with EvalHist collapsing eval and hist into a [0,1] factor and
 ``eval_weight`` being ``1 - challenge_weight``.  The value lands in one
-of three bands (refused, partial, full) which also drives the
-requester's reputation update.
+of three bands (refused, partial, full): a refused band on any required
+property refuses the ask, and the band also drives the requester's
+reputation update.  ``TrustConfig`` holds the thresholds and weights,
+every one a number.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .policy import PropertyKind
 _FIELD_TYPES = {
     "float": ((int, float), "a finite number"),
     "int": ((int,), "an int"),
-    "bool": ((bool,), "a bool"),
 }
 
 
@@ -48,9 +49,9 @@ class TrustConfig:
     """Tunable thresholds and weights; defaults follow the reference
     behaviour of the negotiation engine.
 
-    Every float field is a finite ``int`` or ``float``, ``history_window``
-    an ``int`` and ``strict_conflicts`` a ``bool`` (a bool is not a
-    number here); ``TrustError`` names a field of the wrong type."""
+    Every field is a number: ``history_window`` an ``int``, every other
+    field a finite ``int`` or ``float`` (a bool is not a number here);
+    ``TrustError`` names a field of the wrong type."""
 
     refuse_threshold: float = 0.2
     full_trust_threshold: float = 0.5
@@ -59,7 +60,6 @@ class TrustConfig:
     initial_reputation: float = 0.5
     history_window: int = 50
     challenge_weight: float = 0.75
-    strict_conflicts: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -132,8 +132,10 @@ class TrustLedger:
     A ledger has a single writer, its owning peer, and is updated in
     place: :func:`update_reputation` writes reputations and
     :meth:`record` appends history records.  Every reputation lies in
-    [0, 1]; construction rejects any other value.  Records are kept per
-    actor, in recording order, and only :meth:`record` adds them.
+    [0, 1]; construction rejects any other value, and a value that is
+    not an ``int`` or ``float`` (a bool is not a number here).  Records
+    are kept per actor, in recording order, and only :meth:`record` adds
+    them.
     """
 
     reputations: dict[str, float] = field(default_factory=dict)
@@ -144,9 +146,17 @@ class TrustLedger:
 
     def __post_init__(self):
         for peer, value in self.reputations.items():
+            if type(value) not in (int, float):
+                raise TrustError(f"reputation of {peer} must be a number, "
+                                 f"not {type(value).__name__}")
             if not 0.0 <= value <= 1.0:
+                # str refuses an int over its digit limit, which is never
+                # below 640 digits.
+                shown = (value if type(value) is float
+                         or value.bit_length() <= 2048
+                         else "an int too long to write")
                 raise TrustError(f"reputation of {peer} must lie in "
-                                 f"[0, 1], got {value}")
+                                 f"[0, 1], got {shown}")
 
     def reputation(self, peer: str, config: TrustConfig) -> float:
         return self.reputations.get(peer, config.initial_reputation)

@@ -91,6 +91,21 @@ def test_xml_fault_names_its_file_and_line(tmp_path, capsys):
         f"error: {path}:3: unexpected element <wat> under <domain>\n")
 
 
+@pytest.mark.parametrize("command", ["compile", "check"])
+@pytest.mark.parametrize("data, message", [
+    ('<policy>\n  <domain id="1" name="a"/>\n  <domain id="1" name="b"/>\n'
+     '</policy>\n', "duplicate id 1"),
+    ('<policy>\n  <domain id="1" name="a">\n</policy>\n',
+     "mismatched tag: line 3, column 2"),
+], ids=["document", "markup"])
+def test_policy_fault_without_a_line_names_its_file(command, data, message,
+                                                     tmp_path, capsys):
+    path = tmp_path / "bad.xml"
+    path.write_text(data)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_compile_missing_file_fails(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "absent.xml")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -218,7 +233,7 @@ def test_verify_challenge_repeated_key_is_an_error(tmp_path, capsys):
     trace.write_text(GOOD_TRACE)
     assert main(["verify-challenge", str(challenge), str(trace)]) == 1
     assert capsys.readouterr().err == (
-        "error: challenge file repeats 'expect'\n")
+        f"error: {challenge}: challenge file repeats 'expect'\n")
 
 
 def test_bench_small_counts(capsys):
@@ -282,8 +297,11 @@ def test_number_flags_take_only_ascii_decimal(argv, flag, tmp_path, capsys):
     assert f"argument {flag}: bad " in capsys.readouterr().err
 
 
-#: (argv, the last stderr line) for every number-flag refusal.
+#: (argv, the last stderr line) for every number-flag refusal, and for
+#: a flag simulate does not take.
 FLAG_REFUSALS = [
+    (["simulate", "{}", "--strict-conflicts"],
+     "p2psec: error: unrecognized arguments: --strict-conflicts"),
     (["simulate", "{}", "--seed", "seven"],
      "p2psec simulate: error: argument --seed: bad seed 'seven'"),
     (["simulate", "{}", "--seed", "0_7"],

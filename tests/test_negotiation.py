@@ -96,17 +96,6 @@ class TestDecide:
         computations = [computation(0.25), computation(0.9)]
         assert decide(computations, TrustConfig()) is Outcome.ACCEPTED
 
-    def test_strict_mode_refuses_on_conflict_eval(self):
-        computations = [computation(0.9, eval_score=-1), computation(0.9)]
-        config = TrustConfig(strict_conflicts=True)
-        assert decide(computations, config) is Outcome.REFUSED
-
-    def test_strict_mode_accepts_without_conflicts(self):
-        # Strict mode judges conflicts only, whatever the trust values.
-        computations = [computation(0.0), computation(0.0)]
-        config = TrustConfig(strict_conflicts=True)
-        assert decide(computations, config) is Outcome.ACCEPTED
-
     def test_no_required_properties_accepts(self):
         policy = PeerPolicy().create_domain("open")
         policy = policy.add_resource("misc", "open")

@@ -268,13 +268,35 @@ def test_hand_built_document_checks_itself(domains, files, message):
      "attribute path=b'f' on <file> is not a string", "file"),
     ((DocDomain(1, "a"),), (DocFile(2, "f", True),),
      "attribute domainid=True on <file> is not an integer", "file"),
+    ((DocDomain(1, "a", [DocProperty("integrity")]),), (),
+     "properties on domain 'a' must be a tuple, not list", "domain"),
+    ((DocDomain(1, "a", (DocProperty("cooperation", [1]),)),), (),
+     "targets of property 'cooperation' on domain 'a' must be a tuple, "
+     "not list", "property"),
+    ((DocDomain(1, "a", (DocProperty(["integrity"]),)),), (),
+     "property type on domain 'a' must be a str, not list", "property"),
+    ((DocDomain(1, "a", ("integrity",)),), (),
+     "property on domain 'a' must be a DocProperty, not str", "property"),
+    ([DocDomain(1, "a")], (), "domains must be a tuple, not list", "policy"),
+    ((DocDomain(1, "a") for _ in range(1)), (),
+     "domains must be a tuple, not generator", "policy"),
+    ((DocDomain(1, "a"),), [DocFile(2, "f", 1)],
+     "files must be a tuple, not list", "policy"),
+    (("x",), (), "domain entry must be a DocDomain, not str", "domain"),
+    ((DocFile(1, "f", 1),), (),
+     "domain entry must be a DocDomain, not DocFile", "domain"),
 ], ids=["str-id", "bool-id", "float-id", "str-target", "long-id",
-        "mixed-ids", "int-name", "bytes-path", "bool-owner"])
+        "mixed-ids", "int-name", "bytes-path", "bool-owner",
+        "list-properties", "list-targets", "list-type", "str-property",
+        "list-domains", "generator-domains", "list-files", "str-entry",
+        "file-among-domains"])
 def test_code_built_document_holds_the_parser_value_rules(
         domains, files, message, element):
     """What the parser would refuse to read back, building refuses: an
     integer attribute that is not an ``int`` or that ``str`` cannot
-    write, and a name or path that is not a ``str``."""
+    write, a name or path that is not a ``str``, and a container, entry
+    or property of the wrong type, named by its type before anything
+    reads into it."""
     with pytest.raises(XmlValidationError) as err:
         PolicyDocument(domains=domains, files=files)
     assert (str(err.value), err.value.element) == (message, element)
@@ -533,6 +555,10 @@ XML_ERRORS = (
     ("unknown-property-type", f"<policy>\n{_DOMAIN}\n"
      "<property type='secrecy'/>\n</domain>\n</policy>",
      V, "unknown property type 'secrecy' on domain 'a'", None),
+    # A fault the parse finds is reported before a whole-document one.
+    ("parse-fault-before-duplicate-id", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<domain id='1' name='b'/>\n<domain id='01' name='c'/>\n</policy>",
+     V, "attribute id='01' on <domain> is not an integer", 4),
     ("empty-name", "<policy>\n<domain id='1' name=''/>\n</policy>",
      V, "domain name must be non-empty", None),
     ("empty-path", f"<policy>\n{_DOMAIN}</domain>\n"

@@ -255,72 +255,106 @@ def test_every_fault_found_during_the_parse_has_a_line(data):
         pass
 
 
-def _first_fault(domains, files):
+def _fault_rows(domains, files):
     """The documented check order, written out as (failed, message,
-    element) rows: domains then files; for a domain an int id, a new
-    id, a str name, a non-empty name, known property types and a new
-    name; for a file an int id, a new id, a str path, a non-empty path,
-    an int owner, a declared owner, known property types and a new
-    path."""
+    element) rows: domains then files; each a tuple of entries; for a
+    domain a ``DocDomain``, an int id, a new id, a str name, a non-empty
+    name, properties, and a new name; for a file a ``DocFile``, an int
+    id, a new id, a str path, a non-empty path, an int owner, a declared
+    owner, properties, and a new path.  Properties are a tuple, and
+    each is a ``DocProperty`` with a str type, a tuple of targets and a
+    known type.  Rows are made lazily, so none reads past a failed
+    one."""
     kinds = {kind.value for kind in PropertyKind}
-    rows = []
+
+    def wrong(value, cls, what, element):
+        return (type(value) is not cls, f"{what} must be a {cls.__name__}, "
+                f"not {type(value).__name__}", element)
+
+    def property_rows(tag, name, properties):
+        where = f"on {tag} {name!r}"
+        yield wrong(properties, tuple, f"properties {where}", tag)
+        for p in properties:
+            yield wrong(p, DocProperty, f"property {where}", "property")
+            yield wrong(p.type, str, f"property type {where}", "property")
+            yield wrong(p.targets, tuple,
+                        f"targets of property {p.type!r} {where}", "property")
+            yield (p.type not in kinds,
+                   f"unknown property type {p.type!r} {where}", "property")
+
+    yield wrong(domains, tuple, "domains", "policy")
     for i, dom in enumerate(domains):
         earlier = domains[:i]
-        where = f"on domain {dom.name!r}"
-        rows += [(type(dom.id) is not int,
-                  f"attribute id={dom.id!r} on <domain> is not an integer",
-                  "domain"),
-                 (dom.id in [d.id for d in earlier],
-                  f"duplicate id {dom.id}", "domain"),
-                 (type(dom.name) is not str,
-                  f"attribute name={dom.name!r} on <domain> is not a string",
-                  "domain"),
-                 (dom.name == "", "domain name must be non-empty", "domain"),
-                 *((p.type not in kinds,
-                    f"unknown property type {p.type!r} {where}", "property")
-                   for p in dom.properties),
-                 (dom.name in [d.name for d in earlier],
-                  f"duplicate domain name {dom.name!r}", "domain")]
+        yield wrong(dom, DocDomain, "domain entry", "domain")
+        yield (type(dom.id) is not int,
+               f"attribute id={dom.id!r} on <domain> is not an integer",
+               "domain")
+        yield (dom.id in [d.id for d in earlier], f"duplicate id {dom.id}",
+               "domain")
+        yield (type(dom.name) is not str,
+               f"attribute name={dom.name!r} on <domain> is not a string",
+               "domain")
+        yield (dom.name == "", "domain name must be non-empty", "domain")
+        yield from property_rows("domain", dom.name, dom.properties)
+        yield (dom.name in [d.name for d in earlier],
+               f"duplicate domain name {dom.name!r}", "domain")
+    yield wrong(files, tuple, "files", "policy")
     for i, file in enumerate(files):
         earlier = files[:i]
-        where = f"on file {file.path!r}"
-        rows += [(type(file.id) is not int,
-                  f"attribute id={file.id!r} on <file> is not an integer",
-                  "file"),
-                 (file.id in [x.id for x in domains + earlier],
-                  f"duplicate id {file.id}", "file"),
-                 (type(file.path) is not str,
-                  f"attribute path={file.path!r} on <file> is not a string",
-                  "file"),
-                 (file.path == "", "file path must be non-empty", "file"),
-                 (type(file.domainid) is not int,
-                  f"attribute domainid={file.domainid!r} on <file> is not an "
-                  f"integer", "file"),
-                 (file.domainid not in [d.id for d in domains],
-                  f"file {file.path!r} references undeclared domain id "
-                  f"{file.domainid}", "file"),
-                 *((p.type not in kinds,
-                    f"unknown property type {p.type!r} {where}", "property")
-                   for p in file.properties),
-                 (file.path in [f.path for f in earlier],
-                  f"duplicate file path {file.path!r}", "file")]
+        yield wrong(file, DocFile, "file entry", "file")
+        yield (type(file.id) is not int,
+               f"attribute id={file.id!r} on <file> is not an integer",
+               "file")
+        yield (file.id in [x.id for x in domains + earlier],
+               f"duplicate id {file.id}", "file")
+        yield (type(file.path) is not str,
+               f"attribute path={file.path!r} on <file> is not a string",
+               "file")
+        yield (file.path == "", "file path must be non-empty", "file")
+        yield (type(file.domainid) is not int,
+               f"attribute domainid={file.domainid!r} on <file> is not an "
+               f"integer", "file")
+        yield (file.domainid not in [d.id for d in domains],
+               f"file {file.path!r} references undeclared domain id "
+               f"{file.domainid}", "file")
+        yield from property_rows("file", file.path, file.properties)
+        yield (file.path in [f.path for f in earlier],
+               f"duplicate file path {file.path!r}", "file")
+
+
+def _first_fault(domains, files):
     return next(((XmlValidationError, message, element)
-                 for failed, message, element in rows if failed), None)
+                 for failed, message, element in _fault_rows(domains, files)
+                 if failed), None)
 
 
-# Pools so small that every document rule fires, often several at once.
-_POOL_PROPERTIES = st.lists(st.sampled_from(
-    (DocProperty("integrity"), DocProperty("secrecy"))), max_size=2).map(tuple)
+# Pools so small that every document rule fires, often several at once:
+# mostly tuples of the right entries, with a list, a wrong entry or a
+# wrong property now and then.
+_POOL_PROPERTIES = st.lists(st.sampled_from((
+    *(DocProperty("integrity"), DocProperty("secrecy")) * 2,
+    DocProperty("cooperation", (1,)), DocProperty("cooperation", [1]),
+    DocProperty(["integrity"]), "integrity")), max_size=2).flatmap(
+        lambda props: st.sampled_from((tuple(props),) * 4 + (props,)))
 _POOL_IDS = st.sampled_from((1, 2, 3, "1"))
+_WRONG_ENTRIES = st.sampled_from(("x", DocFile(4, "h", 1), DocDomain(4, "c")))
 pool_domains = st.builds(DocDomain, _POOL_IDS,
                          st.sampled_from(("", "a", "b", 5)), _POOL_PROPERTIES)
 pool_files = st.builds(DocFile, _POOL_IDS, st.sampled_from(("", "f", "g", 5)),
                        st.sampled_from((1, 2, 9, True)), _POOL_PROPERTIES)
 
 
+def _pool_container(entries):
+    """Up to three entries, one in ten of them wrong, in a tuple or now
+    and then a list."""
+    entry = st.integers(0, 9).flatmap(
+        lambda i: _WRONG_ENTRIES if i == 9 else entries)
+    return st.lists(entry, max_size=3).flatmap(
+        lambda xs: st.sampled_from((tuple(xs),) * 7 + (xs,)))
+
+
 @EXAMPLES
-@given(st.lists(pool_domains, max_size=3).map(tuple),
-       st.lists(pool_files, max_size=3).map(tuple))
+@given(_pool_container(pool_domains), _pool_container(pool_files))
 def test_a_document_reports_its_first_fault(domains, files):
     try:
         PolicyDocument(domains, files)
@@ -680,7 +714,9 @@ _DOC_PROPERTY_LISTS = (
     ((), (DocProperty("integrity"),), (DocProperty("cooperation", (1, -2)),)),
     ((DocProperty("secrecy"),), (DocProperty("cooperation", ("1",)),),
      (DocProperty("cooperation", (False,)),),
-     (DocProperty("confidentiality", (10**5000,)),)))
+     (DocProperty("confidentiality", (10**5000,)),),
+     [DocProperty("integrity")], (DocProperty(["integrity"]),),
+     (DocProperty("cooperation", [1]),), ("integrity",)))
 #: Field -> (valid values, invalid values) for a ``DocDomain`` and a
 #: ``DocFile`` built in code; a valid file owner may still name no
 #: declared domain.
@@ -867,8 +903,7 @@ _STATEMENTS = (
         ("refuse_threshold", "0.1"), ("refuse_threshold", "0.4"),
         ("full_trust_threshold", "0.45"), ("refuse_decrement", "0.3"),
         ("partial_decrement", "2"), ("initial_reputation", "0"),
-        ("initial_reputation", "1"), ("history_window", "0"),
-        ("strict_conflicts", "true"))])
+        ("initial_reputation", "1"), ("history_window", "0"))])
 
 
 #: Three peers of every mix of behaviours, each holding domains d, e

@@ -1,9 +1,12 @@
 """The README's scenario grammar names the statements the parser takes,
-and its library examples run against the package as it is."""
+it names every command line option, and its library examples run
+against the package as it is."""
 
+import argparse
 import re
 from pathlib import Path
 
+from p2psec.cli import build_parser
 from p2psec.simnet import _ARITY
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -30,6 +33,25 @@ def test_indented_lines_are_not_statements():
     text = ("## Scenario files\n\n```\nseed <int>   # seed\n"
             "peer <uid>\n                # behavior\n```\n")
     assert grammar_keywords(text) == ["seed", "peer"]
+
+
+def cli_options() -> set[str]:
+    """Every ``--long`` option of every ``p2psec`` subcommand, less
+    argparse's own ``--help``."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {option for command in sub.choices.values()
+            for action in command._actions for option in action.option_strings
+            if option.startswith("--") and option != "--help"}
+
+
+def test_readme_names_every_cli_option():
+    text = README.read_text(encoding="utf-8")
+    options = cli_options()
+    assert {"--seed", "--counts"} <= options
+    assert sorted(option for option in options
+                  if not re.search(rf"{re.escape(option)}(?![\w-])", text)
+                  ) == []
 
 
 def library_examples(text: str) -> list[str]:

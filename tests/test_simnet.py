@@ -151,7 +151,7 @@ PARSE_ERRORS = [
     ("config history_window 1.5\n",
      "invalid literal for int() with base 10: '1.5'", 1),
     ("config strict_conflicts yes\n",
-     "strict_conflicts takes true or false, not 'yes'", 1),
+     "bad config statement ['strict_conflicts', 'yes']", 1),
     ("peer a\npeer b\nknows a b high\n",
      "could not convert string to float: 'high'", 3),
     ("peer a\nresource a f nowhere\n",
@@ -209,7 +209,6 @@ CONFIG_VALUES = {
     "initial_reputation": ("0.7", 0.7),
     "history_window": ("10", 10),
     "challenge_weight": ("0.5", 0.5),
-    "strict_conflicts": ("TRUE", True),
 }
 
 
@@ -270,11 +269,9 @@ class TestParsing:
 
     def test_config_override(self):
         scenario = parse_scenario("config refuse_threshold 0.3\n"
-                                  "config history_window 10\n"
-                                  "config strict_conflicts true\n")
+                                  "config history_window 10\n")
         assert scenario.config.refuse_threshold == 0.3
         assert scenario.config.history_window == 10
-        assert scenario.config.strict_conflicts is True
 
     @pytest.mark.parametrize("field", fields(TrustConfig),
                              ids=lambda f: f.name)
@@ -283,16 +280,6 @@ class TestParsing:
         config = parse_scenario(f"config {field.name} {text}\n").config
         assert config == replace(TrustConfig(), **{field.name: value})
         assert type(getattr(config, field.name)) is type(value)
-
-    @pytest.mark.parametrize("value", ["ture", "1", "yes"])
-    def test_strict_conflicts_must_be_boolean(self, value):
-        with pytest.raises(ScenarioError) as err:
-            parse_scenario(f"seed 1\nconfig strict_conflicts {value}\n")
-        assert err.value.line == 2
-
-    def test_strict_conflicts_accepts_false(self):
-        scenario = parse_scenario("config strict_conflicts False\n")
-        assert scenario.config.strict_conflicts is False
 
     @pytest.mark.parametrize("trust", ["7.5", "-0.1", "nan", "inf"])
     def test_knows_trust_must_lie_in_unit_interval(self, trust):

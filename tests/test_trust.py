@@ -49,9 +49,6 @@ CONFIG_REFUSALS = [
      "full_trust_threshold must be a finite number, not None"),
     ("history_window", 2.5, "history_window must be an int, not 2.5"),
     ("history_window", True, "history_window must be an int, not True"),
-    ("strict_conflicts", 1, "strict_conflicts must be a bool, not 1"),
-    ("strict_conflicts", "true",
-     "strict_conflicts must be a bool, not 'true'"),
     ("challenge_weight", 1.5, "challenge weight must lie in [0, 1]"),
     ("challenge_weight", -0.1, "challenge weight must lie in [0, 1]"),
     ("challenge_weight", float("nan"),
@@ -246,3 +243,15 @@ class TestReputation:
         message = rf"bob .*\[0, 1\], got {re.escape(str(value))}$"
         with pytest.raises(TrustError, match=message):
             TrustLedger(reputations={BOB: value})
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a number, not bool"),
+        ("x", "must be a number, not str"),
+        (None, "must be a number, not NoneType"),
+        (10**5000, "must lie in [0, 1], got an int too long to write"),
+    ], ids=["bool", "str", "none", "long-int"])
+    def test_ledger_rejects_reputation_that_is_not_a_number(self, value,
+                                                            message):
+        with pytest.raises(TrustError) as err:
+            TrustLedger(reputations={BOB: value})
+        assert str(err.value) == f"reputation of {BOB} {message}"
