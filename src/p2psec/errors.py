@@ -1,6 +1,21 @@
-"""Exception hierarchy shared by all p2psec modules."""
+"""Exception hierarchy shared by all p2psec modules, and the one test
+for an int too long to name in a message."""
 
 from __future__ import annotations
+
+
+def too_long_to_write(value: object) -> bool:
+    """Whether ``value`` is an int that ``str`` (and so ``repr``) refuses
+    to write.  ``str`` refuses an int over its digit limit, which is
+    never below 640 digits, so only an int over 2048 bits pays for the
+    costly test."""
+    if not isinstance(value, int) or value.bit_length() <= 2048:
+        return False
+    try:
+        str(value)
+    except ValueError:
+        return True
+    return False
 
 
 class P2PSecError(Exception):
@@ -73,8 +88,9 @@ class XmlSyntaxError(XmlError):
 
 class XmlValidationError(XmlError):
     """Well-formed XML that violates the policy document schema; carries
-    the 1-based line when the fault was found during the parse, and None
-    for a whole-document invariant."""
+    the 1-based line when :func:`~p2psec.policy_xml.parse_policy` found
+    the fault, and None when a document built in code or lifted holds
+    it."""
 
     def __init__(self, message: str, element: str | None = None,
                  line: int | None = None):

@@ -26,6 +26,7 @@ from .errors import (
     MacError,
     UnknownPermissionError,
     UnknownResourceError,
+    too_long_to_write,
 )
 from .policy import Domain, PeerPolicy, PropertyKind
 
@@ -333,14 +334,8 @@ class AvcRecord:
             if type(value) is not int or value < 0:  # a bool is not an int
                 raise AvcParseError(
                     f"AVC {label} must be a non-negative int, not {value!r}")
-            # ``str`` refuses an int over its digit limit, which is never
-            # below 640 digits, so only a long int needs the costly test.
-            if value.bit_length() > 2048:
-                try:
-                    str(value)
-                except ValueError:
-                    raise AvcParseError(
-                        f"AVC {label} has too many digits") from None
+            if too_long_to_write(value):
+                raise AvcParseError(f"AVC {label} has too many digits")
         bad = [p for p in self.permissions
                if not (isinstance(p, str) and _PERMISSION_NAME.fullmatch(p))]
         if bad:

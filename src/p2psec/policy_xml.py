@@ -18,7 +18,12 @@ import re
 from dataclasses import dataclass
 from xml.parsers import expat
 
-from .errors import PolicyValidationError, XmlSyntaxError, XmlValidationError
+from .errors import (
+    PolicyValidationError,
+    XmlSyntaxError,
+    XmlValidationError,
+    too_long_to_write,
+)
 from .policy import (
     Domain,
     PeerPolicy,
@@ -76,59 +81,84 @@ class PolicyDocument:
     ``int`` ids, owners and targets that ``str`` can write, unique ids,
     ``str`` names and paths that are unique and non-empty, declared file
     owners, known ``str`` property types), so code given one trusts it.
-    The check is one pass, domains then files, and reports the first
-    fault it meets."""
+    The check runs :func:`_check_element` on the domains, then on the
+    files, and reports the first fault it meets.  :func:`parse_policy`
+    runs the same checks during its pass and builds its result without
+    this one."""
 
     domains: tuple[DocDomain, ...] = ()
     files: tuple[DocFile, ...] = ()
 
     def __post_init__(self):
         ids: set[int] = set()
-        domain_ids: frozenset[int] = frozenset()
-        for tag, key, cls, elements in (
-                ("domain", "name", DocDomain, self.domains),
-                ("file", "path", DocFile, self.files)):
+        for name, cls in (("domains", DocDomain), ("files", DocFile)):
+            elements = getattr(self, name)
             if type(elements) is not tuple:
-                _refuse_type(elements, tuple, f"{tag}s", "policy")
+                _refuse_type(elements, tuple, name, "policy")
             keys: set[str] = set()
+            owners = frozenset(ids)   # for the files: the domain ids
             for element in elements:
-                if type(element) is not cls:
-                    _refuse_type(element, cls, f"{tag} entry", tag)
-                _check_integer(element.id, "id", tag)
-                if element.id in ids:
-                    raise XmlValidationError(f"duplicate id {element.id}",
-                                             element=tag)
-                ids.add(element.id)
-                value = getattr(element, key)
-                if type(value) is not str:
-                    raise XmlValidationError(
-                        f"attribute {key}={value!r} on <{tag}> is not a "
-                        f"string", element=tag)
-                if not value:
-                    raise XmlValidationError(f"{tag} {key} must be non-empty",
-                                             element=tag)
-                if tag == "file":
-                    _check_integer(element.domainid, "domainid", tag)
-                    if element.domainid not in domain_ids:
-                        raise XmlValidationError(
-                            f"file {value!r} references undeclared domain "
-                            f"id {element.domainid}", element=tag)
-                if type(element.properties) is not tuple:
-                    _refuse_type(element.properties, tuple,
-                                 f"properties on {tag} {value!r}", tag)
-                for prop in element.properties:
-                    if (type(prop) is not DocProperty
-                            or type(prop.type) is not str
-                            or type(prop.targets) is not tuple
-                            or prop.type not in _KINDS):
-                        _refuse_property(prop, f"on {tag} {value!r}")
-                    for target in prop.targets:
-                        _check_integer(target, "domainid", "target")
-                if value in keys:
-                    raise XmlValidationError(
-                        f"duplicate {tag} {key} {value!r}", element=tag)
-                keys.add(value)
-            domain_ids = frozenset(ids)
+                _check_element(element, cls, ids, keys, owners)
+
+
+#: Each element type's tag and the attribute that names it.
+_NAMED_BY = {DocDomain: ("domain", "name"), DocFile: ("file", "path")}
+
+
+def _check_element(element: object, cls: type, ids: set[int],
+                   keys: set[str], owners) -> None:
+    """Check one ``cls`` entry against the ``ids`` and, of its kind, the
+    names or paths (``keys``) seen so far, and add its own.  The rules
+    run in order: a ``cls``, an ``int`` id, a new id, a ``str`` name or
+    path, a non-empty one; for a file an ``int`` owner, declared in
+    ``owners`` unless that is None; the properties; a new name or
+    path."""
+    tag, key = _NAMED_BY[cls]
+    if type(element) is not cls:
+        _refuse_type(element, cls, f"{tag} entry", tag)
+    _check_integer(element.id, "id", tag)
+    if element.id in ids:
+        raise XmlValidationError(f"duplicate id {element.id}", element=tag)
+    ids.add(element.id)
+    value = getattr(element, key)
+    if type(value) is not str:
+        raise XmlValidationError(f"attribute {key}={value!r} on <{tag}> is "
+                                 f"not a string", element=tag)
+    if not value:
+        raise XmlValidationError(f"{tag} {key} must be non-empty", element=tag)
+    if cls is DocFile:
+        _check_integer(element.domainid, "domainid", tag)
+        if owners is not None:
+            _check_owner(element, owners)
+    if type(element.properties) is not tuple:
+        _refuse_type(element.properties, tuple,
+                     f"properties on {tag} {value!r}", tag)
+    for prop in element.properties:
+        if type(prop) is not DocProperty:
+            _refuse_type(prop, DocProperty, f"property on {tag} {value!r}",
+                         "property")
+        if type(prop.type) is not str:
+            _refuse_type(prop.type, str, f"property type on {tag} {value!r}",
+                         "property")
+        if type(prop.targets) is not tuple:
+            _refuse_type(prop.targets, tuple, f"targets of property "
+                         f"{prop.type!r} on {tag} {value!r}", "property")
+        if prop.type not in _KINDS:
+            raise XmlValidationError(f"unknown property type {prop.type!r} "
+                                     f"on {tag} {value!r}", element="property")
+        for target in prop.targets:
+            _check_integer(target, "domainid", "target")
+    if value in keys:
+        raise XmlValidationError(f"duplicate {tag} {key} {value!r}",
+                                 element=tag)
+    keys.add(value)
+
+
+def _check_owner(file: DocFile, owners) -> None:
+    """Refuse a file whose owner is not among the ``owners`` ids."""
+    if file.domainid not in owners:
+        raise XmlValidationError(f"file {file.path!r} references undeclared "
+                                 f"domain id {file.domainid}", element="file")
 
 
 def _refuse_type(value: object, cls: type, what: str, tag: str) -> None:
@@ -137,44 +167,16 @@ def _refuse_type(value: object, cls: type, what: str, tag: str) -> None:
                              f"{type(value).__name__}", element=tag)
 
 
-def _refuse_property(prop: object, where: str) -> None:
-    """Refuse a property entry for the first rule it breaks: a
-    ``DocProperty`` whose ``str`` type is known and whose targets are a
-    tuple; ``where`` names its domain or file."""
-    if type(prop) is not DocProperty:
-        _refuse_type(prop, DocProperty, f"property {where}", "property")
-    if type(prop.type) is not str:
-        _refuse_type(prop.type, str, f"property type {where}", "property")
-    if type(prop.targets) is not tuple:
-        _refuse_type(prop.targets, tuple,
-                     f"targets of property {prop.type!r} {where}", "property")
-    raise XmlValidationError(f"unknown property type {prop.type!r} {where}",
-                             element="property")
-
-
 def _check_integer(value: object, attr: str, tag: str) -> None:
     """Refuse an integer attribute the parser would not read back: a
     value that is not an ``int`` (a ``bool`` is not) or one that ``str``
-    cannot write.  ``str`` refuses an int over its digit limit, which is
-    never below 640 digits, so only a long int needs the costly test;
-    its ``repr`` would raise too, so the message leaves it out."""
+    cannot write, which the message therefore leaves out."""
     if type(value) is not int:
-        raise XmlValidationError(
-            f"attribute {attr}={value!r} on <{tag}> is not an integer",
-            element=tag)
-    if value.bit_length() > 2048:
-        try:
-            str(value)
-        except ValueError:
-            raise XmlValidationError(
-                f"attribute {attr} on <{tag}> has too many digits",
-                element=tag) from None
-
-
-def _where(scope: DocDomain | DocFile) -> str:
-    """How a message names a domain or a file."""
-    return (f"domain {scope.name!r}" if isinstance(scope, DocDomain)
-            else f"file {scope.path!r}")
+        raise XmlValidationError(f"attribute {attr}={value!r} on <{tag}> is "
+                                 f"not an integer", element=tag)
+    if too_long_to_write(value):
+        raise XmlValidationError(f"attribute {attr} on <{tag}> has too many "
+                                 f"digits", element=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -188,30 +190,28 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
     Raises XmlSyntaxError (with position when the parser gives one) on
     malformed markup, an unknown or unusable encoding, a ``str`` that
     declares an encoding other than UTF-8 or cannot be encoded as UTF-8,
-    and XmlValidationError naming the offending element otherwise, a
-    DOCTYPE declaration included.  A fault the pass finds comes first:
-    the first in document order is reported, with its line (stray text
-    on the line of the markup that ends it).  Only a document the pass
-    accepts reaches :class:`PolicyDocument`'s check, whose faults
-    (duplicate ids, names and paths, undeclared file owners, unknown
-    property types, empty names and paths) carry no line, so such a
-    fault is reported only when the pass finds none, wherever it sits.
+    and XmlValidationError naming the offending element and its line
+    otherwise, a DOCTYPE declaration included.  The first fault the pass
+    meets is reported.  Each element's markup is checked as it opens
+    (stray text carries the line of the markup that ends it), and each
+    domain and file is held to :class:`PolicyDocument`'s rules as it
+    closes, with the line of its start tag; a file's owner may be
+    declared after it, so owners are checked at ``</policy>``.  The
+    document is then built without checking it a second time.
     """
-    if isinstance(data, str):
-        declared = _DECLARED_ENCODING.match(data)
-        if declared and declared.group(1).upper() != "UTF-8":
-            raise XmlSyntaxError(f"a str policy is UTF-8 and cannot declare "
-                                 f"encoding {declared.group(1)!r}")
     # The parser ElementTree.XMLParser makes: a "}" namespace separator
     # and text handed over in runs, not piecemeal.
     parser = expat.ParserCreate(None, "}")
     parser.buffer_text = True
-    domains: list[DocDomain] = []
-    files: list[DocFile] = []
-    _install_handlers(parser, domains, files)
+    domains, files = [], []
     try:
         if isinstance(data, str):
+            declared = _DECLARED_ENCODING.match(data)
+            if declared and declared.group(1).upper() != "UTF-8":
+                raise XmlSyntaxError(f"a str policy is UTF-8 and cannot "
+                                     f"declare encoding {declared.group(1)!r}")
             data = data.encode("utf-8")
+        _install_handlers(parser, data, domains, files)
         parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise XmlSyntaxError(str(exc), line=exc.lineno) from exc
@@ -222,7 +222,10 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
         # now instead of at the next cyclic garbage collection.
         parser.StartElementHandler = parser.EndElementHandler = None
         parser.CharacterDataHandler = parser.StartDoctypeDeclHandler = None
-    return PolicyDocument(domains=tuple(domains), files=tuple(files))
+    doc = object.__new__(PolicyDocument)
+    object.__setattr__(doc, "domains", tuple(domains))
+    object.__setattr__(doc, "files", tuple(files))
+    return doc
 
 
 #: The elements each depth may hold: the root, what ``<policy>`` holds,
@@ -249,32 +252,28 @@ def _universal(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
-def _install_handlers(parser, domains: list[DocDomain],
+def _install_handlers(parser, data: bytes, domains: list[DocDomain],
                       files: list[DocFile]) -> None:
-    """Install the expat handlers of one parse, which append to
-    ``domains`` and ``files`` as it goes.  An element is checked
+    """Install the expat handlers of one parse of ``data``, which append
+    to ``domains`` and ``files`` as it goes.  An element is checked
     against ``_NESTING`` and ``_ATTRS`` when it opens and its ``Doc*``
-    value is built when it closes."""
+    value is built when it closes; a domain or file is then checked by
+    :func:`_check_element`, and file owners at ``</policy>``, each fault
+    with the line of its domain's or file's start tag."""
     open_tags: list[str] = []
     after = None              # the last child closed at this depth
     scope: tuple = ()         # fields of the open domain or file
+    at = 0                    # byte where the open domain or file starts
     properties: list[DocProperty] = []
     ptype = ""                # type of the open property
     targets: list[int] = []
     untargeted: dict[str, DocProperty] = {}   # each built once
+    ids, names, paths = set(), set(), set()   # seen so far
+    file_starts: list[int] = []
 
     def fail(message, element):
         raise XmlValidationError(message, element=element,
                                  line=parser.CurrentLineNumber)
-
-    def check_attrs(tag, attrs):
-        allowed = _ATTRS[tag]
-        for attr in attrs:
-            if attr not in allowed:
-                fail(f"unknown attribute {_universal(attr)!r} on <{tag}>", tag)
-        for attr in allowed:
-            if attr not in attrs:
-                fail(f"<{tag}> is missing attribute {attr!r}", tag)
 
     def integer(tag, attrs, attr):
         value = _canonical_int(attrs[attr])
@@ -284,7 +283,7 @@ def _install_handlers(parser, domains: list[DocDomain],
         return value
 
     def start(tag, attrs):
-        nonlocal after, scope, properties, ptype, targets
+        nonlocal after, scope, at, properties, ptype, targets
         allowed = _OPENS[len(open_tags)].get(tag)
         if allowed is None:
             tag = _universal(tag)
@@ -293,41 +292,65 @@ def _install_handlers(parser, domains: list[DocDomain],
                      tag)
             fail(f"root element must be <policy>, got <{tag}>", tag)
         if attrs.keys() != allowed:
-            check_attrs(tag, attrs)
-        if tag == "domain":
-            scope = (integer(tag, attrs, "id"), attrs["name"])
-            properties = []
-        elif tag == "file":
-            scope = (integer(tag, attrs, "id"), attrs["path"],
-                     integer(tag, attrs, "domainid"))
-            properties = []
-        elif tag == "property":
+            for attr in attrs:
+                if attr not in allowed:
+                    fail(f"unknown attribute {_universal(attr)!r} on <{tag}>",
+                         tag)
+            for attr in _ATTRS[tag]:
+                if attr not in attrs:
+                    fail(f"<{tag}> is missing attribute {attr!r}", tag)
+        if tag == "property":
             ptype = attrs["type"]
             targets = []
         elif tag == "target":
             targets.append(integer(tag, attrs, "domainid"))
+        elif tag == "domain":
+            scope = (integer(tag, attrs, "id"), attrs["name"])
+            at, properties = parser.CurrentByteIndex, []
+        elif tag == "file":
+            scope = (integer(tag, attrs, "id"), attrs["path"],
+                     integer(tag, attrs, "domainid"))
+            at, properties = parser.CurrentByteIndex, []
         open_tags.append(tag)
         after = None
 
     def end(tag):
-        nonlocal after
+        nonlocal after, at
         open_tags.pop()
         after = tag
         if tag == "property":
-            if targets:
-                prop = DocProperty(ptype, tuple(targets))
-            else:
-                prop = untargeted.get(ptype)
-                if prop is None:
-                    prop = untargeted[ptype] = DocProperty(ptype)
+            prop = (DocProperty(ptype, tuple(targets)) if targets
+                    else untargeted.get(ptype))
+            if prop is None:
+                prop = untargeted[ptype] = DocProperty(ptype)
             properties.append(prop)
-        elif tag == "domain":
-            domains.append(DocDomain(*scope, tuple(properties)))
-        elif tag == "file":
-            files.append(DocFile(*scope, tuple(properties)))
+        elif tag != "target":
+            try:
+                if tag == "domain":
+                    domains.append(DocDomain(*scope, tuple(properties)))
+                    _check_element(domains[-1], DocDomain, ids, names, None)
+                elif tag == "file":
+                    files.append(DocFile(*scope, tuple(properties)))
+                    _check_element(files[-1], DocFile, ids, paths, None)
+                    file_starts.append(at)
+                else:
+                    owners = {dom.id for dom in domains}
+                    for file, at in zip(files, file_starts):
+                        _check_owner(file, owners)
+            except XmlValidationError as exc:
+                # The line of the start tag at byte ``at``: expat reads
+                # the document again through the tag's "<" (one or two
+                # bytes) and reports that as an unclosed token on its
+                # line.  Only a fault pays for this, where asking the
+                # parser for each tag's line would cost every parse.
+                try:
+                    expat.ParserCreate().Parse(data[:at + 2], True)
+                except expat.ExpatError as found:
+                    exc.line = found.lineno
+                raise
 
-    def text(data):
-        if not data.isspace():
+    def text(run):
+        if not run.isspace():
             if after:
                 fail(f"unexpected text after <{after}>", after)
             fail(f"unexpected text inside <{open_tags[-1]}>", open_tags[-1])
@@ -422,37 +445,32 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
     def lift(scope: DocDomain | DocFile) -> frozenset[SecurityProperty]:
         props = lifted.get(scope.properties)
         if props is None:
-            props = lifted[scope.properties] = _lift_properties(scope,
-                                                                names_by_id)
+            props = set()
+            for prop in scope.properties:
+                targets = frozenset(
+                    names_by_id.get(t, f"ext:{t}") for t in prop.targets)
+                try:
+                    props.add(SecurityProperty(_KINDS[prop.type], targets))
+                except PolicyValidationError as exc:
+                    tag, key = _NAMED_BY[type(scope)]
+                    raise XmlValidationError(
+                        f"{exc} on {tag} {getattr(scope, key)!r}",
+                        element="property") from exc
+            props = lifted[scope.properties] = frozenset(props)
         return props
 
     domains = tuple(Domain(dom.id, dom.name, lift(dom))
                     for dom in doc.domains)
     resources = []
     for file in doc.files:
-        props = lift(file)
         try:
             resources.append(Resource(file.id, file.path, file.domainid,
-                                      props))
+                                      lift(file)))
         except PolicyValidationError as exc:
             raise XmlValidationError(str(exc), element="file") from exc
-    all_ids = [d.id for d in doc.domains] + [f.id for f in doc.files]
+    ids = [element.id for element in doc.domains + doc.files]
     return PeerPolicy(domains=domains, resources=tuple(resources),
-                      next_id=max(all_ids, default=0) + 1)
-
-
-def _lift_properties(scope: DocDomain | DocFile,
-                     names_by_id: dict[int, str]) -> frozenset[SecurityProperty]:
-    lifted = set()
-    for prop in scope.properties:
-        targets = frozenset(
-            names_by_id.get(t, f"ext:{t}") for t in prop.targets)
-        try:
-            lifted.add(SecurityProperty(_KINDS[prop.type], targets))
-        except PolicyValidationError as exc:
-            raise XmlValidationError(f"{exc} on {_where(scope)}",
-                                     element="property") from exc
-    return frozenset(lifted)
+                      next_id=max(ids, default=0) + 1)
 
 
 def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:
@@ -460,33 +478,25 @@ def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:
     that names no local domain and is not an ``ext:<id>`` reference
     raises XmlValidationError."""
     ids_by_name = {dom.name: dom.id for dom in policy.domains}
-    domains = tuple(
-        DocDomain(id=dom.id, name=dom.name,
-                  properties=_lower_properties(dom.properties, ids_by_name))
-        for dom in policy.domains)
-    files = tuple(
-        DocFile(id=res.id, path=res.path, domainid=res.domain_id,
-                properties=_lower_properties(res.properties, ids_by_name))
-        for res in policy.resources)
-    return PolicyDocument(domains=domains, files=files)
 
+    def lower(props: frozenset[SecurityProperty]) -> tuple[DocProperty, ...]:
+        lowered = []
+        for prop in sort_properties(props):
+            targets = []
+            for name in sorted(prop.targets):
+                prefix, _, digits = name.partition(":")
+                target = ids_by_name.get(
+                    name, _canonical_int(digits) if prefix == "ext" else None)
+                if target is None:
+                    raise XmlValidationError(
+                        f"target {name!r} names no local domain and is not "
+                        f"an external ext:<id> reference", element="property")
+                targets.append(target)
+            lowered.append(DocProperty(prop.kind.value, tuple(sorted(targets))))
+        return tuple(lowered)
 
-def _lower_properties(props: frozenset[SecurityProperty],
-                      ids_by_name: dict[str, int]) -> tuple[DocProperty, ...]:
-    lowered = []
-    for prop in sort_properties(props):
-        targets = []
-        for name in sorted(prop.targets):
-            if name in ids_by_name:
-                targets.append(ids_by_name[name])
-                continue
-            prefix, _, digits = name.partition(":")
-            external = _canonical_int(digits) if prefix == "ext" else None
-            if external is None:
-                raise XmlValidationError(
-                    f"target {name!r} names no local domain and is not an "
-                    f"external ext:<id> reference", element="property")
-            targets.append(external)
-        lowered.append(DocProperty(type=prop.kind.value,
-                                   targets=tuple(sorted(targets))))
-    return tuple(lowered)
+    return PolicyDocument(
+        tuple(DocDomain(dom.id, dom.name, lower(dom.properties))
+              for dom in policy.domains),
+        tuple(DocFile(res.id, res.path, res.domain_id, lower(res.properties))
+              for res in policy.resources))

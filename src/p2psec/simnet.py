@@ -31,6 +31,7 @@ from .errors import (
     UnknownDomainError,
     UnknownResourceError,
     UnknownScopeError,
+    too_long_to_write,
 )
 from .mac import (
     AvcRecord,
@@ -185,8 +186,10 @@ class _Roster:
             raise ScenarioError(f"peer {holder!r} knows {subject!r} with "
                                 f"trust {trust!r}, not a number")
         if not 0.0 <= trust <= 1.0:
+            shown = ("an int too long to write"
+                     if too_long_to_write(trust) else repr(trust))
             raise ScenarioError(f"peer {holder!r} knows {subject!r} with "
-                                f"trust {trust!r}, outside [0, 1]")
+                                f"trust {shown}, outside [0, 1]")
         known[subject] = trust
 
     def act(self, action: Action) -> None:

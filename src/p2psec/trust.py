@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import NoDelegatesError, TrustError
+from .errors import NoDelegatesError, TrustError, too_long_to_write
 from .policy import PropertyKind
 
 
@@ -150,11 +150,8 @@ class TrustLedger:
                 raise TrustError(f"reputation of {peer} must be a number, "
                                  f"not {type(value).__name__}")
             if not 0.0 <= value <= 1.0:
-                # str refuses an int over its digit limit, which is never
-                # below 640 digits.
-                shown = (value if type(value) is float
-                         or value.bit_length() <= 2048
-                         else "an int too long to write")
+                shown = ("an int too long to write"
+                         if too_long_to_write(value) else value)
                 raise TrustError(f"reputation of {peer} must lie in "
                                  f"[0, 1], got {shown}")
 

@@ -83,21 +83,27 @@ def test_compile_unusable_xml_fails(tmp_path, capsys, data):
 
 
 def test_xml_fault_names_its_file_and_line(tmp_path, capsys):
+    """A fault found as an element opens, or as a domain or file closes,
+    carries its line; ``check`` reads the file as ``compile`` does."""
     path = tmp_path / "bad.xml"
-    path.write_text('<policy>\n  <domain id="1" name="a">\n    <wat/>\n'
-                    '  </domain>\n</policy>\n')
-    assert main(["compile", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {path}:3: unexpected element <wat> under <domain>\n")
+    for data, message in (
+            ('<policy>\n  <domain id="1" name="a">\n    <wat/>\n'
+             '  </domain>\n</policy>\n',
+             "3: unexpected element <wat> under <domain>"),
+            ('<policy>\n  <domain id="1" name="a"/>\n'
+             '  <domain id="1" name="b"/>\n</policy>\n',
+             "3: duplicate id 1")):
+        path.write_text(data)
+        for command in ("compile", "check"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
 
 @pytest.mark.parametrize("command", ["compile", "check"])
 @pytest.mark.parametrize("data, message", [
-    ('<policy>\n  <domain id="1" name="a"/>\n  <domain id="1" name="b"/>\n'
-     '</policy>\n', "duplicate id 1"),
     ('<policy>\n  <domain id="1" name="a">\n</policy>\n',
      "mismatched tag: line 3, column 2"),
-], ids=["document", "markup"])
+], ids=["markup"])
 def test_policy_fault_without_a_line_names_its_file(command, data, message,
                                                      tmp_path, capsys):
     path = tmp_path / "bad.xml"

@@ -59,6 +59,20 @@ def test_parse_sample_document():
     assert doc.files[0].properties[0].targets == (2,)
 
 
+def test_parse_checks_each_element_once(monkeypatch):
+    """The pass checks each domain and file as it closes, so the parse
+    builds its result without ``PolicyDocument``'s second walk; the
+    result is still one that walk accepts."""
+    calls = []
+    check = PolicyDocument.__post_init__
+    monkeypatch.setattr(PolicyDocument, "__post_init__",
+                        lambda doc: calls.append(doc) or check(doc))
+    doc = parse_policy(SAMPLE)
+    assert calls == []
+    assert PolicyDocument(doc.domains, doc.files) == doc
+    assert len(calls) == 1
+
+
 def test_untargeted_properties_are_built_once_per_parse():
     doc = parse_policy(b"<policy><domain id='1' name='a'>"
                        b"<property type='integrity'/></domain>"
@@ -419,10 +433,12 @@ _DOMAIN = "<domain id='1' name='a'>"
 _COOP = "<property type='cooperation'>"
 
 #: One fault per document: (id, document, error type, exact message,
-#: line).  Line is the document line the parser reports the fault on,
-#: for stray text the line of the markup that ends it; None for
-#: whole-document invariants, which ``PolicyDocument`` checks after the
-#: pass, and for faults with no position.  A row whose error type is
+#: line).  Line is the document line the parser reports the fault on:
+#: for stray text the line of the markup that ends it; for a fault
+#: found when a domain or file closes (a duplicate id, name or path, an
+#: empty one, an unknown property type) or at ``</policy>`` (an
+#: undeclared owner), the line of that domain's or file's start tag;
+#: None only for a fault with no position.  A row whose error type is
 #: None names a document that parses.
 XML_ERRORS = (
     ("domain-missing-id", "<policy>\n<domain name='a'/>\n</policy>",
@@ -541,29 +557,41 @@ XML_ERRORS = (
      S, "unclosed token: line 1, column 0", 1),
     ("duplicate-id", f"<policy>\n{_DOMAIN}</domain>\n"
      "<file id='1' path='f' domainid='1'/>\n</policy>",
-     V, "duplicate id 1", None),
+     V, "duplicate id 1", 3),
     ("duplicate-name", f"<policy>\n{_DOMAIN}</domain>\n"
      "<domain id='2' name='a'/>\n</policy>",
-     V, "duplicate domain name 'a'", None),
+     V, "duplicate domain name 'a'", 3),
     ("duplicate-path", f"<policy>\n{_DOMAIN}</domain>\n"
      "<file id='2' path='f' domainid='1'/>\n"
      "<file id='3' path='f' domainid='1'/>\n</policy>",
-     V, "duplicate file path 'f'", None),
+     V, "duplicate file path 'f'", 4),
     ("undeclared-domainid", f"<policy>\n{_DOMAIN}</domain>\n"
      "<file id='2' path='f' domainid='9'/>\n</policy>",
-     V, "file 'f' references undeclared domain id 9", None),
+     V, "file 'f' references undeclared domain id 9", 3),
     ("unknown-property-type", f"<policy>\n{_DOMAIN}\n"
      "<property type='secrecy'/>\n</domain>\n</policy>",
-     V, "unknown property type 'secrecy' on domain 'a'", None),
-    # A fault the parse finds is reported before a whole-document one.
-    ("parse-fault-before-duplicate-id", f"<policy>\n{_DOMAIN}</domain>\n"
+     V, "unknown property type 'secrecy' on domain 'a'", 2),
+    # The first fault in document order is reported, whichever rule
+    # finds it.
+    ("first-fault-in-document-order", f"<policy>\n{_DOMAIN}</domain>\n"
      "<domain id='1' name='b'/>\n<domain id='01' name='c'/>\n</policy>",
-     V, "attribute id='01' on <domain> is not an integer", 4),
+     V, "duplicate id 1", 3),
+    # A file may come before the domain that owns it...
+    ("file-before-its-domain", "<policy>\n"
+     "<file id='2' path='f' domainid='1'/>\n<domain id='1' name='a'/>\n"
+     "</policy>",
+     None, "", None),
+    # ...so an undeclared owner is found only at </policy>, after a
+    # fault further down, and keeps its file's line.
+    ("undeclared-domainid-found-at-end", "<policy>\n"
+     "<file id='2' path='f' domainid='9'/>\n<domain id='1' name=''/>\n"
+     "</policy>",
+     V, "domain name must be non-empty", 3),
     ("empty-name", "<policy>\n<domain id='1' name=''/>\n</policy>",
-     V, "domain name must be non-empty", None),
+     V, "domain name must be non-empty", 2),
     ("empty-path", f"<policy>\n{_DOMAIN}</domain>\n"
      "<file id='2' path='' domainid='1'/>\n</policy>",
-     V, "file path must be non-empty", None),
+     V, "file path must be non-empty", 3),
 )
 
 
@@ -588,3 +616,25 @@ def test_xml_error_lines(data, error, line):
     with pytest.raises(error) as err:
         parse_policy(data)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("body, message", [
+    ("<domain id='1'{nl}  name='b'>{nl}<property type='spread'/>{nl}"
+     "</domain>", "duplicate id 1"),
+    ("<file id='2'{nl}  path='f' domainid='9'>{nl}"
+     "<property type='spread'/>{nl}</file>",
+     "file 'f' references undeclared domain id 9"),
+], ids=["at-close", "at-end"])
+def test_a_checked_element_fault_has_its_start_tag_line(body, message,
+                                                        newline, encoding):
+    """A fault found when a domain or file closes, or at </policy>,
+    carries the line its start tag begins on, whatever the line breaks
+    and the encoding."""
+    text = newline.join([f"<?xml version='1.0' encoding='{encoding}'?>",
+                         "<policy>", "<domain id='1' name='a'/>",
+                         body.format(nl=newline), "</policy>"])
+    with pytest.raises(XmlValidationError) as err:
+        parse_policy(text.encode(encoding))
+    assert (str(err.value), err.value.line) == (message, 4)

@@ -1,7 +1,6 @@
 """Generated-input properties for the core invariants."""
 
 import itertools
-import re
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -234,25 +233,27 @@ def test_only_package_errors_escape_the_compile_path(data):
         pass
 
 
-#: The whole-document invariants ``PolicyDocument`` checks after the
-#: parse; every other validation fault is found during the pass.
-_DOCUMENT_FAULTS = re.compile(
-    r"duplicate (id|domain name|file path) |(domain name|file path) must "
-    r"be non-empty$|unknown property type |.* references undeclared domain")
-
-
 @EXAMPLES
 @given(mutated_documents)
 def test_every_fault_found_during_the_parse_has_a_line(data):
     try:
         parse_policy(data)
     except XmlValidationError as exc:
-        if _DOCUMENT_FAULTS.match(str(exc)):
-            assert exc.line is None
-        else:
-            assert exc.line is not None and 1 <= exc.line
+        assert exc.line is not None and 1 <= exc.line
     except XmlSyntaxError:
         pass
+
+
+@EXAMPLES
+@given(mutated_documents)
+def test_a_parsed_document_passes_the_full_check(data):
+    """The parse builds its result without ``PolicyDocument``'s check,
+    so it must never accept a document that check would refuse."""
+    try:
+        doc = parse_policy(data)
+    except P2PSecError:
+        return
+    assert PolicyDocument(doc.domains, doc.files) == doc
 
 
 def _fault_rows(domains, files):
@@ -980,12 +981,16 @@ code_actions = st.lists(st.one_of(
     max_size=6)
 
 
+#: Trusts a peer may hold: in range, or an int too long to write.
+_CODE_TRUSTS = st.sampled_from((0.9, 0.9, 0.9, 10**5000))
+
+
 @st.composite
 def code_scenarios(draw):
     peers = tuple(
         PeerDecl(uid, uid, _CODE_POLICY,
                  draw(st.sampled_from(list(BehaviorModel))),
-                 tuple((other, 0.9) for other in _UIDS
+                 tuple((other, draw(_CODE_TRUSTS)) for other in _UIDS
                        if other != uid and draw(st.booleans())))
         for uid in _UIDS)
     return peers, tuple(draw(code_actions))

@@ -320,6 +320,10 @@ class TestParsing:
         pytest.param((decl("a", knows=(("b", True),)), decl("b")), (),
                      "peer 'a' knows 'b' with trust True, not a number",
                      id="trust-bool"),
+        # An int too long to write is named, not written.
+        pytest.param((decl("a", knows=(("b", 10**5000),)), decl("b")), (),
+                     "peer 'a' knows 'b' with trust an int too long to "
+                     "write, outside [0, 1]", id="trust-long-int"),
         # The parser builds no action the run cannot apply; code can.
         pytest.param((decl("a"), decl("b")), (AskAction("a", "b", "f", ""),),
                      "ask target domain must be non-empty",
