@@ -101,9 +101,13 @@ def test_xml_fault_names_its_file_and_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["compile", "check"])
 @pytest.mark.parametrize("data, message", [
+    ('<policy>\n  <domain id="1" name="a"/>\n'
+     '  <file id="2" path="/f" domainid="1">\n'
+     '    <property type="nopublication"/>\n  </file>\n</policy>\n',
+     "nopublication applies to domains, not resources"),
     ('<policy>\n  <domain id="1" name="a">\n</policy>\n',
      "mismatched tag: line 3, column 2"),
-], ids=["markup"])
+], ids=["document", "markup"])
 def test_policy_fault_without_a_line_names_its_file(command, data, message,
                                                      tmp_path, capsys):
     path = tmp_path / "bad.xml"
