@@ -46,9 +46,8 @@ def _parse_file(path: str, parse: Callable[[Any], Any], data: Any) -> Any:
     try:
         return parse(data)
     except P2PSecError as exc:
-        line = getattr(exc, "line", None)
-        if line and not isinstance(exc, XmlSyntaxError):
-            path = f"{path}:{line}"
+        if exc.line and not isinstance(exc, XmlSyntaxError):
+            path = f"{path}:{exc.line}"
         raise P2PSecError(f"{path}: {exc}") from None
 
 

@@ -19,7 +19,13 @@ def too_long_to_write(value: object) -> bool:
 
 
 class P2PSecError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package: a message,
+    and the 1-based ``line`` of the input that holds the fault, or None
+    when the raiser does not know it."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +61,7 @@ class UnknownScopeError(PolicyError):
 
 
 class PropertyConflictError(PolicyError):
-    """Requested properties conflict with properties already in force.
-
-    ``pairs`` holds the offending (requested, present) property pairs.
-    """
-
-    def __init__(self, message: str, pairs: tuple = ()):
-        super().__init__(message)
-        self.pairs = tuple(pairs)
+    """Requested properties conflict with properties already in force."""
 
 
 class PublicationForbiddenError(PolicyError):
@@ -78,25 +77,17 @@ class XmlError(P2PSecError):
 
 
 class XmlSyntaxError(XmlError):
-    """Malformed markup; carries the 1-based line when the parser gives
-    one, and its message then names the line and column."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+    """Malformed markup; its ``line`` is set when the parser gives one,
+    and its message then names the line and column."""
 
 
 class XmlValidationError(XmlError):
-    """Well-formed XML that violates the policy document schema; carries
-    the 1-based line when :func:`~p2psec.policy_xml.parse_policy` found
-    the fault, and None when a document built in code or lifted holds
-    it."""
-
-    def __init__(self, message: str, element: str | None = None,
-                 line: int | None = None):
-        super().__init__(message)
-        self.element = element
-        self.line = line
+    """Well-formed XML that violates the policy document schema; the
+    message names the element or attribute at fault (``duplicate id N``
+    names the id, which is unique across domains and files).  Its
+    ``line`` is set when :func:`~p2psec.policy_xml.parse_policy` found
+    the fault, and None when a document built in code holds it or the
+    serializer refuses it."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +128,8 @@ class NoDelegatesError(TrustError):
 # ---------------------------------------------------------------------------
 
 class ScenarioError(P2PSecError):
-    """A scenario file is syntactically or referentially invalid."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+    """A scenario file is syntactically or referentially invalid; its
+    ``line`` is set when the fault was found in a parsed file."""
 
 
 class PrivacyViolationError(P2PSecError):

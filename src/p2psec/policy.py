@@ -12,8 +12,9 @@ The value types are immutable, and every policy value is valid: a
 ``PolicyBuilder`` was checked step by step.  Edits are made on that
 mutable builder, the one home of the edit checks; a ``PeerPolicy`` edit
 thaws, applies one builder step and freezes, returning a new value and
-never touching its input.  Thaw and freeze copy indexes and re-check
-nothing, so an edit costs the size of the change.
+never touching its input.  Thaw and freeze copy the policy's indexes
+and re-check nothing, so an edit makes a fixed number of Python calls
+whatever the policy's size, but copies indexes as large as the policy.
 """
 
 from __future__ import annotations
@@ -158,12 +159,9 @@ def property_set_conflicts(
     carries explicit targets, since a scoped cooperation or
     confidentiality is an intentional exception to the kind-level rule.
     Negotiation does not use this; ``eval_property`` applies the plain
-    kind-level relation, :func:`conflicts`.
+    kind-level relation, :func:`conflicts`.  The builder refuses the
+    same conflicts through :func:`_kinds_clash`.
     """
-    required, offered = tuple(required), tuple(offered)
-    kinds = {off.kind for off in offered}
-    if not any(KIND_CONFLICTS[req.kind] & kinds for req in required):
-        return []
     offered = sort_properties(offered)
     return [(req, off) for req in sort_properties(required)
             for off in offered if _clash(req, off)]
@@ -366,8 +364,9 @@ class PolicyBuilder:
     checked.
 
     Each step either raises, leaving the builder as it was, or applies
-    in O(1); adding a property to a domain and deleting a domain also
-    read that domain's files.  Since every step keeps the invariants
+    in O(1); deleting a domain also reads that domain's files, and so
+    does adding to a domain an untargeted property of a kind that has
+    conflicts.  Since every step keeps the invariants
     ``PeerPolicy.validate`` checks, ``freeze`` hands copies of the
     indexes to the :class:`PeerPolicy` without validating it, with
     domains and resources in the order they were first added and the
@@ -417,22 +416,27 @@ class PolicyBuilder:
         Raises PropertyConflictError when the new property conflicts with
         a property already effective at that scope (for a domain, that
         includes its files' own properties); re-adding an implied
-        property is a no-op.
+        property is a no-op.  A targeted property conflicts with nothing
+        here, so adding one reads no file.
         """
         if scope in self._domains:
             dom = self._domains[scope]
             if prop not in dom.properties:
-                present = dom.properties.union(*(
-                    self._resources[path].properties
-                    for path in self._files[dom.id]))
-                _check_conflicts(prop, present, f"domain {scope!r}")
+                files = (self._resources[path].properties
+                         for path in self._files[dom.id])
+                if _kinds_clash((prop,), itertools.chain((dom.properties,),
+                                                         files)):
+                    raise PropertyConflictError(
+                        f"{prop.render()} conflicts at domain {scope!r}")
                 self._domains[scope] = self._by_id[dom.id] = Domain(
                     dom.id, dom.name, dom.properties | {prop})
         elif scope in self._resources:
             res = self._resources[scope]
             effective = self._by_id[res.domain_id].properties | res.properties
             if prop not in effective:
-                _check_conflicts(prop, effective, f"resource {scope!r}")
+                if _kinds_clash((prop,), (effective,)):
+                    raise PropertyConflictError(
+                        f"{prop.render()} conflicts at resource {scope!r}")
                 self._resources[scope] = Resource(
                     res.id, res.path, res.domain_id, res.properties | {prop})
         else:
@@ -451,11 +455,9 @@ class PolicyBuilder:
         """
         dom = _get(self._domains, domain_name, UnknownDomainError, "domain")
         props = frozenset(props)
-        pairs = property_set_conflicts(props, dom.properties)
-        pairs += _internal_conflicts(props)
-        if pairs:
+        if _kinds_clash(props, (dom.properties, props)):
             raise PropertyConflictError(
-                f"properties conflict in domain {domain_name!r}", pairs)
+                f"properties conflict in domain {domain_name!r}")
         if path in self._resources:
             raise DuplicateResourceError(f"resource {path!r} already exists")
         self._resources[path] = Resource(self._next_id, path, dom.id,
@@ -505,12 +507,19 @@ def _get(index: dict, key, error: type, what: str):
         raise error(f"unknown {what} {key!r}") from None
 
 
-def _check_conflicts(prop: SecurityProperty,
-                     present: frozenset[SecurityProperty], where: str) -> None:
-    pairs = property_set_conflicts((prop,), present)
-    if pairs:
-        raise PropertyConflictError(f"{prop.render()} conflicts at {where}",
-                                    pairs)
+def _kinds_clash(props: Iterable[SecurityProperty],
+                 present: Iterable[Iterable[SecurityProperty]]) -> bool:
+    """Whether an untargeted property in ``props`` has a kind that
+    conflicts with an untargeted property in one of the ``present``
+    sets: the conflicts :func:`property_set_conflicts` would pair up,
+    found without building a pair.  ``present`` is read only when an
+    untargeted property in ``props`` has a kind that conflicts with
+    any."""
+    clashing = frozenset().union(*[KIND_CONFLICTS[prop.kind]
+                                   for prop in props if not prop.targets])
+    return bool(clashing) and any(
+        not prop.targets and prop.kind in clashing
+        for group in present for prop in group)
 
 
 def _internal_conflicts(

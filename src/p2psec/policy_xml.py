@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from xml.parsers import expat
 
 from .errors import (
-    PolicyValidationError,
     XmlSyntaxError,
     XmlValidationError,
     too_long_to_write,
@@ -30,6 +29,7 @@ from .policy import (
     PropertyKind,
     Resource,
     SecurityProperty,
+    TARGETED_KINDS,
     sort_properties,
 )
 
@@ -80,11 +80,13 @@ class PolicyDocument:
     (tuples of ``DocDomain``, ``DocFile`` and ``DocProperty`` values,
     ``int`` ids, owners and targets that ``str`` can write, unique ids,
     ``str`` names and paths that are unique and non-empty, declared file
-    owners, known ``str`` property types), so code given one trusts it.
-    The check runs :func:`_check_element` on the domains, then on the
-    files, and reports the first fault it meets.  :func:`parse_policy`
-    runs the same checks during its pass and builds its result without
-    this one."""
+    owners, known ``str`` property types, targets only on a kind that
+    takes them, no ``nopublication`` on a file), so code given one
+    trusts it, and :func:`to_peer_policy` lifts it.  The check runs
+    :func:`_check_element` on the domains, then on the files, and
+    reports the first fault it meets.  :func:`parse_policy` runs the
+    same checks during its pass and builds its result without this
+    one."""
 
     domains: tuple[DocDomain, ...] = ()
     files: tuple[DocFile, ...] = ()
@@ -94,15 +96,20 @@ class PolicyDocument:
         for name, cls in (("domains", DocDomain), ("files", DocFile)):
             elements = getattr(self, name)
             if type(elements) is not tuple:
-                _refuse_type(elements, tuple, name, "policy")
+                _refuse_type(elements, tuple, name)
             keys: set[str] = set()
             owners = frozenset(ids)   # for the files: the domain ids
             for element in elements:
                 _check_element(element, cls, ids, keys, owners)
 
 
-#: Each element type's tag and the attribute that names it.
-_NAMED_BY = {DocDomain: ("domain", "name"), DocFile: ("file", "path")}
+#: Each element type's tag, the attribute that names it, and the
+#: property types it may not carry.
+_NAMED_BY = {DocDomain: ("domain", "name", ()),
+             DocFile: ("file", "path", ("nopublication",))}
+
+#: The property types that take targets.
+_TARGETED = frozenset(kind.value for kind in TARGETED_KINDS)
 
 
 def _check_element(element: object, cls: type, ids: set[int],
@@ -112,45 +119,52 @@ def _check_element(element: object, cls: type, ids: set[int],
     run in order: a ``cls``, an ``int`` id, a new id, a ``str`` name or
     path, a non-empty one; for a file an ``int`` owner, declared in
     ``owners`` unless that is None; the properties; a new name or
-    path."""
-    tag, key = _NAMED_BY[cls]
+    path.  Each property is a ``DocProperty`` with a ``str`` type, a
+    tuple of targets and a known type; then its targets are ``int``s
+    on a type that takes them, and it is not ``nopublication`` on a
+    file."""
+    tag, key, refused = _NAMED_BY[cls]
     if type(element) is not cls:
-        _refuse_type(element, cls, f"{tag} entry", tag)
+        _refuse_type(element, cls, f"{tag} entry")
     _check_integer(element.id, "id", tag)
     if element.id in ids:
-        raise XmlValidationError(f"duplicate id {element.id}", element=tag)
+        raise XmlValidationError(f"duplicate id {element.id}")
     ids.add(element.id)
     value = getattr(element, key)
     if type(value) is not str:
         raise XmlValidationError(f"attribute {key}={value!r} on <{tag}> is "
-                                 f"not a string", element=tag)
+                                 f"not a string")
     if not value:
-        raise XmlValidationError(f"{tag} {key} must be non-empty", element=tag)
+        raise XmlValidationError(f"{tag} {key} must be non-empty")
     if cls is DocFile:
         _check_integer(element.domainid, "domainid", tag)
         if owners is not None:
             _check_owner(element, owners)
     if type(element.properties) is not tuple:
         _refuse_type(element.properties, tuple,
-                     f"properties on {tag} {value!r}", tag)
+                     f"properties on {tag} {value!r}")
     for prop in element.properties:
         if type(prop) is not DocProperty:
-            _refuse_type(prop, DocProperty, f"property on {tag} {value!r}",
-                         "property")
+            _refuse_type(prop, DocProperty, f"property on {tag} {value!r}")
         if type(prop.type) is not str:
-            _refuse_type(prop.type, str, f"property type on {tag} {value!r}",
-                         "property")
+            _refuse_type(prop.type, str, f"property type on {tag} {value!r}")
         if type(prop.targets) is not tuple:
             _refuse_type(prop.targets, tuple, f"targets of property "
-                         f"{prop.type!r} on {tag} {value!r}", "property")
+                         f"{prop.type!r} on {tag} {value!r}")
         if prop.type not in _KINDS:
             raise XmlValidationError(f"unknown property type {prop.type!r} "
-                                     f"on {tag} {value!r}", element="property")
-        for target in prop.targets:
-            _check_integer(target, "domainid", "target")
+                                     f"on {tag} {value!r}")
+        if prop.targets:
+            for target in prop.targets:
+                _check_integer(target, "domainid", "target")
+            if prop.type not in _TARGETED:
+                raise XmlValidationError(f"{prop.type} does not take target "
+                                         f"domains on {tag} {value!r}")
+        elif prop.type in refused:
+            raise XmlValidationError(f"{prop.type} applies to domains, not "
+                                     f"resources")
     if value in keys:
-        raise XmlValidationError(f"duplicate {tag} {key} {value!r}",
-                                 element=tag)
+        raise XmlValidationError(f"duplicate {tag} {key} {value!r}")
     keys.add(value)
 
 
@@ -158,13 +172,13 @@ def _check_owner(file: DocFile, owners) -> None:
     """Refuse a file whose owner is not among the ``owners`` ids."""
     if file.domainid not in owners:
         raise XmlValidationError(f"file {file.path!r} references undeclared "
-                                 f"domain id {file.domainid}", element="file")
+                                 f"domain id {file.domainid}")
 
 
-def _refuse_type(value: object, cls: type, what: str, tag: str) -> None:
+def _refuse_type(value: object, cls: type, what: str) -> None:
     """Refuse ``value``, which is not a ``cls``, naming its type."""
     raise XmlValidationError(f"{what} must be a {cls.__name__}, not "
-                             f"{type(value).__name__}", element=tag)
+                             f"{type(value).__name__}")
 
 
 def _check_integer(value: object, attr: str, tag: str) -> None:
@@ -173,10 +187,10 @@ def _check_integer(value: object, attr: str, tag: str) -> None:
     cannot write, which the message therefore leaves out."""
     if type(value) is not int:
         raise XmlValidationError(f"attribute {attr}={value!r} on <{tag}> is "
-                                 f"not an integer", element=tag)
+                                 f"not an integer")
     if too_long_to_write(value):
         raise XmlValidationError(f"attribute {attr} on <{tag}> has too many "
-                                 f"digits", element=tag)
+                                 f"digits")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +228,7 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
         _install_handlers(parser, data, domains, files)
         parser.Parse(data, True)
     except expat.ExpatError as exc:
-        raise XmlSyntaxError(str(exc), line=exc.lineno) from exc
+        raise XmlSyntaxError(str(exc), exc.lineno) from exc
     except (ValueError, LookupError) as exc:
         raise XmlSyntaxError(str(exc)) from exc
     finally:
@@ -271,15 +285,14 @@ def _install_handlers(parser, data: bytes, domains: list[DocDomain],
     ids, names, paths = set(), set(), set()   # seen so far
     file_starts: list[int] = []
 
-    def fail(message, element):
-        raise XmlValidationError(message, element=element,
-                                 line=parser.CurrentLineNumber)
+    def fail(message):
+        raise XmlValidationError(message, parser.CurrentLineNumber)
 
     def integer(tag, attrs, attr):
         value = _canonical_int(attrs[attr])
         if value is None:
             fail(f"attribute {attr}={attrs[attr]!r} on <{tag}> is not an "
-                 f"integer", tag)
+                 f"integer")
         return value
 
     def start(tag, attrs):
@@ -288,17 +301,15 @@ def _install_handlers(parser, data: bytes, domains: list[DocDomain],
         if allowed is None:
             tag = _universal(tag)
             if open_tags:
-                fail(f"unexpected element <{tag}> under <{open_tags[-1]}>",
-                     tag)
-            fail(f"root element must be <policy>, got <{tag}>", tag)
+                fail(f"unexpected element <{tag}> under <{open_tags[-1]}>")
+            fail(f"root element must be <policy>, got <{tag}>")
         if attrs.keys() != allowed:
             for attr in attrs:
                 if attr not in allowed:
-                    fail(f"unknown attribute {_universal(attr)!r} on <{tag}>",
-                         tag)
+                    fail(f"unknown attribute {_universal(attr)!r} on <{tag}>")
             for attr in _ATTRS[tag]:
                 if attr not in attrs:
-                    fail(f"<{tag}> is missing attribute {attr!r}", tag)
+                    fail(f"<{tag}> is missing attribute {attr!r}")
         if tag == "property":
             ptype = attrs["type"]
             targets = []
@@ -346,18 +357,17 @@ def _install_handlers(parser, data: bytes, domains: list[DocDomain],
                 try:
                     expat.ParserCreate().Parse(data[:at + 2], True)
                 except expat.ExpatError as found:
-                    exc.line = found.lineno
+                    raise XmlValidationError(str(exc), found.lineno) from None
                 raise
 
     def text(run):
         if not run.isspace():
             if after:
-                fail(f"unexpected text after <{after}>", after)
-            fail(f"unexpected text inside <{open_tags[-1]}>", open_tags[-1])
+                fail(f"unexpected text after <{after}>")
+            fail(f"unexpected text inside <{open_tags[-1]}>")
 
     def doctype(name, system_id, public_id, has_internal_subset):
-        fail(f"<!DOCTYPE {name}> is not allowed in a policy document",
-             "!DOCTYPE")
+        fail(f"<!DOCTYPE {name}> is not allowed in a policy document")
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
@@ -391,7 +401,7 @@ def serialize_policy(doc: PolicyDocument) -> bytes:
                 if char:
                     raise XmlValidationError(
                         f"{tag} {attr} {value!r} holds {char.group()!r}, "
-                        f"which XML 1.0 cannot carry", element=tag)
+                        f"which XML 1.0 cannot carry")
                 open_tag += f" {attr}={_q(value)}"
             if not element.properties:
                 lines.append(open_tag + "/>")
@@ -434,10 +444,9 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
     """Build the policy model from a document; the result is valid.
 
     Target ids that name a declared domain become that domain's name;
-    any other id becomes a symbolic ``ext:<id>`` reference.  The lift
-    checks only what a document cannot: targets on a kind that takes
-    none and ``nopublication`` on a file.  Each distinct property list
-    is lifted once.
+    any other id becomes a symbolic ``ext:<id>`` reference.  A document
+    holds every rule the model checks, so the lift refuses nothing.
+    Each distinct property list is lifted once.
     """
     names_by_id = {dom.id: dom.name for dom in doc.domains}
     lifted: dict[tuple[DocProperty, ...], frozenset[SecurityProperty]] = {}
@@ -449,27 +458,16 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
             for prop in scope.properties:
                 targets = frozenset(
                     names_by_id.get(t, f"ext:{t}") for t in prop.targets)
-                try:
-                    props.add(SecurityProperty(_KINDS[prop.type], targets))
-                except PolicyValidationError as exc:
-                    tag, key = _NAMED_BY[type(scope)]
-                    raise XmlValidationError(
-                        f"{exc} on {tag} {getattr(scope, key)!r}",
-                        element="property") from exc
+                props.add(SecurityProperty(_KINDS[prop.type], targets))
             props = lifted[scope.properties] = frozenset(props)
         return props
 
     domains = tuple(Domain(dom.id, dom.name, lift(dom))
                     for dom in doc.domains)
-    resources = []
-    for file in doc.files:
-        try:
-            resources.append(Resource(file.id, file.path, file.domainid,
-                                      lift(file)))
-        except PolicyValidationError as exc:
-            raise XmlValidationError(str(exc), element="file") from exc
+    resources = tuple(Resource(file.id, file.path, file.domainid, lift(file))
+                      for file in doc.files)
     ids = [element.id for element in doc.domains + doc.files]
-    return PeerPolicy(domains=domains, resources=tuple(resources),
+    return PeerPolicy(domains=domains, resources=resources,
                       next_id=max(ids, default=0) + 1)
 
 
@@ -490,7 +488,7 @@ def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:
                 if target is None:
                     raise XmlValidationError(
                         f"target {name!r} names no local domain and is not "
-                        f"an external ext:<id> reference", element="property")
+                        f"an external ext:<id> reference")
                 targets.append(target)
             lowered.append(DocProperty(prop.kind.value, tuple(sorted(targets))))
         return tuple(lowered)

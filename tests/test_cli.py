@@ -101,10 +101,8 @@ def test_xml_fault_names_its_file_and_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["compile", "check"])
 @pytest.mark.parametrize("data, message", [
-    ('<policy>\n  <domain id="1" name="a"/>\n'
-     '  <file id="2" path="/f" domainid="1">\n'
-     '    <property type="nopublication"/>\n  </file>\n</policy>\n',
-     "nopublication applies to domains, not resources"),
+    ("<?xml version='1.0' encoding='bogus'?>\n<policy/>\n",
+     "unknown encoding: bogus"),
     ('<policy>\n  <domain id="1" name="a">\n</policy>\n',
      "mismatched tag: line 3, column 2"),
 ], ids=["document", "markup"])

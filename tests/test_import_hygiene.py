@@ -1,9 +1,9 @@
 """Every name a package module imports is read in that module, no
 package module imports another's private name, only ``mac`` reads a
 challenge's command line, only the scenario parse loop and builder
-give a ``ScenarioError`` its line, every dataclass field is read, and
-importing the package loads no networking, e-mail or ``statistics``
-module."""
+give a ``ScenarioError`` its line, every dataclass field and every
+attribute a class sets on ``self`` is read, and importing the package
+loads no networking, e-mail or ``statistics`` module."""
 
 import ast
 import os
@@ -149,16 +149,24 @@ def test_a_scenario_line_site_is_reported():
 
 def write_only_fields(sources: list[str]) -> list[str]:
     """``Class.field`` for each field of a class decorated with
-    ``dataclass`` whose name no source reads as an attribute."""
-    declared, read = [], set()
+    ``dataclass``, and each attribute a class's code assigns on
+    ``self``, whose name no source reads as an attribute."""
+    declared, read = set(), set()
     for node in (n for s in sources for n in ast.walk(ast.parse(s))):
-        if isinstance(node, ast.ClassDef) and any(
-                isinstance(d, ast.Name) and d.id == "dataclass"
-                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-                and d.func.id == "dataclass" for d in node.decorator_list):
-            declared += [f"{node.name}.{stmt.target.id}" for stmt in node.body
-                         if isinstance(stmt, ast.AnnAssign)
-                         and isinstance(stmt.target, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            if any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == "dataclass" for d in node.decorator_list):
+                declared.update(f"{node.name}.{stmt.target.id}"
+                                for stmt in node.body
+                                if isinstance(stmt, ast.AnnAssign)
+                                and isinstance(stmt.target, ast.Name))
+            declared.update(
+                f"{node.name}.{target.attr}" for target in ast.walk(node)
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.ctx, ast.Store)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self")
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                             ast.Load):
             read.add(node.attr)
@@ -176,8 +184,10 @@ def test_a_write_only_field_is_reported():
     source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: str\n"
               "@dataclass\nclass B:\n    z: int = 0\n"
               "class C:\n    w: int\n"
-              "def f(a, b):\n    a.y = 1\n    return a.x, b.z\n")
-    assert write_only_fields([source]) == ["A.y"]
+              "class E(Exception):\n    def __init__(self, m, n):\n"
+              "        self.m, self.n = m, n\n        other.o = 0\n"
+              "def f(a, b, e):\n    a.y = 1\n    return a.x, b.z, e.n\n")
+    assert write_only_fields([source]) == ["A.y", "E.m"]
 
 
 #: Standard-library packages that importing ``p2psec`` must not load:

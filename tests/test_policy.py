@@ -118,7 +118,7 @@ class TestPeerPolicy:
     def test_add_conflicting_property_rejected(self):
         with pytest.raises(PropertyConflictError) as err:
             self.build().add_property("work", spread())
-        assert err.value.pairs
+        assert str(err.value) == "spread conflicts at domain 'work'"
 
     def test_scoped_property_is_whitelisted_locally(self):
         policy = self.build().add_property("work", cooperation("partner"))
@@ -137,7 +137,7 @@ class TestPeerPolicy:
             "f", "d", (spread(),))
         with pytest.raises(PropertyConflictError) as err:
             policy.add_property("d", confidentiality())
-        assert err.value.pairs
+        assert str(err.value) == "confidentiality conflicts at domain 'd'"
         scoped = policy.add_property("d", confidentiality("partner"))
         assert scoped.conflict_report() == ()
 

@@ -161,30 +161,29 @@ def test_unknown_property_type_rejected():
 
 
 def test_target_on_untargeted_kind_rejected():
-    doc = parse_policy(b"<policy><domain id='1' name='a'>"
-                       b"<property type='integrity'>"
-                       b"<target domainid='1'/></property></domain></policy>")
-    with pytest.raises(XmlValidationError):
-        to_peer_policy(doc)
+    with pytest.raises(XmlValidationError,
+                       match="integrity does not take target domains"):
+        parse_policy(b"<policy><domain id='1' name='a'>"
+                     b"<property type='integrity'>"
+                     b"<target domainid='1'/></property></domain></policy>")
 
 
 @pytest.mark.parametrize("scopes, where", [
-    ("<domain id='2' name='b'>{bad}</domain>"
+    ("<domain id='2' name='b'>{bad}</domain>\n"
      "<domain id='3' name='c'>{bad}</domain>", "domain 'b'"),
-    ("<file id='2' path='f' domainid='1'>{bad}</file>"
+    ("<file id='2' path='f' domainid='1'>{bad}</file>\n"
      "<file id='3' path='g' domainid='1'>{bad}</file>", "file 'f'"),
-])
-def test_lift_names_the_first_scope_with_a_bad_property(scopes, where):
-    """Each distinct property list is lifted once; the error still
-    names the first scope that holds it."""
+], ids=["domain", "file"])
+def test_parse_names_the_first_scope_with_a_bad_property(scopes, where):
+    """The parse refuses the first scope that holds a target on a kind
+    that takes none, naming it, with the line of its start tag."""
     bad = "<property type='integrity'><target domainid='1'/></property>"
-    doc = parse_policy("<policy><domain id='1' name='a'/>"
-                       + scopes.format(bad=bad) + "</policy>")
+    data = ("<policy><domain id='1' name='a'/>\n"
+            + scopes.format(bad=bad) + "</policy>")
     with pytest.raises(XmlValidationError) as err:
-        to_peer_policy(doc)
-    assert str(err.value) == (
-        f"integrity does not take target domains on {where}")
-    assert err.value.line is None
+        parse_policy(data)
+    assert (str(err.value), err.value.line) == (
+        f"integrity does not take target domains on {where}", 2)
 
 
 def test_to_peer_policy_resolves_local_targets():
@@ -228,20 +227,18 @@ def test_full_round_trip_through_model():
 
 def test_duplicate_domain_names_rejected_at_model_load():
     with pytest.raises(XmlValidationError,
-                       match="duplicate domain name 'a'") as err:
+                       match="duplicate domain name 'a'"):
         parse_policy(b"<policy><domain id='1' name='a'/>"
                      b"<domain id='2' name='a'/></policy>")
-    assert err.value.element == "domain"
 
 
 def test_duplicate_file_paths_rejected_at_model_load():
     with pytest.raises(XmlValidationError,
-                       match="duplicate file path 'f'") as err:
+                       match="duplicate file path 'f'"):
         parse_policy(b"<policy><domain id='1' name='a'/>"
                      b"<domain id='2' name='b'/>"
                      b"<file id='3' path='f' domainid='1'/>"
                      b"<file id='4' path='f' domainid='2'/></policy>")
-    assert err.value.element == "file"
 
 
 @pytest.mark.parametrize("domains, files, message", [
@@ -263,74 +260,80 @@ def test_hand_built_document_checks_itself(domains, files, message):
         PolicyDocument(domains=domains, files=files)
 
 
-@pytest.mark.parametrize("domains, files, message, element", [
+@pytest.mark.parametrize("domains, files, message", [
     ((DocDomain("x", "a"),), (),
-     "attribute id='x' on <domain> is not an integer", "domain"),
+     "attribute id='x' on <domain> is not an integer"),
     ((DocDomain(True, "a"),), (),
-     "attribute id=True on <domain> is not an integer", "domain"),
+     "attribute id=True on <domain> is not an integer"),
     ((DocDomain(1.5, "a"),), (),
-     "attribute id=1.5 on <domain> is not an integer", "domain"),
+     "attribute id=1.5 on <domain> is not an integer"),
     ((DocDomain(1, "a", (DocProperty("integrity", ("x",)),)),), (),
-     "attribute domainid='x' on <target> is not an integer", "target"),
+     "attribute domainid='x' on <target> is not an integer"),
     ((DocDomain(10**5000, "a"),), (),
-     "attribute id on <domain> has too many digits", "domain"),
+     "attribute id on <domain> has too many digits"),
     ((DocDomain("x", "a"), DocDomain(1, "b")), (),
-     "attribute id='x' on <domain> is not an integer", "domain"),
+     "attribute id='x' on <domain> is not an integer"),
     ((DocDomain(1, 5),), (),
-     "attribute name=5 on <domain> is not a string", "domain"),
+     "attribute name=5 on <domain> is not a string"),
     ((DocDomain(1, "a"),), (DocFile(2, b"f", 1),),
-     "attribute path=b'f' on <file> is not a string", "file"),
+     "attribute path=b'f' on <file> is not a string"),
     ((DocDomain(1, "a"),), (DocFile(2, "f", True),),
-     "attribute domainid=True on <file> is not an integer", "file"),
+     "attribute domainid=True on <file> is not an integer"),
     ((DocDomain(1, "a", [DocProperty("integrity")]),), (),
-     "properties on domain 'a' must be a tuple, not list", "domain"),
+     "properties on domain 'a' must be a tuple, not list"),
     ((DocDomain(1, "a", (DocProperty("cooperation", [1]),)),), (),
      "targets of property 'cooperation' on domain 'a' must be a tuple, "
-     "not list", "property"),
+     "not list"),
     ((DocDomain(1, "a", (DocProperty(["integrity"]),)),), (),
-     "property type on domain 'a' must be a str, not list", "property"),
+     "property type on domain 'a' must be a str, not list"),
     ((DocDomain(1, "a", ("integrity",)),), (),
-     "property on domain 'a' must be a DocProperty, not str", "property"),
-    ([DocDomain(1, "a")], (), "domains must be a tuple, not list", "policy"),
+     "property on domain 'a' must be a DocProperty, not str"),
+    ([DocDomain(1, "a")], (), "domains must be a tuple, not list"),
     ((DocDomain(1, "a") for _ in range(1)), (),
-     "domains must be a tuple, not generator", "policy"),
+     "domains must be a tuple, not generator"),
     ((DocDomain(1, "a"),), [DocFile(2, "f", 1)],
-     "files must be a tuple, not list", "policy"),
-    (("x",), (), "domain entry must be a DocDomain, not str", "domain"),
+     "files must be a tuple, not list"),
+    (("x",), (), "domain entry must be a DocDomain, not str"),
     ((DocFile(1, "f", 1),), (),
-     "domain entry must be a DocDomain, not DocFile", "domain"),
+     "domain entry must be a DocDomain, not DocFile"),
+    ((DocDomain(1, "a", (DocProperty("spread", (1,)),)),), (),
+     "spread does not take target domains on domain 'a'"),
+    ((DocDomain(1, "a"),),
+     (DocFile(2, "f", 1, (DocProperty("nopublication"),)),),
+     "nopublication applies to domains, not resources"),
+    ((DocDomain(1, "a"),),
+     (DocFile(2, "f", 1, (DocProperty("nopublication", (1,)),)),),
+     "nopublication does not take target domains on file 'f'"),
 ], ids=["str-id", "bool-id", "float-id", "str-target", "long-id",
         "mixed-ids", "int-name", "bytes-path", "bool-owner",
         "list-properties", "list-targets", "list-type", "str-property",
         "list-domains", "generator-domains", "list-files", "str-entry",
-        "file-among-domains"])
+        "file-among-domains", "untargeted-target", "nopublication-file",
+        "nopublication-target"])
 def test_code_built_document_holds_the_parser_value_rules(
-        domains, files, message, element):
+        domains, files, message):
     """What the parser would refuse to read back, building refuses: an
     integer attribute that is not an ``int`` or that ``str`` cannot
     write, a name or path that is not a ``str``, and a container, entry
     or property of the wrong type, named by its type before anything
-    reads into it."""
+    reads into it; and, as the parser does, what would not lift."""
     with pytest.raises(XmlValidationError) as err:
         PolicyDocument(domains=domains, files=files)
-    assert (str(err.value), err.value.element) == (message, element)
+    assert str(err.value) == message
 
 
-@pytest.mark.parametrize("doc, message, element", [
+@pytest.mark.parametrize("doc, message", [
     (PolicyDocument((DocDomain(1, "a\x01b"),)),
-     "domain name 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry",
-     "domain"),
+     "domain name 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry"),
     (PolicyDocument((DocDomain(1, "a"),), (DocFile(2, "\ud800", 1),)),
-     "file path '\\ud800' holds '\\ud800', which XML 1.0 cannot carry",
-     "file"),
+     "file path '\\ud800' holds '\\ud800', which XML 1.0 cannot carry"),
     (from_peer_policy(PeerPolicy().create_domain("a\x01b")),
-     "domain name 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry",
-     "domain"),
+     "domain name 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry"),
 ], ids=["control", "surrogate", "from-policy"])
-def test_serializer_refuses_what_xml_cannot_carry(doc, message, element):
+def test_serializer_refuses_what_xml_cannot_carry(doc, message):
     with pytest.raises(XmlValidationError) as err:
         serialize_policy(doc)
-    assert (str(err.value), err.value.element) == (message, element)
+    assert str(err.value) == message
 
 
 def test_attrs_table_matches_the_element_fields():
@@ -352,10 +355,9 @@ def test_from_peer_policy_rejects_a_broken_policy():
 
 
 def test_doctype_rejected():
-    with pytest.raises(XmlValidationError, match="DOCTYPE policy") as err:
+    with pytest.raises(XmlValidationError, match="DOCTYPE policy"):
         parse_policy(b'<!DOCTYPE policy [<!ENTITY a "x">]>'
                      b'<policy><domain id="1" name="&a;&a;"/></policy>')
-    assert err.value.element == "!DOCTYPE"
     with pytest.raises(XmlValidationError):
         parse_policy(b'<!DOCTYPE policy SYSTEM "policy.dtd"><policy/>')
 
@@ -436,7 +438,8 @@ _COOP = "<property type='cooperation'>"
 #: line).  Line is the document line the parser reports the fault on:
 #: for stray text the line of the markup that ends it; for a fault
 #: found when a domain or file closes (a duplicate id, name or path, an
-#: empty one, an unknown property type) or at ``</policy>`` (an
+#: empty one, an unknown property type, a target on a kind that takes
+#: none, ``nopublication`` on a file) or at ``</policy>`` (an
 #: undeclared owner), the line of that domain's or file's start tag;
 #: None only for a fault with no position.  A row whose error type is
 #: None names a document that parses.
@@ -592,6 +595,14 @@ XML_ERRORS = (
     ("empty-path", f"<policy>\n{_DOMAIN}</domain>\n"
      "<file id='2' path='' domainid='1'/>\n</policy>",
      V, "file path must be non-empty", 3),
+    ("target-on-untargeted-kind", f"<policy>\n{_DOMAIN}\n"
+     "<property type='integrity'>\n<target domainid='1'/>\n</property>\n"
+     "</domain>\n</policy>",
+     V, "integrity does not take target domains on domain 'a'", 2),
+    ("nopublication-on-file", f"<policy>\n{_DOMAIN}</domain>\n"
+     "<file id='2' path='f' domainid='1'>\n"
+     "<property type='nopublication'/>\n</file>\n</policy>",
+     V, "nopublication applies to domains, not resources", 3),
 )
 
 

@@ -66,6 +66,7 @@ from p2psec import (
     XmlSyntaxError,
     XmlValidationError,
 )
+from p2psec.policy import _kinds_clash
 from p2psec.policy_xml import _q
 from p2psec.simnet import (
     _ARITY,
@@ -257,75 +258,76 @@ def test_a_parsed_document_passes_the_full_check(data):
 
 
 def _fault_rows(domains, files):
-    """The documented check order, written out as (failed, message,
-    element) rows: domains then files; each a tuple of entries; for a
-    domain a ``DocDomain``, an int id, a new id, a str name, a non-empty
-    name, properties, and a new name; for a file a ``DocFile``, an int
-    id, a new id, a str path, a non-empty path, an int owner, a declared
+    """The documented check order, written out as (failed, message)
+    rows: domains then files; each a tuple of entries; for a domain a
+    ``DocDomain``, an int id, a new id, a str name, a non-empty name,
+    properties, and a new name; for a file a ``DocFile``, an int id, a
+    new id, a str path, a non-empty path, an int owner, a declared
     owner, properties, and a new path.  Properties are a tuple, and
     each is a ``DocProperty`` with a str type, a tuple of targets and a
-    known type.  Rows are made lazily, so none reads past a failed
-    one."""
+    known type, with targets only if its kind takes them, and not
+    ``nopublication`` on a file.  Rows are made lazily, so none reads
+    past a failed one."""
     kinds = {kind.value for kind in PropertyKind}
+    targeted = {kind.value for kind in TARGETED_KINDS}
 
-    def wrong(value, cls, what, element):
+    def wrong(value, cls, what):
         return (type(value) is not cls, f"{what} must be a {cls.__name__}, "
-                f"not {type(value).__name__}", element)
+                f"not {type(value).__name__}")
 
     def property_rows(tag, name, properties):
         where = f"on {tag} {name!r}"
-        yield wrong(properties, tuple, f"properties {where}", tag)
+        yield wrong(properties, tuple, f"properties {where}")
         for p in properties:
-            yield wrong(p, DocProperty, f"property {where}", "property")
-            yield wrong(p.type, str, f"property type {where}", "property")
+            yield wrong(p, DocProperty, f"property {where}")
+            yield wrong(p.type, str, f"property type {where}")
             yield wrong(p.targets, tuple,
-                        f"targets of property {p.type!r} {where}", "property")
+                        f"targets of property {p.type!r} {where}")
             yield (p.type not in kinds,
-                   f"unknown property type {p.type!r} {where}", "property")
+                   f"unknown property type {p.type!r} {where}")
+            yield (bool(p.targets) and p.type not in targeted,
+                   f"{p.type} does not take target domains {where}")
+            yield (tag == "file" and p.type == "nopublication",
+                   "nopublication applies to domains, not resources")
 
-    yield wrong(domains, tuple, "domains", "policy")
+    yield wrong(domains, tuple, "domains")
     for i, dom in enumerate(domains):
         earlier = domains[:i]
-        yield wrong(dom, DocDomain, "domain entry", "domain")
+        yield wrong(dom, DocDomain, "domain entry")
         yield (type(dom.id) is not int,
-               f"attribute id={dom.id!r} on <domain> is not an integer",
-               "domain")
-        yield (dom.id in [d.id for d in earlier], f"duplicate id {dom.id}",
-               "domain")
+               f"attribute id={dom.id!r} on <domain> is not an integer")
+        yield (dom.id in [d.id for d in earlier], f"duplicate id {dom.id}")
         yield (type(dom.name) is not str,
-               f"attribute name={dom.name!r} on <domain> is not a string",
-               "domain")
-        yield (dom.name == "", "domain name must be non-empty", "domain")
+               f"attribute name={dom.name!r} on <domain> is not a string")
+        yield (dom.name == "", "domain name must be non-empty")
         yield from property_rows("domain", dom.name, dom.properties)
         yield (dom.name in [d.name for d in earlier],
-               f"duplicate domain name {dom.name!r}", "domain")
-    yield wrong(files, tuple, "files", "policy")
+               f"duplicate domain name {dom.name!r}")
+    yield wrong(files, tuple, "files")
     for i, file in enumerate(files):
         earlier = files[:i]
-        yield wrong(file, DocFile, "file entry", "file")
+        yield wrong(file, DocFile, "file entry")
         yield (type(file.id) is not int,
-               f"attribute id={file.id!r} on <file> is not an integer",
-               "file")
+               f"attribute id={file.id!r} on <file> is not an integer")
         yield (file.id in [x.id for x in domains + earlier],
-               f"duplicate id {file.id}", "file")
+               f"duplicate id {file.id}")
         yield (type(file.path) is not str,
-               f"attribute path={file.path!r} on <file> is not a string",
-               "file")
-        yield (file.path == "", "file path must be non-empty", "file")
+               f"attribute path={file.path!r} on <file> is not a string")
+        yield (file.path == "", "file path must be non-empty")
         yield (type(file.domainid) is not int,
                f"attribute domainid={file.domainid!r} on <file> is not an "
-               f"integer", "file")
+               f"integer")
         yield (file.domainid not in [d.id for d in domains],
                f"file {file.path!r} references undeclared domain id "
-               f"{file.domainid}", "file")
+               f"{file.domainid}")
         yield from property_rows("file", file.path, file.properties)
         yield (file.path in [f.path for f in earlier],
-               f"duplicate file path {file.path!r}", "file")
+               f"duplicate file path {file.path!r}")
 
 
 def _first_fault(domains, files):
-    return next(((XmlValidationError, message, element)
-                 for failed, message, element in _fault_rows(domains, files)
+    return next(((XmlValidationError, message)
+                 for failed, message in _fault_rows(domains, files)
                  if failed), None)
 
 
@@ -335,13 +337,15 @@ def _first_fault(domains, files):
 _POOL_PROPERTIES = st.lists(st.sampled_from((
     *(DocProperty("integrity"), DocProperty("secrecy")) * 2,
     DocProperty("cooperation", (1,)), DocProperty("cooperation", [1]),
+    DocProperty("integrity", (1,)), DocProperty("nopublication"),
     DocProperty(["integrity"]), "integrity")), max_size=2).flatmap(
         lambda props: st.sampled_from((tuple(props),) * 4 + (props,)))
 _POOL_IDS = st.sampled_from((1, 2, 3, "1"))
 _WRONG_ENTRIES = st.sampled_from(("x", DocFile(4, "h", 1), DocDomain(4, "c")))
 pool_domains = st.builds(DocDomain, _POOL_IDS,
                          st.sampled_from(("", "a", "b", 5)), _POOL_PROPERTIES)
-pool_files = st.builds(DocFile, _POOL_IDS, st.sampled_from(("", "f", "g", 5)),
+pool_files = st.builds(DocFile, st.sampled_from((2, 3, 4, "1")),
+                       st.sampled_from(("", "f", "g", 5)),
                        st.sampled_from((1, 2, 9, True)), _POOL_PROPERTIES)
 
 
@@ -354,14 +358,21 @@ def _pool_container(entries):
         lambda xs: st.sampled_from((tuple(xs),) * 7 + (xs,)))
 
 
+#: Domains from the pool, or one time in four two sound ones, so that
+#: the files' own rules are reached often.
+_POOL_DOMAINS = st.integers(0, 3).flatmap(
+    lambda i: st.just((DocDomain(1, "a"), DocDomain(
+        2, "b", (DocProperty("nopublication"),)))) if i == 3
+    else _pool_container(pool_domains))
+
+
 @EXAMPLES
-@given(_pool_container(pool_domains), _pool_container(pool_files))
+@given(_POOL_DOMAINS, _pool_container(pool_files))
 def test_a_document_reports_its_first_fault(domains, files):
     try:
         PolicyDocument(domains, files)
     except P2PSecError as exc:
-        assert (type(exc), str(exc), exc.element) == _first_fault(domains,
-                                                                   files)
+        assert (type(exc), str(exc)) == _first_fault(domains, files)
     else:
         assert _first_fault(domains, files) is None
 
@@ -405,11 +416,12 @@ def documents(draw):
 @EXAMPLES
 @given(documents())
 def test_every_document_that_lifts_is_a_valid_policy(parts):
+    """Every document that builds lifts, to a valid policy."""
     try:
-        policy = to_peer_policy(PolicyDocument(*parts))
+        doc = PolicyDocument(*parts)
     except XmlValidationError:
         return
-    policy.validate()
+    to_peer_policy(doc).validate()
 
 
 @EXAMPLES
@@ -483,10 +495,20 @@ property_sets = st.frozensets(st.sampled_from(
 @EXAMPLES
 @given(a=property_sets, b=property_sets)
 def test_property_set_conflicts_is_the_all_pairs_reference(a, b):
-    # The early exit on kinds that cannot clash keeps pairs and order.
     assert property_set_conflicts(a, b) == [
         (r, o) for r in sort_properties(a) for o in sort_properties(b)
         if conflicts(r.kind, o.kind) and not (r.targets or o.targets)]
+
+
+@EXAMPLES
+@given(a=property_sets, b=property_sets)
+def test_the_builder_kind_test_finds_what_the_reference_pairs(a, b):
+    """The builder refuses through one kind test where the all-pairs
+    reference lists a pair: between new and present properties, and,
+    as ``add_resource`` asks, among the new ones too."""
+    assert _kinds_clash(a, (b,)) == bool(property_set_conflicts(a, b))
+    assert _kinds_clash(a, (b, a)) == bool(
+        property_set_conflicts(a, b) + property_set_conflicts(a, a))
 
 
 @EXAMPLES

@@ -1,8 +1,11 @@
 """Cost grows no faster than what grows.
 
-An edit costs the size of the change, not the size of the policy: each
-edit below is profiled on ``synthetic_policy`` at three sizes, and the
-number of Python-level calls it makes must not grow with the policy.
+An edit makes a fixed number of Python calls, whatever the size of the
+policy: each edit below is profiled on ``synthetic_policy`` at three
+sizes, and a targeted property added to a domain of that many files,
+and the number of Python-level calls it makes must not grow.  Thaw and
+freeze still copy the policy's indexes, in C, which the count does not
+see.
 A run, a parse and a compile are linear in what they are given: each
 doubling of requesters, delegates, scenario domains or policy domains
 (compiled, or parsed from XML and lifted) may multiply the calls by at
@@ -23,6 +26,7 @@ from p2psec import (
     SimulationEngine,
     apply_transfer,
     compile_policy,
+    cooperation,
     emit_rules,
     from_peer_policy,
     integrity,
@@ -79,6 +83,23 @@ def policies():
 @pytest.mark.parametrize("name", sorted(EDITS))
 def test_an_edit_makes_as_many_calls_at_every_size(name, policies):
     counts = [calls(EDITS[name], policy) for policy in policies]
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+def crowded_domain(files):
+    """One domain holding ``files`` files."""
+    builder = PolicyBuilder().create_domain("d")
+    for i in range(files):
+        builder.add_resource(f"/f{i}", "d")
+    return builder.freeze()
+
+
+def test_a_targeted_domain_property_reads_no_file():
+    """A targeted property conflicts with nothing, so adding one to a
+    domain makes as many calls however many files the domain holds."""
+    counts = [calls(lambda policy: policy.add_property(
+        "d", cooperation("partner")), crowded_domain(size))
+        for size in SIZES]
     assert counts[0] == counts[1] == counts[2], counts
 
 
