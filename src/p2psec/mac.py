@@ -269,7 +269,8 @@ def emit_rules(compiled: CompiledPolicy) -> str:
     stanzas = [f"{name}:\n{ruleset._body}"
                for name, ruleset in compiled.domain_rules.items()]
     for path, ruleset in compiled.resource_rules.items():
-        if ruleset != compiled.domain_rules[compiled.resource_domains[path]]:
+        own = compiled.domain_rules[compiled.resource_domains[path]]
+        if ruleset is not own and ruleset != own:
             stanzas.append(f"{path}:\n{ruleset._body}")
     return "\n\n".join(stanzas) + ("\n" if stanzas else "")
 

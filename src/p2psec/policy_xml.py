@@ -83,24 +83,27 @@ class PolicyDocument:
     owners, known ``str`` property types, targets only on a kind that
     takes them, no ``nopublication`` on a file), so code given one
     trusts it, and :func:`to_peer_policy` lifts it.  The check runs
-    :func:`_check_element` on the domains, then on the files, and
-    reports the first fault it meets.  :func:`parse_policy` runs the
-    same checks during its pass and builds its result without this
-    one."""
+    :func:`_check_types` and then :func:`_check_values` on each domain,
+    then on each file, and reports the first fault it meets, so an
+    element's type faults come before its value faults.
+    :func:`parse_policy` builds only sound types, runs the value rules
+    during its pass and builds its result without this check."""
 
     domains: tuple[DocDomain, ...] = ()
     files: tuple[DocFile, ...] = ()
 
     def __post_init__(self):
         ids: set[int] = set()
+        owners = None             # for the files: the domain ids
         for name, cls in (("domains", DocDomain), ("files", DocFile)):
             elements = getattr(self, name)
             if type(elements) is not tuple:
                 _refuse_type(elements, tuple, name)
             keys: set[str] = set()
-            owners = frozenset(ids)   # for the files: the domain ids
             for element in elements:
-                _check_element(element, cls, ids, keys, owners)
+                _check_types(element, cls)
+                _check_values(element, cls, ids, keys, owners)
+            owners = frozenset(ids)
 
 
 #: Each element type's tag, the attribute that names it, and the
@@ -112,34 +115,23 @@ _NAMED_BY = {DocDomain: ("domain", "name", ()),
 _TARGETED = frozenset(kind.value for kind in TARGETED_KINDS)
 
 
-def _check_element(element: object, cls: type, ids: set[int],
-                   keys: set[str], owners) -> None:
-    """Check one ``cls`` entry against the ``ids`` and, of its kind, the
-    names or paths (``keys``) seen so far, and add its own.  The rules
-    run in order: a ``cls``, an ``int`` id, a new id, a ``str`` name or
-    path, a non-empty one; for a file an ``int`` owner, declared in
-    ``owners`` unless that is None; the properties; a new name or
-    path.  Each property is a ``DocProperty`` with a ``str`` type, a
-    tuple of targets and a known type; then its targets are ``int``s
-    on a type that takes them, and it is not ``nopublication`` on a
-    file."""
-    tag, key, refused = _NAMED_BY[cls]
+def _check_types(element: object, cls: type) -> None:
+    """Check that one entry is built of the types a parse builds, in
+    order: a ``cls``, an ``int`` id, a ``str`` name or path, for a file
+    an ``int`` owner, and a tuple of properties, each a ``DocProperty``
+    with a ``str`` type and a tuple of ``int`` targets; every ``int``
+    one that ``str`` can write.  The parse builds only such values, so
+    only a code-built document runs these rules."""
+    tag, key, _ = _NAMED_BY[cls]
     if type(element) is not cls:
         _refuse_type(element, cls, f"{tag} entry")
     _check_integer(element.id, "id", tag)
-    if element.id in ids:
-        raise XmlValidationError(f"duplicate id {element.id}")
-    ids.add(element.id)
     value = getattr(element, key)
     if type(value) is not str:
         raise XmlValidationError(f"attribute {key}={value!r} on <{tag}> is "
                                  f"not a string")
-    if not value:
-        raise XmlValidationError(f"{tag} {key} must be non-empty")
     if cls is DocFile:
         _check_integer(element.domainid, "domainid", tag)
-        if owners is not None:
-            _check_owner(element, owners)
     if type(element.properties) is not tuple:
         _refuse_type(element.properties, tuple,
                      f"properties on {tag} {value!r}")
@@ -151,12 +143,34 @@ def _check_element(element: object, cls: type, ids: set[int],
         if type(prop.targets) is not tuple:
             _refuse_type(prop.targets, tuple, f"targets of property "
                          f"{prop.type!r} on {tag} {value!r}")
+        for target in prop.targets:
+            _check_integer(target, "domainid", "target")
+
+
+def _check_values(element: DocDomain | DocFile, cls: type, ids: set[int],
+                  keys: set[str], owners) -> None:
+    """Check one ``cls`` entry, whose types are sound, against the
+    ``ids`` and, of its kind, the names or paths (``keys``) seen so far,
+    and add its own.  The rules run in order: a new id, a non-empty
+    name or path, for a file an owner among ``owners`` unless that is
+    None, the properties, and a new name or path.  Each property has a
+    known type, targets only if its type takes them, and is not
+    ``nopublication`` on a file.  Both the parse and
+    :class:`PolicyDocument` run these rules."""
+    tag, key, refused = _NAMED_BY[cls]
+    if element.id in ids:
+        raise XmlValidationError(f"duplicate id {element.id}")
+    ids.add(element.id)
+    value = getattr(element, key)
+    if not value:
+        raise XmlValidationError(f"{tag} {key} must be non-empty")
+    if owners is not None:
+        _check_owner(element, owners)
+    for prop in element.properties:
         if prop.type not in _KINDS:
             raise XmlValidationError(f"unknown property type {prop.type!r} "
                                      f"on {tag} {value!r}")
         if prop.targets:
-            for target in prop.targets:
-                _check_integer(target, "domainid", "target")
             if prop.type not in _TARGETED:
                 raise XmlValidationError(f"{prop.type} does not take target "
                                          f"domains on {tag} {value!r}")
@@ -208,10 +222,13 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
     otherwise, a DOCTYPE declaration included.  The first fault the pass
     meets is reported.  Each element's markup is checked as it opens
     (stray text carries the line of the markup that ends it), and each
-    domain and file is held to :class:`PolicyDocument`'s rules as it
-    closes, with the line of its start tag; a file's owner may be
-    declared after it, so owners are checked at ``</policy>``.  The
-    document is then built without checking it a second time.
+    domain and file is held to :class:`PolicyDocument`'s value rules
+    (:func:`_check_values`) as it closes, with the line of its start
+    tag; a file's owner may be declared after it, so owners are checked
+    at ``</policy>``.  The pass builds every id, owner and target from
+    canonical digits and every other value as the type rules
+    (:func:`_check_types`) require, so it runs none of them, and the
+    document is built without checking it a second time.
     """
     # The parser ElementTree.XMLParser makes: a "}" namespace separator
     # and text handed over in runs, not piecemeal.
@@ -272,8 +289,10 @@ def _install_handlers(parser, data: bytes, domains: list[DocDomain],
     to ``domains`` and ``files`` as it goes.  An element is checked
     against ``_NESTING`` and ``_ATTRS`` when it opens and its ``Doc*``
     value is built when it closes; a domain or file is then checked by
-    :func:`_check_element`, and file owners at ``</policy>``, each fault
-    with the line of its domain's or file's start tag."""
+    :func:`_check_values` alone, since the values the handlers build
+    are of the types :func:`_check_types` asks for, and file owners at
+    ``</policy>``, each fault with the line of its domain's or file's
+    start tag."""
     open_tags: list[str] = []
     after = None              # the last child closed at this depth
     scope: tuple = ()         # fields of the open domain or file
@@ -339,10 +358,10 @@ def _install_handlers(parser, data: bytes, domains: list[DocDomain],
             try:
                 if tag == "domain":
                     domains.append(DocDomain(*scope, tuple(properties)))
-                    _check_element(domains[-1], DocDomain, ids, names, None)
+                    _check_values(domains[-1], DocDomain, ids, names, None)
                 elif tag == "file":
                     files.append(DocFile(*scope, tuple(properties)))
-                    _check_element(files[-1], DocFile, ids, paths, None)
+                    _check_values(files[-1], DocFile, ids, paths, None)
                     file_starts.append(at)
                 else:
                     owners = {dom.id for dom in domains}

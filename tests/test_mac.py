@@ -28,10 +28,13 @@ from p2psec import (
     check_access,
     compile_policy,
     confidentiality,
+    cooperation,
     emit_rules,
     integrity,
     kind_ruleset,
     make_challenge,
+    nopublication,
+    noshare,
     object_context,
     parse_avc,
     parse_challenge,
@@ -39,6 +42,7 @@ from p2psec import (
     render_challenge,
     render_contexts,
     sanitize_label,
+    spread,
     verify_challenge,
 )
 from p2psec import mac
@@ -221,6 +225,24 @@ class TestCompile:
         assert "/root/secret.txt:" in emitted
         assert "neverallow file {read write unlink append rename setattr}" \
             in emitted
+
+    @pytest.mark.parametrize("domain_prop, file_prop", [
+        (integrity(), spread()),
+        (integrity(), cooperation()),
+        (nopublication(), noshare()),
+    ])
+    def test_resource_whose_kinds_add_no_rule_gets_no_stanza(
+            self, domain_prop, file_prop):
+        """A file whose own kinds add no neverallow entry gets a ruleset
+        equal to its domain's but not the same object, and no stanza."""
+        policy = PeerPolicy().create_domain("d")
+        policy = policy.add_property("d", domain_prop)
+        policy = policy.add_resource("/tmp/f", "d", (file_prop,))
+        compiled = compile_policy(policy)
+        own = compiled.resource_rules["/tmp/f"]
+        domain = compiled.domain_rules["d"]
+        assert own == domain and own is not domain
+        assert "/tmp/f:" not in emit_rules(compiled)
 
     def test_each_domain_projected_once(self, monkeypatch):
         calls = []

@@ -24,6 +24,7 @@ from p2psec import (
     serialize_policy,
     to_peer_policy,
 )
+from p2psec import policy_xml
 from p2psec.policy_xml import _ATTRS
 
 SAMPLE = b"""<policy>
@@ -71,6 +72,27 @@ def test_parse_checks_each_element_once(monkeypatch):
     assert calls == []
     assert PolicyDocument(doc.domains, doc.files) == doc
     assert len(calls) == 1
+
+
+def test_parse_runs_the_value_rules_alone(monkeypatch):
+    """The pass builds every value of the types the type rules ask for,
+    so it runs only the value rules, once per domain and file; building
+    the same document in code runs both, once per domain and file."""
+    calls = []
+
+    def counted(name):
+        check = getattr(policy_xml, name)
+        return lambda element, *rest: (calls.append((name, element))
+                                       or check(element, *rest))
+    for name in ("_check_types", "_check_values"):
+        monkeypatch.setattr(policy_xml, name, counted(name))
+    doc = parse_policy(SAMPLE)
+    elements = [*doc.domains, *doc.files]
+    assert calls == [("_check_values", element) for element in elements]
+    calls.clear()
+    assert PolicyDocument(doc.domains, doc.files) == doc
+    assert calls == [(name, element) for element in elements
+                     for name in ("_check_types", "_check_values")]
 
 
 def test_untargeted_properties_are_built_once_per_parse():

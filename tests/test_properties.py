@@ -259,15 +259,16 @@ def test_a_parsed_document_passes_the_full_check(data):
 
 def _fault_rows(domains, files):
     """The documented check order, written out as (failed, message)
-    rows: domains then files; each a tuple of entries; for a domain a
-    ``DocDomain``, an int id, a new id, a str name, a non-empty name,
-    properties, and a new name; for a file a ``DocFile``, an int id, a
-    new id, a str path, a non-empty path, an int owner, a declared
-    owner, properties, and a new path.  Properties are a tuple, and
-    each is a ``DocProperty`` with a str type, a tuple of targets and a
-    known type, with targets only if its kind takes them, and not
-    ``nopublication`` on a file.  Rows are made lazily, so none reads
-    past a failed one."""
+    rows: domains then files; each a tuple of entries; and each entry's
+    type rules before its value rules.  The type rules: for a domain a
+    ``DocDomain``, an int id, a str name; for a file a ``DocFile``, an
+    int id, a str path, an int owner; then a tuple of properties, each
+    a ``DocProperty`` with a str type and a tuple of int targets; every
+    int one that ``str`` can write.  The value rules: a new id, a
+    non-empty name or path, for a file a declared owner, each
+    property's known type, targets only if its kind takes them, not
+    ``nopublication`` on a file, and a new name or path.  Rows are made
+    lazily, so none reads past a failed one."""
     kinds = {kind.value for kind in PropertyKind}
     targeted = {kind.value for kind in TARGETED_KINDS}
 
@@ -275,54 +276,63 @@ def _fault_rows(domains, files):
         return (type(value) is not cls, f"{what} must be a {cls.__name__}, "
                 f"not {type(value).__name__}")
 
-    def property_rows(tag, name, properties):
+    def integer(value, attr, tag):
+        # An int that str cannot write has no message that shows it.
+        if type(value) is not int:
+            yield True, (f"attribute {attr}={value!r} on <{tag}> is not an "
+                         f"integer")
+        try:
+            str(value)
+        except ValueError:
+            yield True, f"attribute {attr} on <{tag}> has too many digits"
+
+    def type_rows(tag, key, element):
+        yield from integer(element.id, "id", tag)
+        name = getattr(element, key)
+        yield (type(name) is not str,
+               f"attribute {key}={name!r} on <{tag}> is not a string")
+        if tag == "file":
+            yield from integer(element.domainid, "domainid", tag)
         where = f"on {tag} {name!r}"
-        yield wrong(properties, tuple, f"properties {where}")
-        for p in properties:
+        yield wrong(element.properties, tuple, f"properties {where}")
+        for p in element.properties:
             yield wrong(p, DocProperty, f"property {where}")
             yield wrong(p.type, str, f"property type {where}")
             yield wrong(p.targets, tuple,
                         f"targets of property {p.type!r} {where}")
-            yield (p.type not in kinds,
-                   f"unknown property type {p.type!r} {where}")
+            for target in p.targets:
+                yield from integer(target, "domainid", "target")
+
+    def value_rows(tag, key, element, earlier, ids):
+        name = getattr(element, key)
+        yield (element.id in ids, f"duplicate id {element.id}")
+        yield (name == "", f"{tag} {key} must be non-empty")
+        if tag == "file":
+            yield (element.domainid not in [d.id for d in domains],
+                   f"file {name!r} references undeclared domain id "
+                   f"{element.domainid}")
+        where = f"on {tag} {name!r}"
+        for p in element.properties:
+            yield (p.type not in kinds, f"unknown property type {p.type!r} "
+                   f"{where}")
             yield (bool(p.targets) and p.type not in targeted,
                    f"{p.type} does not take target domains {where}")
             yield (tag == "file" and p.type == "nopublication",
                    "nopublication applies to domains, not resources")
+        yield (name in [getattr(e, key) for e in earlier],
+               f"duplicate {tag} {key} {name!r}")
 
-    yield wrong(domains, tuple, "domains")
-    for i, dom in enumerate(domains):
-        earlier = domains[:i]
-        yield wrong(dom, DocDomain, "domain entry")
-        yield (type(dom.id) is not int,
-               f"attribute id={dom.id!r} on <domain> is not an integer")
-        yield (dom.id in [d.id for d in earlier], f"duplicate id {dom.id}")
-        yield (type(dom.name) is not str,
-               f"attribute name={dom.name!r} on <domain> is not a string")
-        yield (dom.name == "", "domain name must be non-empty")
-        yield from property_rows("domain", dom.name, dom.properties)
-        yield (dom.name in [d.name for d in earlier],
-               f"duplicate domain name {dom.name!r}")
-    yield wrong(files, tuple, "files")
-    for i, file in enumerate(files):
-        earlier = files[:i]
-        yield wrong(file, DocFile, "file entry")
-        yield (type(file.id) is not int,
-               f"attribute id={file.id!r} on <file> is not an integer")
-        yield (file.id in [x.id for x in domains + earlier],
-               f"duplicate id {file.id}")
-        yield (type(file.path) is not str,
-               f"attribute path={file.path!r} on <file> is not a string")
-        yield (file.path == "", "file path must be non-empty")
-        yield (type(file.domainid) is not int,
-               f"attribute domainid={file.domainid!r} on <file> is not an "
-               f"integer")
-        yield (file.domainid not in [d.id for d in domains],
-               f"file {file.path!r} references undeclared domain id "
-               f"{file.domainid}")
-        yield from property_rows("file", file.path, file.properties)
-        yield (file.path in [f.path for f in earlier],
-               f"duplicate file path {file.path!r}")
+    for name, tag, key, cls, elements in (
+            ("domains", "domain", "name", DocDomain, domains),
+            ("files", "file", "path", DocFile, files)):
+        yield wrong(elements, tuple, name)
+        for i, element in enumerate(elements):
+            earlier = elements[:i]
+            ids = [e.id for e in (domains if tag == "file" else ())
+                   + earlier]
+            yield wrong(element, cls, f"{tag} entry")
+            yield from type_rows(tag, key, element)
+            yield from value_rows(tag, key, element, earlier, ids)
 
 
 def _first_fault(domains, files):
@@ -331,12 +341,16 @@ def _first_fault(domains, files):
                  if failed), None)
 
 
+#: An int that ``str`` cannot write.
+_TOO_LONG = 10 ** 5000
+
 # Pools so small that every document rule fires, often several at once:
 # mostly tuples of the right entries, with a list, a wrong entry or a
 # wrong property now and then.
 _POOL_PROPERTIES = st.lists(st.sampled_from((
-    *(DocProperty("integrity"), DocProperty("secrecy")) * 2,
+    DocProperty("integrity"), DocProperty("secrecy"),
     DocProperty("cooperation", (1,)), DocProperty("cooperation", [1]),
+    DocProperty("cooperation", ("1",)), DocProperty("spread", (_TOO_LONG,)),
     DocProperty("integrity", (1,)), DocProperty("nopublication"),
     DocProperty(["integrity"]), "integrity")), max_size=2).flatmap(
         lambda props: st.sampled_from((tuple(props),) * 4 + (props,)))
@@ -358,17 +372,49 @@ def _pool_container(entries):
         lambda xs: st.sampled_from((tuple(xs),) * 7 + (xs,)))
 
 
-#: Domains from the pool, or one time in four two sound ones, so that
-#: the files' own rules are reached often.
-_POOL_DOMAINS = st.integers(0, 3).flatmap(
-    lambda i: st.just((DocDomain(1, "a"), DocDomain(
-        2, "b", (DocProperty("nopublication"),)))) if i == 3
-    else _pool_container(pool_domains))
+def _value_properties(*props):
+    """A tuple of up to two of ``props``."""
+    return st.lists(st.sampled_from(props), max_size=2).map(tuple)
+
+
+#: Domains and files of sound types whose values may break a rule: a
+#: repeated id, an empty or repeated name or path, an undeclared owner,
+#: an unknown type, a target on a kind that takes none, or
+#: ``nopublication`` on a file.  File ids count up from 3 or 2, so two
+#: files never share one, and a repeated file is a repeated path.
+_VALUE_DOMAINS = st.lists(st.builds(
+    DocDomain, st.sampled_from((1, 2, 3)), st.sampled_from(("a", "b", "")),
+    _value_properties(
+        DocProperty("integrity"), DocProperty("secrecy"),
+        DocProperty("cooperation", (9,)), DocProperty("integrity", (1,)))),
+    max_size=3).map(tuple)
+_VALUE_FILES = st.tuples(st.sampled_from((3, 3, 2)), st.lists(st.tuples(
+    st.sampled_from(("f", "g", "f", "")), st.sampled_from((1, 2, 1, 9)),
+    _value_properties(
+        DocProperty("nopublication"), DocProperty("integrity"),
+        DocProperty("cooperation", (1,)), DocProperty("secrecy"),
+        DocProperty("integrity", (1,)))), max_size=3)).map(
+    lambda drawn: tuple(DocFile(drawn[0] + i, *row)
+                        for i, row in enumerate(drawn[1])))
+_SOUND_DOMAINS = (DocDomain(1, "a"),
+                  DocDomain(2, "b", (DocProperty("nopublication"),)))
+
+#: Documents of four sorts: two draws in five, domains and files from
+#: the pools; else sound domains with files from the pool, or domains,
+#: sound or of sound types, with files of sound types, so that each
+#: value rule, down to the last one, is reached often.
+_POOL_DOCUMENTS = st.integers(0, 4).flatmap(lambda i: (
+    st.tuples(_pool_container(pool_domains), _pool_container(pool_files)),
+    st.tuples(_pool_container(pool_domains), _pool_container(pool_files)),
+    st.tuples(st.just(_SOUND_DOMAINS), _pool_container(pool_files)),
+    st.tuples(_VALUE_DOMAINS, _VALUE_FILES),
+    st.tuples(st.just(_SOUND_DOMAINS), _VALUE_FILES))[i])
 
 
 @EXAMPLES
-@given(_POOL_DOMAINS, _pool_container(pool_files))
-def test_a_document_reports_its_first_fault(domains, files):
+@given(_POOL_DOCUMENTS)
+def test_a_document_reports_its_first_fault(document):
+    domains, files = document
     try:
         PolicyDocument(domains, files)
     except P2PSecError as exc:
