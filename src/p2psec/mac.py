@@ -156,7 +156,9 @@ def check_access(ruleset: MacRuleSet, cls: PermissionClass,
 @dataclass(frozen=True)
 class SecurityContext:
     """A user:role:type triple; no component is empty or holds a colon
-    or whitespace, so the rendered context is one token."""
+    or whitespace, so the rendered context is one token.  Building one
+    from code or by :meth:`parse` checks this; :func:`object_context`
+    builds from parts that already meet it."""
 
     user: str
     role: str
@@ -187,7 +189,16 @@ def sanitize_label(domain_name: str) -> str:
 
 
 def object_context(domain_name: str) -> SecurityContext:
-    return SecurityContext("system_u", "object_r", sanitize_label(domain_name))
+    """The object context of a domain's files,
+    ``system_u:object_r:<label>_t``.  It is built without
+    ``SecurityContext``'s checks, which its parts already meet: two
+    constants, and a label :func:`sanitize_label` makes of ``[0-9A-Za-z_]``
+    alone and never empty."""
+    context = object.__new__(SecurityContext)
+    object.__setattr__(context, "user", "system_u")
+    object.__setattr__(context, "role", "object_r")
+    object.__setattr__(context, "type_name", sanitize_label(domain_name))
+    return context
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +223,15 @@ class CompiledPolicy:
 def compile_policy(policy: PeerPolicy) -> CompiledPolicy:
     """Project a policy onto MAC rulesets and object contexts.
 
-    ``policy`` is not checked again: building a ``PeerPolicy`` checks
-    it, so every policy value is valid.  Each domain's ruleset and
-    object context are derived once per compile: a file with no
-    properties of its own shares its domain's ``MacRuleSet`` and
-    ``SecurityContext`` objects, and a file with its own properties
-    gets the ruleset of its domain's kinds united with its own.
+    Nothing is checked again.  Every ``PeerPolicy`` value is valid: it
+    was validated when built from code, checked step by step when frozen
+    from a builder, or checked as a document before it was lifted.  Each
+    object context comes from :func:`object_context`, whose parts need
+    no check.  Each domain's ruleset and object context are derived
+    once per compile: a file with no properties of its own shares its
+    domain's ``MacRuleSet`` and ``SecurityContext`` objects, and a file
+    with its own properties gets the ruleset of its domain's kinds
+    united with its own.
     """
     domain_rules: dict[str, MacRuleSet] = {}
     by_id: dict[int, tuple[Domain, MacRuleSet, SecurityContext]] = {}

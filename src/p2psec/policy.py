@@ -8,13 +8,15 @@ incompatible; the conflict relation drives both local policy checks and
 remote negotiation.
 
 The value types are immutable, and every policy value is valid: a
-``PeerPolicy`` built directly is validated, and one frozen from a
-``PolicyBuilder`` was checked step by step.  Edits are made on that
-mutable builder, the one home of the edit checks; a ``PeerPolicy`` edit
-thaws, applies one builder step and freezes, returning a new value and
-never touching its input.  Thaw and freeze copy the policy's indexes
-and re-check nothing, so an edit makes a fixed number of Python calls
-whatever the policy's size, but copies indexes as large as the policy.
+``PeerPolicy`` built directly is validated, one frozen from a
+``PolicyBuilder`` was checked step by step, and one lifted from a
+``PolicyDocument`` was checked as the document was built.  Edits are
+made on that mutable builder, the one home of the edit checks; a
+``PeerPolicy`` edit thaws, applies one builder step and freezes,
+returning a new value and never touching its input.  Thaw and freeze
+copy the policy's indexes and re-check nothing, so an edit makes a
+fixed number of Python calls whatever the policy's size, but copies
+indexes as large as the policy.
 """
 
 from __future__ import annotations
@@ -195,6 +197,21 @@ class Domain:
         object.__setattr__(self, "kinds",
                            frozenset(p.kind for p in self.properties))
 
+    @classmethod
+    def unchecked(cls, id: int, name: str,
+                  properties: frozenset[SecurityProperty],
+                  kinds: frozenset[PropertyKind]) -> "Domain":
+        """The domain these fields make, built without the checks of
+        ``__post_init__``: for values a checked source already holds to
+        them, a non-empty name and a frozenset of properties whose kinds
+        are ``kinds``."""
+        dom = object.__new__(cls)
+        object.__setattr__(dom, "id", id)
+        object.__setattr__(dom, "name", name)
+        object.__setattr__(dom, "properties", properties)
+        object.__setattr__(dom, "kinds", kinds)
+        return dom
+
 
 @dataclass(frozen=True)
 class Resource:
@@ -215,18 +232,38 @@ class Resource:
                 raise PolicyValidationError(
                     "nopublication applies to domains, not resources")
 
+    @classmethod
+    def unchecked(cls, id: int, path: str, domain_id: int,
+                  properties: frozenset[SecurityProperty]) -> "Resource":
+        """The resource these fields make, built without the checks of
+        ``__post_init__``: for values a checked source already holds to
+        them, a non-empty path and a frozenset of properties without
+        ``nopublication``."""
+        res = object.__new__(cls)
+        object.__setattr__(res, "id", id)
+        object.__setattr__(res, "path", path)
+        object.__setattr__(res, "domain_id", domain_id)
+        object.__setattr__(res, "properties", properties)
+        return res
+
 
 @dataclass(frozen=True)
 class PeerPolicy:
     """The complete local policy of one peer.
 
-    Ids are unique across domains and resources; a shared monotone
-    counter hands them out.  Building a value directly checks these
-    invariants and indexes the domains by name and id and the resources
-    by path, so each lookup is a dict read.  The edit operations are
-    pure: each thaws the policy into a :class:`PolicyBuilder`, applies
-    one step and freezes the result, which takes the builder's
-    step-checked indexes without validating.
+    Ids are unique across domains and resources, and a shared monotone
+    counter above them hands out new ones; domain names and resource
+    paths are unique, and each resource's owner is one of the domains.
+    Every value holds its domains indexed by name and id and its
+    resources by path, so each lookup is a dict read.  Building a value
+    from code (``PeerPolicy(...)``) checks these invariants with
+    :meth:`validate`, which builds the indexes.  Two builds trust a
+    source that has already checked them and go through
+    :meth:`unchecked`: the edit operations, which thaw the policy into a
+    :class:`PolicyBuilder`, apply one step and freeze the result with
+    the builder's step-checked indexes, and
+    :func:`~p2psec.policy_xml.to_peer_policy`, which lifts a checked
+    ``PolicyDocument``.
     """
 
     domains: tuple[Domain, ...] = ()
@@ -239,6 +276,25 @@ class PeerPolicy:
 
     def __post_init__(self):
         self.validate()
+
+    @classmethod
+    def unchecked(cls, by_name: dict[str, Domain], by_id: dict[int, Domain],
+                  by_path: dict[str, Resource], next_id: int) -> "PeerPolicy":
+        """The policy these indexes hold, built without :meth:`validate`:
+        for indexes a checked source keeps to its invariants, ``by_name``
+        and ``by_id`` over the same domains, ``by_path`` over resources
+        owned by those domains, ids unique and below ``next_id``.  The
+        value takes the indexes themselves, and its domains and resources
+        come in their order."""
+        policy = object.__new__(cls)
+        # The fields in the order ``__init__`` and ``validate`` set them,
+        # so that all instances share one layout.
+        for name, value in (("domains", tuple(by_name.values())),
+                            ("resources", tuple(by_path.values())),
+                            ("next_id", next_id), ("_by_name", by_name),
+                            ("_by_id", by_id), ("_by_path", by_path)):
+            object.__setattr__(policy, name, value)
+        return policy
 
     @cached_property
     def _files(self) -> dict[int, frozenset[str]]:
@@ -275,8 +331,8 @@ class PeerPolicy:
 
     def thaw(self) -> "PolicyBuilder":
         """A builder holding copies of this policy's indexes.  Only the
-        first thaw of a policy built directly loops over it in Python,
-        to index its files."""
+        first thaw of a policy not frozen from a builder loops over it in
+        Python, to index its files."""
         builder = PolicyBuilder()
         builder._next_id = self.next_id
         builder._domains = dict(self._by_name)
@@ -383,14 +439,12 @@ class PolicyBuilder:
         self._files: dict[int, frozenset[str]] = {}
 
     def freeze(self) -> PeerPolicy:
-        """The policy so far, handed copies of the indexes unvalidated."""
-        return _set_fields(
-            object.__new__(PeerPolicy),
-            domains=tuple(self._domains.values()),
-            resources=tuple(self._resources.values()),
-            next_id=self._next_id, _by_name=dict(self._domains),
-            _by_id=dict(self._by_id), _by_path=dict(self._resources),
-            _files=dict(self._files))
+        """The policy so far, handed copies of the indexes unvalidated,
+        the per-domain paths included."""
+        policy = PeerPolicy.unchecked(dict(self._domains), dict(self._by_id),
+                                      dict(self._resources), self._next_id)
+        object.__setattr__(policy, "_files", dict(self._files))
+        return policy
 
     def create_domain(self, name: str) -> "PolicyBuilder":
         """Add a fresh, property-free domain named ``name``."""
@@ -490,14 +544,6 @@ class PolicyBuilder:
         del self._resources[path]
         self._files[res.domain_id] -= {path}
         return self
-
-
-def _set_fields(policy: PeerPolicy, **fields) -> PeerPolicy:
-    """Set a frozen policy's fields unchecked, in the order ``__init__``
-    and ``validate`` do, so that all instances share one layout."""
-    for name, value in fields.items():
-        object.__setattr__(policy, name, value)
-    return policy
 
 
 def _get(index: dict, key, error: type, what: str):

@@ -464,30 +464,42 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
 
     Target ids that name a declared domain become that domain's name;
     any other id becomes a symbolic ``ext:<id>`` reference.  A document
-    holds every rule the model checks, so the lift refuses nothing.
-    Each distinct property list is lifted once.
+    holds every rule the model checks (unique ids, names and paths,
+    declared owners, non-empty names and paths, no ``nopublication`` on
+    a file), so the lift refuses nothing and trusts the document: it
+    builds the domains, resources and policy, with its indexes and a
+    counter above every id, in one pass through their ``unchecked``
+    builds, without ``Domain``/``Resource`` checks or
+    ``PeerPolicy.validate``.  Each distinct property list is lifted once
+    through the checked ``SecurityProperty``, and its kinds derived once.
     """
     names_by_id = {dom.id: dom.name for dom in doc.domains}
-    lifted: dict[tuple[DocProperty, ...], frozenset[SecurityProperty]] = {}
+    # each distinct property list -> (its properties, their kinds)
+    lifted: dict[tuple[DocProperty, ...], tuple[frozenset, frozenset]] = {}
 
-    def lift(scope: DocDomain | DocFile) -> frozenset[SecurityProperty]:
-        props = lifted.get(scope.properties)
-        if props is None:
-            props = set()
-            for prop in scope.properties:
-                targets = frozenset(
-                    names_by_id.get(t, f"ext:{t}") for t in prop.targets)
-                props.add(SecurityProperty(_KINDS[prop.type], targets))
-            props = lifted[scope.properties] = frozenset(props)
-        return props
+    def lift(properties: tuple[DocProperty, ...]):
+        found = lifted.get(properties)
+        if found is None:
+            props = frozenset(
+                SecurityProperty(_KINDS[prop.type], frozenset(
+                    names_by_id.get(t, f"ext:{t}") for t in prop.targets))
+                for prop in properties)
+            found = lifted[properties] = (
+                props, frozenset(prop.kind for prop in props))
+        return found
 
-    domains = tuple(Domain(dom.id, dom.name, lift(dom))
-                    for dom in doc.domains)
-    resources = tuple(Resource(file.id, file.path, file.domainid, lift(file))
-                      for file in doc.files)
-    ids = [element.id for element in doc.domains + doc.files]
-    return PeerPolicy(domains=domains, resources=resources,
-                      next_id=max(ids, default=0) + 1)
+    by_name: dict[str, Domain] = {}
+    by_id: dict[int, Domain] = {}
+    for dom in doc.domains:
+        by_name[dom.name] = by_id[dom.id] = Domain.unchecked(
+            dom.id, dom.name, *lift(dom.properties))
+    by_path: dict[str, Resource] = {}
+    for file in doc.files:
+        by_path[file.path] = Resource.unchecked(
+            file.id, file.path, file.domainid, lift(file.properties)[0])
+    ids = [*by_id, *(file.id for file in doc.files)]
+    return PeerPolicy.unchecked(by_name, by_id, by_path,
+                                max(ids, default=0) + 1)
 
 
 def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:

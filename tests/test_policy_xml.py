@@ -14,6 +14,7 @@ from p2psec import (
     P2PSecError,
     PolicyDocument,
     PolicyValidationError,
+    Resource,
     XmlSyntaxError,
     XmlValidationError,
     confidentiality,
@@ -93,6 +94,29 @@ def test_parse_runs_the_value_rules_alone(monkeypatch):
     assert PolicyDocument(doc.domains, doc.files) == doc
     assert calls == [(name, element) for element in elements
                      for name in ("_check_types", "_check_values")]
+
+
+def test_the_lift_runs_no_model_check(monkeypatch):
+    """A parsed document already holds every rule the model checks, so
+    the lift builds its domains, resources and policy unchecked; building
+    the same policy in code runs every check."""
+    calls = []
+    for cls, name in ((Domain, "__post_init__"), (Resource, "__post_init__"),
+                      (PeerPolicy, "validate")):
+        check = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda value, check=check: (
+            calls.append(type(value)) or check(value)))
+    policy = to_peer_policy(parse_policy(SAMPLE))
+    assert calls == []
+    assert PeerPolicy(policy.domains, policy.resources,
+                      policy.next_id) == policy
+    assert calls == [PeerPolicy]
+    calls.clear()
+    for dom in policy.domains:
+        Domain(dom.id, dom.name, dom.properties)
+    for res in policy.resources:
+        Resource(res.id, res.path, res.domain_id, res.properties)
+    assert calls == [Domain, Resource]
 
 
 def test_untargeted_properties_are_built_once_per_parse():

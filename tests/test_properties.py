@@ -17,6 +17,7 @@ from p2psec import (
     DocDomain,
     DocFile,
     DocProperty,
+    Domain,
     FILE_PERMISSIONS,
     HistoryRecord,
     HistoryScore,
@@ -32,6 +33,7 @@ from p2psec import (
     PolicyError,
     PolicySlice,
     PropertyKind,
+    Resource,
     ScenarioError,
     SecurityContext,
     SecurityProperty,
@@ -47,6 +49,7 @@ from p2psec import (
     emit_rules,
     eval_property,
     kind_ruleset,
+    object_context,
     parse_avc,
     parse_challenge,
     parse_policy,
@@ -56,6 +59,7 @@ from p2psec import (
     render_challenge,
     render_contexts,
     run_scenario,
+    sanitize_label,
     serialize_policy,
     sort_properties,
     synthetic_policy,
@@ -462,12 +466,48 @@ def documents(draw):
 @EXAMPLES
 @given(documents())
 def test_every_document_that_lifts_is_a_valid_policy(parts):
-    """Every document that builds lifts, to a valid policy."""
+    """Every document that builds lifts, without checks, to the policy
+    the checked constructors build from the same values: equal fields,
+    indexes and domain kinds, before ``validate`` rebuilds the indexes;
+    and that policy is valid."""
     try:
         doc = PolicyDocument(*parts)
     except XmlValidationError:
         return
-    to_peer_policy(doc).validate()
+    names = {dom.id: dom.name for dom in doc.domains}
+
+    def lifted(properties):
+        return {SecurityProperty(PropertyKind(prop.type),
+                                 {names.get(t, f"ext:{t}")
+                                  for t in prop.targets})
+                for prop in properties}
+
+    rebuilt = PeerPolicy(
+        domains=tuple(Domain(dom.id, dom.name, lifted(dom.properties))
+                      for dom in doc.domains),
+        resources=tuple(Resource(file.id, file.path, file.domainid,
+                                 lifted(file.properties))
+                        for file in doc.files),
+        next_id=max((element.id for element in doc.domains + doc.files),
+                    default=0) + 1)
+    policy = to_peer_policy(doc)
+    assert policy == rebuilt
+    for index in ("_by_name", "_by_id", "_by_path"):
+        assert getattr(policy, index) == getattr(rebuilt, index)
+    assert ([dom.kinds for dom in policy.domains]
+            == [dom.kinds for dom in rebuilt.domains])
+    policy.validate()
+
+
+@EXAMPLES
+@given(st.text())
+def test_an_object_context_is_the_checked_context(name):
+    """``object_context`` builds unchecked what the checked constructor
+    builds, and its rendering is one token."""
+    context = object_context(name)
+    assert context == SecurityContext("system_u", "object_r",
+                                      sanitize_label(name))
+    assert context.render().split() == [context.render()]
 
 
 @EXAMPLES
