@@ -15,7 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import (Callable, Iterable, NamedTuple, Optional, Sequence,
+                    TypeVar, Union)
 
 from .errors import (
     DuplicateDomainError,
@@ -782,8 +783,13 @@ def render_report(report: RunReport) -> str:
 # The engine
 # ---------------------------------------------------------------------------
 
+#: Probe verdicts by question; see ``SimulationEngine._probe_harness``.
+_Verdicts = dict[tuple, tuple[bool, ...]]
+
+
 class SimulationEngine:
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario,
+                 verdicts: Optional[_Verdicts] = None):
         self.scenario = scenario
         self.config = scenario.config
         self.rng = random.Random(scenario.seed)
@@ -797,8 +803,9 @@ class SimulationEngine:
         self._delegates: dict[str, list[tuple[str, float]]] = {
             uid: self._eligible_delegates(agent)
             for uid, agent in self.agents.items()}
-        # This run's probe verdicts by question; see _probe_harness.
-        self._verdicts: dict[tuple, tuple[bool, ...]] = {}
+        # Probe verdicts by question: this run's own, or a table the
+        # caller shares across runs; see _probe_harness.
+        self._verdicts: _Verdicts = {} if verdicts is None else verdicts
 
     # -- actions ---------------------------------------------------------
 
@@ -947,7 +954,7 @@ class SimulationEngine:
 
         The requester's answers never depend on which delegate asks, so
         the probes are run once, each to a pass/fail bool, and their
-        verdicts are kept for the rest of the run under the question's
+        verdicts are kept in the engine's table under the question's
         key: the requester's behaviour, the kinds of its target domain
         (the one ``offered`` names, which ``_negotiate`` has matched to
         the ask's), the offered kinds and ``kind``.  The key holds
@@ -955,12 +962,16 @@ class SimulationEngine:
         challenge's target name, an enforcing peer labels the same
         domain name the challenge expects, and no check reads the
         timestamp or serial stamps, so the resource path, the domain
-        name and the tick stay out of it.  The table belongs to the
-        engine, so no verdict outlives its run.  The returned closure
-        does each delegate's own part: for each probe it advances the
-        clock by the probe's two message ticks and records a failed
-        probe in that delegate's ledger at the tick it would have been
-        answered.
+        name and the tick stay out of it.  Nor does a verdict read the
+        scenario, the config, the ledgers or the clock, so a table is
+        sound for any number of runs: whoever builds the engine owns
+        it.  ``run_scenario`` gives each run a fresh table unless handed
+        one, and ``detection_experiment`` hands all its runs one table,
+        so each question is asked once per experiment.  The returned
+        closure does each delegate's own part: for each probe it
+        advances the clock by the probe's two message ticks and records
+        a failed probe in that delegate's ledger at the tick it would
+        have been answered.
         """
         key = (requester.behavior,
                requester._domain(offered.domain_name).kinds, offered.kinds,
@@ -1041,9 +1052,13 @@ class SimulationEngine:
                    for decl in self.scenario.peers})
 
 
-def run_scenario(scenario: Scenario) -> RunReport:
-    """Execute a scenario; equal scenarios and seeds give equal reports."""
-    return SimulationEngine(scenario).run()
+def run_scenario(scenario: Scenario,
+                 verdicts: Optional[_Verdicts] = None) -> RunReport:
+    """Execute a scenario; equal scenarios and seeds give equal reports.
+    ``verdicts`` is the probe-verdict table to read and fill (see
+    ``SimulationEngine._probe_harness``), a fresh one when not given; a
+    shared table changes no report, only which rounds are run."""
+    return SimulationEngine(scenario, verdicts).run()
 
 
 # ---------------------------------------------------------------------------
@@ -1062,6 +1077,11 @@ class PopulationParams:
     log_forgers: int = 1
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{field.name} must be an int, "
+                                 f"not {value!r}")
         if self.delegates < 1:
             raise ValueError("need at least one delegate")
         if min(self.honest_requesters, self.blind_liars,
@@ -1104,22 +1124,6 @@ class ExperimentReport:
         return self.stats.get(behavior, BehaviorStats())
 
 
-#: Property mixes for generated owner domains.  Every mix carries at
-#: least one prohibition kind, so a peer that enforces nothing always
-#: has something to fail.
-_REQUIRED_MIXES: tuple[tuple[SecurityProperty, ...], ...] = (
-    (SecurityProperty(PropertyKind.CONFIDENTIALITY),),
-    (SecurityProperty(PropertyKind.INTEGRITY),),
-    (SecurityProperty(PropertyKind.NOSHARE),),
-    (SecurityProperty(PropertyKind.CONFIDENTIALITY),
-     SecurityProperty(PropertyKind.INTEGRITY)),
-    (SecurityProperty(PropertyKind.NOSHARE),
-     SecurityProperty(PropertyKind.INTEGRITY)),
-    (SecurityProperty(PropertyKind.INTEGRITY),
-     SecurityProperty(PropertyKind.COOPERATION)),
-)
-
-
 def _domain_policy(domain: str, props: Iterable[SecurityProperty],
                    *paths: str) -> PeerPolicy:
     policy = PolicyBuilder().create_domain(domain)
@@ -1130,27 +1134,61 @@ def _domain_policy(domain: str, props: Iterable[SecurityProperty],
     return policy.freeze()
 
 
+class _Mix(NamedTuple):
+    """A property mix for generated owner domains, with the two policies
+    that depend on it: the owner's, holding ``asset`` in a ``vault``
+    domain under the mix, and the ``drop`` domain of the requesters whose
+    policy holds the mix."""
+
+    required: tuple[SecurityProperty, ...]
+    owner: PeerPolicy
+    matching_drop: PeerPolicy
+
+
+def _mix(*required: SecurityProperty) -> _Mix:
+    return _Mix(required, _domain_policy("vault", required, "asset"),
+                _domain_policy("drop", required))
+
+
+#: The mixes each generated run draws from.  Every mix carries at least
+#: one prohibition kind, so a peer that enforces nothing always has
+#: something to fail.  A ``PeerPolicy`` is immutable, so each policy is
+#: built here once and shared by every run that draws its mix, as are
+#: the bare ``drop`` policy of the requesters whose policy does not hold
+#: the mix and the delegates' empty policy.
+_REQUIRED_MIXES: tuple[_Mix, ...] = (
+    _mix(SecurityProperty(PropertyKind.CONFIDENTIALITY)),
+    _mix(SecurityProperty(PropertyKind.INTEGRITY)),
+    _mix(SecurityProperty(PropertyKind.NOSHARE)),
+    _mix(SecurityProperty(PropertyKind.CONFIDENTIALITY),
+         SecurityProperty(PropertyKind.INTEGRITY)),
+    _mix(SecurityProperty(PropertyKind.NOSHARE),
+         SecurityProperty(PropertyKind.INTEGRITY)),
+    _mix(SecurityProperty(PropertyKind.INTEGRITY),
+         SecurityProperty(PropertyKind.COOPERATION)),
+)
+_BARE_DROP = _domain_policy("drop", ())
+_EMPTY_POLICY = PeerPolicy()
+
+
 def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
     rng = random.Random(f"{params.seed}:{run_index}")
-    required = rng.choice(_REQUIRED_MIXES)
+    mix = rng.choice(_REQUIRED_MIXES)
     peers = [PeerDecl(
-        uid="owner", display_name="owner",
-        policy=_domain_policy("vault", required, "asset"),
+        uid="owner", display_name="owner", policy=mix.owner,
         knows=tuple((f"c{i}", 0.6 + 0.1 * (i % 4))
                     for i in range(params.delegates)),
     )]
     peers.extend(PeerDecl(uid=f"c{i}", display_name="C",
-                          policy=PeerPolicy())
+                          policy=_EMPTY_POLICY)
                  for i in range(params.delegates))
     actions: list[Action] = []
-    # A PeerPolicy is immutable, so requesters share the two drop policies.
-    drops = {True: _domain_policy("drop", required),
-             False: _domain_policy("drop", ())}
     for behavior, count, prefix, matching, asks in _POPULATION:
+        drop = mix.matching_drop if matching else _BARE_DROP
         for i in range(getattr(params, count)):
             uid = f"{prefix}{i}"
-            peers.append(PeerDecl(uid=uid, display_name=uid,
-                                  policy=drops[matching], behavior=behavior))
+            peers.append(PeerDecl(uid=uid, display_name=uid, policy=drop,
+                                  behavior=behavior))
             actions += [AskAction(uid, "owner", "asset", "drop")] * asks
     return Scenario(seed=run_index, peers=tuple(peers),
                     actions=tuple(actions))
@@ -1159,14 +1197,18 @@ def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
 def detection_experiment(params: PopulationParams,
                          runs: int) -> ExperimentReport:
     """Generate ``runs`` seeded scenarios and tally outcomes per
-    behaviour model."""
+    behaviour model.  The runs share one probe-verdict table, which
+    changes no outcome (see ``SimulationEngine._probe_harness``)."""
+    if isinstance(runs, bool) or not isinstance(runs, int):
+        raise ValueError(f"runs must be an int, not {runs!r}")
     if runs < 1:
         raise ValueError("runs must be at least 1")
     tally: Counter[tuple[BehaviorModel, Outcome]] = Counter()
     forged = 0
     flagged = 0
+    verdicts: _Verdicts = {}
     for index in range(runs):
-        report = run_scenario(_experiment_scenario(params, index))
+        report = run_scenario(_experiment_scenario(params, index), verdicts)
         for record in report.negotiations:
             tally[record.requester_behavior, record.outcome] += 1
         forged += sum(n.forged_records for n in report.negotiations)

@@ -1,6 +1,7 @@
 """Generated-input properties for the core invariants."""
 
 import itertools
+from collections import Counter
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -74,14 +75,23 @@ from p2psec.policy import _kinds_clash
 from p2psec.policy_xml import _q
 from p2psec.simnet import (
     _ARITY,
+    _BARE_DROP,
+    _EMPTY_POLICY,
+    _REQUIRED_MIXES,
+    _domain_policy,
+    _experiment_scenario,
     AskAction,
     BehaviorModel,
+    BehaviorStats,
     EditAction,
+    ExperimentReport,
     PeerAgent,
     PeerDecl,
+    PopulationParams,
     Scenario,
     ShowAction,
     SimulationEngine,
+    detection_experiment,
 )
 
 EXAMPLES = settings(max_examples=1000, deadline=None)
@@ -850,12 +860,10 @@ def test_a_code_built_document_is_refused_or_round_trips(domain_fields,
     assert parse_policy(data) == doc
 
 
-@st.composite
-def ask_scenarios(draw):
-    owner_kinds = draw(safe_kind_sets)
-    asker_kinds = draw(safe_kind_sets)
-    behavior = draw(st.sampled_from(list(BehaviorModel)))
-    seed = draw(st.integers(0, 2**16))
+def ask_scenario(owner_kinds, asker_kinds, behavior, seed):
+    """One ask by a requester with ``behavior`` into a domain of
+    ``asker_kinds``, for a resource the owner holds under
+    ``owner_kinds``, with one delegate."""
     owner = PeerPolicy().create_domain("src")
     for prop in _props(owner_kinds):
         owner = owner.add_property("src", prop)
@@ -873,8 +881,13 @@ def ask_scenarios(draw):
                     actions=(AskAction("r", "o", "res", "dst"),))
 
 
+ask_scenarios = st.builds(ask_scenario, safe_kind_sets, safe_kind_sets,
+                          st.sampled_from(list(BehaviorModel)),
+                          st.integers(0, 2**16))
+
+
 @EXAMPLES
-@given(ask_scenarios())
+@given(ask_scenarios)
 def test_no_slice_beyond_negotiated_domain(scenario):
     engine = SimulationEngine(scenario)
     slices = []
@@ -916,6 +929,68 @@ def test_a_challenge_round_reads_nothing_outside_its_key(
             path, PolicySlice(domain_name, frozenset(_props(offered_kinds))),
             PeerAgent("r", policy, behavior), kind))
     assert verdicts[0] == verdicts[1]
+
+
+population_counts = st.integers(0, 2)
+
+
+@EXAMPLES
+@given(params=st.builds(PopulationParams, seed=st.integers(0, 10**6),
+                        delegates=st.integers(1, 4),
+                        honest_requesters=population_counts,
+                        blind_liars=population_counts,
+                        informed_liars=population_counts,
+                        log_forgers=population_counts),
+       runs=st.integers(1, 6))
+def test_sharing_verdicts_across_runs_changes_no_outcome(params, runs):
+    """An experiment's runs share one verdict table; each run, and the
+    tally over them, is what runs with a fresh table each give."""
+    tally = Counter()
+    forged = flagged = 0
+    shared = {}
+    for index in range(runs):
+        scenario = _experiment_scenario(params, index)
+        report = run_scenario(scenario)
+        assert run_scenario(scenario, shared) == report
+        for record in report.negotiations:
+            tally[record.requester_behavior, record.outcome] += 1
+            forged += record.forged_records
+            flagged += record.flagged_records
+    stats = {model: BehaviorStats(accepted=tally[model, Outcome.ACCEPTED],
+                                  refused=tally[model, Outcome.REFUSED])
+             for model in BehaviorModel}
+    assert detection_experiment(params, runs) == ExperimentReport(
+        runs=runs, stats=stats, forged_records=forged,
+        flagged_records=flagged)
+
+
+@EXAMPLES
+@given(owner_kinds=safe_kind_sets, asker_kinds=safe_kind_sets,
+       echo=st.booleans(),
+       behaviors=st.lists(st.sampled_from(list(BehaviorModel)),
+                          min_size=2, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_a_shared_verdict_table_changes_no_run(owner_kinds, asker_kinds,
+                                               echo, behaviors, seed):
+    """Runs that share one verdict table each give the report they give
+    with a fresh table.  The runs differ only in the requester's
+    behaviour, so only the behaviour in the key tells their questions
+    apart; with ``echo`` the requester's domain holds the required
+    kinds, so an honest peer and an informed liar make the same offer."""
+    shared = {}
+    for behavior in behaviors:
+        scenario = ask_scenario(owner_kinds,
+                                owner_kinds if echo else asker_kinds,
+                                behavior, seed)
+        assert run_scenario(scenario, shared) == run_scenario(scenario)
+
+
+def test_each_mix_shares_the_policies_a_fresh_build_gives():
+    for mix in _REQUIRED_MIXES:
+        assert mix.owner == _domain_policy("vault", mix.required, "asset")
+        assert mix.matching_drop == _domain_policy("drop", mix.required)
+    assert _BARE_DROP == _domain_policy("drop", ())
+    assert _EMPTY_POLICY == PeerPolicy()
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ see.
 A run, a parse and a compile are linear in what they are given: each
 doubling of requesters, delegates, scenario domains or policy domains
 (compiled, or parsed from XML and lifted) may multiply the calls by at
-most ``DOUBLING``.  Counting calls instead of timing them keeps the
-tests free of host noise.
+most ``DOUBLING``.  A detection experiment runs each distinct
+challenge round once, however many runs it has.  Counting calls
+instead of timing them keeps the tests free of host noise.
 """
 
 import cProfile
@@ -22,11 +23,13 @@ import pytest
 from p2psec import (
     Outcome,
     PolicyBuilder,
+    PopulationParams,
     Resource,
     SimulationEngine,
     apply_transfer,
     compile_policy,
     cooperation,
+    detection_experiment,
     emit_rules,
     from_peer_policy,
     integrity,
@@ -169,3 +172,34 @@ def test_a_transfer_into_a_new_domain_freezes_one_policy(monkeypatch):
     assert ask.outcome is Outcome.ACCEPTED
     assert engine.agents["r"].policy.has_resource("f")
     assert len(freezes) == 1
+
+
+def test_probe_rounds_stay_flat_as_runs_grow(monkeypatch):
+    """A detection experiment runs each challenge round once, however
+    many runs ask it: the rounds are at most the distinct questions
+    (verdict keys) asked, so ten times the runs give far fewer than ten
+    times the rounds."""
+    rounds = []
+    questions = set()
+    probe_round = SimulationEngine._probe_round
+    probe_harness = SimulationEngine._probe_harness
+
+    def counted_round(engine, *args):
+        rounds.append(args)
+        return probe_round(engine, *args)
+
+    def asked(engine, session, offered, requester, kind):
+        questions.add((requester.behavior,
+                       requester._domain(offered.domain_name).kinds,
+                       offered.kinds, kind))
+        return probe_harness(engine, session, offered, requester, kind)
+    monkeypatch.setattr(SimulationEngine, "_probe_round", counted_round)
+    monkeypatch.setattr(SimulationEngine, "_probe_harness", asked)
+    counts = {}
+    for runs in (20, 200):
+        rounds.clear()
+        questions.clear()
+        detection_experiment(PopulationParams(seed=416), runs)
+        assert 0 < len(rounds) <= len(questions), (runs, len(rounds))
+        counts[runs] = len(rounds)
+    assert counts[200] < 10 * counts[20], counts

@@ -1090,6 +1090,24 @@ class TestDetectionExperiment:
         with pytest.raises(ValueError, match="must be non-negative"):
             PopulationParams(blind_liars=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("delegates", True),
+        ("delegates", 2.5),
+        ("log_forgers", 1.0),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", False),
+    ])
+    def test_a_population_value_that_is_no_int_is_refused(self, field,
+                                                          value):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            PopulationParams(**{field: value})
+
+    @pytest.mark.parametrize("runs", [True, 2.0, "3"])
+    def test_runs_that_are_no_int_are_refused(self, runs):
+        with pytest.raises(ValueError, match="^runs must be an int"):
+            detection_experiment(PopulationParams(), runs)
+
     def test_population_table_lists_each_behaviour_and_count_once(self):
         rows = simnet._POPULATION
         counts = [f.name for f in fields(PopulationParams)
