@@ -358,6 +358,16 @@ class AvcRecord:
                 f"AVC permission {min(bad, key=repr)!r} must be non-empty "
                 f"and free of whitespace and braces")
 
+    @classmethod
+    def unchecked(cls, **fields) -> "AvcRecord":
+        """The record these fields make, every one given by name in
+        declaration order, built without the checks of ``__post_init__``:
+        for fields built from parts that already hold what ``parse_avc``
+        reads back, as the simulator's probe responses are."""
+        record = object.__new__(cls)
+        record.__dict__.update(fields)
+        return record
+
 
 #: (label, compiled pattern) for each field of an AVC line, in order.
 _AVC_STEPS: tuple[tuple[str, re.Pattern[str]], ...] = tuple(
@@ -533,10 +543,14 @@ def build_challenge(resource_path: str, subject: SecurityContext,
     """Build a challenge against the ruleset the target should enforce.
 
     The expected outcome is what ``ruleset`` itself decides for the
-    stub's probe permission, so a faithful enforcer reproduces it.
+    stub's probe permission, so a faithful enforcer reproduces it.  The
+    challenge is built without ``Challenge``'s checks, which its parts
+    already meet: :func:`probe_permission` accepts only the one-word
+    stubs of ``PROBE_PERMISSIONS``, and each probes one file permission.
     """
     permission = probe_permission(command_stub)
-    return Challenge(
+    challenge = object.__new__(Challenge)
+    challenge.__dict__.update(
         scontext=subject,
         stub=command_stub,
         target_path=resource_path,
@@ -544,6 +558,7 @@ def build_challenge(resource_path: str, subject: SecurityContext,
         expected_permissions=frozenset({permission}),
         expected_tcontext=tcontext,
     )
+    return challenge
 
 
 @dataclass(frozen=True)

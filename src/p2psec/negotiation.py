@@ -60,6 +60,18 @@ class PolicySlice:
         object.__setattr__(self, "kinds",
                            frozenset(p.kind for p in self.properties))
 
+    @classmethod
+    def unchecked(cls, domain_name: str,
+                  properties: frozenset[SecurityProperty],
+                  kinds: frozenset[PropertyKind]) -> "PolicySlice":
+        """The slice these fields make, built without ``__post_init__``:
+        for a frozenset of properties whose kinds are ``kinds``, as a
+        ``Domain`` holds them."""
+        offered = object.__new__(cls)
+        offered.__dict__.update(domain_name=domain_name,
+                                properties=properties, kinds=kinds)
+        return offered
+
 
 # ---------------------------------------------------------------------------
 # Session state

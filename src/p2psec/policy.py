@@ -13,10 +13,13 @@ The value types are immutable, and every policy value is valid: a
 ``PolicyDocument`` was checked as the document was built.  Edits are
 made on that mutable builder, the one home of the edit checks; a
 ``PeerPolicy`` edit thaws, applies one builder step and freezes,
-returning a new value and never touching its input.  Thaw and freeze
-copy the policy's indexes and re-check nothing, so an edit makes a
-fixed number of Python calls whatever the policy's size, but copies
-indexes as large as the policy.
+returning a new value and never touching its input.  Each step runs the
+checks its new values need itself (a non-empty name or path, no
+nopublication on a file, conflicts, duplicates) and builds its
+``Domain`` or ``Resource`` through ``unchecked``, so no value is checked
+twice.  Thaw and freeze copy the policy's indexes and re-check nothing,
+so an edit makes a fixed number of Python calls whatever the policy's
+size, but copies indexes as large as the policy.
 """
 
 from __future__ import annotations
@@ -79,6 +82,11 @@ KIND_CONFLICTS: dict[PropertyKind, frozenset[PropertyKind]] = {
     kind: frozenset().union(*(pair - {kind} for pair in CONFLICTING_KIND_PAIRS
                               if kind in pair))
     for kind in KIND_ORDER}
+
+
+#: The refusal of nopublication on a file, by a ``Resource`` or a builder
+#: step.
+_NOPUBLICATION_ON_FILE = "nopublication applies to domains, not resources"
 
 
 def conflicts(kind_a: PropertyKind, kind_b: PropertyKind) -> bool:
@@ -229,8 +237,7 @@ class Resource:
             object.__setattr__(self, "properties", frozenset(self.properties))
         for prop in self.properties:
             if prop.kind is PropertyKind.NOPUBLICATION:
-                raise PolicyValidationError(
-                    "nopublication applies to domains, not resources")
+                raise PolicyValidationError(_NOPUBLICATION_ON_FILE)
 
     @classmethod
     def unchecked(cls, id: int, path: str, domain_id: int,
@@ -422,7 +429,14 @@ class PolicyBuilder:
     Each step either raises, leaving the builder as it was, or applies
     in O(1); deleting a domain also reads that domain's files, and so
     does adding to a domain an untargeted property of a kind that has
-    conflicts.  Since every step keeps the invariants
+    conflicts.  A step runs every check its new value needs itself --
+    :meth:`create_domain` a non-empty, new name; :meth:`add_property`
+    the conflict test and, on a file, no nopublication;
+    :meth:`add_resource` conflicts, a new, non-empty path and no
+    nopublication of the file's own; :meth:`publish` those and the
+    publication rules -- and so builds the ``Domain`` or ``Resource``
+    with ``unchecked``, without running ``__post_init__``'s checks a
+    second time.  Since every step keeps the invariants
     ``PeerPolicy.validate`` checks, ``freeze`` hands copies of the
     indexes to the :class:`PeerPolicy` without validating it, with
     domains and resources in the order they were first added and the
@@ -447,10 +461,13 @@ class PolicyBuilder:
         return policy
 
     def create_domain(self, name: str) -> "PolicyBuilder":
-        """Add a fresh, property-free domain named ``name``."""
+        """Add a fresh, property-free domain named ``name``, which must be
+        new and non-empty."""
         if name in self._domains:
             raise DuplicateDomainError(f"domain {name!r} already exists")
-        dom = Domain(self._next_id, name)
+        if not name:
+            raise PolicyValidationError("domain name must be non-empty")
+        dom = Domain.unchecked(self._next_id, name, frozenset(), frozenset())
         self._domains[name] = self._by_id[dom.id] = dom
         self._files[dom.id] = frozenset()
         self._next_id += 1
@@ -469,29 +486,34 @@ class PolicyBuilder:
 
         Raises PropertyConflictError when the new property conflicts with
         a property already effective at that scope (for a domain, that
-        includes its files' own properties); re-adding an implied
-        property is a no-op.  A targeted property conflicts with nothing
-        here, so adding one reads no file.
+        includes its files' own properties), and PolicyValidationError
+        for nopublication on a resource; re-adding an implied property is
+        a no-op.  A targeted property, or one of a kind that conflicts
+        with none, skips the conflict test, so adding one reads no file.
         """
         if scope in self._domains:
             dom = self._domains[scope]
             if prop not in dom.properties:
-                files = (self._resources[path].properties
-                         for path in self._files[dom.id])
-                if _kinds_clash((prop,), itertools.chain((dom.properties,),
-                                                         files)):
+                if _may_clash(prop) and _kinds_clash((prop,), itertools.chain(
+                        (dom.properties,),
+                        (self._resources[path].properties
+                         for path in self._files[dom.id]))):
                     raise PropertyConflictError(
                         f"{prop.render()} conflicts at domain {scope!r}")
-                self._domains[scope] = self._by_id[dom.id] = Domain(
-                    dom.id, dom.name, dom.properties | {prop})
+                self._domains[scope] = self._by_id[dom.id] = Domain.unchecked(
+                    dom.id, dom.name, dom.properties | {prop},
+                    dom.kinds | {prop.kind})
         elif scope in self._resources:
             res = self._resources[scope]
-            effective = self._by_id[res.domain_id].properties | res.properties
-            if prop not in effective:
-                if _kinds_clash((prop,), (effective,)):
+            owner = self._by_id[res.domain_id].properties
+            if prop not in owner and prop not in res.properties:
+                if _may_clash(prop) and _kinds_clash((prop,),
+                                                     (owner, res.properties)):
                     raise PropertyConflictError(
                         f"{prop.render()} conflicts at resource {scope!r}")
-                self._resources[scope] = Resource(
+                if prop.kind is PropertyKind.NOPUBLICATION:
+                    raise PolicyValidationError(_NOPUBLICATION_ON_FILE)
+                self._resources[scope] = Resource.unchecked(
                     res.id, res.path, res.domain_id, res.properties | {prop})
         else:
             raise UnknownScopeError(f"no domain or resource named {scope!r}")
@@ -503,19 +525,25 @@ class PolicyBuilder:
 
         Unlike :meth:`publish` this applies no publication rules; property
         conflicts against the owning domain are still rejected, and so is
-        a path the builder already holds (after the domain and property
-        checks).  Properties the domain already implies are not
-        duplicated on the resource.
+        a path the builder already holds or an empty one, then
+        nopublication among the file's own properties (in that order,
+        after the domain check).  Properties the domain already implies
+        are not duplicated on the resource.
         """
         dom = _get(self._domains, domain_name, UnknownDomainError, "domain")
         props = frozenset(props)
-        if _kinds_clash(props, (dom.properties, props)):
+        if props and _kinds_clash(props, (dom.properties, props)):
             raise PropertyConflictError(
                 f"properties conflict in domain {domain_name!r}")
         if path in self._resources:
             raise DuplicateResourceError(f"resource {path!r} already exists")
-        self._resources[path] = Resource(self._next_id, path, dom.id,
-                                         props - dom.properties)
+        if not path:
+            raise PolicyValidationError("resource path must be non-empty")
+        own = props - dom.properties
+        if any(prop.kind is PropertyKind.NOPUBLICATION for prop in own):
+            raise PolicyValidationError(_NOPUBLICATION_ON_FILE)
+        self._resources[path] = Resource.unchecked(self._next_id, path,
+                                                   dom.id, own)
         self._files[dom.id] |= {path}
         self._next_id += 1
         return self
@@ -530,8 +558,7 @@ class PolicyBuilder:
         dom = _get(self._domains, domain_name, UnknownDomainError, "domain")
         props = frozenset(props)
         if any(p.kind is PropertyKind.NOPUBLICATION for p in props):
-            raise PolicyValidationError(
-                "nopublication applies to domains, not resources")
+            raise PolicyValidationError(_NOPUBLICATION_ON_FILE)
         if PropertyKind.NOPUBLICATION in dom.kinds:
             raise PublicationForbiddenError(
                 f"domain {domain_name!r} forbids publication")
@@ -551,6 +578,13 @@ def _get(index: dict, key, error: type, what: str):
         return index[key]
     except KeyError:
         raise error(f"unknown {what} {key!r}") from None
+
+
+def _may_clash(prop: SecurityProperty) -> bool:
+    """Whether ``prop`` can conflict with anything: it is untargeted and
+    of a kind that has conflicts.  When not, a step skips the conflict
+    test."""
+    return not prop.targets and bool(KIND_CONFLICTS[prop.kind])
 
 
 def _kinds_clash(props: Iterable[SecurityProperty],

@@ -19,6 +19,7 @@ from typing import (Callable, Iterable, NamedTuple, Optional, Sequence,
                     TypeVar, Union)
 
 from .errors import (
+    AvcParseError,
     DuplicateDomainError,
     DuplicateResourceError,
     P2PSecError,
@@ -269,19 +270,12 @@ def ascii_number(convert: Callable[[str], _N], text: str) -> _N:
     return value
 
 
-def _parse_property(tokens: Sequence[str]) -> SecurityProperty:
-    try:
-        kind = PropertyKind(tokens[0])
-    except ValueError:
-        raise ScenarioError(f"unknown property kind {tokens[0]!r}") from None
-    return SecurityProperty(kind, frozenset(tokens[1:]))
-
-
 class _ScenarioBuilder:
     """Parse state.  Declarations edit the peer's policy builder as they
     are read, so its checks (conflicts, nopublication on files) reject a
     bad statement on its line; each policy is frozen once, in
-    ``build``."""
+    ``build``.  Each distinct property token list is made a
+    ``SecurityProperty`` once per parse."""
 
     def __init__(self):
         self.seed = 0
@@ -291,9 +285,24 @@ class _ScenarioBuilder:
         # uid -> (display name, behavior, policy builder)
         self.peers: dict[str, tuple[str, BehaviorModel, PolicyBuilder]] = {}
         self.actions: list[Action] = []
+        self._properties: dict[tuple[str, ...], SecurityProperty] = {}
 
     def peer(self, uid: str) -> PolicyBuilder:
         return self.peers[self.roster.named(uid)][2]
+
+    def property(self, tokens: Sequence[str]) -> SecurityProperty:
+        """The property ``tokens`` write: a kind, then its targets."""
+        key = tuple(tokens)
+        prop = self._properties.get(key)
+        if prop is None:
+            try:
+                kind = PropertyKind(key[0])
+            except ValueError:
+                raise ScenarioError(
+                    f"unknown property kind {key[0]!r}") from None
+            prop = self._properties[key] = SecurityProperty(
+                kind, frozenset(key[1:]))
+        return prop
 
     def build(self) -> Scenario:
         # refuse_threshold < full_trust_threshold holds only for the
@@ -347,8 +356,9 @@ _ARITY: dict[str, tuple[int, Optional[int], str]] = {
 
 
 #: Declaration statement -> (its ``PolicyBuilder`` step, called with the
-#: peer's builder and the other arguments, then the wording for each error
-#: that refuses it, in which ``{0}``, ``{1}``... are the arguments).
+#: peer's builder and the other arguments, a ``property``'s kind and
+#: targets made one property, then the wording for each error that
+#: refuses it, in which ``{0}``, ``{1}``... are the arguments).
 _DECLARATIONS: dict[str, tuple[Callable[..., object], dict[type, str]]] = {
     "domain": (PolicyBuilder.create_domain,
                {DuplicateDomainError: "domain {1!r} declared twice"}),
@@ -356,8 +366,7 @@ _DECLARATIONS: dict[str, tuple[Callable[..., object], dict[type, str]]] = {
         UnknownDomainError: "resource domain {2!r} is not declared",
         DuplicateResourceError: "resource {1!r} declared twice",
     }),
-    "property": (lambda policy, scope, *tokens: policy.add_property(
-                     scope, _parse_property(tokens)),
+    "property": (PolicyBuilder.add_property,
                  {UnknownScopeError: "scope {1!r} is not declared"}),
 }
 
@@ -444,25 +453,28 @@ def _parse_statement(builder: _ScenarioBuilder, stmt: str, args: list[str],
     elif stmt in _DECLARATIONS:
         step, refusals = _DECLARATIONS[stmt]
         policy = builder.peer(args[0])
+        values = ((args[1], builder.property(args[2:])) if stmt == "property"
+                  else args[1:])
         try:
-            step(policy, *args[1:])
+            step(policy, *values)
         except tuple(refusals) as exc:
             raise ScenarioError(_refusal(refusals, exc, args)) from None
     else:
-        action = _parse_action(stmt, args)
+        action = _parse_action(builder, stmt, args)
         builder.roster.act(action)
         builder.actions.append(action)
 
 
-def _parse_action(stmt: str, args: list[str]) -> Action:
+def _parse_action(builder: _ScenarioBuilder, stmt: str,
+                  args: list[str]) -> Action:
     if stmt == "ask":
         return AskAction(*args)
     if stmt == "publish":
-        props = tuple(_parse_property([k]) for k in args[3:])
+        props = tuple(builder.property([k]) for k in args[3:])
         return EditAction(args[0], "publish", (props, *args[1:3]))
     if stmt == "add-property":
         return EditAction(args[0], "add_property",
-                          (args[1], _parse_property(args[2:])))
+                          (args[1], builder.property(args[2:])))
     if stmt == "show":
         return ShowAction(args[0])
     return EditAction(args[0], stmt.replace("-", "_"), (args[1],))
@@ -501,13 +513,16 @@ class PeerAgent:
                   rng: random.Random) -> PolicySlice:
         """The slice this peer claims for one domain.
 
-        Honest peers and log forgers answer truthfully.  A blind liar
-        invents a claim without knowing what is required; an informed
-        liar echoes the required properties back.
+        Honest peers and log forgers answer truthfully, offering exactly
+        their domain's properties and so its kinds, which the slice takes
+        from the ``Domain`` as they are.  A blind liar invents a claim
+        without knowing what is required; an informed liar echoes the
+        required properties back.
         """
         if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
-            return PolicySlice(domain_name,
-                               self._domain(domain_name).properties)
+            dom = self._domain(domain_name)
+            return PolicySlice.unchecked(domain_name, dom.properties,
+                                         dom.kinds)
         if self.behavior is BehaviorModel.BLIND_LIAR:
             if rng.random() < 0.5:
                 return PolicySlice(domain_name)
@@ -529,13 +544,20 @@ class PeerAgent:
         return True
 
     def respond_mac_challenge(self, challenge: Challenge, domain_name: str,
-                              timestamp: str, serial: str) -> AvcRecord:
-        """Synthesize the AVC line this peer's kernel would produce.
+                              tick: int) -> AvcRecord:
+        """Synthesize the AVC line this peer's kernel would produce at
+        clock ``tick``, a non-negative int.
 
         Honest peers (and log forgers, who lie only about history)
         enforce their domain's kind ruleset; policy liars enforce
-        nothing, so their kernel grants the access.
+        nothing, so their kernel grants the access.  The record is built
+        without ``AvcRecord``'s checks, which its parts already meet:
+        constants, a known stub and its permission, and the tick's
+        digits.
         """
+        if type(tick) is not int or tick < 0:  # a bool is not an int
+            raise AvcParseError(f"AVC tick must be a non-negative int, "
+                                f"not {tick!r}")
         permission = probe_permission(challenge.stub)
         if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
             ruleset = kind_ruleset(self._domain(domain_name).kinds)
@@ -544,11 +566,11 @@ class PeerAgent:
             ruleset = DEFAULT_RULESET
             tcontext = challenge.expected_tcontext
         decision = check_access(ruleset, PermissionClass.FILE, permission)
-        return AvcRecord(
-            timestamp=timestamp, serial=serial, decision=decision,
-            permissions=frozenset({permission}), pid=4000 + int(serial),
+        return AvcRecord.unchecked(
+            timestamp=f"{tick}.000", serial=str(tick), decision=decision,
+            permissions=frozenset({permission}), pid=4000 + tick,
             comm=challenge.stub, name=challenge.target_name, dev="sda3",
-            ino=170000 + int(serial), scontext=challenge.scontext,
+            ino=170000 + tick, scontext=challenge.scontext,
             tcontext=tcontext, tclass="file")
 
     def present_history(self, kinds: Iterable[PropertyKind],
@@ -955,27 +977,27 @@ class SimulationEngine:
         The requester's answers never depend on which delegate asks, so
         the probes are run once, each to a pass/fail bool, and their
         verdicts are kept in the engine's table under the question's
-        key: the requester's behaviour, the kinds of its target domain
-        (the one ``offered`` names, which ``_negotiate`` has matched to
-        the ask's), the offered kinds and ``kind``.  The key holds
-        everything the verdicts read: the response echoes the
-        challenge's target name, an enforcing peer labels the same
-        domain name the challenge expects, and no check reads the
-        timestamp or serial stamps, so the resource path, the domain
-        name and the tick stay out of it.  Nor does a verdict read the
-        scenario, the config, the ledgers or the clock, so a table is
-        sound for any number of runs: whoever builds the engine owns
-        it.  ``run_scenario`` gives each run a fresh table unless handed
-        one, and ``detection_experiment`` hands all its runs one table,
-        so each question is asked once per experiment.  The returned
-        closure does each delegate's own part: for each probe it
-        advances the clock by the probe's two message ticks and records
-        a failed probe in that delegate's ledger at the tick it would
-        have been answered.
+        key: the requester's behaviour, the offered kinds and ``kind``.
+        The key holds everything the verdicts read.  The one other input,
+        the kinds of the requester's target domain (the one ``offered``
+        names, which ``_negotiate`` has matched to the ask's), is fixed
+        by the rest: an enforcing peer (honest or a log forger) offers
+        exactly its domain's kinds, and a liar's answers read no domain.
+        The response echoes the challenge's target name, an enforcing
+        peer labels the same domain name the challenge expects, and no
+        check reads the timestamp or serial stamps, so the resource
+        path, the domain name and the tick stay out of it.  Nor does a
+        verdict read the scenario, the config, the ledgers or the clock,
+        so a table is sound for any number of runs: whoever builds the
+        engine owns it.  ``run_scenario`` gives each run a fresh table
+        unless handed one, and ``detection_experiment`` hands all its
+        runs one table, so each question is asked once per experiment.
+        The returned closure does each delegate's own part: for each
+        probe it advances the clock by the probe's two message ticks and
+        records a failed probe in that delegate's ledger at the tick it
+        would have been answered.
         """
-        key = (requester.behavior,
-               requester._domain(offered.domain_name).kinds, offered.kinds,
-               kind)
+        key = (requester.behavior, offered.kinds, kind)
         probes = self._verdicts.get(key)
         if probes is None:
             probes = self._verdicts[key] = self._probe_round(
@@ -1015,10 +1037,9 @@ class SimulationEngine:
         challenge = build_challenge(
             resource_path, CHALLENGE_SUBJECT, PROBE_STUBS[kind],
             kind_ruleset(offered.kinds), object_context(target_domain))
-        # Stamped with the current tick; the verdict reads neither stamp.
-        response = requester.respond_mac_challenge(
-            challenge, target_domain,
-            timestamp=f"{self.now}.000", serial=str(self.now))
+        # Stamped with the current tick; the verdict reads no stamp.
+        response = requester.respond_mac_challenge(challenge, target_domain,
+                                                   self.now)
         probes.append(verify_challenge(challenge, [response]).passed)
         return tuple(probes)
 

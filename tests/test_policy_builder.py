@@ -16,6 +16,7 @@ rule-based state machines.
 
 import itertools
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -38,6 +39,7 @@ from p2psec import (
     confidentiality,
     conflicts,
     cooperation,
+    nopublication,
 )
 
 # Names double as domain names and resource paths, so steps collide.
@@ -238,7 +240,9 @@ class PolicyMachine(RuleBasedStateMachine):
         assert policy.has_domain(name) is (name in self.domains)
         if name in self.domains:
             dom_id, props = self.domains[name]
-            assert policy.domain(name) == Domain(dom_id, name, props)
+            checked = Domain(dom_id, name, props)
+            assert policy.domain(name) == checked
+            assert policy.domain(name).kinds == checked.kinds
             assert policy.domain_by_id(dom_id).name == name
         else:
             self.assert_refused(policy.domain, name, UnknownDomainError,
@@ -267,3 +271,39 @@ class PolicyMachine(RuleBasedStateMachine):
 PolicyMachine.TestCase.settings = settings(
     max_examples=100, stateful_step_count=25, deadline=None)
 TestPolicyBuilder = PolicyMachine.TestCase
+
+
+#: Refusals a builder step makes itself, before it builds its value
+#: unchecked, with the wording ``Domain`` and ``Resource`` give the same
+#: faults: (step, its arguments, the checked build that refuses alike).
+STEP_REFUSALS = [
+    ("create_domain", ("",), lambda: Domain(9, ""),
+     "domain name must be non-empty"),
+    ("add_resource", ("", "d"), lambda: Resource(9, "", 1),
+     "resource path must be non-empty"),
+    ("add_resource", ("p", "d", (nopublication(),)),
+     lambda: Resource(9, "p", 1, (nopublication(),)),
+     NOPUBLICATION_ON_A_FILE[1]),
+    ("add_property", ("f", nopublication()),
+     lambda: Resource(9, "f", 1, (nopublication(),)),
+     NOPUBLICATION_ON_A_FILE[1]),
+]
+
+
+@pytest.mark.parametrize("method, args, build, message", STEP_REFUSALS,
+                         ids=[f"{row[0]}{row[1]!r}" for row in STEP_REFUSALS])
+def test_a_step_refuses_what_the_checked_value_refuses(method, args, build,
+                                                       message):
+    """Through the builder and through the ``PeerPolicy`` edit, a step
+    raises ``PolicyValidationError`` with the wording of the checked
+    value, and leaves the builder as it was."""
+    builder = PolicyBuilder().create_domain("d").add_resource("f", "d")
+    before = builder.freeze()
+    for edit in (getattr(builder, method), getattr(before, method)):
+        with pytest.raises(PolicyValidationError) as refused:
+            edit(*args)
+        assert type(refused.value) is PolicyValidationError
+        assert str(refused.value) == message
+    assert builder.freeze() == before
+    with pytest.raises(PolicyValidationError, match=f"^{message}$"):
+        build()

@@ -1,7 +1,9 @@
 """Generated-input properties for the core invariants."""
 
 import itertools
+import random
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -30,6 +32,7 @@ from p2psec import (
     PeerPolicy,
     Permission,
     PermissionClass,
+    PolicyBuilder,
     PolicyDocument,
     PolicyError,
     PolicySlice,
@@ -71,9 +74,11 @@ from p2psec import (
     XmlSyntaxError,
     XmlValidationError,
 )
+from p2psec.mac import PROBE_PERMISSIONS, build_challenge
 from p2psec.policy import _kinds_clash
 from p2psec.policy_xml import _q
 from p2psec.simnet import (
+    CHALLENGE_SUBJECT,
     _ARITY,
     _BARE_DROP,
     _EMPTY_POLICY,
@@ -520,6 +525,130 @@ def test_an_object_context_is_the_checked_context(name):
     assert context.render().split() == [context.render()]
 
 
+@st.composite
+def claimed_properties(draw):
+    props = set()
+    for kind in draw(st.frozensets(kinds_strategy, max_size=4)):
+        targets = frozenset()
+        if kind in TARGETED_KINDS and draw(st.booleans()):
+            targets = frozenset(draw(st.lists(name_text, min_size=1,
+                                              max_size=2)))
+        props.add(SecurityProperty(kind, targets))
+    return frozenset(props)
+
+
+def _checked(value):
+    """``value`` built again by its checked constructor from its fields."""
+    return type(value)(**{f.name: getattr(value, f.name)
+                          for f in fields(value) if f.init})
+
+
+@EXAMPLES
+@given(policy_edits)
+def test_builder_steps_build_the_checked_values(edits):
+    """A builder step builds its ``Domain`` or ``Resource`` unchecked;
+    after every step the checked constructors accept each value's fields
+    and give an equal value, with equal kinds."""
+    builder = PolicyBuilder()
+    for method, *args in edits:
+        try:
+            getattr(builder, method)(*args)
+        except PolicyError:
+            continue
+        policy = builder.freeze()
+        for dom in policy.domains:
+            checked = _checked(dom)
+            assert checked == dom and checked.kinds == dom.kinds
+        for res in policy.resources:
+            assert _checked(res) == res
+
+
+ctx_part = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_",
+                   min_size=1, max_size=10)
+contexts = st.builds(SecurityContext, ctx_part, ctx_part, ctx_part)
+probe_stubs = st.sampled_from(sorted(PROBE_PERMISSIONS))
+
+
+@EXAMPLES
+@given(path=st.text(), subject=contexts, stub=probe_stubs,
+       kinds=st.frozensets(kinds_strategy), tcontext=contexts)
+def test_a_built_challenge_is_the_checked_challenge(path, subject, stub,
+                                                    kinds, tcontext):
+    """``build_challenge`` builds unchecked what the checked constructor
+    builds from the same fields, which ``parse_challenge`` reads back
+    whenever ``render_challenge`` can write the path."""
+    challenge = build_challenge(path, subject, stub, kind_ruleset(kinds),
+                                tcontext)
+    assert _checked(challenge) == challenge
+    if path and path == path.strip() and path.splitlines() == [path]:
+        assert parse_challenge(render_challenge(challenge)) == challenge
+
+
+@EXAMPLES
+@given(behavior=st.sampled_from(list(BehaviorModel)),
+       domain_kinds=st.none() | safe_kind_sets, domain=name_text,
+       path=st.text(st.characters(blacklist_characters='"')),
+       stub=probe_stubs, offered_kinds=st.frozensets(kinds_strategy),
+       tick=st.integers(0, 10**30))
+def test_a_probe_response_is_the_checked_record(behavior, domain_kinds,
+                                                domain, path, stub,
+                                                offered_kinds, tick):
+    """A requester builds its probe response unchecked; the checked
+    constructor accepts the same fields and gives an equal record, and
+    ``parse_avc`` reads its rendering back."""
+    policy = PeerPolicy()
+    if domain_kinds is not None:
+        policy = PeerPolicy((Domain(1, domain, _props(domain_kinds)),), (), 2)
+    challenge = build_challenge(path, CHALLENGE_SUBJECT, stub,
+                                kind_ruleset(offered_kinds),
+                                object_context(domain))
+    record = PeerAgent("r", policy, behavior).respond_mac_challenge(
+        challenge, domain, tick)
+    assert _checked(record) == record
+    assert parse_avc(render_avc(record)) == record
+
+
+ENFORCING = (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER)
+
+
+def _agent(behavior, props, held):
+    """A requester whose domain ``dst`` holds ``props``, or which holds
+    no ``dst`` unless ``held``."""
+    domains = (Domain(1, "dst", props),) if held else ()
+    return PeerAgent("r", PeerPolicy(domains, (), 2), behavior)
+
+
+@EXAMPLES
+@given(behavior=st.sampled_from(list(BehaviorModel)),
+       props=claimed_properties(), held=st.booleans(),
+       required=claimed_properties(), seed=st.integers(0, 2**16))
+def test_an_offered_slice_is_the_checked_slice(behavior, props, held,
+                                               required, seed):
+    """An enforcing requester builds its slice unchecked from its
+    ``Domain``; every slice equals the checked one built from its domain
+    name and properties, with equal kinds."""
+    offered = _agent(behavior, props, held).slice_for(
+        "dst", sort_properties(required), random.Random(seed))
+    checked = _checked(offered)
+    assert checked == offered and checked.kinds == offered.kinds
+
+
+@EXAMPLES
+@given(behavior=st.sampled_from(ENFORCING), props=claimed_properties(),
+       held=st.booleans(), required=claimed_properties(),
+       seed=st.integers(0, 2**16))
+def test_an_enforcing_peer_offers_exactly_its_domains_kinds(
+        behavior, props, held, required, seed):
+    """The invariant that keeps the target domain's kinds out of the
+    engine's verdict key: an honest peer or a log forger offers its
+    domain's properties, and so exactly its kinds."""
+    agent = _agent(behavior, props, held)
+    offered = agent.slice_for("dst", sort_properties(required),
+                              random.Random(seed))
+    assert offered.properties == agent._domain("dst").properties
+    assert offered.kinds == agent._domain("dst").kinds
+
+
 @EXAMPLES
 @given(domains=st.integers(0, 60), per_domain=st.integers(0, 3))
 def test_synthetic_policies_are_valid(domains, per_domain):
@@ -705,18 +834,6 @@ def test_ledger_lookups_agree_with_a_scan_of_a_plain_list(records, queries):
     assert (fewer == ledger) == (not records)
 
 
-@st.composite
-def claimed_properties(draw):
-    props = set()
-    for kind in draw(st.frozensets(kinds_strategy, max_size=4)):
-        targets = frozenset()
-        if kind in TARGETED_KINDS and draw(st.booleans()):
-            targets = frozenset(draw(st.lists(name_text, min_size=1,
-                                              max_size=2)))
-        props.add(SecurityProperty(kind, targets))
-    return frozenset(props)
-
-
 @EXAMPLES
 @given(kind=kinds_strategy, offered=claimed_properties())
 def test_eval_conflict_agrees_with_kind_matrix(kind, offered):
@@ -726,8 +843,6 @@ def test_eval_conflict_agrees_with_kind_matrix(kind, offered):
     assert (score == -1) == bool(conflicting)
 
 
-ctx_part = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_",
-                   min_size=1, max_size=10)
 token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-",
                 min_size=1, max_size=12)
 
@@ -743,8 +858,8 @@ avc_records = st.builds(
     name=token,
     dev=token,
     ino=st.integers(1, 2**32),
-    scontext=st.builds(SecurityContext, ctx_part, ctx_part, ctx_part),
-    tcontext=st.builds(SecurityContext, ctx_part, ctx_part, ctx_part),
+    scontext=contexts,
+    tcontext=contexts,
     tclass=st.sampled_from(["file", "dir"]),
 )
 
@@ -915,9 +1030,10 @@ def test_no_slice_beyond_negotiated_domain(scenario):
 def test_a_challenge_round_reads_nothing_outside_its_key(
         behavior, domain_kinds, offered_kinds, kind, stamps):
     """A round's verdicts depend on the requester's behaviour, its target
-    domain's kinds, the offered kinds and the kind alone, so the engine
-    keeps them for the run under that key: two rounds with a different
-    domain name, resource path and tick give the same pass/fail bools."""
+    domain's kinds, the offered kinds and the kind alone: two rounds with
+    a different domain name, resource path and tick give the same
+    pass/fail bools.  The engine's key leaves the domain's kinds out,
+    which the two properties around this one show sound."""
     verdicts = []
     for domain_name, path, tick in stamps:
         policy = PeerPolicy().create_domain(domain_name)
@@ -928,6 +1044,25 @@ def test_a_challenge_round_reads_nothing_outside_its_key(
         verdicts.append(engine._probe_round(
             path, PolicySlice(domain_name, frozenset(_props(offered_kinds))),
             PeerAgent("r", policy, behavior), kind))
+    assert verdicts[0] == verdicts[1]
+
+
+@EXAMPLES
+@given(behavior=st.sampled_from([model for model in BehaviorModel
+                                 if model not in ENFORCING]),
+       domain_kinds=st.lists(st.none() | safe_kind_sets, min_size=2,
+                             max_size=2),
+       offered_kinds=st.frozensets(kinds_strategy, max_size=4),
+       kind=kinds_strategy)
+def test_a_liars_round_reads_no_domain(behavior, domain_kinds,
+                                       offered_kinds, kind):
+    """A requester that enforces nothing gives the same verdicts whatever
+    kinds its target domain holds, or if it holds no such domain."""
+    offered = PolicySlice("dst", frozenset(_props(offered_kinds)))
+    verdicts = [SimulationEngine(Scenario())._probe_round(
+        "res", offered, _agent(behavior, _props(kinds or ()),
+                               kinds is not None), kind)
+        for kinds in domain_kinds]
     assert verdicts[0] == verdicts[1]
 
 

@@ -2,8 +2,9 @@
 
 An edit makes a fixed number of Python calls, whatever the size of the
 policy: each edit below is profiled on ``synthetic_policy`` at three
-sizes, and a targeted property added to a domain of that many files,
-and the number of Python-level calls it makes must not grow.  Thaw and
+sizes, and a targeted property and one of a kind without conflicts are
+added to a domain of that many files, and the number of Python-level
+calls it makes must not grow.  Thaw and
 freeze still copy the policy's indexes, in C, which the count does not
 see.
 A run, a parse and a compile are linear in what they are given: each
@@ -97,12 +98,24 @@ def crowded_domain(files):
     return builder.freeze()
 
 
+def domain_property_calls(prop):
+    """The calls adding ``prop`` to a domain of each size in ``SIZES``
+    makes."""
+    return [calls(lambda policy: policy.add_property("d", prop),
+                  crowded_domain(size)) for size in SIZES]
+
+
 def test_a_targeted_domain_property_reads_no_file():
     """A targeted property conflicts with nothing, so adding one to a
     domain makes as many calls however many files the domain holds."""
-    counts = [calls(lambda policy: policy.add_property(
-        "d", cooperation("partner")), crowded_domain(size))
-        for size in SIZES]
+    counts = domain_property_calls(cooperation("partner"))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+def test_a_domain_property_of_a_kind_without_conflicts_reads_no_file():
+    """Nor does a property of a kind that conflicts with no kind, such
+    as integrity: the step skips the conflict test."""
+    counts = domain_property_calls(integrity())
     assert counts[0] == counts[1] == counts[2], counts
 
 

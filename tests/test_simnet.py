@@ -10,12 +10,14 @@ import pytest
 
 import p2psec
 from p2psec import (
+    AvcParseError,
     Band,
     BehaviorModel,
     Challenge,
     ChallengeError,
     DEFAULT_RULESET,
     Decision,
+    Domain,
     HistoryRecord,
     HistoryScore,
     Outcome,
@@ -26,6 +28,7 @@ from p2psec import (
     PolicyValidationError,
     PopulationParams,
     PropertyKind,
+    Resource,
     ScenarioError,
     SecurityProperty,
     SimulationEngine,
@@ -523,8 +526,8 @@ def test_each_distinct_question_is_answered_once_per_run(monkeypatch):
     reports = []
     for run in (1, 2):
         report = SimulationEngine(scenario).run()
-        # One call each per (behaviour, target-domain kinds, offered
-        # kinds, kind); a second engine asks its questions afresh.
+        # One call each per (behaviour, offered kinds, kind); a second
+        # engine asks its questions afresh.
         assert calls == {"respond_mac_challenge": 2 * run,
                          "respond_conflicting_request": 2 * run}
         reports.append(render_report(report))
@@ -673,8 +676,7 @@ def test_projection_matches_the_policy_after_every_action(name):
                 challenge = build_challenge(
                     "f", CHALLENGE_SUBJECT, stub, DEFAULT_RULESET,
                     object_context(domain))
-                record = honest.respond_mac_challenge(
-                    challenge, domain, timestamp="1.000", serial="1")
+                record = honest.respond_mac_challenge(challenge, domain, 1)
                 assert record.decision is check_access(
                     rules[domain], PermissionClass.FILE,
                     PROBE_PERMISSIONS[stub])
@@ -751,6 +753,71 @@ def test_parse_builds_each_peer_policy_once(monkeypatch):
     assert built[0] is owner and built[1] is other
     assert (len(owner.domains), len(owner.resources)) == (400, 400)
     assert len(other.domains) == 400
+
+
+#: Property token lists of the owner's domains in ``shaped_scenario``.
+_OWNER_MIXES = ((), ("integrity",), ("confidentiality",),
+                ("noshare", "integrity"), ("cooperation k0",),
+                ("spread", "integrity"), ("nopublication",),
+                ("confidentiality k1", "integrity"))
+
+
+def shaped_scenario(domains=40):
+    """A scenario of the benchmark's shape: an owner with ``domains``
+    domains of mixed properties and one or two files each, some with
+    their own property; three delegates; requesters of every behaviour
+    with their own domains; asks, publications and the other owner
+    edits."""
+    lines = ["seed 5", "peer o name=Owner", "peer h0", "peer h1",
+             "peer b0 behavior=blind-liar", "peer m0 behavior=informed-liar",
+             "peer f0 behavior=log-forger"]
+    for i in range(3):
+        lines += [f"peer k{i}", f"knows o k{i} 0.{7 + i}"]
+    for d in range(domains):
+        mix = _OWNER_MIXES[d % len(_OWNER_MIXES)]
+        lines.append(f"domain o d{d}")
+        lines += [f"property o d{d} {tokens}" for tokens in mix]
+        lines.append(f"resource o r{d}a d{d}")
+        if d % 3 == 0:
+            lines += [f"resource o r{d}b d{d}", f"property o r{d}b integrity"]
+    for uid in ("h0", "h1", "f0"):
+        for j, mix in enumerate(_OWNER_MIXES[1:4]):
+            lines.append(f"domain {uid} keep{j}")
+            lines += [f"property {uid} keep{j} {tokens}" for tokens in mix]
+    lines += ["domain b0 drop", "domain m0 drop"]
+    for a in range(domains):
+        uid = ("h0", "h1", "b0", "m0", "f0")[a % 5]
+        domain = "drop" if uid in ("b0", "m0") else f"keep{a % 3}"
+        lines.append(f"ask {uid} o r{a}a {domain}")
+        if a % 4 == 3:
+            lines += [f"publish o new{a} d{a} integrity",
+                      f"add-property o d{a} integrity",
+                      f"create-domain o fresh{a}"]
+    lines.append("delete-domain o d1")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_parse_runs_no_model_check(monkeypatch):
+    """Each builder step checks what it adds itself and builds its
+    values unchecked, so parsing the bundled scenarios and one of the
+    benchmark's shape runs no ``Domain`` or ``Resource`` check and no
+    policy validation; building the same values in code runs them."""
+    calls = []
+    for cls, name in ((Domain, "__post_init__"), (Resource, "__post_init__"),
+                      (PeerPolicy, "validate")):
+        check = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda value, check=check: (
+            calls.append(type(value)) or check(value)))
+    texts = [path.read_text() for path in sorted(SCENARIOS.glob("*.scn"))]
+    scenarios = [parse_scenario(text) for text in texts + [shaped_scenario()]]
+    assert len(scenarios) == 3
+    assert calls == []
+    owner = scenarios[-1].peers[0].policy
+    assert (len(owner.domains), len(owner.resources)) == (40, 54)
+    PeerPolicy(owner.domains, owner.resources, owner.next_id)
+    Domain(1, "d")
+    Resource(1, "f", 1)
+    assert calls == [PeerPolicy, Domain, Resource]
 
 
 def test_installing_a_policy_validates_it_at_once():
@@ -954,28 +1021,24 @@ class TestBehaviors:
 
     def test_honest_mac_response_reflects_policy(self):
         agent = self.agent(BehaviorModel.HONEST, (confidentiality(),))
-        record = agent.respond_mac_challenge(self.challenge(), "drop",
-                                             timestamp="1.000", serial="1")
+        record = agent.respond_mac_challenge(self.challenge(), "drop", 1)
         assert record.decision is Decision.DENIED
         assert record.permissions == frozenset({"read"})
         assert record.comm == "vim"
         assert record.tcontext.type_name == "drop_t"
         # The permission is the one the stub probes.
         record = agent.respond_mac_challenge(self.challenge("editor-write"),
-                                             "drop", timestamp="1.000",
-                                             serial="1")
+                                             "drop", 1)
         assert record.decision is Decision.GRANTED
         assert record.permissions == frozenset({"write"})
         # A domain the peer does not hold enforces the default ruleset.
-        record = agent.respond_mac_challenge(self.challenge(), "other",
-                                             timestamp="1.000", serial="1")
+        record = agent.respond_mac_challenge(self.challenge(), "other", 1)
         assert record.decision is Decision.GRANTED
         assert record.tcontext.type_name == "other_t"
 
     def test_liar_mac_response_grants_everything(self):
         agent = self.agent(BehaviorModel.BLIND_LIAR, (confidentiality(),))
-        record = agent.respond_mac_challenge(self.challenge(), "drop",
-                                             timestamp="1.000", serial="1")
+        record = agent.respond_mac_challenge(self.challenge(), "drop", 1)
         assert record.decision is Decision.GRANTED
 
     @pytest.mark.parametrize("behavior", list(BehaviorModel))
@@ -983,8 +1046,14 @@ class TestBehaviors:
         agent = self.agent(behavior, (confidentiality(),))
         with pytest.raises(ChallengeError,
                            match="unknown command stub 'wget'"):
-            agent.respond_mac_challenge(self.challenge("wget"), "drop",
-                                        timestamp="1.000", serial="1")
+            agent.respond_mac_challenge(self.challenge("wget"), "drop", 1)
+
+    @pytest.mark.parametrize("tick", [-1, True, 1.0, "1"])
+    def test_mac_challenge_at_a_bad_tick_is_refused(self, tick):
+        agent = self.agent(BehaviorModel.HONEST, (confidentiality(),))
+        with pytest.raises(AvcParseError, match=(
+                rf"^AVC tick must be a non-negative int, not {tick!r}$")):
+            agent.respond_mac_challenge(self.challenge(), "drop", tick)
 
     def test_forger_presents_extra_records(self):
         agent = self.agent(BehaviorModel.LOG_FORGER)
