@@ -1033,7 +1033,8 @@ def test_a_challenge_round_reads_nothing_outside_its_key(
     domain's kinds, the offered kinds and the kind alone: two rounds with
     a different domain name, resource path and tick give the same
     pass/fail bools.  The engine's key leaves the domain's kinds out,
-    which the two properties around this one show sound."""
+    which ``test_an_enforcing_peer_offers_exactly_its_domains_kinds`` and
+    ``test_a_liars_round_reads_no_domain`` show sound."""
     verdicts = []
     for domain_name, path, tick in stamps:
         policy = PeerPolicy().create_domain(domain_name)

@@ -4,9 +4,8 @@ An edit makes a fixed number of Python calls, whatever the size of the
 policy: each edit below is profiled on ``synthetic_policy`` at three
 sizes, and a targeted property and one of a kind without conflicts are
 added to a domain of that many files, and the number of Python-level
-calls it makes must not grow.  Thaw and
-freeze still copy the policy's indexes, in C, which the count does not
-see.
+calls it makes must not grow.  Thaw and freeze still copy the policy's
+indexes, in C, which the count does not see.
 A run, a parse and a compile are linear in what they are given: each
 doubling of requesters, delegates, scenario domains or policy domains
 (compiled, or parsed from XML and lifted) may multiply the calls by at
