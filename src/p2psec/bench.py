@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .mac import compile_policy, emit_rules
-from .policy import PeerPolicy, PolicyBuilder, PropertyKind, SecurityProperty
+from .policy import (PeerPolicy, PolicyBuilder, PropertyKind,
+                     SecurityProperty, frozen_record)
 
 #: Non-conflicting property mixes cycled across generated domains.
 _DOMAIN_MIXES: tuple[tuple[SecurityProperty, ...], ...] = (
@@ -52,21 +52,21 @@ def synthetic_policy(domains: int, resources_per_domain: int = 2) -> PeerPolicy:
     return policy.freeze()
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BenchPoint:
     domains: int
     resources: int
     time_ms: float
 
 
-@dataclass(frozen=True)
+@frozen_record
 class LinearFit:
     slope: float
     intercept: float
     r2: float
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BenchReport:
     points: tuple[BenchPoint, ...]
     fit_all: LinearFit

@@ -15,7 +15,6 @@ enforces what it claims.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -28,7 +27,7 @@ from .errors import (
     UnknownResourceError,
     too_long_to_write,
 )
-from .policy import Domain, PeerPolicy, PropertyKind
+from .policy import Domain, PeerPolicy, PropertyKind, frozen_record
 
 
 class PermissionClass(Enum):
@@ -53,7 +52,7 @@ _VOCABULARY = {
 }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Permission:
     cls: PermissionClass
     name: str
@@ -97,7 +96,7 @@ _ALLOW_LINES = (f"allow file {{{' '.join(FILE_PERMISSIONS)}}}\n"
                 f"allow dir {{{' '.join(DIR_PERMISSIONS)}}}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MacRuleSet:
     """The neverallow entries over the fixed allow base.
 
@@ -153,7 +152,7 @@ def check_access(ruleset: MacRuleSet, cls: PermissionClass,
 # Security contexts and labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class SecurityContext:
     """A user:role:type triple; no component is empty or holds a colon
     or whitespace, so the rendered context is one token.  Building one
@@ -194,18 +193,15 @@ def object_context(domain_name: str) -> SecurityContext:
     ``SecurityContext``'s checks, which its parts already meet: two
     constants, and a label :func:`sanitize_label` makes of ``[0-9A-Za-z_]``
     alone and never empty."""
-    context = object.__new__(SecurityContext)
-    object.__setattr__(context, "user", "system_u")
-    object.__setattr__(context, "role", "object_r")
-    object.__setattr__(context, "type_name", sanitize_label(domain_name))
-    return context
+    return SecurityContext.unchecked("system_u", "object_r",
+                                     sanitize_label(domain_name))
 
 
 # ---------------------------------------------------------------------------
 # Whole-policy compilation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class CompiledPolicy:
     """MAC projection of one peer policy.
 
@@ -314,11 +310,14 @@ _AVC_FORMS: tuple[tuple[str, re.Pattern[str], str], ...] = tuple(
 _PERMISSION_NAME = re.compile(r"[^\s{}]+")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AvcRecord:
     """One kernel audit decision about one object access.  Each field
     but ``name`` holds what ``parse_avc`` reads back, or building the
-    record raises ``AvcParseError`` naming the field."""
+    record raises ``AvcParseError`` naming the field.
+    ``AvcRecord.unchecked`` builds one without that check: for fields
+    built from parts that already hold what ``parse_avc`` reads back, as
+    the simulator's probe responses are."""
 
     timestamp: str
     serial: str
@@ -357,16 +356,6 @@ class AvcRecord:
             raise AvcParseError(
                 f"AVC permission {min(bad, key=repr)!r} must be non-empty "
                 f"and free of whitespace and braces")
-
-    @classmethod
-    def unchecked(cls, **fields) -> "AvcRecord":
-        """The record these fields make, every one given by name in
-        declaration order, built without the checks of ``__post_init__``:
-        for fields built from parts that already hold what ``parse_avc``
-        reads back, as the simulator's probe responses are."""
-        record = object.__new__(cls)
-        record.__dict__.update(fields)
-        return record
 
 
 #: (label, compiled pattern) for each field of an AVC line, in order.
@@ -483,7 +472,7 @@ def probe_permission(command_stub: str) -> str:
     return PROBE_PERMISSIONS[command_stub]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Challenge:
     """A request that the remote peer attempt one access and return the
     resulting audit trace.  ``stub``, the probe command the target runs,
@@ -549,8 +538,7 @@ def build_challenge(resource_path: str, subject: SecurityContext,
     stubs of ``PROBE_PERMISSIONS``, and each probes one file permission.
     """
     permission = probe_permission(command_stub)
-    challenge = object.__new__(Challenge)
-    challenge.__dict__.update(
+    return Challenge.unchecked(
         scontext=subject,
         stub=command_stub,
         target_path=resource_path,
@@ -558,10 +546,9 @@ def build_challenge(resource_path: str, subject: SecurityContext,
         expected_permissions=frozenset({permission}),
         expected_tcontext=tcontext,
     )
-    return challenge
 
 
-@dataclass(frozen=True)
+@frozen_record
 class VerifyResult:
     passed: bool
     reason: str

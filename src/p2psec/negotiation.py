@@ -18,7 +18,7 @@ the target domain's properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import Iterable
 
@@ -28,6 +28,7 @@ from .policy import (
     PropertyKind,
     Resource,
     SecurityProperty,
+    frozen_record,
     sort_properties,
 )
 from .trust import Band, TrustComputation, TrustConfig, band
@@ -43,10 +44,14 @@ class Outcome(Enum):
 # Protocol messages (in-memory, typed)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class PolicySlice:
     """The requester's claimed properties for one domain -- the only
-    part of its policy a negotiation may reveal."""
+    part of its policy a negotiation may reveal.
+
+    ``PolicySlice.unchecked(domain_name, properties, kinds)`` builds one
+    without ``__post_init__``: for a frozenset of properties whose kinds
+    are ``kinds``, as a ``Domain`` holds them."""
 
     domain_name: str
     properties: frozenset[SecurityProperty] = frozenset()
@@ -60,24 +65,12 @@ class PolicySlice:
         object.__setattr__(self, "kinds",
                            frozenset(p.kind for p in self.properties))
 
-    @classmethod
-    def unchecked(cls, domain_name: str,
-                  properties: frozenset[SecurityProperty],
-                  kinds: frozenset[PropertyKind]) -> "PolicySlice":
-        """The slice these fields make, built without ``__post_init__``:
-        for a frozenset of properties whose kinds are ``kinds``, as a
-        ``Domain`` holds them."""
-        offered = object.__new__(cls)
-        offered.__dict__.update(domain_name=domain_name,
-                                properties=properties, kinds=kinds)
-        return offered
-
 
 # ---------------------------------------------------------------------------
 # Session state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class NegotiationSession:
     """What the owner checks in one negotiation: the requested resource,
     the domain it lives in and the resource's required properties

@@ -25,7 +25,7 @@ size, but copies indexes as large as the policy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterable
@@ -40,6 +40,69 @@ from .errors import (
     UnknownResourceError,
     UnknownScopeError,
 )
+
+
+def frozen_record(cls: type) -> type:
+    """Class decorator: ``dataclass(frozen=True)`` with cheap builds, the
+    one way this package makes a frozen value and writes its fields.
+
+    The class gets the dataclass's fields, ``__eq__``, ``__hash__``,
+    ``__repr__`` and ``replace``, and assignment raises
+    ``FrozenInstanceError``, but its ``__init__``, with the dataclass's
+    signature, writes each field through ``object.__setattr__`` bound
+    once, when the class is made (the dataclass's own looks the setter
+    up again for every field), then runs ``__post_init__`` if the class
+    has one.  A class with ``__post_init__`` also gets ``unchecked``,
+    which takes every field, ``init=False`` ones included, by position
+    or name, and builds the value without ``__post_init__``: for values
+    a checked source already holds to the class's rules.  No build
+    writes the instance ``__dict__`` itself, which would cost memory and
+    slow every attribute read.  A field with a ``default_factory``, a
+    ``kw_only`` field, an ``init=False`` field with a default, an
+    ``InitVar`` and a class that defines its own ``unchecked`` are
+    refused with ``TypeError``; no class here has one.
+    """
+    # The dataclass's own __init__ would be replaced, so it is not made.
+    cls = dataclass(frozen=True, init=False)(cls)
+    every = fields(cls)
+    init = [f for f in every if f.init]
+    post = hasattr(cls, "__post_init__")
+    if (any(f.default_factory is not MISSING or f.kw_only
+            or (not f.init and f.default is not MISSING) for f in every)
+            or len(every) != len(cls.__dataclass_fields__)   # an InitVar
+            or {f.name for f in every} & {"self", "set_", "new_", "cls_"}
+            or (post and "unchecked" in cls.__dict__)):
+        raise TypeError(f"frozen_record cannot build {cls.__name__}")
+    defaults = {f"default_{f.name}": f.default for f in init
+                if f.default is not MISSING}
+    params = ", ".join(f"{f.name}=default_{f.name}"
+                       if f.default is not MISSING else f.name
+                       for f in init)
+    lines = [f"def make(set_, new_, cls_, {', '.join(defaults)}):",
+             f" def __init__(self, {params}):",
+             *(f"  set_(self, {f.name!r}, {f.name})" for f in init),
+             "  self.__post_init__()" if post else "  pass",
+             " unchecked = None"]
+    if post:
+        lines += [f" def unchecked({', '.join(f.name for f in every)}):",
+                  "  self = new_(cls_)",
+                  *(f"  set_(self, {f.name!r}, {f.name})" for f in every),
+                  "  return self"]
+    lines.append(" return __init__, unchecked")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    new_init, unchecked = namespace["make"](
+        object.__setattr__, object.__new__, cls, *defaults.values())
+    new_init.__qualname__ = f"{cls.__qualname__}.__init__"
+    new_init.__annotations__ = {**{f.name: f.type for f in init},
+                                "return": None}
+    cls.__init__ = new_init
+    if post:
+        unchecked.__qualname__ = f"{cls.__qualname__}.unchecked"
+        unchecked.__doc__ = (f"The {cls.__name__} these fields make, built "
+                             f"without ``__post_init__``.")
+        cls.unchecked = staticmethod(unchecked)
+    return cls
 
 
 class PropertyKind(Enum):
@@ -94,7 +157,7 @@ def conflicts(kind_a: PropertyKind, kind_b: PropertyKind) -> bool:
     return kind_b in KIND_CONFLICTS[kind_a]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SecurityProperty:
     """A property value: a kind plus optional explicit target domains.
 
@@ -182,13 +245,17 @@ def _clash(a: SecurityProperty, b: SecurityProperty) -> bool:
     return conflicts(a.kind, b.kind) and not (a.targets or b.targets)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Domain:
     """A named group of resources protected by a common property set.
 
     ``kinds`` is the set of the properties' kinds.  It is computed once
     when the value is built, and policy edits keep the ``Domain`` values
     they do not change, so every compile of an edited policy reuses it.
+    ``Domain.unchecked(id, name, properties, kinds)`` builds one without
+    the checks of ``__post_init__``: for values a checked source already
+    holds to them, a non-empty name and a frozenset of properties whose
+    kinds are ``kinds``.
     """
 
     id: int
@@ -205,25 +272,15 @@ class Domain:
         object.__setattr__(self, "kinds",
                            frozenset(p.kind for p in self.properties))
 
-    @classmethod
-    def unchecked(cls, id: int, name: str,
-                  properties: frozenset[SecurityProperty],
-                  kinds: frozenset[PropertyKind]) -> "Domain":
-        """The domain these fields make, built without the checks of
-        ``__post_init__``: for values a checked source already holds to
-        them, a non-empty name and a frozenset of properties whose kinds
-        are ``kinds``."""
-        dom = object.__new__(cls)
-        object.__setattr__(dom, "id", id)
-        object.__setattr__(dom, "name", name)
-        object.__setattr__(dom, "properties", properties)
-        object.__setattr__(dom, "kinds", kinds)
-        return dom
 
-
-@dataclass(frozen=True)
+@frozen_record
 class Resource:
-    """A shared file, owned by exactly one domain."""
+    """A shared file, owned by exactly one domain.
+
+    ``Resource.unchecked(id, path, domain_id, properties)`` builds one
+    without the checks of ``__post_init__``: for values a checked source
+    already holds to them, a non-empty path and a frozenset of
+    properties without ``nopublication``."""
 
     id: int
     path: str
@@ -239,22 +296,8 @@ class Resource:
             if prop.kind is PropertyKind.NOPUBLICATION:
                 raise PolicyValidationError(_NOPUBLICATION_ON_FILE)
 
-    @classmethod
-    def unchecked(cls, id: int, path: str, domain_id: int,
-                  properties: frozenset[SecurityProperty]) -> "Resource":
-        """The resource these fields make, built without the checks of
-        ``__post_init__``: for values a checked source already holds to
-        them, a non-empty path and a frozenset of properties without
-        ``nopublication``."""
-        res = object.__new__(cls)
-        object.__setattr__(res, "id", id)
-        object.__setattr__(res, "path", path)
-        object.__setattr__(res, "domain_id", domain_id)
-        object.__setattr__(res, "properties", properties)
-        return res
 
-
-@dataclass(frozen=True)
+@frozen_record
 class PeerPolicy:
     """The complete local policy of one peer.
 
@@ -265,12 +308,15 @@ class PeerPolicy:
     resources by path, so each lookup is a dict read.  Building a value
     from code (``PeerPolicy(...)``) checks these invariants with
     :meth:`validate`, which builds the indexes.  Two builds trust a
-    source that has already checked them and go through
-    :meth:`unchecked`: the edit operations, which thaw the policy into a
+    source that has already checked them and go through ``unchecked``,
+    handing it the indexes themselves, with the domains and resources in
+    their order: the edit operations, which thaw the policy into a
     :class:`PolicyBuilder`, apply one step and freeze the result with
     the builder's step-checked indexes, and
     :func:`~p2psec.policy_xml.to_peer_policy`, which lifts a checked
-    ``PolicyDocument``.
+    ``PolicyDocument``.  Such indexes keep the invariants: ``_by_name``
+    and ``_by_id`` hold the same domains, ``_by_path`` resources owned
+    by them, and every id is unique and below ``next_id``.
     """
 
     domains: tuple[Domain, ...] = ()
@@ -283,25 +329,6 @@ class PeerPolicy:
 
     def __post_init__(self):
         self.validate()
-
-    @classmethod
-    def unchecked(cls, by_name: dict[str, Domain], by_id: dict[int, Domain],
-                  by_path: dict[str, Resource], next_id: int) -> "PeerPolicy":
-        """The policy these indexes hold, built without :meth:`validate`:
-        for indexes a checked source keeps to its invariants, ``by_name``
-        and ``by_id`` over the same domains, ``by_path`` over resources
-        owned by those domains, ids unique and below ``next_id``.  The
-        value takes the indexes themselves, and its domains and resources
-        come in their order."""
-        policy = object.__new__(cls)
-        # The fields in the order ``__init__`` and ``validate`` set them,
-        # so that all instances share one layout.
-        for name, value in (("domains", tuple(by_name.values())),
-                            ("resources", tuple(by_path.values())),
-                            ("next_id", next_id), ("_by_name", by_name),
-                            ("_by_id", by_id), ("_by_path", by_path)):
-            object.__setattr__(policy, name, value)
-        return policy
 
     @cached_property
     def _files(self) -> dict[int, frozenset[str]]:
@@ -455,8 +482,10 @@ class PolicyBuilder:
     def freeze(self) -> PeerPolicy:
         """The policy so far, handed copies of the indexes unvalidated,
         the per-domain paths included."""
-        policy = PeerPolicy.unchecked(dict(self._domains), dict(self._by_id),
-                                      dict(self._resources), self._next_id)
+        domains, resources = dict(self._domains), dict(self._resources)
+        policy = PeerPolicy.unchecked(
+            tuple(domains.values()), tuple(resources.values()),
+            self._next_id, domains, dict(self._by_id), resources)
         object.__setattr__(policy, "_files", dict(self._files))
         return policy
 
@@ -490,31 +519,34 @@ class PolicyBuilder:
         for nopublication on a resource; re-adding an implied property is
         a no-op.  A targeted property, or one of a kind that conflicts
         with none, skips the conflict test, so adding one reads no file.
+        The step hashes ``prop`` once, into ``new``: the set operations
+        on it reuse that hash.
         """
+        new = {prop}
         if scope in self._domains:
             dom = self._domains[scope]
-            if prop not in dom.properties:
-                if _may_clash(prop) and _kinds_clash((prop,), itertools.chain(
+            if new.isdisjoint(dom.properties):
+                if _may_clash(prop) and _kinds_clash(new, itertools.chain(
                         (dom.properties,),
                         (self._resources[path].properties
                          for path in self._files[dom.id]))):
                     raise PropertyConflictError(
                         f"{prop.render()} conflicts at domain {scope!r}")
                 self._domains[scope] = self._by_id[dom.id] = Domain.unchecked(
-                    dom.id, dom.name, dom.properties | {prop},
+                    dom.id, dom.name, dom.properties | new,
                     dom.kinds | {prop.kind})
         elif scope in self._resources:
             res = self._resources[scope]
             owner = self._by_id[res.domain_id].properties
-            if prop not in owner and prop not in res.properties:
-                if _may_clash(prop) and _kinds_clash((prop,),
+            if new.isdisjoint(owner) and new.isdisjoint(res.properties):
+                if _may_clash(prop) and _kinds_clash(new,
                                                      (owner, res.properties)):
                     raise PropertyConflictError(
                         f"{prop.render()} conflicts at resource {scope!r}")
                 if prop.kind is PropertyKind.NOPUBLICATION:
                     raise PolicyValidationError(_NOPUBLICATION_ON_FILE)
                 self._resources[scope] = Resource.unchecked(
-                    res.id, res.path, res.domain_id, res.properties | {prop})
+                    res.id, res.path, res.domain_id, res.properties | new)
         else:
             raise UnknownScopeError(f"no domain or resource named {scope!r}")
         return self

@@ -15,7 +15,6 @@ document is lifted into a :class:`~p2psec.policy.PeerPolicy`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from xml.parsers import expat
 
 from .errors import (
@@ -30,6 +29,7 @@ from .policy import (
     Resource,
     SecurityProperty,
     TARGETED_KINDS,
+    frozen_record,
     sort_properties,
 )
 
@@ -53,20 +53,20 @@ def _canonical_int(text: str) -> int | None:
     return value if str(value) == text else None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DocProperty:
     type: str
     targets: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DocDomain:
     id: int
     name: str
     properties: tuple[DocProperty, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DocFile:
     id: int
     path: str
@@ -74,7 +74,7 @@ class DocFile:
     properties: tuple[DocProperty, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PolicyDocument:
     """A policy document; building one checks every schema invariant
     (tuples of ``DocDomain``, ``DocFile`` and ``DocProperty`` values,
@@ -253,10 +253,7 @@ def parse_policy(data: bytes | str) -> PolicyDocument:
         # now instead of at the next cyclic garbage collection.
         parser.StartElementHandler = parser.EndElementHandler = None
         parser.CharacterDataHandler = parser.StartDoctypeDeclHandler = None
-    doc = object.__new__(PolicyDocument)
-    object.__setattr__(doc, "domains", tuple(domains))
-    object.__setattr__(doc, "files", tuple(files))
-    return doc
+    return PolicyDocument.unchecked(tuple(domains), tuple(files))
 
 
 #: The elements each depth may hold: the root, what ``<policy>`` holds,
@@ -498,8 +495,10 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
         by_path[file.path] = Resource.unchecked(
             file.id, file.path, file.domainid, lift(file.properties)[0])
     ids = [*by_id, *(file.id for file in doc.files)]
-    return PeerPolicy.unchecked(by_name, by_id, by_path,
-                                max(ids, default=0) + 1)
+    return PeerPolicy.unchecked(tuple(by_name.values()),
+                                tuple(by_path.values()),
+                                max(ids, default=0) + 1, by_name, by_id,
+                                by_path)
 
 
 def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:

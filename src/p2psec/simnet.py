@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import (Callable, Iterable, NamedTuple, Optional, Sequence,
@@ -67,6 +67,7 @@ from .policy import (
     PropertyKind,
     SecurityProperty,
     conflicts,
+    frozen_record,
     render_properties,
     sort_properties,
 )
@@ -86,11 +87,22 @@ from .trust import (
 
 
 class BehaviorModel(Enum):
-    HONEST = "honest"
-    BLIND_LIAR = "blind-liar"
-    INFORMED_LIAR = "informed-liar"
-    LOG_FORGER = "log-forger"
+    """How a simulated peer behaves.  ``enforces`` says whether its
+    kernel enforces its policy and its claims are true: an honest peer
+    and a log forger, who lies only about history, do; the two policy
+    liars do not."""
+
+    HONEST = "honest", True
+    BLIND_LIAR = "blind-liar", False
+    INFORMED_LIAR = "informed-liar", False
+    LOG_FORGER = "log-forger", True
     __hash__ = object.__hash__  # identity, as PropertyKind's
+
+    def __new__(cls, value: str, enforces: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.enforces = enforces
+        return member
 
 
 #: Subject context used by delegated access challenges.
@@ -113,7 +125,7 @@ def fmt(value: float) -> str:
 # Scenario declarations and actions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class PeerDecl:
     """A declared peer; ``policy`` is its initial local policy."""
 
@@ -124,7 +136,7 @@ class PeerDecl:
     knows: tuple[tuple[str, float], ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AskAction:
     requester: str
     owner: str
@@ -132,7 +144,7 @@ class AskAction:
     target_domain: str
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EditAction:
     """An owner's policy edit at run time: the ``PeerPolicy`` edit
     ``method`` (``publish``, ``add_property``, ``create_domain`` or
@@ -143,7 +155,7 @@ class EditAction:
     args: tuple
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ShowAction:
     peer: str
 
@@ -228,7 +240,7 @@ class _Roster:
                     "nopublication applies to domains, not resources")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Scenario:
     """A run to simulate.  Building one checks it against the rules of
     ``_Roster``, as the parser does but with no line."""
@@ -519,7 +531,7 @@ class PeerAgent:
         without knowing what is required; an informed liar echoes the
         required properties back.
         """
-        if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
+        if self.behavior.enforces:
             dom = self._domain(domain_name)
             return PolicySlice.unchecked(domain_name, dom.properties,
                                          dom.kinds)
@@ -538,7 +550,7 @@ class PeerAgent:
         A fair peer refuses whenever the kind conflicts with what its
         domain actually enforces; liars accept anything.
         """
-        if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
+        if self.behavior.enforces:
             return KIND_CONFLICTS[probe_kind].isdisjoint(
                 self._domain(domain_name).kinds)
         return True
@@ -546,7 +558,8 @@ class PeerAgent:
     def respond_mac_challenge(self, challenge: Challenge, domain_name: str,
                               tick: int) -> AvcRecord:
         """Synthesize the AVC line this peer's kernel would produce at
-        clock ``tick``, a non-negative int.
+        clock ``tick``, a non-negative int that leaves every number of the
+        record writable.
 
         Honest peers (and log forgers, who lie only about history)
         enforce their domain's kind ruleset; policy liars enforce
@@ -558,8 +571,10 @@ class PeerAgent:
         if type(tick) is not int or tick < 0:  # a bool is not an int
             raise AvcParseError(f"AVC tick must be a non-negative int, "
                                 f"not {tick!r}")
+        if too_long_to_write(170000 + tick):  # ino, the largest number
+            raise AvcParseError("AVC tick has too many digits")
         permission = probe_permission(challenge.stub)
-        if self.behavior in (BehaviorModel.HONEST, BehaviorModel.LOG_FORGER):
+        if self.behavior.enforces:
             ruleset = kind_ruleset(self._domain(domain_name).kinds)
             tcontext = object_context(domain_name)
         else:
@@ -618,7 +633,7 @@ def cross_reference_history(
 # Run records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class NegotiationRecord:
     """The outcome of ``ask``; ``per_property`` follows the required
     properties.  A not-found ask is refused with the fields past
@@ -635,13 +650,13 @@ class NegotiationRecord:
     delegates: int = 0      # how many challenged each property
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EditRecord:
     action: EditAction
     refusal: Optional[str] = None   # the refusing error's wording, if any
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ShowRecord:
     peer: str
     policy: PeerPolicy
@@ -650,7 +665,7 @@ class ShowRecord:
 RunRecord = Union[NegotiationRecord, EditRecord, ShowRecord]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RunReport:
     """A run's records, one per action, and its final reputations; the
     transcript, asks and metrics are derived from them when first read."""
@@ -977,16 +992,20 @@ class SimulationEngine:
         The requester's answers never depend on which delegate asks, so
         the probes are run once, each to a pass/fail bool, and their
         verdicts are kept in the engine's table under the question's
-        key: the requester's behaviour, the offered kinds and ``kind``.
-        The key holds everything the verdicts read.  The one other input,
+        key: whether the requester enforces its policy
+        (``BehaviorModel.enforces``), the offered kinds and ``kind``.
+        The key holds everything the verdicts read.  Peers that agree on
+        ``enforces`` answer alike: an enforcing peer refuses and decides
+        by its target domain's kinds, a peer that enforces nothing
+        accepts and grants, reading no domain.  And the one other input,
         the kinds of the requester's target domain (the one ``offered``
         names, which ``_negotiate`` has matched to the ask's), is fixed
-        by the rest: an enforcing peer (honest or a log forger) offers
-        exactly its domain's kinds, and a liar's answers read no domain.
-        The response echoes the challenge's target name, an enforcing
-        peer labels the same domain name the challenge expects, and no
-        check reads the timestamp or serial stamps, so the resource
-        path, the domain name and the tick stay out of it.  Nor does a
+        by the rest, on this invariant: an enforcing peer offers exactly
+        its domain's kinds.  The response echoes the challenge's target
+        name, an enforcing peer labels the same domain name the
+        challenge expects, and no check reads the timestamp or serial
+        stamps, so the resource path, the domain name and the tick stay
+        out of it.  Nor does a
         verdict read the scenario, the config, the ledgers or the clock,
         so a table is sound for any number of runs: whoever builds the
         engine owns it.  ``run_scenario`` gives each run a fresh table
@@ -997,7 +1016,7 @@ class SimulationEngine:
         records a failed probe in that delegate's ledger at the tick it
         would have been answered.
         """
-        key = (requester.behavior, offered.kinds, kind)
+        key = (requester.behavior.enforces, offered.kinds, kind)
         probes = self._verdicts.get(key)
         if probes is None:
             probes = self._verdicts[key] = self._probe_round(
@@ -1086,7 +1105,7 @@ def run_scenario(scenario: Scenario,
 # Adversary detection experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class PopulationParams:
     """Shape of each generated run in the detection experiment."""
 
@@ -1121,7 +1140,7 @@ _POPULATION: tuple[tuple[BehaviorModel, str, str, bool, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BehaviorStats:
     accepted: int = 0
     refused: int = 0
@@ -1131,7 +1150,7 @@ class BehaviorStats:
         return self.accepted + self.refused
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ExperimentReport:
     """Outcomes over ``runs`` generated runs; ``stats`` maps every
     behaviour model, in declaration order, to its tally."""
@@ -1192,9 +1211,26 @@ _BARE_DROP = _domain_policy("drop", ())
 _EMPTY_POLICY = PeerPolicy()
 
 
-def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
+def _experiment_scenario(params: PopulationParams, run_index: int,
+                         shared: Optional[dict[int, Scenario]] = None
+                         ) -> Scenario:
+    """Run ``run_index`` of a detection experiment: a seeded draw of one
+    of ``_REQUIRED_MIXES``, then the owner, delegates and requesters
+    ``params`` count.  Only the seed and the drawn mix differ between the
+    runs of one ``params``, so ``shared``, when given, maps each drawn
+    mix's index to the scenario that first drew it, and a later run that
+    draws the mix takes that scenario's checked peers and actions with
+    its own seed, built unchecked.  The scenario equals the one built
+    without ``shared``.  The key is the index, so no lookup hashes a
+    policy."""
     rng = random.Random(f"{params.seed}:{run_index}")
-    mix = rng.choice(_REQUIRED_MIXES)
+    # The same draw as rng.choice(_REQUIRED_MIXES).
+    index = rng.randrange(len(_REQUIRED_MIXES))
+    if shared is not None and index in shared:
+        first = shared[index]
+        return Scenario.unchecked(run_index, first.peers, first.actions,
+                                  first.config)
+    mix = _REQUIRED_MIXES[index]
     peers = [PeerDecl(
         uid="owner", display_name="owner", policy=mix.owner,
         knows=tuple((f"c{i}", 0.6 + 0.1 * (i % 4))
@@ -1211,15 +1247,21 @@ def _experiment_scenario(params: PopulationParams, run_index: int) -> Scenario:
             peers.append(PeerDecl(uid=uid, display_name=uid, policy=drop,
                                   behavior=behavior))
             actions += [AskAction(uid, "owner", "asset", "drop")] * asks
-    return Scenario(seed=run_index, peers=tuple(peers),
-                    actions=tuple(actions))
+    scenario = Scenario(seed=run_index, peers=tuple(peers),
+                        actions=tuple(actions))
+    if shared is not None:
+        shared[index] = scenario
+    return scenario
 
 
 def detection_experiment(params: PopulationParams,
                          runs: int) -> ExperimentReport:
     """Generate ``runs`` seeded scenarios and tally outcomes per
-    behaviour model.  The runs share one probe-verdict table, which
-    changes no outcome (see ``SimulationEngine._probe_harness``)."""
+    behaviour model.  The runs share what does not differ between them,
+    which changes no outcome: one probe-verdict table (see
+    ``SimulationEngine._probe_harness``), and each drawn property mix's
+    peers and actions, built and checked once per call (see
+    ``_experiment_scenario``)."""
     if isinstance(runs, bool) or not isinstance(runs, int):
         raise ValueError(f"runs must be an int, not {runs!r}")
     if runs < 1:
@@ -1228,8 +1270,10 @@ def detection_experiment(params: PopulationParams,
     forged = 0
     flagged = 0
     verdicts: _Verdicts = {}
+    scenarios: dict[int, Scenario] = {}
     for index in range(runs):
-        report = run_scenario(_experiment_scenario(params, index), verdicts)
+        report = run_scenario(_experiment_scenario(params, index, scenarios),
+                              verdicts)
         for record in report.negotiations:
             tally[record.requester_behavior, record.outcome] += 1
         forged += sum(n.forged_records for n in report.negotiations)

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NoDelegatesError, TrustError, too_long_to_write
-from .policy import PropertyKind
+from .policy import PropertyKind, frozen_record
 
 
 #: The exact types each ``TrustConfig`` annotation takes (so a bool is
@@ -44,7 +44,7 @@ def _finite(value: float) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TrustConfig:
     """Tunable thresholds and weights; defaults follow the reference
     behaviour of the negotiation engine.
@@ -100,7 +100,7 @@ class HistoryScore(Enum):
         return "NoData" if self is HistoryScore.NO_DATA else str(self.value)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HistoryRecord:
     """One logged operation, as observed or as presented by a peer.
 
@@ -173,7 +173,7 @@ class TrustLedger:
         return (actor, timestamp, kind) in self._keys
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TrustComputation:
     """Everything that went into one per-property trust value."""
 

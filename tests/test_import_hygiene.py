@@ -2,8 +2,9 @@
 package module imports another's private name, only ``mac`` reads a
 challenge's command line, only the scenario parse loop and builder
 give a ``ScenarioError`` its line, every dataclass field and every
-attribute a class sets on ``self`` is read, and importing the package
-loads no networking, e-mail or ``statistics`` module."""
+attribute a class sets on ``self`` is read, every frozen value is built
+through ``frozen_record``, and importing the package loads no
+networking, e-mail or ``statistics`` module."""
 
 import ast
 import os
@@ -147,16 +148,22 @@ def test_a_scenario_line_site_is_reported():
     assert scenario_line_sites(source) == ["B.g", "f"]
 
 
+#: The decorators that make a class a dataclass.
+DATACLASS_DECORATORS = ("dataclass", "frozen_record")
+
+
 def write_only_fields(sources: list[str]) -> list[str]:
     """``Class.field`` for each field of a class decorated with
-    ``dataclass``, and each attribute a class's code assigns on
-    ``self``, whose name no source reads as an attribute."""
+    ``dataclass`` or ``frozen_record``, and each attribute a class's
+    code assigns on ``self``, whose name no source reads as an
+    attribute."""
     declared, read = set(), set()
     for node in (n for s in sources for n in ast.walk(ast.parse(s))):
         if isinstance(node, ast.ClassDef):
-            if any(isinstance(d, ast.Name) and d.id == "dataclass"
+            if any(isinstance(d, ast.Name) and d.id in DATACLASS_DECORATORS
                    or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-                   and d.func.id == "dataclass" for d in node.decorator_list):
+                   and d.func.id in DATACLASS_DECORATORS
+                   for d in node.decorator_list):
                 declared.update(f"{node.name}.{stmt.target.id}"
                                 for stmt in node.body
                                 if isinstance(stmt, ast.AnnAssign)
@@ -183,11 +190,46 @@ def test_every_dataclass_field_is_read():
 def test_a_write_only_field_is_reported():
     source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: str\n"
               "@dataclass\nclass B:\n    z: int = 0\n"
+              "@frozen_record\nclass F:\n    v: int\n    x: int\n"
               "class C:\n    w: int\n"
               "class E(Exception):\n    def __init__(self, m, n):\n"
               "        self.m, self.n = m, n\n        other.o = 0\n"
               "def f(a, b, e):\n    a.y = 1\n    return a.x, b.z, e.n\n")
-    assert write_only_fields([source]) == ["A.y", "E.m"]
+    assert write_only_fields([source]) == ["A.y", "E.m", "F.v"]
+
+
+def frozen_without_record(source: str) -> list[str]:
+    """Classes that ``dataclass`` makes frozen, where ``frozen_record``
+    should make them, and each ``__dict__`` read on anything but a class
+    named ``cls``: a frozen value's fields are written only by the
+    builds ``frozen_record`` makes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            if any(isinstance(d, ast.Call) and ast.unparse(d.func)
+                   == "dataclass" and "frozen=True" in map(ast.unparse,
+                                                           d.keywords)
+                   for d in node.decorator_list):
+                found.append(node.name)
+        elif (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+              and ast.unparse(node.value) != "cls"):
+            found.append(ast.unparse(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_frozen_value_is_built_by_frozen_record(path):
+    assert frozen_without_record(path.read_text()) == []
+
+
+def test_a_frozen_value_built_otherwise_is_reported():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n"
+              "@dataclass(eq=False, frozen=True)\nclass B:\n    x: int\n"
+              "@frozen_record\nclass C:\n    x: int\n"
+              "@dataclass\nclass D:\n    x: int\n"
+              "def f(value, cls):\n    value.__dict__.update(x=1)\n"
+              "    return 'x' in cls.__dict__\n")
+    assert frozen_without_record(source) == ["A", "B", "value.__dict__"]
 
 
 #: Standard-library packages that importing ``p2psec`` must not load:

@@ -307,3 +307,32 @@ def test_a_step_refuses_what_the_checked_value_refuses(method, args, build,
     assert builder.freeze() == before
     with pytest.raises(PolicyValidationError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("scope, prop", [
+    ("d", SecurityProperty(PropertyKind.NOSHARE)),
+    ("d", SecurityProperty(PropertyKind.INTEGRITY)),      # already held
+    ("d", SecurityProperty(PropertyKind.COOPERATION, frozenset({"x"}))),
+    ("f", SecurityProperty(PropertyKind.CONFIDENTIALITY)),
+    ("f", SecurityProperty(PropertyKind.INTEGRITY)),      # implied
+    ("f", SecurityProperty(PropertyKind.SPREAD)),         # refused
+])
+def test_an_add_property_step_hashes_the_property_once(monkeypatch, scope,
+                                                       prop):
+    """The step hashes the new property once, whether it adds it, finds
+    it already there or refuses it."""
+    builder = (PolicyBuilder().create_domain("d")
+               .add_property("d", SecurityProperty(PropertyKind.INTEGRITY))
+               .add_resource("f", "d", (confidentiality(),)))
+    hashes = []
+    unhooked = SecurityProperty.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return unhooked(self)
+    monkeypatch.setattr(SecurityProperty, "__hash__", counted)
+    try:
+        builder.add_property(scope, prop)
+    except PropertyConflictError:
+        assert prop.kind is PropertyKind.SPREAD
+    assert hashes == [prop]

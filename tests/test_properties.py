@@ -1032,9 +1032,12 @@ def test_a_challenge_round_reads_nothing_outside_its_key(
     """A round's verdicts depend on the requester's behaviour, its target
     domain's kinds, the offered kinds and the kind alone: two rounds with
     a different domain name, resource path and tick give the same
-    pass/fail bools.  The engine's key leaves the domain's kinds out,
-    which ``test_an_enforcing_peer_offers_exactly_its_domains_kinds`` and
-    ``test_a_liars_round_reads_no_domain`` show sound."""
+    pass/fail bools.  The engine's key, (enforces, offered kinds, kind),
+    leaves the domain's kinds out, which
+    ``test_an_enforcing_peer_offers_exactly_its_domains_kinds`` and
+    ``test_a_liars_round_reads_no_domain`` show sound, and keeps of the
+    behaviour only whether it enforces, which
+    ``test_every_verdict_key_has_one_verdict`` shows sound."""
     verdicts = []
     for domain_name, path, tick in stamps:
         policy = PeerPolicy().create_domain(domain_name)
@@ -1110,7 +1113,7 @@ def test_a_shared_verdict_table_changes_no_run(owner_kinds, asker_kinds,
                                                echo, behaviors, seed):
     """Runs that share one verdict table each give the report they give
     with a fresh table.  The runs differ only in the requester's
-    behaviour, so only the behaviour in the key tells their questions
+    behaviour, so only ``enforces`` in the key tells their questions
     apart; with ``echo`` the requester's domain holds the required
     kinds, so an honest peer and an informed liar make the same offer."""
     shared = {}

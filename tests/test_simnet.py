@@ -3,7 +3,7 @@
 import random
 import sys
 from dataclasses import fields, replace
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -20,13 +20,16 @@ from p2psec import (
     Domain,
     HistoryRecord,
     HistoryScore,
+    NegotiationSession,
     Outcome,
     PeerAgent,
     PeerPolicy,
     PermissionClass,
     PolicyBuilder,
+    PolicySlice,
     PolicyValidationError,
     PopulationParams,
+    PropertyConflictError,
     PropertyKind,
     Resource,
     ScenarioError,
@@ -526,7 +529,7 @@ def test_each_distinct_question_is_answered_once_per_run(monkeypatch):
     reports = []
     for run in (1, 2):
         report = SimulationEngine(scenario).run()
-        # One call each per (behaviour, offered kinds, kind); a second
+        # One call each per (enforces, offered kinds, kind); a second
         # engine asks its questions afresh.
         assert calls == {"respond_mac_challenge": 2 * run,
                          "respond_conflicting_request": 2 * run}
@@ -1048,12 +1051,17 @@ class TestBehaviors:
                            match="unknown command stub 'wget'"):
             agent.respond_mac_challenge(self.challenge("wget"), "drop", 1)
 
-    @pytest.mark.parametrize("tick", [-1, True, 1.0, "1"])
+    @pytest.mark.parametrize("tick", [
+        -1, True, 1.0, "1",
+        pytest.param(10**5000, id="too-long-to-write")])
     def test_mac_challenge_at_a_bad_tick_is_refused(self, tick):
         agent = self.agent(BehaviorModel.HONEST, (confidentiality(),))
-        with pytest.raises(AvcParseError, match=(
-                rf"^AVC tick must be a non-negative int, not {tick!r}$")):
+        with pytest.raises(AvcParseError) as caught:
             agent.respond_mac_challenge(self.challenge(), "drop", tick)
+        # str refuses the record's numbers, ino = 170000 + tick the first.
+        assert str(caught.value) == (
+            "AVC tick has too many digits" if type(tick) is int and tick > 0
+            else f"AVC tick must be a non-negative int, not {tick!r}")
 
     def test_forger_presents_extra_records(self):
         agent = self.agent(BehaviorModel.LOG_FORGER)
@@ -1221,3 +1229,106 @@ def test_detection_experiment_renders_no_transcript(monkeypatch):
         (SCENARIOS / "contract.scn").read_text()))
     assert report.transcript is report.transcript
     assert len(calls) == 1
+
+
+def _holdable_property_sets():
+    """Every property set a domain can hold, up to its target names: each
+    kind set, with each targeted kind untargeted or targeted, that the
+    builder accepts."""
+    forms = {kind: [SecurityProperty(kind)] for kind in PropertyKind}
+    for kind in (PropertyKind.CONFIDENTIALITY, PropertyKind.COOPERATION):
+        forms[kind].append(SecurityProperty(kind, frozenset({"x"})))
+    held = []
+    for size in range(len(KIND_ORDER) + 1):
+        for kinds in combinations(KIND_ORDER, size):
+            for props in product(*(forms[kind] for kind in kinds)):
+                builder = PolicyBuilder().create_domain("dst")
+                try:
+                    for prop in props:
+                        builder.add_property("dst", prop)
+                except PropertyConflictError:
+                    continue
+                held.append(builder.freeze())
+    return held
+
+
+def test_every_verdict_key_has_one_verdict():
+    """The engine keys a probe round on (enforces, offered kinds, kind).
+    Every key is asked with every requester behind it: both behaviours
+    that share its ``enforces``; for an enforcing peer, each domain
+    property set it can hold, which it offers as its slice; for a peer
+    that enforces nothing, every offered kind set against each domain
+    kind set and against no domain.  All its rounds give one verdict,
+    and one engine's shared table serves each question the verdict a
+    fresh round gives, so no two questions that differ in their
+    verdicts share a key."""
+    domains = _holdable_property_sets()
+    one_per_kind_set = list({frozenset(p.domains[0].kinds): p
+                             for p in domains}.values())
+    questions = []          # (requester, offered)
+    for behavior in BehaviorModel:
+        agents = [PeerAgent("r", policy, behavior) for policy in (
+            domains if behavior.enforces
+            else [*one_per_kind_set, PeerPolicy()])]
+        if behavior.enforces:
+            questions += [(agent, agent.slice_for("dst", (),
+                                                  random.Random(0)))
+                          for agent in agents]
+            continue
+        for size in range(len(KIND_ORDER) + 1):
+            for kinds in combinations(KIND_ORDER, size):
+                offered = PolicySlice("dst", frozenset(
+                    SecurityProperty(kind) for kind in kinds))
+                questions += [(agent, offered) for agent in agents]
+    engine = SimulationEngine(Scenario(peers=(
+        PeerDecl(uid="c0", display_name="C", policy=PeerPolicy()),)))
+    session = NegotiationSession(Resource(1, "res", 1), "src", ())
+    fresh = SimulationEngine(Scenario())
+    by_key = {}
+    for (agent, offered), kind in product(questions, KIND_ORDER):
+        verdict = fresh._probe_round("res", offered, agent, kind)
+        by_key.setdefault((agent.behavior.enforces, offered.kinds, kind),
+                          set()).add(verdict)
+        harness = engine._probe_harness(session, offered, agent, kind)
+        assert harness("c0", "r", kind) == [float(p) for p in verdict], (
+            agent.behavior, offered.kinds, kind)
+    # 48 holdable kind sets (no noshare with spread), all 64 offered.
+    assert len(by_key) == (48 + 64) * len(KIND_ORDER)
+    assert all(len(verdicts) == 1 for verdicts in by_key.values())
+    assert len(engine._verdicts) == len(by_key)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 416])
+def test_a_shared_scenario_table_changes_no_scenario(seed):
+    """Each run's scenario, built from the parts of the first run that
+    drew its mix, equals the one built without the table, and shares
+    those parts."""
+    params = PopulationParams(seed=seed, delegates=3, honest_requesters=2)
+    shared = {}
+    for index in range(40):
+        scenario = simnet._experiment_scenario(params, index, shared)
+        assert scenario == simnet._experiment_scenario(params, index)
+        assert scenario.seed == index
+        first = next(s for s in shared.values()
+                     if s.peers[0].policy is scenario.peers[0].policy)
+        assert (scenario.peers, scenario.actions) == (first.peers,
+                                                       first.actions)
+        assert scenario.peers is first.peers
+    assert set(shared) <= set(range(len(simnet._REQUIRED_MIXES)))
+
+
+def test_an_experiment_builds_each_drawn_mixs_peers_once(monkeypatch):
+    params = PopulationParams(seed=5, delegates=3)
+    runs = 30
+    mixes = {id(simnet._experiment_scenario(params, index).peers[0].policy)
+             for index in range(runs)}
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(PeerDecl(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(simnet, "PeerDecl", counted)
+    detection_experiment(params, runs)
+    # The owner, 3 delegates and one requester of each behaviour.
+    assert 1 < len(mixes) < runs
+    assert len(built) == len(mixes) * (1 + 3 + 4)
