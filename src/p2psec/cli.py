@@ -24,7 +24,8 @@ from .mac import (
     verify_challenge,
 )
 from .policy_xml import parse_policy, to_peer_policy
-from .simnet import ascii_number, parse_scenario, render_report, run_scenario
+from .simnet import (Scenario, ascii_number, parse_scenario, render_report,
+                     run_scenario)
 
 
 def _read_text(path: str) -> str:
@@ -84,17 +85,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _parse_file(args.scenario, parse_scenario,
                            _read_text(args.scenario))
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     # One replace, so TrustConfig checks the two thresholds as a pair.
     flags = {"refuse_threshold": args.refuse_threshold,
              "full_trust_threshold": args.full_threshold}
     try:
-        scenario = replace(scenario, config=replace(scenario.config, **{
-            key: value for key, value in flags.items() if value is not None}))
+        config = replace(scenario.config, **{
+            key: value for key, value in flags.items() if value is not None})
     except TrustError as exc:
         raise argparse.ArgumentError(
             None, f"--refuse-threshold/--full-threshold: {exc}") from None
+    # The parse checked the peers and actions, which the flags leave as
+    # they are, so the scenario is built once more, unchecked.
+    scenario = Scenario.unchecked(
+        scenario.seed if args.seed is None else args.seed, scenario.peers,
+        scenario.actions, config)
     report = render_report(run_scenario(scenario))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     AvcParseError,
@@ -296,17 +296,38 @@ def render_contexts(compiled: CompiledPolicy) -> str:
 # AVC audit lines
 # ---------------------------------------------------------------------------
 
+#: Each part of an AVC line, in order: its label, the pattern before its
+#: value, the form of its value (None for a marker, which has none), the
+#: pattern after it, and, for a text field that a code-built record is
+#: held to, the wording of its form.  ``parse_avc`` steps through the
+#: parts, and ``AvcRecord`` takes its forms from them.
+_AVC_PARTS: tuple[tuple[str, str, Optional[str], str, Optional[str]], ...] = (
+    ("audit prefix", r"\s*audit\(", None, "", None),
+    ("timestamp", "", r"[0-9]+\.[0-9]+", ":", "<digits>.<digits>"),
+    ("serial", "", "[0-9]+", r"\):\s+", "ASCII digits"),
+    ("avc marker", r"avc:\s+", None, "", None),
+    ("decision", "", "denied|granted", r"\s+", None),
+    ("permissions", r"\{\s*", "[^{}]*?", r"\s*\}\s+for\s+", None),
+    ("pid", "pid=", "[0-9]+", r"\s+", None),
+    ("comm", 'comm="', '[^"]*', r'"\s+', "free of '\"'"),
+    ("name", 'name="', '[^"]*', r'"\s+', None),
+    ("dev", "dev=", r"\S+", r"\s+", "non-empty and free of whitespace"),
+    ("ino", "ino=", "[0-9]+", r"\s+", None),
+    ("scontext", "scontext=", r"\S+", r"\s+", None),
+    ("tcontext", "tcontext=", r"\S+", r"\s+", None),
+    ("tclass", "tclass=", r"\S+", r"\s*$",
+     "non-empty and free of whitespace"),
+)
+#: (label, compiled pattern) for each part of an AVC line, in order.
+_AVC_STEPS: tuple[tuple[str, re.Pattern[str]], ...] = tuple(
+    (label, re.compile(before + ("" if form is None else f"({form})")
+                       + after))
+    for label, before, form, after, _ in _AVC_PARTS)
 #: The form ``parse_avc`` reads back for each text field of a record
 #: but ``name`` (see ``render_avc``), with the wording of its error.
 _AVC_FORMS: tuple[tuple[str, re.Pattern[str], str], ...] = tuple(
-    (label, re.compile(form), wording) for label, form, wording in (
-        ("timestamp", r"[0-9]+\.[0-9]+", "<digits>.<digits>"),
-        ("serial", r"[0-9]+", "ASCII digits"),
-        ("comm", r'[^"]*', "free of '\"'"),
-        ("dev", r"\S+", "non-empty and free of whitespace"),
-        ("tclass", r"\S+", "non-empty and free of whitespace"),
-    )
-)
+    (label, re.compile(form), wording)
+    for label, _, form, _, wording in _AVC_PARTS if wording)
 _PERMISSION_NAME = re.compile(r"[^\s{}]+")
 
 
@@ -317,7 +338,8 @@ class AvcRecord:
     record raises ``AvcParseError`` naming the field.
     ``AvcRecord.unchecked`` builds one without that check: for fields
     built from parts that already hold what ``parse_avc`` reads back, as
-    the simulator's probe responses are."""
+    the simulator's probe responses and ``parse_avc``'s own fields
+    are."""
 
     timestamp: str
     serial: str
@@ -358,29 +380,11 @@ class AvcRecord:
                 f"and free of whitespace and braces")
 
 
-#: (label, compiled pattern) for each field of an AVC line, in order.
-_AVC_STEPS: tuple[tuple[str, re.Pattern[str]], ...] = tuple(
-    (label, re.compile(pattern)) for label, pattern in (
-        ("audit prefix", r"\s*audit\("),
-        ("timestamp", r"([0-9]+\.[0-9]+):"),
-        ("serial", r"([0-9]+)\):\s+"),
-        ("avc marker", r"avc:\s+"),
-        ("decision", r"(denied|granted)\s+"),
-        ("permissions", r"\{\s*([^{}]*?)\s*\}\s+for\s+"),
-        ("pid", r"pid=([0-9]+)\s+"),
-        ("comm", r'comm="([^"]*)"\s+'),
-        ("name", r'name="([^"]*)"\s+'),
-        ("dev", r"dev=(\S+)\s+"),
-        ("ino", r"ino=([0-9]+)\s+"),
-        ("scontext", r"scontext=(\S+)\s+"),
-        ("tcontext", r"tcontext=(\S+)\s+"),
-        ("tclass", r"tclass=(\S+)\s*$"),
-    )
-)
-
-
 def parse_avc(line: str) -> AvcRecord:
-    """Parse one AVC audit line; errors name the field that failed."""
+    """Parse one AVC audit line; errors name the field that failed.
+    The steps hold each field to the form ``AvcRecord`` checks, and
+    ``_avc_int`` holds ``pid`` and ``ino`` to the digit limit, so the
+    record is built unchecked."""
     pos = 0
     fields: dict[str, str] = {}
     for label, pattern in _AVC_STEPS:
@@ -400,7 +404,7 @@ def parse_avc(line: str) -> AvcRecord:
         tcontext = SecurityContext.parse(fields["tcontext"])
     except MacError as exc:
         raise AvcParseError(str(exc)) from exc
-    return AvcRecord(
+    return AvcRecord.unchecked(
         timestamp=fields["timestamp"],
         serial=fields["serial"],
         decision=Decision(fields["decision"]),
@@ -478,8 +482,9 @@ class Challenge:
     resulting audit trace.  ``stub``, the probe command the target runs,
     is one word and the expected permissions are file permissions, as
     ``parse_challenge`` reads them, or building the challenge raises
-    ``ChallengeError``; ``target_path`` is unchecked (see
-    ``render_challenge``)."""
+    ``ChallengeError``, naming the first bad entry of permissions given
+    in order and the least by ``repr`` of a set; ``target_path`` is
+    unchecked (see ``render_challenge``)."""
 
     scontext: SecurityContext
     stub: str
@@ -489,16 +494,17 @@ class Challenge:
     expected_tcontext: SecurityContext
 
     def __post_init__(self):
-        if not isinstance(self.expected_permissions, frozenset):
-            object.__setattr__(self, "expected_permissions",
-                               frozenset(self.expected_permissions))
+        given = self.expected_permissions
+        ordered = not isinstance(given, (set, frozenset))
+        given = tuple(given) if ordered else given
+        object.__setattr__(self, "expected_permissions", frozenset(given))
         if not isinstance(self.stub, str) or self.stub.split() != [self.stub]:
             raise ChallengeError(f"bad command stub {self.stub!r}")
-        bad = [p for p in self.expected_permissions
-               if p not in FILE_PERMISSIONS]
+        bad = [p for p in given if p not in FILE_PERMISSIONS]
         if bad:
-            raise ChallengeError(f"permissions entry {min(bad, key=repr)!r} "
-                                 f"is not a file permission")
+            first = bad[0] if ordered else min(bad, key=repr)
+            raise ChallengeError(f"permissions entry {first!r} is not a file "
+                                 f"permission")
         if self.expected is Decision.DENIED and not self.expected_permissions:
             raise ChallengeError(
                 "denied challenge needs expected permissions")
@@ -637,17 +643,13 @@ def parse_challenge(text: str) -> Challenge:
         tcontext = SecurityContext.parse(keys["tcontext"])
     except MacError as exc:
         raise ChallengeError(str(exc)) from exc
-    # Checked here, in file order, to name the first bad entry.
-    names = keys["permissions"].split(",") if keys["permissions"] else ()
-    for name in names:
-        if name not in FILE_PERMISSIONS:
-            raise ChallengeError(f"permissions entry {name!r} is not a file "
-                                 f"permission")
+    # A list, so that the challenge names the first bad entry in the file.
     return Challenge(
         scontext=scontext,
         stub=parts[1],
         target_path=parts[2],
         expected=Decision(keys["expect"]),
-        expected_permissions=frozenset(names),
+        expected_permissions=(keys["permissions"].split(",")
+                              if keys["permissions"] else ()),
         expected_tcontext=tcontext,
     )

@@ -467,8 +467,11 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
     builds the domains, resources and policy, with its indexes and a
     counter above every id, in one pass through their ``unchecked``
     builds, without ``Domain``/``Resource`` checks or
-    ``PeerPolicy.validate``.  Each distinct property list is lifted once
-    through the checked ``SecurityProperty``, and its kinds derived once.
+    ``PeerPolicy.validate``.  Each distinct property list is lifted once,
+    and its kinds derived once: each property through
+    ``SecurityProperty.unchecked``, since the document holds its kind to
+    the targets rule and each target names a domain, by its non-empty
+    name or as ``ext:<id>``.
     """
     names_by_id = {dom.id: dom.name for dom in doc.domains}
     # each distinct property list -> (its properties, their kinds)
@@ -478,7 +481,7 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
         found = lifted.get(properties)
         if found is None:
             props = frozenset(
-                SecurityProperty(_KINDS[prop.type], frozenset(
+                SecurityProperty.unchecked(_KINDS[prop.type], frozenset(
                     names_by_id.get(t, f"ext:{t}") for t in prop.targets))
                 for prop in properties)
             found = lifted[properties] = (

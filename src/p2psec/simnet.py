@@ -243,7 +243,8 @@ class _Roster:
 @frozen_record
 class Scenario:
     """A run to simulate.  Building one checks it against the rules of
-    ``_Roster``, as the parser does but with no line."""
+    ``_Roster``, as the parser does statement by statement but with no
+    line."""
 
     seed: int = 0
     peers: tuple[PeerDecl, ...] = ()
@@ -287,7 +288,9 @@ class _ScenarioBuilder:
     are read, so its checks (conflicts, nopublication on files) reject a
     bad statement on its line; each policy is frozen once, in
     ``build``.  Each distinct property token list is made a
-    ``SecurityProperty`` once per parse."""
+    ``SecurityProperty`` once per parse.  Every statement meets
+    ``_Roster`` on its line, so ``build`` makes the ``Scenario``
+    unchecked."""
 
     def __init__(self):
         self.seed = 0
@@ -327,8 +330,8 @@ class _ScenarioBuilder:
             PeerDecl(uid, display, policy.freeze(), behavior,
                      tuple(self.roster.knows[uid].items()))
             for uid, (display, behavior, policy) in self.peers.items())
-        return Scenario(seed=self.seed, peers=peers,
-                        actions=tuple(self.actions), config=config)
+        return Scenario.unchecked(self.seed, peers, tuple(self.actions),
+                                  config)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -1212,21 +1215,19 @@ _EMPTY_POLICY = PeerPolicy()
 
 
 def _experiment_scenario(params: PopulationParams, run_index: int,
-                         shared: Optional[dict[int, Scenario]] = None
-                         ) -> Scenario:
+                         shared: dict[int, Scenario]) -> Scenario:
     """Run ``run_index`` of a detection experiment: a seeded draw of one
     of ``_REQUIRED_MIXES``, then the owner, delegates and requesters
     ``params`` count.  Only the seed and the drawn mix differ between the
-    runs of one ``params``, so ``shared``, when given, maps each drawn
-    mix's index to the scenario that first drew it, and a later run that
-    draws the mix takes that scenario's checked peers and actions with
-    its own seed, built unchecked.  The scenario equals the one built
-    without ``shared``.  The key is the index, so no lookup hashes a
-    policy."""
+    runs of one ``params``, so ``shared`` maps each drawn mix's index to
+    the scenario that first drew it, and a later run that draws the mix
+    takes that scenario's checked peers and actions with its own seed,
+    built unchecked.  The scenario equals the one built with an empty
+    ``shared``.  The key is the index, so no lookup hashes a policy."""
     rng = random.Random(f"{params.seed}:{run_index}")
     # The same draw as rng.choice(_REQUIRED_MIXES).
     index = rng.randrange(len(_REQUIRED_MIXES))
-    if shared is not None and index in shared:
+    if index in shared:
         first = shared[index]
         return Scenario.unchecked(run_index, first.peers, first.actions,
                                   first.config)
@@ -1247,10 +1248,8 @@ def _experiment_scenario(params: PopulationParams, run_index: int,
             peers.append(PeerDecl(uid=uid, display_name=uid, policy=drop,
                                   behavior=behavior))
             actions += [AskAction(uid, "owner", "asset", "drop")] * asks
-    scenario = Scenario(seed=run_index, peers=tuple(peers),
-                        actions=tuple(actions))
-    if shared is not None:
-        shared[index] = scenario
+    scenario = shared[index] = Scenario(seed=run_index, peers=tuple(peers),
+                                        actions=tuple(actions))
     return scenario
 
 

@@ -374,6 +374,20 @@ def test_a_code_built_avc_record_may_name_any_path():
     assert replace(parse_avc(AVC_LINE), name=' a"b ').name == ' a"b '
 
 
+def test_parse_avc_runs_no_record_check(monkeypatch):
+    """The line's steps hold each field to the form ``AvcRecord``
+    checks, so ``parse_avc`` builds its record unchecked; rebuilding it
+    in code checks it once."""
+    calls = []
+    check = AvcRecord.__post_init__
+    monkeypatch.setattr(AvcRecord, "__post_init__", lambda record: (
+        calls.append(record) or check(record)))
+    record = parse_avc(AVC_LINE)
+    assert calls == []
+    assert replace(record) == record
+    assert calls == [record]
+
+
 CHALLENGE_TEXT = ("scontext=user_u:user_r:user_t vim /root/secret.txt\n"
                   "expect=denied\npermissions=read\n"
                   "tcontext=system_u:object_r:domainA_t\n")
@@ -386,6 +400,12 @@ CHALLENGE_TEXT = ("scontext=user_u:user_r:user_t vim /root/secret.txt\n"
      "permissions entry 'reed' is not a file permission"),
     ("expected_permissions", set(),
      "denied challenge needs expected permissions"),
+    ("expected_permissions", ["write", "reed", ""],
+     "permissions entry 'reed' is not a file permission"),
+    ("expected_permissions", ("search", "reed"),
+     "permissions entry 'search' is not a file permission"),
+    ("expected_permissions", frozenset({"reed", "", "search"}),
+     "permissions entry '' is not a file permission"),
 ])
 def test_a_code_built_challenge_is_held_to_the_file_form(field, value,
                                                          message):
@@ -418,6 +438,33 @@ def test_challenge_file_faults_name_the_key_or_entry(old, new, message):
     with pytest.raises(ChallengeError) as err:
         parse_challenge(CHALLENGE_TEXT.replace(old, new))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entries, tested", [
+    ("read,write,append", ["read", "write", "append"]),
+    ("", []),
+    ("write,reed,,search", ["write", "reed", "", "search"]),
+])
+def test_parse_challenge_tests_each_permission_entry_once(monkeypatch,
+                                                          entries, tested):
+    """The rule is written once, in ``Challenge``: the parse hands it
+    the entries in file order, and each is tested once."""
+    seen = []
+
+    class Counted(tuple):
+        def __contains__(self, entry):
+            seen.append(entry)
+            return super().__contains__(entry)
+    monkeypatch.setattr(mac, "FILE_PERMISSIONS", Counted(mac.FILE_PERMISSIONS))
+    text = CHALLENGE_TEXT.replace("permissions=read", f"permissions={entries}")
+    try:
+        challenge = parse_challenge(text.replace("expect=denied",
+                                                 "expect=granted"))
+    except ChallengeError as exc:
+        assert str(exc) == "permissions entry 'reed' is not a file permission"
+    else:
+        assert challenge.expected_permissions == frozenset(tested)
+    assert seen == tested
 
 
 def test_challenge_file_permissions_may_be_empty_or_many():

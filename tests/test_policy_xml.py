@@ -15,6 +15,7 @@ from p2psec import (
     PolicyDocument,
     PolicyValidationError,
     Resource,
+    SecurityProperty,
     XmlSyntaxError,
     XmlValidationError,
     confidentiality,
@@ -98,10 +99,11 @@ def test_parse_runs_the_value_rules_alone(monkeypatch):
 
 def test_the_lift_runs_no_model_check(monkeypatch):
     """A parsed document already holds every rule the model checks, so
-    the lift builds its domains, resources and policy unchecked; building
-    the same policy in code runs every check."""
+    the lift builds its properties, domains, resources and policy
+    unchecked; building the same policy in code runs every check."""
     calls = []
-    for cls, name in ((Domain, "__post_init__"), (Resource, "__post_init__"),
+    for cls, name in ((SecurityProperty, "__post_init__"),
+                      (Domain, "__post_init__"), (Resource, "__post_init__"),
                       (PeerPolicy, "validate")):
         check = getattr(cls, name)
         monkeypatch.setattr(cls, name, lambda value, check=check: (
@@ -117,6 +119,11 @@ def test_the_lift_runs_no_model_check(monkeypatch):
     for res in policy.resources:
         Resource(res.id, res.path, res.domain_id, res.properties)
     assert calls == [Domain, Resource]
+    calls.clear()
+    props = [prop for scope in (*policy.domains, *policy.resources)
+             for prop in scope.properties]
+    assert [SecurityProperty(p.kind, p.targets) for p in props] == props
+    assert calls == [SecurityProperty] * 2
 
 
 def test_untargeted_properties_are_built_once_per_parse():

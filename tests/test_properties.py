@@ -3,7 +3,7 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -921,6 +921,55 @@ def field_values(draw, table):
     return values
 
 
+#: Text drawn from what an AVC line's grammar turns on: digits, the
+#: dot, quotes, whitespace, braces and the field separators.
+avc_texts = st.text(alphabet=' \t\n0123456789."{}:=()ab\u0661',
+                    max_size=8)
+
+
+@st.composite
+def unchecked_avc_fields(draw):
+    """Fields for ``AvcRecord.unchecked``: each text field from
+    ``_AVC_FIELDS`` or ``avc_texts``, the numbers also from a range
+    that holds negatives, and a ``name`` free of ``"``."""
+    values = draw(field_values(_AVC_FIELDS))
+    for label in ("timestamp", "serial", "comm", "dev", "tclass"):
+        values[label] = draw(st.one_of(st.just(values[label]), avc_texts))
+    for label in ("pid", "ino"):
+        values[label] = draw(st.one_of(st.just(values[label]),
+                                       st.integers(-3, 10**6)))
+    values["permissions"] = draw(st.one_of(
+        st.just(values["permissions"]),
+        st.frozensets(st.one_of(st.sampled_from(FILE_PERMISSIONS),
+                                avc_texts), max_size=3)))
+    values["name"] = draw(st.one_of(st.just(values["name"]),
+                                    avc_texts.filter(lambda t: '"' not in t)))
+    return values
+
+
+@EXAMPLES
+@given(unchecked_avc_fields())
+def test_an_unchecked_avc_record_round_trips_exactly_when_checked_builds_it(
+        avc_fields):
+    """``parse_avc`` builds its records unchecked, on the strength of
+    its line steps, so the steps and ``AvcRecord``'s rules must agree:
+    a record whose ``name`` holds no ``"`` renders to a line that parses
+    back to it exactly when building it checked succeeds."""
+    record = AvcRecord.unchecked(**avc_fields)
+    try:
+        AvcRecord(**avc_fields)
+    except AvcParseError:
+        accepted = False
+    else:
+        accepted = True
+    try:
+        round_trips = parse_avc(render_avc(record)) == record
+    except (AvcParseError, TypeError, ValueError):
+        # A field ``render_avc`` cannot write, or a line it refuses.
+        round_trips = False
+    assert round_trips == accepted, avc_fields
+
+
 @EXAMPLES
 @given(field_values(_AVC_FIELDS), field_values(_CHALLENGE_FIELDS))
 def test_a_code_built_avc_record_or_challenge_is_refused_or_round_trips(
@@ -1088,7 +1137,7 @@ def test_sharing_verdicts_across_runs_changes_no_outcome(params, runs):
     forged = flagged = 0
     shared = {}
     for index in range(runs):
-        scenario = _experiment_scenario(params, index)
+        scenario = _experiment_scenario(params, index, {})
         report = run_scenario(scenario)
         assert run_scenario(scenario, shared) == report
         for record in report.negotiations:
@@ -1195,12 +1244,15 @@ parser_texts = st.one_of(
 @given(parser_texts)
 def test_only_package_errors_escape_the_text_parsers(text):
     # Each text goes to every parser; the strategies aimed at one
-    # parser's grammar get its parse past the first token.
+    # parser's grammar get its parse past the first token.  A parser
+    # checks each value once and builds its result unchecked, so what
+    # it accepts must pass the result's full check.
     for parse in (parse_scenario, parse_avc, parse_challenge):
         try:
-            parse(text)
+            value = parse(text)
         except P2PSecError:
-            pass
+            continue
+        assert replace(value) == value
 
 
 # ---------------------------------------------------------------------------
@@ -1260,6 +1312,16 @@ def test_reputations_stay_in_unit_interval_over_a_run(scenario):
     report = run_scenario(scenario)
     assert all(0.0 <= value <= 1.0
                for _, _, value in report.final_reputations)
+
+
+@EXAMPLES
+@given(runnable_scenarios)
+def test_a_parsed_scenario_passes_the_full_check(scenario):
+    """Each statement meets the roster on its line and the parse builds
+    its ``Scenario`` unchecked, so it must never accept a scenario the
+    full check refuses: drawn statements include a peer asking or
+    knowing itself and a repeated ``knows``."""
+    assert replace(scenario) == scenario
 
 
 # ---------------------------------------------------------------------------

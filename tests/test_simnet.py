@@ -584,7 +584,8 @@ ask d1 own doc open
 
 
 def experiment(seed: int, index: int):
-    return simnet._experiment_scenario(PopulationParams(seed=seed), index)
+    return simnet._experiment_scenario(PopulationParams(seed=seed), index,
+                                       {})
 
 
 #: Scenarios whose runs the maintained structures are checked against.
@@ -823,6 +824,34 @@ def test_a_parse_runs_no_model_check(monkeypatch):
     assert calls == [PeerPolicy, Domain, Resource]
 
 
+@pytest.mark.parametrize("text", [
+    (GOLDEN / "delegates.scn").read_text(), shaped_scenario()],
+    ids=["delegates", "shaped"])
+def test_a_parse_meets_the_roster_once_per_statement(monkeypatch, text):
+    """Each ``peer``, ``knows`` and action statement meets ``_Roster``
+    once, on its line, so the parse builds its ``Scenario`` without
+    replaying the roster; rebuilding the scenario in code replays it
+    once."""
+    calls = []
+    for name in ("declare", "know", "act"):
+        check = getattr(simnet._Roster, name)
+        monkeypatch.setattr(simnet._Roster, name,
+                            lambda roster, *args, name=name, check=check: (
+                                calls.append(name) or check(roster, *args)))
+    scenario = parse_scenario(text)
+    statements = [line.split()[0] for line in text.splitlines()
+                  if line.split("#", 1)[0].strip()]
+    meets = {"peer": "declare", "knows": "know", "ask": "act",
+             "publish": "act", "add-property": "act", "create-domain": "act",
+             "delete-domain": "act", "show": "act"}
+    expected = [meets[stmt] for stmt in statements if stmt in meets]
+    assert set(expected) == {"declare", "know", "act"}
+    assert calls == expected
+    calls.clear()
+    assert replace(scenario) == scenario
+    assert sorted(calls) == sorted(expected)
+
+
 def test_installing_a_policy_validates_it_at_once():
     # A policy checks itself when built, so no broken one can be
     # handed to an agent.
@@ -842,7 +871,7 @@ def scaled_experiment(asks: int):
     k = asks // 5
     return simnet._experiment_scenario(PopulationParams(
         seed=1, delegates=2, honest_requesters=k, blind_liars=k,
-        informed_liars=k, log_forgers=k), 0)
+        informed_liars=k, log_forgers=k), 0, {})
 
 
 def test_clock_grows_linearly_with_asks():
@@ -1252,20 +1281,17 @@ def _holdable_property_sets():
     return held
 
 
-def test_every_verdict_key_has_one_verdict():
-    """The engine keys a probe round on (enforces, offered kinds, kind).
-    Every key is asked with every requester behind it: both behaviours
-    that share its ``enforces``; for an enforcing peer, each domain
-    property set it can hold, which it offers as its slice; for a peer
-    that enforces nothing, every offered kind set against each domain
-    kind set and against no domain.  All its rounds give one verdict,
-    and one engine's shared table serves each question the verdict a
-    fresh round gives, so no two questions that differ in their
-    verdicts share a key."""
+def verdict_questions():
+    """Every (requester, offered slice) question of a probe round, with
+    every requester behind its key: both behaviours that share its
+    ``enforces``; for an enforcing peer, each domain property set it can
+    hold, which it offers as its slice; for a peer that enforces
+    nothing, every offered kind set against each domain kind set and
+    against no domain."""
     domains = _holdable_property_sets()
     one_per_kind_set = list({frozenset(p.domains[0].kinds): p
                              for p in domains}.values())
-    questions = []          # (requester, offered)
+    questions = []
     for behavior in BehaviorModel:
         agents = [PeerAgent("r", policy, behavior) for policy in (
             domains if behavior.enforces
@@ -1280,12 +1306,22 @@ def test_every_verdict_key_has_one_verdict():
                 offered = PolicySlice("dst", frozenset(
                     SecurityProperty(kind) for kind in kinds))
                 questions += [(agent, offered) for agent in agents]
+    return questions
+
+
+def test_every_verdict_key_has_one_verdict():
+    """The engine keys a probe round on (enforces, offered kinds, kind).
+    Every key is asked with every requester behind it
+    (``verdict_questions``).  All its rounds give one verdict, and one
+    engine's shared table serves each question the verdict a fresh
+    round gives, so no two questions that differ in their verdicts
+    share a key."""
     engine = SimulationEngine(Scenario(peers=(
         PeerDecl(uid="c0", display_name="C", policy=PeerPolicy()),)))
     session = NegotiationSession(Resource(1, "res", 1), "src", ())
     fresh = SimulationEngine(Scenario())
     by_key = {}
-    for (agent, offered), kind in product(questions, KIND_ORDER):
+    for (agent, offered), kind in product(verdict_questions(), KIND_ORDER):
         verdict = fresh._probe_round("res", offered, agent, kind)
         by_key.setdefault((agent.behavior.enforces, offered.kinds, kind),
                           set()).add(verdict)
@@ -1298,16 +1334,47 @@ def test_every_verdict_key_has_one_verdict():
     assert len(engine._verdicts) == len(by_key)
 
 
+def render_verdicts() -> str:
+    """The verdict table, one sorted line per key that
+    ``verdict_questions`` reaches: whether the requester enforces, the
+    offered kinds (``-`` for none) and the probed kind, then each probe
+    of a fresh round (the conflicting-transfer probe, when the kind has
+    one, then the MAC challenge) as pass or fail."""
+    fresh = SimulationEngine(Scenario())
+    lines = set()
+    for (agent, offered), kind in product(verdict_questions(), KIND_ORDER):
+        verdict = fresh._probe_round("res", offered, agent, kind)
+        probes = ("conflict", "mac") if simnet.PROBE_KINDS[kind] else ("mac",)
+        lines.add(" ".join((
+            f"enforces={'yes' if agent.behavior.enforces else 'no'}",
+            "offered=" + (",".join(k.value for k in KIND_ORDER
+                                   if k in offered.kinds) or "-"),
+            f"kind={kind.value}",
+            *(f"{probe}={'pass' if passed else 'fail'}"
+              for probe, passed in zip(probes, verdict, strict=True)))))
+    return "".join(f"{line}\n" for line in sorted(lines))
+
+
+def test_the_verdict_table_matches_its_golden():
+    """``golden/verdicts.txt`` pins every key's verdict: which claims a
+    peer that enforces nothing is caught on.  One line per key, so no
+    key has two verdicts.  A change meant to alter it regenerates it
+    with ``render_verdicts`` and says why."""
+    table = render_verdicts()
+    assert len(table.splitlines()) == (48 + 64) * len(KIND_ORDER)
+    assert table == (GOLDEN / "verdicts.txt").read_text()
+
+
 @pytest.mark.parametrize("seed", [1, 7, 416])
 def test_a_shared_scenario_table_changes_no_scenario(seed):
     """Each run's scenario, built from the parts of the first run that
-    drew its mix, equals the one built without the table, and shares
-    those parts."""
+    drew its mix, equals the one built with a fresh, empty table, and
+    shares those parts."""
     params = PopulationParams(seed=seed, delegates=3, honest_requesters=2)
     shared = {}
     for index in range(40):
         scenario = simnet._experiment_scenario(params, index, shared)
-        assert scenario == simnet._experiment_scenario(params, index)
+        assert scenario == simnet._experiment_scenario(params, index, {})
         assert scenario.seed == index
         first = next(s for s in shared.values()
                      if s.peers[0].policy is scenario.peers[0].policy)
@@ -1320,8 +1387,8 @@ def test_a_shared_scenario_table_changes_no_scenario(seed):
 def test_an_experiment_builds_each_drawn_mixs_peers_once(monkeypatch):
     params = PopulationParams(seed=5, delegates=3)
     runs = 30
-    mixes = {id(simnet._experiment_scenario(params, index).peers[0].policy)
-             for index in range(runs)}
+    mixes = {id(simnet._experiment_scenario(params, index, {})
+                .peers[0].policy) for index in range(runs)}
     built = []
 
     def counted(*args, **kwargs):
