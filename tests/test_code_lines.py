@@ -32,7 +32,7 @@ not a docstring"""
 
 
 def test_every_module_of_the_package_is_counted(capsys):
-    assert code_lines.main(["code_lines.py"]) == 0
+    assert code_lines.main() == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     modules = sorted(path.name for path in code_lines.PACKAGE.glob("*.py"))
     assert [name for name, _ in rows] == [*modules, "total"]

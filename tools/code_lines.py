@@ -4,7 +4,7 @@ A code line is a line that is not blank, not only a comment and not part
 of a docstring (the string that opens a module, class or function body),
 found with ``ast``.  Run it from anywhere:
 
-    python tools/code_lines.py [package directory]
+    python tools/code_lines.py
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ def code_lines(source: str) -> int:
                and not line.lstrip().startswith("#"))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:<16} {count:>5}")
@@ -50,4 +49,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
