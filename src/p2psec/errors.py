@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all p2psec modules, and the one test
-for an int too long to name in a message."""
+and the one wording for an int too long to name in a message."""
 
 from __future__ import annotations
 
@@ -16,6 +16,14 @@ def too_long_to_write(value: object) -> bool:
     except ValueError:
         return True
     return False
+
+
+def written(value: object) -> str:
+    """``repr(value)`` for a message, or ``an int too long to write``
+    for an int that ``repr`` refuses to write."""
+    if too_long_to_write(value):
+        return "an int too long to write"
+    return repr(value)
 
 
 class P2PSecError(Exception):

@@ -26,6 +26,7 @@ from .errors import (
     UnknownPermissionError,
     UnknownResourceError,
     too_long_to_write,
+    written,
 )
 from .policy import Domain, PeerPolicy, PropertyKind, frozen_record
 
@@ -368,8 +369,8 @@ class AvcRecord:
         for label in ("pid", "ino"):
             value = getattr(self, label)
             if type(value) is not int or value < 0:  # a bool is not an int
-                raise AvcParseError(
-                    f"AVC {label} must be a non-negative int, not {value!r}")
+                raise AvcParseError(f"AVC {label} must be a non-negative "
+                                    f"int, not {written(value)}")
             if too_long_to_write(value):
                 raise AvcParseError(f"AVC {label} has too many digits")
         bad = [p for p in self.permissions
@@ -378,6 +379,21 @@ class AvcRecord:
             raise AvcParseError(
                 f"AVC permission {min(bad, key=repr)!r} must be non-empty "
                 f"and free of whitespace and braces")
+        _check_types(self, AvcParseError, "AVC", ("decision", Decision),
+                     ("scontext", SecurityContext),
+                     ("tcontext", SecurityContext))
+
+
+def _check_types(record, error: type, what: str,
+                 *typed: tuple[str, type]) -> None:
+    """Raise ``error`` naming the first ``(label, type)`` field of
+    ``record`` whose value is not of that type, which ``render_avc`` and
+    ``render_challenge`` could not write."""
+    for label, cls in typed:
+        value = getattr(record, label)
+        if not isinstance(value, cls):
+            raise error(f"{what} {label} must be a {cls.__name__}, not "
+                        f"{written(value)}")
 
 
 def parse_avc(line: str) -> AvcRecord:
@@ -480,11 +496,12 @@ def probe_permission(command_stub: str) -> str:
 class Challenge:
     """A request that the remote peer attempt one access and return the
     resulting audit trace.  ``stub``, the probe command the target runs,
-    is one word and the expected permissions are file permissions, as
-    ``parse_challenge`` reads them, or building the challenge raises
-    ``ChallengeError``, naming the first bad entry of permissions given
-    in order and the least by ``repr`` of a set; ``target_path`` is
-    unchecked (see ``render_challenge``)."""
+    is one word, the expected permissions are file permissions, the
+    contexts are ``SecurityContext`` values and ``expected`` a
+    ``Decision``, as ``parse_challenge`` reads them, or building the
+    challenge raises ``ChallengeError`` naming the field, and the first
+    bad entry of permissions given in order and the least by ``repr`` of
+    a set; ``target_path`` is unchecked (see ``render_challenge``)."""
 
     scontext: SecurityContext
     stub: str
@@ -508,6 +525,9 @@ class Challenge:
         if self.expected is Decision.DENIED and not self.expected_permissions:
             raise ChallengeError(
                 "denied challenge needs expected permissions")
+        _check_types(self, ChallengeError, "challenge",
+                     ("scontext", SecurityContext), ("expected", Decision),
+                     ("expected_tcontext", SecurityContext))
 
     @property
     def target_name(self) -> str:

@@ -10,16 +10,19 @@ remote negotiation.
 The value types are immutable, and every policy value is valid: a
 ``PeerPolicy`` built directly is validated, one frozen from a
 ``PolicyBuilder`` was checked step by step, and one lifted from a
-``PolicyDocument`` was checked as the document was built.  Edits are
-made on that mutable builder, the one home of the edit checks; a
+``PolicyDocument`` was checked as the document was built.  A
+``PeerPolicy`` is its domains, resources and id counter; its one index,
+for lookups and edits, is a builder that one loop builds from those
+fields, checking them, unless ``freeze`` handed it one.  Edits are made
+on that mutable builder, the one home of the edit checks; a
 ``PeerPolicy`` edit thaws, applies one builder step and freezes,
 returning a new value and never touching its input.  Each step runs the
 checks its new values need itself (a non-empty name or path, no
 nopublication on a file, conflicts, duplicates) and builds its
 ``Domain`` or ``Resource`` through ``unchecked``, so no value is checked
-twice.  Thaw and freeze copy the policy's indexes and re-check nothing,
-so an edit makes a fixed number of Python calls whatever the policy's
-size, but copies indexes as large as the policy.
+twice.  Thaw and freeze copy the policy's index and re-check nothing, so
+an edit makes a fixed number of Python calls whatever the policy's size,
+but copies an index as large as the policy.
 """
 
 from __future__ import annotations
@@ -299,81 +302,70 @@ class Resource:
 
 @frozen_record
 class PeerPolicy:
-    """The complete local policy of one peer.
+    """The complete local policy of one peer: its domains, its
+    resources and the id counter.
 
     Ids are unique across domains and resources, and a shared monotone
     counter above them hands out new ones; domain names and resource
     paths are unique, and each resource's owner is one of the domains.
-    Every value holds its domains indexed by name and id and its
-    resources by path, so each lookup is a dict read.  Building a value
-    from code (``PeerPolicy(...)``) checks these invariants with
-    :meth:`validate`, which builds the indexes.  Two builds trust a
-    source that has already checked them and go through ``unchecked``,
-    handing it the indexes themselves, with the domains and resources in
-    their order: the edit operations, which thaw the policy into a
-    :class:`PolicyBuilder`, apply one step and freeze the result with
-    the builder's step-checked indexes, and
-    :func:`~p2psec.policy_xml.to_peer_policy`, which lifts a checked
-    ``PolicyDocument``.  Such indexes keep the invariants: ``_by_name``
-    and ``_by_id`` hold the same domains, ``_by_path`` resources owned
-    by them, and every id is unique and below ``next_id``.
+    A value's one index is a :class:`PolicyBuilder` no step is applied
+    to, holding its domains by name and id, its resources by path and
+    each domain's paths, so each lookup is a dict read.  One loop builds
+    that index from the three fields and checks the invariants as it
+    goes: building a value from code (``PeerPolicy(...)``) runs it
+    through :meth:`validate`.  Two builds trust a source that has
+    already checked them and go through ``unchecked``: the edit
+    operations, which thaw the policy into a builder, apply one step and
+    freeze the result, handing it a copy of the builder's step-checked
+    index, and :func:`~p2psec.policy_xml.to_peer_policy`, which lifts a
+    checked ``PolicyDocument`` and leaves the index to be built, and so
+    checked, on the first lookup; a policy that is only compiled never
+    builds one.
     """
 
     domains: tuple[Domain, ...] = ()
     resources: tuple[Resource, ...] = ()
     next_id: int = 1
-    _by_name: dict[str, Domain] = field(init=False, repr=False, compare=False)
-    _by_id: dict[int, Domain] = field(init=False, repr=False, compare=False)
-    _by_path: dict[str, Resource] = field(init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         self.validate()
 
     @cached_property
-    def _files(self) -> dict[int, frozenset[str]]:
-        """Domain id -> its paths: the builder's, handed over by ``freeze``,
-        or built on first use, so a policy only compiled never pays."""
-        files: dict[int, list[str]] = {dom.id: [] for dom in self.domains}
-        for res in self.resources:
-            files[res.domain_id].append(res.path)
-        return {dom_id: frozenset(paths) for dom_id, paths in files.items()}
+    def _index(self) -> "PolicyBuilder":
+        """The builder's index, handed over by ``freeze``, kept by
+        :meth:`validate`, or built and checked on first use."""
+        return _indexed(self)
 
     # -- lookups ------------------------------------------------------
 
     def domain(self, name: str) -> Domain:
-        return _get(self._by_name, name, UnknownDomainError, "domain")
+        return _get(self._index._domains, name, UnknownDomainError, "domain")
 
     def has_domain(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._index._domains
 
     def domain_by_id(self, domain_id: int) -> Domain:
-        return _get(self._by_id, domain_id, UnknownDomainError, "domain id")
+        return _get(self._index._by_id, domain_id, UnknownDomainError,
+                    "domain id")
 
     def find_resource(self, path: str) -> Resource:
-        return _get(self._by_path, path, UnknownResourceError, "resource")
+        return _get(self._index._resources, path, UnknownResourceError,
+                    "resource")
 
     def has_resource(self, path: str) -> bool:
-        return path in self._by_path
+        return path in self._index._resources
 
     def effective_properties(self, resource_path: str) -> frozenset[SecurityProperty]:
         """Owning domain properties united with the resource's own."""
         res = self.find_resource(resource_path)
-        return self._by_id[res.domain_id].properties | res.properties
+        return self._index._by_id[res.domain_id].properties | res.properties
 
     # -- edits; see PolicyBuilder for what each one checks ------------
 
     def thaw(self) -> "PolicyBuilder":
-        """A builder holding copies of this policy's indexes.  Only the
-        first thaw of a policy not frozen from a builder loops over it in
-        Python, to index its files."""
-        builder = PolicyBuilder()
-        builder._next_id = self.next_id
-        builder._domains = dict(self._by_name)
-        builder._resources = dict(self._by_path)
-        builder._by_id = dict(self._by_id)
-        builder._files = dict(self._files)
-        return builder
+        """A builder holding a copy of this policy's index; only a policy
+        with none yet builds it first."""
+        return self._index._copy()
 
     def create_domain(self, name: str) -> "PeerPolicy":
         return self.thaw().create_domain(name).freeze()
@@ -407,7 +399,7 @@ class PeerPolicy:
                 ("domain", dom.name, a, b)
                 for a, b in _internal_conflicts(dom.properties))
         for res in self.resources:
-            dom = self._by_id[res.domain_id]
+            dom = self._index._by_id[res.domain_id]
             findings.extend(
                 ("resource", res.path, a, b)
                 for a, b in _internal_conflicts(res.properties)
@@ -415,38 +407,47 @@ class PeerPolicy:
         return tuple(findings)
 
     def validate(self) -> None:
-        """Check the structural invariants and build the indexes; raises
-        PolicyValidationError on the first fault in declaration order.
-        Building a value calls it."""
-        by_name: dict[str, Domain] = {}
-        by_id: dict[int, Domain] = {}
-        by_path: dict[str, Resource] = {}
-        ids: set[int] = set()
-        for dom in self.domains:
-            if dom.id in ids:
-                raise PolicyValidationError(f"duplicate id {dom.id}")
-            ids.add(dom.id)
-            if dom.name in by_name:
-                raise PolicyValidationError(
-                    f"duplicate domain name {dom.name!r}")
-            by_name[dom.name] = by_id[dom.id] = dom
-        for res in self.resources:
-            if res.id in ids:
-                raise PolicyValidationError(f"duplicate id {res.id}")
-            ids.add(res.id)
-            if res.domain_id not in by_id:
-                raise PolicyValidationError(
-                    f"resource {res.path!r} owned by unknown domain id "
-                    f"{res.domain_id}")
-            if res.path in by_path:
-                raise PolicyValidationError(
-                    f"duplicate resource path {res.path!r}")
-            by_path[res.path] = res
-        if ids and max(ids) >= self.next_id:
-            raise PolicyValidationError("id counter behind an assigned id")
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_by_path", by_path)
+        """Check the structural invariants and keep the index built while
+        checking them; raises PolicyValidationError on the first fault in
+        declaration order.  Building a value calls it."""
+        object.__setattr__(self, "_index", _indexed(self))
+
+
+def _indexed(policy: PeerPolicy) -> "PolicyBuilder":
+    """The one loop that builds a policy's index from its fields,
+    checking the invariants as it goes; raises PolicyValidationError on
+    the first fault in declaration order."""
+    index = PolicyBuilder()
+    by_name, by_id, by_path = index._domains, index._by_id, index._resources
+    files: dict[int, list[str]] = {}
+    ids: set[int] = set()
+    for dom in policy.domains:
+        if dom.id in ids:
+            raise PolicyValidationError(f"duplicate id {dom.id}")
+        ids.add(dom.id)
+        if dom.name in by_name:
+            raise PolicyValidationError(f"duplicate domain name {dom.name!r}")
+        by_name[dom.name] = by_id[dom.id] = dom
+        files[dom.id] = []
+    for res in policy.resources:
+        if res.id in ids:
+            raise PolicyValidationError(f"duplicate id {res.id}")
+        ids.add(res.id)
+        if res.domain_id not in by_id:
+            raise PolicyValidationError(
+                f"resource {res.path!r} owned by unknown domain id "
+                f"{res.domain_id}")
+        if res.path in by_path:
+            raise PolicyValidationError(
+                f"duplicate resource path {res.path!r}")
+        by_path[res.path] = res
+        files[res.domain_id].append(res.path)
+    if ids and max(ids) >= policy.next_id:
+        raise PolicyValidationError("id counter behind an assigned id")
+    index._next_id = policy.next_id
+    index._files = {dom_id: frozenset(paths)
+                    for dom_id, paths in files.items()}
+    return index
 
 
 class PolicyBuilder:
@@ -464,10 +465,10 @@ class PolicyBuilder:
     publication rules -- and so builds the ``Domain`` or ``Resource``
     with ``unchecked``, without running ``__post_init__``'s checks a
     second time.  Since every step keeps the invariants
-    ``PeerPolicy.validate`` checks, ``freeze`` hands copies of the
-    indexes to the :class:`PeerPolicy` without validating it, with
-    domains and resources in the order they were first added and the
-    ids the counter handed out.  Every step returns the builder.
+    ``PeerPolicy.validate`` checks, ``freeze`` hands a copy of the
+    builder to the :class:`PeerPolicy` as its index without validating
+    it, with domains and resources in the order they were first added
+    and the ids the counter handed out.  Every step returns the builder.
     """
 
     def __init__(self):
@@ -480,14 +481,22 @@ class PolicyBuilder:
         self._files: dict[int, frozenset[str]] = {}
 
     def freeze(self) -> PeerPolicy:
-        """The policy so far, handed copies of the indexes unvalidated,
-        the per-domain paths included."""
-        domains, resources = dict(self._domains), dict(self._resources)
-        policy = PeerPolicy.unchecked(
-            tuple(domains.values()), tuple(resources.values()),
-            self._next_id, domains, dict(self._by_id), resources)
-        object.__setattr__(policy, "_files", dict(self._files))
+        """The policy so far, handed a copy of this index unvalidated."""
+        index = self._copy()
+        policy = PeerPolicy.unchecked(tuple(index._domains.values()),
+                                      tuple(index._resources.values()),
+                                      index._next_id)
+        object.__setattr__(policy, "_index", index)
         return policy
+
+    def _copy(self) -> "PolicyBuilder":
+        """A builder holding copies of this one's dicts; a step replaces
+        a ``_files`` entry, never mutates one, so the entries are shared."""
+        copy = PolicyBuilder()
+        copy._next_id = self._next_id
+        copy._domains, copy._by_id = dict(self._domains), dict(self._by_id)
+        copy._resources, copy._files = dict(self._resources), dict(self._files)
+        return copy
 
     def create_domain(self, name: str) -> "PolicyBuilder":
         """Add a fresh, property-free domain named ``name``, which must be

@@ -464,11 +464,12 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
     holds every rule the model checks (unique ids, names and paths,
     declared owners, non-empty names and paths, no ``nopublication`` on
     a file), so the lift refuses nothing and trusts the document: it
-    builds the domains, resources and policy, with its indexes and a
-    counter above every id, in one pass through their ``unchecked``
-    builds, without ``Domain``/``Resource`` checks or
-    ``PeerPolicy.validate``.  Each distinct property list is lifted once,
-    and its kinds derived once: each property through
+    builds the domains, resources and policy, with a counter above every
+    id, through their ``unchecked`` builds, without ``Domain``/``Resource``
+    checks or ``PeerPolicy.validate``.  It builds no index: the policy's
+    first lookup builds one, checking it as it goes, so a policy that is
+    only compiled pays for neither.  Each distinct property list is
+    lifted once, and its kinds derived once: each property through
     ``SecurityProperty.unchecked``, since the document holds its kind to
     the targets rule and each target names a domain, by its non-empty
     name or as ``ext:<id>``.
@@ -488,20 +489,13 @@ def to_peer_policy(doc: PolicyDocument) -> PeerPolicy:
                 props, frozenset(prop.kind for prop in props))
         return found
 
-    by_name: dict[str, Domain] = {}
-    by_id: dict[int, Domain] = {}
-    for dom in doc.domains:
-        by_name[dom.name] = by_id[dom.id] = Domain.unchecked(
-            dom.id, dom.name, *lift(dom.properties))
-    by_path: dict[str, Resource] = {}
-    for file in doc.files:
-        by_path[file.path] = Resource.unchecked(
-            file.id, file.path, file.domainid, lift(file.properties)[0])
-    ids = [*by_id, *(file.id for file in doc.files)]
-    return PeerPolicy.unchecked(tuple(by_name.values()),
-                                tuple(by_path.values()),
-                                max(ids, default=0) + 1, by_name, by_id,
-                                by_path)
+    domains = tuple([Domain.unchecked(dom.id, dom.name, *lift(dom.properties))
+                     for dom in doc.domains])
+    resources = tuple([Resource.unchecked(file.id, file.path, file.domainid,
+                                          lift(file.properties)[0])
+                       for file in doc.files])
+    return PeerPolicy.unchecked(domains, resources, max(
+        (element.id for element in doc.domains + doc.files), default=0) + 1)
 
 
 def from_peer_policy(policy: PeerPolicy) -> PolicyDocument:

@@ -34,6 +34,7 @@ from .errors import (
     UnknownResourceError,
     UnknownScopeError,
     too_long_to_write,
+    written,
 )
 from .mac import (
     AvcRecord,
@@ -196,14 +197,12 @@ class _Roster:
             raise ScenarioError(f"peer {holder!r} knows itself")
         if subject in known:
             raise ScenarioError(f"peer {holder!r} knows {subject!r} twice")
-        if isinstance(trust, bool) or not isinstance(trust, (int, float)):
+        if type(trust) not in (int, float):  # a bool is not a number
             raise ScenarioError(f"peer {holder!r} knows {subject!r} with "
                                 f"trust {trust!r}, not a number")
         if not 0.0 <= trust <= 1.0:
-            shown = ("an int too long to write"
-                     if too_long_to_write(trust) else repr(trust))
             raise ScenarioError(f"peer {holder!r} knows {subject!r} with "
-                                f"trust {shown}, outside [0, 1]")
+                                f"trust {written(trust)}, outside [0, 1]")
         known[subject] = trust
 
     def act(self, action: Action) -> None:
@@ -573,7 +572,7 @@ class PeerAgent:
         """
         if type(tick) is not int or tick < 0:  # a bool is not an int
             raise AvcParseError(f"AVC tick must be a non-negative int, "
-                                f"not {tick!r}")
+                                f"not {written(tick)}")
         if too_long_to_write(170000 + tick):  # ino, the largest number
             raise AvcParseError("AVC tick has too many digits")
         permission = probe_permission(challenge.stub)
@@ -835,10 +834,14 @@ class SimulationEngine:
         self.rng = random.Random(scenario.seed)
         self.now = 0
         self.records: list[RunRecord] = []
-        self.agents = {
-            decl.uid: PeerAgent(decl.uid, decl.policy, decl.behavior,
-                                TrustLedger(reputations=dict(decl.knows)))
-            for decl in scenario.peers}
+        self.agents: dict[str, PeerAgent] = {}
+        for decl in scenario.peers:
+            # The scenario held each trust to the ledger's rule, so the
+            # ledger is filled after its check, which finds it empty.
+            ledger = TrustLedger()
+            ledger.reputations.update(decl.knows)
+            self.agents[decl.uid] = PeerAgent(decl.uid, decl.policy,
+                                              decl.behavior, ledger)
         # Owner uid -> its eligible delegates; see _eligible_delegates.
         self._delegates: dict[str, list[tuple[str, float]]] = {
             uid: self._eligible_delegates(agent)

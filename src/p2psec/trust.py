@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import NoDelegatesError, TrustError, too_long_to_write
+from .errors import NoDelegatesError, TrustError, written
 from .policy import PropertyKind, frozen_record
 
 
@@ -67,7 +67,8 @@ class TrustConfig:
             types, wording = _FIELD_TYPES[f.type]
             if type(value) not in types or (
                     f.type == "float" and not _finite(value)):
-                raise TrustError(f"{f.name} must be {wording}, not {value!r}")
+                raise TrustError(
+                    f"{f.name} must be {wording}, not {written(value)}")
         if not (0.0 <= self.refuse_threshold < self.full_trust_threshold
                 <= 1.0):
             raise TrustError(
@@ -150,10 +151,8 @@ class TrustLedger:
                 raise TrustError(f"reputation of {peer} must be a number, "
                                  f"not {type(value).__name__}")
             if not 0.0 <= value <= 1.0:
-                shown = ("an int too long to write"
-                         if too_long_to_write(value) else value)
                 raise TrustError(f"reputation of {peer} must lie in "
-                                 f"[0, 1], got {shown}")
+                                 f"[0, 1], got {written(value)}")
 
     def reputation(self, peer: str, config: TrustConfig) -> float:
         return self.reputations.get(peer, config.initial_reputation)

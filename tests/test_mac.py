@@ -361,6 +361,15 @@ class TestAvc:
      "non-empty and free of whitespace and braces"),
     pytest.param("pid", 10**5000, "AVC pid has too many digits",
                  id="pid-5000-digits"),
+    pytest.param("decision", "denied",
+                 "AVC decision must be a Decision, not 'denied'",
+                 id="decision-str"),
+    pytest.param("scontext", "u:r:t",
+                 "AVC scontext must be a SecurityContext, not 'u:r:t'",
+                 id="scontext-str"),
+    pytest.param("tcontext", None,
+                 "AVC tcontext must be a SecurityContext, not None",
+                 id="tcontext-none"),
 ])
 def test_a_code_built_avc_record_is_held_to_the_line_form(field, value,
                                                           message):
@@ -406,6 +415,15 @@ CHALLENGE_TEXT = ("scontext=user_u:user_r:user_t vim /root/secret.txt\n"
      "permissions entry 'search' is not a file permission"),
     ("expected_permissions", frozenset({"reed", "", "search"}),
      "permissions entry '' is not a file permission"),
+    pytest.param("expected", "denied",
+                 "challenge expected must be a Decision, not 'denied'",
+                 id="expected-str"),
+    pytest.param("scontext", "u:r:t",
+                 "challenge scontext must be a SecurityContext, not 'u:r:t'",
+                 id="scontext-str"),
+    pytest.param("expected_tcontext", 10**5000,
+                 "challenge expected_tcontext must be a SecurityContext, "
+                 "not an int too long to write", id="tcontext-long-int"),
 ])
 def test_a_code_built_challenge_is_held_to_the_file_form(field, value,
                                                          message):

@@ -6,10 +6,10 @@ run on one ``PolicyBuilder`` and, one pure edit at a time, on a
 ``PeerPolicy``.  After every step both must agree with a reference model
 kept in plain dicts: the same refusals (error type and message), the
 same lookups, and equality with the policy built in one step from the
-model.  A frozen builder's indexes are handed over without
-``validate``, so each policy must also equal the policy ``validate``
-rebuilds from its fields, answer every lookup as that rebuild does, and
-delete each domain as the rebuild does.  See MacIver et al.,
+model.  A frozen builder's index is handed over without ``validate``,
+so each policy must also equal the policy ``validate`` rebuilds from its
+fields, hold the index that rebuild holds, answer every lookup as it
+does, and delete each domain as it does.  See MacIver et al.,
 "Hypothesis: A new approach to property-based testing", JOSS 2019, for
 rule-based state machines.
 """
@@ -222,11 +222,12 @@ class PolicyMachine(RuleBasedStateMachine):
                 self.check_lookups(policy, name)
 
     def check_handover(self, policy):
-        """A frozen builder hands its indexes over unchecked; they must
-        be what ``validate`` builds from the same fields."""
+        """A frozen builder hands its index over unchecked; it must be
+        what ``validate`` builds from the same fields."""
         rebuilt = PeerPolicy(policy.domains, policy.resources,
                              policy.next_id)
         assert policy == rebuilt
+        assert vars(policy._index) == vars(rebuilt._index)
         for name in ("d", "e", "f"):
             assert lookups(policy, name) == lookups(rebuilt, name)
         for dom_id in range(self.next_id + 1):

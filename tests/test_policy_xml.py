@@ -18,14 +18,18 @@ from p2psec import (
     SecurityProperty,
     XmlSyntaxError,
     XmlValidationError,
+    compile_policy,
     confidentiality,
     cooperation,
+    emit_rules,
     from_peer_policy,
     integrity,
     parse_policy,
+    render_contexts,
     serialize_policy,
     to_peer_policy,
 )
+import p2psec.policy as policy_module
 from p2psec import policy_xml
 from p2psec.policy_xml import _ATTRS
 
@@ -124,6 +128,46 @@ def test_the_lift_runs_no_model_check(monkeypatch):
              for prop in scope.properties]
     assert [SecurityProperty(p.kind, p.targets) for p in props] == props
     assert calls == [SecurityProperty] * 2
+
+
+def test_the_compile_path_builds_no_index(monkeypatch):
+    """Parse, lift, compile and emit, the ``p2psec compile`` path, read
+    no lookup, so they neither build a policy index nor check one."""
+    calls = []
+    indexed = policy_module._indexed
+    validate = PeerPolicy.validate
+    monkeypatch.setattr(policy_module, "_indexed", lambda policy: (
+        calls.append("_indexed") or indexed(policy)))
+    monkeypatch.setattr(PeerPolicy, "validate", lambda policy: (
+        calls.append("validate") or validate(policy)))
+    policy = to_peer_policy(parse_policy(SAMPLE))
+    compiled = compile_policy(policy)
+    emit_rules(compiled)
+    render_contexts(compiled)
+    assert calls == [] and "_index" not in vars(policy)
+    policy.has_domain("domainA")
+    assert calls == ["_indexed"]
+
+
+def test_a_lifted_policy_looks_up_as_the_checked_policy():
+    """The index a lifted policy builds on its first lookup answers
+    every lookup as the one ``validate`` builds from the same fields."""
+    policy = to_peer_policy(parse_policy(SAMPLE))
+    checked = PeerPolicy(policy.domains, policy.resources, policy.next_id)
+    for dom in checked.domains:
+        assert policy.has_domain(dom.name)
+        assert policy.domain(dom.name) == checked.domain(dom.name)
+        assert policy.domain_by_id(dom.id) == checked.domain_by_id(dom.id)
+    for res in checked.resources:
+        assert policy.has_resource(res.path)
+        assert policy.find_resource(res.path) == checked.find_resource(
+            res.path)
+        assert (policy.effective_properties(res.path)
+                == checked.effective_properties(res.path))
+    assert not policy.has_domain("domainB")
+    assert not policy.has_resource("/root/other.txt")
+    assert policy.conflict_report() == checked.conflict_report()
+    assert vars(policy.thaw()) == vars(checked.thaw())
 
 
 def test_untargeted_properties_are_built_once_per_parse():

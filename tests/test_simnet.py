@@ -36,6 +36,7 @@ from p2psec import (
     SecurityProperty,
     SimulationEngine,
     TrustConfig,
+    TrustError,
     TrustLedger,
     check_access,
     compile_policy,
@@ -326,6 +327,11 @@ class TestParsing:
         pytest.param((decl("a", knows=(("b", True),)), decl("b")), (),
                      "peer 'a' knows 'b' with trust True, not a number",
                      id="trust-bool"),
+        # The ledger's rule: exact types, so no run fails on a subclass.
+        pytest.param((decl("a", knows=(("b", type("Trust", (float,), {})(
+                         0.5)),)), decl("b")), (),
+                     "peer 'a' knows 'b' with trust 0.5, not a number",
+                     id="trust-float-subclass"),
         # An int too long to write is named, not written.
         pytest.param((decl("a", knows=(("b", 10**5000),)), decl("b")), (),
                      "peer 'a' knows 'b' with trust an int too long to "
@@ -638,6 +644,23 @@ def test_maintained_delegate_lists_match_a_fresh_filter(name):
         assert engine._delegates["own"] == [("d2", 0.9)]
     if name == "accepted-become-delegates":
         assert lists == [["d0", "d1"], ["d0", "d1", "honest"]]
+
+
+def test_the_engine_checks_no_trust_again(monkeypatch):
+    """A scenario holds each trust to the ledger's rule, so the engine
+    fills each peer's ledger with its trusts after the ledger's check,
+    which meets none of them."""
+    checked = []
+    check = TrustLedger.__post_init__
+    monkeypatch.setattr(TrustLedger, "__post_init__", lambda ledger: (
+        checked.extend(ledger.reputations) or check(ledger)))
+    scenario = parse_scenario("peer a\npeer b\nknows a b 0.9\n"
+                              "knows b a 1\n")
+    engine = SimulationEngine(scenario)
+    assert checked == []
+    assert {uid: agent.ledger.reputations
+            for uid, agent in engine.agents.items()} == {
+        "a": {"b": 0.9}, "b": {"a": 1}}
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -1091,6 +1114,26 @@ class TestBehaviors:
         assert str(caught.value) == (
             "AVC tick has too many digits" if type(tick) is int and tick > 0
             else f"AVC tick must be a non-negative int, not {tick!r}")
+
+    def test_a_number_too_long_to_write_is_named_not_written(self):
+        """Each number check names such an int in its package error
+        instead of letting ``repr`` raise a bare ``ValueError``."""
+        agent = self.agent(BehaviorModel.HONEST, (confidentiality(),))
+        record = agent.respond_mac_challenge(self.challenge(), "drop", 1)
+        huge = "an int too long to write"
+        for build, error, message in (
+                (lambda: agent.respond_mac_challenge(
+                    self.challenge(), "drop", -10**5000), AvcParseError,
+                 f"AVC tick must be a non-negative int, not {huge}"),
+                (lambda: replace(record, pid=-10**5000), AvcParseError,
+                 f"AVC pid must be a non-negative int, not {huge}"),
+                (lambda: replace(record, ino=-10**5000), AvcParseError,
+                 f"AVC ino must be a non-negative int, not {huge}"),
+                (lambda: TrustConfig(refuse_threshold=10**5000), TrustError,
+                 f"refuse_threshold must be a finite number, not {huge}")):
+            with pytest.raises(error) as caught:
+                build()
+            assert str(caught.value) == message
 
     def test_forger_presents_extra_records(self):
         agent = self.agent(BehaviorModel.LOG_FORGER)
