@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all p2psec modules, and the one test
-and the one wording for an int too long to name in a message."""
+"""Exception hierarchy shared by all p2psec modules, the one test and
+the one wording for an int too long to name in a message, and the one
+wording for a field of the wrong type."""
 
 from __future__ import annotations
 
@@ -24,6 +25,18 @@ def written(value: object) -> str:
     if too_long_to_write(value):
         return "an int too long to write"
     return repr(value)
+
+
+def check_types(record: object, error: type, what: str,
+                *typed: tuple[str, type]) -> None:
+    """Raise ``error`` naming the first ``(label, type)`` field of
+    ``record`` whose value is not of that type; ``what`` names the
+    record in the message."""
+    for label, cls in typed:
+        value = getattr(record, label)
+        if not isinstance(value, cls):
+            raise error(f"{what} {label} must be a {cls.__name__}, not "
+                        f"{written(value)}")
 
 
 class P2PSecError(Exception):

@@ -25,6 +25,7 @@ from .errors import (
     MacError,
     UnknownPermissionError,
     UnknownResourceError,
+    check_types,
     too_long_to_write,
     written,
 )
@@ -379,21 +380,19 @@ class AvcRecord:
             raise AvcParseError(
                 f"AVC permission {min(bad, key=repr)!r} must be non-empty "
                 f"and free of whitespace and braces")
-        _check_types(self, AvcParseError, "AVC", ("decision", Decision),
-                     ("scontext", SecurityContext),
-                     ("tcontext", SecurityContext))
+        # render_avc could not write a field of another type.
+        check_types(self, AvcParseError, "AVC", ("decision", Decision),
+                    ("scontext", SecurityContext),
+                    ("tcontext", SecurityContext))
 
 
-def _check_types(record, error: type, what: str,
-                 *typed: tuple[str, type]) -> None:
-    """Raise ``error`` naming the first ``(label, type)`` field of
-    ``record`` whose value is not of that type, which ``render_avc`` and
-    ``render_challenge`` could not write."""
-    for label, cls in typed:
-        value = getattr(record, label)
-        if not isinstance(value, cls):
-            raise error(f"{what} {label} must be a {cls.__name__}, not "
-                        f"{written(value)}")
+def _context(text: str, error: type, label: str) -> SecurityContext:
+    """``SecurityContext.parse(text)`` for the field ``label`` of a
+    parsed line or file; a bad context raises ``error`` naming it."""
+    try:
+        return SecurityContext.parse(text)
+    except MacError as exc:
+        raise error(f"{label}: {exc}") from exc
 
 
 def parse_avc(line: str) -> AvcRecord:
@@ -415,11 +414,8 @@ def parse_avc(line: str) -> AvcRecord:
     permissions = frozenset(fields["permissions"].split())
     if not permissions:
         raise AvcParseError("empty permission set in braces")
-    try:
-        scontext = SecurityContext.parse(fields["scontext"])
-        tcontext = SecurityContext.parse(fields["tcontext"])
-    except MacError as exc:
-        raise AvcParseError(str(exc)) from exc
+    scontext = _context(fields["scontext"], AvcParseError, "scontext")
+    tcontext = _context(fields["tcontext"], AvcParseError, "tcontext")
     return AvcRecord.unchecked(
         timestamp=fields["timestamp"],
         serial=fields["serial"],
@@ -525,9 +521,10 @@ class Challenge:
         if self.expected is Decision.DENIED and not self.expected_permissions:
             raise ChallengeError(
                 "denied challenge needs expected permissions")
-        _check_types(self, ChallengeError, "challenge",
-                     ("scontext", SecurityContext), ("expected", Decision),
-                     ("expected_tcontext", SecurityContext))
+        # render_challenge could not write a field of another type.
+        check_types(self, ChallengeError, "challenge",
+                    ("scontext", SecurityContext), ("expected", Decision),
+                    ("expected_tcontext", SecurityContext))
 
     @property
     def target_name(self) -> str:
@@ -642,10 +639,8 @@ def parse_challenge(text: str) -> Challenge:
     parts = command.split(maxsplit=2)
     if len(parts) < 3 or not parts[0].startswith("scontext="):
         raise ChallengeError(f"bad challenge command line {command!r}")
-    try:
-        scontext = SecurityContext.parse(parts[0][len("scontext="):])
-    except MacError as exc:
-        raise ChallengeError(str(exc)) from exc
+    scontext = _context(parts[0][len("scontext="):], ChallengeError,
+                        "scontext")
     keys: dict[str, str] = {}
     for line in lines[1:]:
         key, sep, value = line.strip().partition("=")
@@ -659,10 +654,7 @@ def parse_challenge(text: str) -> Challenge:
             raise ChallengeError(f"challenge file is missing {key!r}")
     if keys["expect"] not in (d.value for d in Decision):
         raise ChallengeError(f"bad expectation {keys['expect']!r}")
-    try:
-        tcontext = SecurityContext.parse(keys["tcontext"])
-    except MacError as exc:
-        raise ChallengeError(str(exc)) from exc
+    tcontext = _context(keys["tcontext"], ChallengeError, "tcontext")
     # A list, so that the challenge names the first bad entry in the file.
     return Challenge(
         scontext=scontext,

@@ -33,6 +33,7 @@ from .errors import (
     UnknownDomainError,
     UnknownResourceError,
     UnknownScopeError,
+    check_types,
     too_long_to_write,
     written,
 )
@@ -79,6 +80,7 @@ from .trust import (
     TrustConfig,
     TrustLedger,
     band,
+    check_reputation,
     eval_hist_norm,
     eval_history,
     run_challenges,
@@ -169,11 +171,12 @@ class _Roster:
     by the parser and all at once by ``Scenario``, each raising
     ``ScenarioError``: a uid is declared once, with a non-empty display
     name, and before it is named; a peer knows each other peer at most
-    once, never itself, with a trust that is a number (not a bool) in
-    [0, 1]; a peer never asks itself, and an ask names its target
-    domain; an edit is one the engine applies, with arguments of the
-    types it takes, non-empty names, and no nopublication on a published
-    file.  ``knows`` maps each declared uid to the trust it gives each
+    once, never itself, with a trust that ``check_reputation`` accepts;
+    a peer never asks itself, and an ask names its target domain; an
+    edit is one the engine applies, with arguments of the types it takes
+    and non-empty names.  What the edit's properties are is the policy's
+    rule, applied when the edit runs (a refused edit is a transcript
+    line).  ``knows`` maps each declared uid to the trust it gives each
     subject it knows."""
 
     def __init__(self):
@@ -197,12 +200,8 @@ class _Roster:
             raise ScenarioError(f"peer {holder!r} knows itself")
         if subject in known:
             raise ScenarioError(f"peer {holder!r} knows {subject!r} twice")
-        if type(trust) not in (int, float):  # a bool is not a number
-            raise ScenarioError(f"peer {holder!r} knows {subject!r} with "
-                                f"trust {trust!r}, not a number")
-        if not 0.0 <= trust <= 1.0:
-            raise ScenarioError(f"peer {holder!r} knows {subject!r} with "
-                                f"trust {written(trust)}, outside [0, 1]")
+        check_reputation(trust, ScenarioError,
+                         f"peer {holder!r} knows {subject!r}: trust")
         known[subject] = trust
 
     def act(self, action: Action) -> None:
@@ -234,16 +233,26 @@ class _Roster:
         for prop in args[0] if method == "publish" else ():
             if not isinstance(prop, SecurityProperty):
                 raise ScenarioError(f"publish takes properties, not {prop!r}")
-            if prop.kind is PropertyKind.NOPUBLICATION:
-                raise ScenarioError(
-                    "nopublication applies to domains, not resources")
+
+
+def _check_int(value: object, error: type, name: str) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an exact
+    ``int`` (a bool or a subclass is not one) that ``str`` can write:
+    the rule for a scenario's seed and each detection experiment count."""
+    if type(value) is not int:
+        raise error(f"{name} must be an int, not {type(value).__name__}")
+    if too_long_to_write(value):
+        raise error(f"{name} must be an int, not {written(value)}")
 
 
 @frozen_record
 class Scenario:
     """A run to simulate.  Building one checks it against the rules of
     ``_Roster``, as the parser does statement by statement but with no
-    line."""
+    line, and each field against the type the parser gives it: the seed
+    an ``int`` that ``str`` can write, the config a ``TrustConfig``, each
+    peer's behaviour a ``BehaviorModel`` and its policy a
+    ``PeerPolicy``."""
 
     seed: int = 0
     peers: tuple[PeerDecl, ...] = ()
@@ -251,9 +260,13 @@ class Scenario:
     config: TrustConfig = TrustConfig()
 
     def __post_init__(self):
+        _check_int(self.seed, ScenarioError, "seed")
+        check_types(self, ScenarioError, "scenario", ("config", TrustConfig))
         roster = _Roster()
         for decl in self.peers:
             roster.declare(decl.uid, decl.display_name)
+            check_types(decl, ScenarioError, f"peer {decl.uid!r}",
+                        ("behavior", BehaviorModel), ("policy", PeerPolicy))
         for decl in self.peers:
             for subject, trust in decl.knows:
                 roster.know(decl.uid, subject, trust)
@@ -397,6 +410,7 @@ _EDITS: dict[str, tuple[tuple[type, ...], str, dict[type, str]]] = {
             "publication refused: properties conflict in domain {2}",
         UnknownDomainError: "publication refused: unknown domain {2}",
         DuplicateResourceError: "publication refused: file {1} already exists",
+        PolicyValidationError: "publication refused: {exc}",
     }),
     "add_property": ((str, SecurityProperty), "property {1} added to {0}", {
         PropertyConflictError:
@@ -1113,7 +1127,10 @@ def run_scenario(scenario: Scenario,
 
 @frozen_record
 class PopulationParams:
-    """Shape of each generated run in the detection experiment."""
+    """Shape of each generated run in the detection experiment.  Every
+    field is an ``int`` that ``str`` can write (a bool or a subclass is
+    not one), at least one delegate and no negative count;
+    ``ValueError`` names the field that breaks this."""
 
     seed: int = 0
     delegates: int = 2
@@ -1124,10 +1141,7 @@ class PopulationParams:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{field.name} must be an int, "
-                                 f"not {value!r}")
+            _check_int(getattr(self, field.name), ValueError, field.name)
         if self.delegates < 1:
             raise ValueError("need at least one delegate")
         if min(self.honest_requesters, self.blind_liars,
@@ -1264,8 +1278,7 @@ def detection_experiment(params: PopulationParams,
     ``SimulationEngine._probe_harness``), and each drawn property mix's
     peers and actions, built and checked once per call (see
     ``_experiment_scenario``)."""
-    if isinstance(runs, bool) or not isinstance(runs, int):
-        raise ValueError(f"runs must be an int, not {runs!r}")
+    _check_int(runs, ValueError, "runs")
     if runs < 1:
         raise ValueError("runs must be at least 1")
     tally: Counter[tuple[BehaviorModel, Outcome]] = Counter()

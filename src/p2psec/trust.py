@@ -119,6 +119,16 @@ class HistoryRecord:
     counterparty: Optional[str] = None
 
 
+def check_reputation(value: object, error: type, subject: str) -> None:
+    """The one rule for a reputation, a ledger's or a scenario's trust:
+    raise ``error`` naming ``subject`` unless ``value`` is an exact
+    ``int`` or ``float`` (a bool or a subclass is not one) in [0, 1]."""
+    if type(value) not in (int, float):
+        raise error(f"{subject} must be a number, not {type(value).__name__}")
+    if not 0.0 <= value <= 1.0:
+        raise error(f"{subject} must lie in [0, 1], got {written(value)}")
+
+
 class Band(Enum):
     REFUSED = "refused"
     PARTIAL = "partial"
@@ -133,10 +143,9 @@ class TrustLedger:
     A ledger has a single writer, its owning peer, and is updated in
     place: :func:`update_reputation` writes reputations and
     :meth:`record` appends history records.  Every reputation lies in
-    [0, 1]; construction rejects any other value, and a value that is
-    not an ``int`` or ``float`` (a bool is not a number here).  Records
-    are kept per actor, in recording order, and only :meth:`record` adds
-    them.
+    [0, 1]; construction refuses any value :func:`check_reputation`
+    refuses.  Records are kept per actor, in recording order, and only
+    :meth:`record` adds them.
     """
 
     reputations: dict[str, float] = field(default_factory=dict)
@@ -147,12 +156,7 @@ class TrustLedger:
 
     def __post_init__(self):
         for peer, value in self.reputations.items():
-            if type(value) not in (int, float):
-                raise TrustError(f"reputation of {peer} must be a number, "
-                                 f"not {type(value).__name__}")
-            if not 0.0 <= value <= 1.0:
-                raise TrustError(f"reputation of {peer} must lie in "
-                                 f"[0, 1], got {written(value)}")
+            check_reputation(value, TrustError, f"reputation of {peer}")
 
     def reputation(self, peer: str, config: TrustConfig) -> float:
         return self.reputations.get(peer, config.initial_reputation)

@@ -22,6 +22,17 @@ CONFLICTED_XML = """<policy>
 </policy>
 """
 
+#: A file whose own property conflicts with its domain's.
+FILE_CONFLICT_XML = """<policy>
+  <domain id="1" name="vault">
+    <property type="confidentiality"/>
+  </domain>
+  <file id="2" path="/srv/leak.txt" domainid="1">
+    <property type="spread"/>
+  </file>
+</policy>
+"""
+
 SCENARIO = """seed 3
 peer a
 peer b
@@ -131,6 +142,14 @@ def test_check_reports_conflicts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "conflict in domain messy" in out
     assert "confidentiality" in out and "spread" in out
+
+
+def test_check_reports_a_file_conflicting_with_its_domain(tmp_path, capsys):
+    path = tmp_path / "leaky.xml"
+    path.write_text(FILE_CONFLICT_XML)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "conflict in resource /srv/leak.txt: spread vs confidentiality\n")
 
 
 def test_simulate_runs_scenario(tmp_path, capsys):

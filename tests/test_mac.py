@@ -341,6 +341,17 @@ class TestAvc:
             parse_avc(AVC_LINE.replace(field, new))
 
 
+    @pytest.mark.parametrize("field, new", [
+        ("scontext=user_u:user_r:user_t", "scontext=user_u:user_r"),
+        ("tcontext=system_u:object_r:domainA_t",
+         "tcontext=system_u:object_r:domainA_t:s0"),
+    ], ids=["scontext", "tcontext"])
+    def test_a_bad_context_names_its_field(self, field, new):
+        label, _, text = new.partition("=")
+        with pytest.raises(AvcParseError) as err:
+            parse_avc(AVC_LINE.replace(field, new))
+        assert str(err.value) == f"{label}: bad security context {text!r}"
+
     @pytest.mark.parametrize("stamp", ["...", ".", "1.2.3", "12.", ".5",
                                        "12", "\u0661.2"])
     def test_timestamp_is_digits_dot_digits(self, stamp):
@@ -448,9 +459,13 @@ def test_a_code_built_challenge_is_held_to_the_file_form(field, value,
     ("permissions=read", "permissions=search",
      "permissions entry 'search' is not a file permission"),
     ("expect=denied", "expect=maybe", "bad expectation 'maybe'"),
+    ("scontext=user_u:user_r:user_t", "scontext=user_u:user_r",
+     "scontext: bad security context 'user_u:user_r'"),
+    ("tcontext=system_u:object_r:domainA_t", "tcontext=system_u::domainA_t",
+     "tcontext: bad security context 'system_u::domainA_t'"),
 ], ids=["repeated-expect", "repeated-permissions", "unknown-name",
         "empty-entry", "trailing-comma", "spaced-entry", "dir-permission",
-        "bad-expectation"])
+        "bad-expectation", "bad-scontext", "bad-tcontext"])
 def test_challenge_file_faults_name_the_key_or_entry(old, new, message):
     assert old in CHALLENGE_TEXT
     with pytest.raises(ChallengeError) as err:

@@ -29,6 +29,7 @@ from p2psec import (
     PolicySlice,
     PolicyValidationError,
     PopulationParams,
+    PrivacyViolationError,
     PropertyConflictError,
     PropertyKind,
     Resource,
@@ -52,6 +53,7 @@ from p2psec import (
     simnet,
     spread,
 )
+from p2psec.errors import too_long_to_write, written
 from p2psec.mac import PROBE_PERMISSIONS, build_challenge
 from p2psec.policy import CONFLICTING_KIND_PAIRS, KIND_ORDER, conflicts
 from p2psec.simnet import (
@@ -74,6 +76,17 @@ def decl(uid, knows=()):
 
 
 NOPUBLICATION = SecurityProperty(PropertyKind.NOPUBLICATION)
+
+#: An int subclass, which no count or seed takes.
+COUNT = type("Count", (int,), {})
+
+
+def not_an_int(value):
+    """How a count's message names ``value``: its type, or for an int,
+    which a count refuses only when too long to write, that fault."""
+    return ("an int too long to write" if type(value) is int
+            else type(value).__name__)
+
 
 #: The rules a scenario keeps across statements, one row each: (id,
 #: scenario text, the line it is refused on, the same scenario built in
@@ -102,7 +115,7 @@ RULES = [
      "peer 'a' knows 'b' twice"),
     ("trust-above-one", "peer a\npeer b\nknows a b 7.5\n", 3,
      (decl("a", knows=(("b", 7.5),)), decl("b")), (),
-     "peer 'a' knows 'b' with trust 7.5, outside [0, 1]"),
+     "peer 'a' knows 'b': trust must lie in [0, 1], got 7.5"),
     # A peer neither trusts nor asks itself: either would let an owner
     # judge, and strip, its own file.
     ("knows-itself", "peer a\npeer d\nknows a d 0.9\nknows a a 0.9\n", 4,
@@ -110,10 +123,6 @@ RULES = [
      "peer 'a' knows itself"),
     ("asks-itself", "peer a\ndomain a v\nresource a f v\nask a a f w\n", 4,
      (decl("a"),), (AskAction("a", "a", "f", "w"),), "peer 'a' asks itself"),
-    ("publish-nopublication",
-     "peer a\ndomain a d\npublish a f d nopublication\n", 3, (decl("a"),),
-     (EditAction("a", "publish", ((NOPUBLICATION,), "f", "d")),),
-     "nopublication applies to domains, not resources"),
 ]
 
 #: (scenario text, message, line) for every parser rejection: the rows of
@@ -316,26 +325,33 @@ class TestParsing:
         pytest.param((decl("a"),), (EditAction("a", "rename", ("d",)),),
                      "unknown edit method 'rename'", id="edit-method"),
         pytest.param((decl("a", knows=(("b", float("nan")),)), decl("b")),
-                     (), "peer 'a' knows 'b' with trust nan, outside [0, 1]",
-                     id="trust-nan"),
+                     (), "peer 'a' knows 'b': trust must lie in [0, 1], "
+                     "got nan", id="trust-nan"),
         pytest.param((decl("a", knows=(("b", "x"),)), decl("b")), (),
-                     "peer 'a' knows 'b' with trust 'x', not a number",
+                     "peer 'a' knows 'b': trust must be a number, not str",
                      id="trust-str"),
         pytest.param((decl("a", knows=(("b", None),)), decl("b")), (),
-                     "peer 'a' knows 'b' with trust None, not a number",
-                     id="trust-none"),
+                     "peer 'a' knows 'b': trust must be a number, not "
+                     "NoneType", id="trust-none"),
         pytest.param((decl("a", knows=(("b", True),)), decl("b")), (),
-                     "peer 'a' knows 'b' with trust True, not a number",
+                     "peer 'a' knows 'b': trust must be a number, not bool",
                      id="trust-bool"),
         # The ledger's rule: exact types, so no run fails on a subclass.
         pytest.param((decl("a", knows=(("b", type("Trust", (float,), {})(
                          0.5)),)), decl("b")), (),
-                     "peer 'a' knows 'b' with trust 0.5, not a number",
+                     "peer 'a' knows 'b': trust must be a number, not Trust",
                      id="trust-float-subclass"),
         # An int too long to write is named, not written.
         pytest.param((decl("a", knows=(("b", 10**5000),)), decl("b")), (),
-                     "peer 'a' knows 'b' with trust an int too long to "
-                     "write, outside [0, 1]", id="trust-long-int"),
+                     "peer 'a' knows 'b': trust must lie in [0, 1], got an "
+                     "int too long to write", id="trust-long-int"),
+        # Each peer's fields are of the types the parser gives them.
+        pytest.param((PeerDecl("a", "a", PeerPolicy(), behavior="honest"),),
+                     (), "peer 'a' behavior must be a BehaviorModel, not "
+                     "'honest'", id="behavior-str"),
+        pytest.param((PeerDecl("a", "a", None),), (),
+                     "peer 'a' policy must be a PeerPolicy, not None",
+                     id="policy-none"),
         # The parser builds no action the run cannot apply; code can.
         pytest.param((decl("a"), decl("b")), (AskAction("a", "b", "f", ""),),
                      "ask target domain must be non-empty",
@@ -364,6 +380,20 @@ class TestParsing:
             Scenario(peers=peers, actions=actions)
         assert (str(err.value), err.value.line) == (message, None)
 
+
+    @pytest.mark.parametrize("field, value, message", [
+        # A str seed would seed random as the string, not as 7.
+        ("seed", "7", "seed must be an int, not str"),
+        ("seed", True, "seed must be an int, not bool"),
+        ("seed", 10**5000, "seed must be an int, not an int too long to "
+         "write"),
+        ("config", "x", "scenario config must be a TrustConfig, not 'x'"),
+    ], ids=["seed-str", "seed-bool", "seed-long-int", "config-str"])
+    def test_a_code_built_scenario_holds_seed_and_config_to_their_types(
+            self, field, value, message):
+        with pytest.raises(ScenarioError) as err:
+            Scenario(**{field: value})
+        assert (str(err.value), err.value.line) == (message, None)
 
     def test_an_int_trust_is_accepted(self):
         scenario = Scenario(peers=(decl("a", knows=(("b", 1),)), decl("b")))
@@ -934,6 +964,20 @@ def test_add_property_conflicting_with_a_file_is_refused():
     assert "[Display a] <file> f in d under [spread]" in transcript
 
 
+def test_publish_with_nopublication_is_refused_in_the_transcript():
+    """The policy refuses a published file's nopublication as it refuses
+    any publication, when the edit runs, whether the scenario was parsed
+    or built in code."""
+    scenario = parse_scenario("peer a\ndomain a d\n"
+                              "publish a f d nopublication\n")
+    assert Scenario(peers=scenario.peers,
+                    actions=scenario.actions) == scenario
+    assert scenario.actions == (
+        EditAction("a", "publish", ((NOPUBLICATION,), "f", "d")),)
+    assert ("a: publication refused: nopublication applies to domains, "
+            "not resources") in run_scenario(scenario).transcript
+
+
 def test_add_property_nopublication_on_a_file_is_refused():
     scenario = parse_scenario(
         "peer a\ndomain a d\nresource a f d\n"
@@ -959,6 +1003,18 @@ ask b a f inbox
 ask b a f inbox
 show b
 """
+
+
+def test_a_slice_for_another_domain_stops_the_run(monkeypatch):
+    """A requester whose slice names a domain other than the ask's would
+    reveal that domain's policy, so the engine stops the run."""
+    monkeypatch.setattr(PeerAgent, "slice_for",
+                        lambda self, domain_name, required, rng:
+                        PolicySlice("other"))
+    with pytest.raises(PrivacyViolationError) as err:
+        run_scenario(parse_scenario(HELD_PATH_SCENARIO))
+    assert str(err.value) == ("slice for 'other' leaked during a "
+                              "negotiation about 'inbox'")
 
 
 def test_repeated_ask_into_the_same_domain_keeps_one_copy(monkeypatch):
@@ -1134,6 +1190,9 @@ class TestBehaviors:
             with pytest.raises(error) as caught:
                 build()
             assert str(caught.value) == message
+        # A long int that str still writes is written.
+        assert not too_long_to_write(10**1000)
+        assert written(10**1000) == str(10**1000)
 
     def test_forger_presents_extra_records(self):
         agent = self.agent(BehaviorModel.LOG_FORGER)
@@ -1246,16 +1305,23 @@ class TestDetectionExperiment:
         ("seed", "x"),
         ("seed", 1.5),
         ("seed", False),
+        pytest.param("seed", 10**5000, id="seed-long-int"),
+        pytest.param("delegates", COUNT(2), id="delegates-int-subclass"),
     ])
     def test_a_population_value_that_is_no_int_is_refused(self, field,
                                                           value):
-        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        with pytest.raises(ValueError) as err:
             PopulationParams(**{field: value})
+        assert str(err.value) == (f"{field} must be an int, "
+                                  f"not {not_an_int(value)}")
 
-    @pytest.mark.parametrize("runs", [True, 2.0, "3"])
+    @pytest.mark.parametrize("runs", [
+        True, 2.0, "3", pytest.param(COUNT(2), id="int-subclass")])
     def test_runs_that_are_no_int_are_refused(self, runs):
-        with pytest.raises(ValueError, match="^runs must be an int"):
+        with pytest.raises(ValueError) as err:
             detection_experiment(PopulationParams(), runs)
+        assert str(err.value) == (f"runs must be an int, "
+                                  f"not {not_an_int(runs)}")
 
     def test_population_table_lists_each_behaviour_and_count_once(self):
         rows = simnet._POPULATION

@@ -249,7 +249,8 @@ class TestReputation:
         ("x", "must be a number, not str"),
         (None, "must be a number, not NoneType"),
         (10**5000, "must lie in [0, 1], got an int too long to write"),
-    ], ids=["bool", "str", "none", "long-int"])
+        (type("Trust", (float,), {})(0.5), "must be a number, not Trust"),
+    ], ids=["bool", "str", "none", "long-int", "float-subclass"])
     def test_ledger_rejects_reputation_that_is_not_a_number(self, value,
                                                             message):
         with pytest.raises(TrustError) as err:
